@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -191,60 +193,106 @@ def _weighted_fill(total: float, weights: list, caps: list) -> list:
     return out
 
 
-def _lift_level(total: float, other_caps: list) -> float:
-    """Max-min share of one greedy entry among others capped at other_caps,
-    all with equal weight: the water level of `total` split equally with
-    capped surplus redistributed."""
-    rem = total
-    k = len(other_caps) + 1
-    for c in sorted(other_caps):
-        if c * k <= rem:
-            rem -= c
-            k -= 1
-        else:
-            break
-    return max(rem / k, 0.0)
-
-
 def _lift_levels(total: float, caps: list) -> list:
-    """_lift_level for every entry at once: out[i] is the water level when
-    entry i is greedy and the others keep their caps."""
+    """Equal-weight water level of every entry when it alone is greedy:
+    out[i] is the max-min share of `total` for entry i while every other
+    entry keeps its cap. A binary search over the other caps, sorted, finds
+    how many of them saturate below the level."""
     n = len(caps)
     if n == 1:
         return [max(total, 0.0)]
-    order = sorted(range(n), key=lambda i: caps[i])
+    order = sorted(range(n), key=caps.__getitem__)
     S = [caps[i] for i in order]
-    P = [0.0] * (n + 1)
-    for j in range(n):
-        P[j + 1] = P[j] + S[j]
+    P = list(itertools.accumulate(S, initial=0.0))
     out = [0.0] * n
     for rank, idx in enumerate(order):
-        def satsum(k):
-            return P[k] if k <= rank else P[k + 1] - S[rank]
-
-        def nth(k):
-            j = k if k < rank else k + 1
-            return S[j]
-
+        # with entry `rank` left out, the k smallest others sum to P[k] for
+        # k <= rank and to P[k + 1] - S[rank] above; the k-th is S[k] or S[k + 1]
+        s_r = S[rank]
         lo, hi = 0, n - 1  # number of saturated others
         while lo < hi:
             mid = (lo + hi) // 2
-            level = (total - satsum(mid)) / (n - mid)
-            if nth(mid) < level - 1e-15:
+            if mid < rank:
+                sat, nxt = P[mid], S[mid]
+            else:
+                sat = P[mid] if mid == rank else P[mid + 1] - s_r
+                nxt = S[mid + 1]
+            if nxt < (total - sat) / (n - mid) - 1e-15:
                 lo = mid + 1
             else:
                 hi = mid
-        out[idx] = max((total - satsum(lo)) / (n - lo), 0.0)
+        sat = P[lo] if lo <= rank else P[lo + 1] - s_r
+        level = (total - sat) / (n - lo)
+        out[idx] = 0.0 if level < 0.0 else level  # max(level, 0.0)
     return out
 
 
-def _weighted_lift(total: float, weight: float, cap: float,
-                   other_weights: list, other_caps: list) -> float:
-    """Share of one entry with demand lifted to `cap` under weighted max-min
-    against capped others."""
-    weights = [weight] + list(other_weights)
-    caps = [cap] + list(other_caps)
-    return _weighted_fill(total, weights, caps)[0]
+def _by_key(weights: list, caps: list) -> list:
+    """(cap/weight, weight, cap, index) per entry, stably sorted by cap/weight:
+    the order _weighted_fill visits them in."""
+    return sorted(((c / w, w, c, j) for j, (w, c) in enumerate(zip(weights, caps))),
+                  key=operator.itemgetter(0))
+
+
+def _lifted_share(total: float, w0: float, c0: float, wsum: float,
+                  others: list, skip: int) -> float:
+    """out[0] of _weighted_fill(total, [w0] + ws, [c0] + cs), the others being
+    the entries of `others` (from _by_key) except index `skip`; `wsum` is the
+    math.fsum of every weight, w0's included, and all weights are positive.
+
+    The stable sort puts entry 0 before every other of equal key, so the fill
+    reaches it at the first other whose key is not below c0 / w0 and stops."""
+    k0 = c0 / w0
+    rem = total
+    for key, w, c, j in others:
+        if j == skip:
+            continue
+        if key >= k0:
+            break
+        if wsum <= 0 or rem <= 0:
+            return 0.0
+        give = rem * w / wsum
+        rem -= give if give < c else c
+        wsum -= w
+    if wsum <= 0 or rem <= 0:
+        return 0.0
+    give = rem * w0 / wsum
+    return give if give < c0 else c0
+
+
+def _wfq_shares(C: float, qwsum: float, queues: list, caps: list,
+                lift: bool) -> list:
+    """Share of every flow group of one link's plan (see RateSolver._plan)
+    under WFQ, the groups demanding `caps`. With `lift`, a group's share is
+    its lifted share: the dedicated queue's when the queue alone is greedy,
+    a shared tenant's when its demand alone is lifted to its reservation.
+    Otherwise it is the weighted max-min split of C over the queues and of
+    the shared queue's share over its tenants."""
+    tdems = [[math.fsum(c) if g is None else min(math.fsum(c), g)
+              for (g, _, _), c in zip(groups, gcaps)]
+             for (_, _, groups), gcaps in zip(queues, caps)]
+    qdems = [math.fsum(td) for td in tdems]
+    if not lift:
+        qshares = _weighted_fill(C, [q[0] for q in queues], qdems)
+        return [[qs] if groups[0][0] is None
+                else _weighted_fill(qs, [w for _, w, _ in groups], td)
+                for (_, _, groups), qs, td in zip(queues, qshares, tdems)]
+    qsorted = _by_key([q[0] for q in queues], qdems)
+    shares = []
+    for qi, (w_q, twsum, groups) in enumerate(queues):
+        if groups[0][0] is None:
+            # a greedy member makes the whole queue greedy
+            shares.append([_lifted_share(C, w_q, C, qwsum, qsorted, qi)])
+            continue
+        # lifting one flow lifts its tenant's demand to the cap
+        td = tdems[qi]
+        tsorted = _by_key([w for _, w, _ in groups], td)
+        shares.append([
+            _lifted_share(
+                _lifted_share(C, w_q, qdems[qi] - d + g, qwsum, qsorted, qi),
+                w, g, twsum, tsorted, ti)
+            for ti, ((g, w, _), d) in enumerate(zip(groups, td))])
+    return shares
 
 
 class LinkQueueView:
@@ -269,6 +317,10 @@ class RateSolver:
     mode "wfq": hierarchical WFQ with work conservation and shared-queue caps.
     mode "static": every tenant hard-capped at its per-link reservation, no
     redistribution of unused capacity.
+
+    Counters over the solver's life: `solves` (calls to solve), `sweeps`
+    (lift sweeps summed over solves) and `nonconverged` (solves that stopped
+    at the sweep cap with the last relative rate change still >= _TOL).
     """
 
     def __init__(self, topo: Topology, mode: str = "wfq",
@@ -277,6 +329,7 @@ class RateSolver:
         self.mode = mode
         self.weight_mode = weight_mode
         self.views: dict = {}
+        self.solves = self.sweeps = self.nonconverged = 0
 
     def rebuild(self, owners_by_link: dict) -> None:
         self.views = {}
@@ -287,178 +340,100 @@ class RateSolver:
     def solve(self, flows: list) -> None:
         """Set flow.rate for every flow in place.
 
-        Iterative water-filling toward the hierarchical max-min fixed point:
-        each sweep computes per-link *lifted grants* (the share a flow would
-        receive there if it alone were greedy, everyone else consuming their
-        current rates) and updates every flow's rate to the minimum grant over
-        its path. A final capped pass projects the result onto link
-        capacities.
+        Iterative water-filling toward the hierarchical max-min fixed point.
+        The flows are grouped once per solve into a plan per directed link
+        (see _plan). Each sweep computes per-link *lifted grants* (the share a
+        flow would receive there if it alone were greedy, everyone else
+        consuming their current rates) and updates every flow's rate to the
+        minimum grant over its path. A lifted share is read off the other
+        queues or tenants presorted by demand/weight (_lifted_share), not from
+        a full weighted fill per entry. Two final capped passes project the
+        result onto link capacities.
         """
+        self.solves += 1
         routed = [f for f in flows if f.route]
         for f in flows:
             if not f.route:
                 f.rate = LOOPBACK_MBPS
         if not routed:
             return
-        flow_links: dict = {f.fid: f.route for f in routed}
-        by_link: dict = {}
-        for f in routed:
-            for dkey in f.route:
-                by_link.setdefault(dkey, []).append(f)
-        for members in by_link.values():
-            members.sort(key=lambda f: f.fid)
-        link_order = sorted(by_link)
-        rates = {f.fid: math.inf for f in routed}
-        for _ in range(max(10 * len(link_order), 8)):
-            grants = {dkey: self._grants(dkey, by_link[dkey], rates)
-                      for dkey in link_order}
-            new_rates = {
-                f.fid: min(grants[dk][f.fid] for dk in flow_links[f.fid])
-                for f in routed}
-            delta = max(
-                abs(new_rates[fid] - rates[fid]) / max(new_rates[fid], 1e-9)
-                if math.isfinite(rates[fid]) else math.inf
-                for fid in new_rates)
-            rates = new_rates
+        plans = self._plan(routed)
+        rates = [math.inf] * len(routed)
+        for sweep in range(1, max(10 * len(plans), 8) + 1):
+            new = self._sweep(plans, rates, lift=True)
+            delta = max(abs(r - old) / max(r, 1e-9) if math.isfinite(old)
+                        else math.inf for r, old in zip(new, rates))
+            rates = new
             if delta < _TOL:
                 break
+        else:
+            self.nonconverged += 1
+        self.sweeps += sweep
         for _ in range(2):
-            alloc = {dkey: self._alloc(dkey, by_link[dkey], rates)
-                     for dkey in link_order}
-            rates = {f.fid: min(alloc[dk][f.fid] for dk in flow_links[f.fid])
-                     for f in routed}
-        for f in routed:
-            f.rate = rates[f.fid]
+            rates = self._sweep(plans, rates, lift=False)
+        for f, r in zip(routed, rates):
+            f.rate = r
 
-    def _alloc(self, dkey, members: list, caps: dict) -> dict:
-        view = self.views[link_key(*dkey)]
-        C = view.capacity
-        if self.mode == "static":
-            return self._alloc_static(view, members, caps)
-        by_queue: dict = {}
-        for f in members:
-            by_queue.setdefault(view.tenant_queue(f.tenant), []).append(f)
-        qids = sorted(by_queue)
-        qweights, qdemands, internal = [], [], []
-        for qid in qids:
-            qflows = by_queue[qid]
-            if qid[0] == "dedicated":
-                demand = math.fsum(min(caps[f.fid], C) for f in qflows)
-                internal.append(("flows", qflows))
-            else:
-                tenants: dict = {}
-                for f in qflows:
-                    tenants.setdefault(f.tenant, []).append(f)
-                tdem = {
-                    t: min(math.fsum(min(caps[f.fid], C) for f in fl),
-                           view.reservations.get(t, 0.0))
-                    for t, fl in tenants.items()
-                }
-                demand = math.fsum(tdem.values())
-                internal.append(("tenants", tenants, tdem))
-            qweights.append(max(view.qweights.get(qid, 0.0), 1e-12))
-            qdemands.append(demand)
-        shares = _weighted_fill(C, qweights, qdemands)
-        out = {}
-        for qid, share, inner in zip(qids, shares, internal):
-            if inner[0] == "flows":
-                qflows = inner[1]
-                fills = _water_fill(share, [min(caps[f.fid], C) for f in qflows])
-                for f, r in zip(qflows, fills):
-                    out[f.fid] = r
-            else:
-                tenants, tdem = inner[1], inner[2]
-                tlist = sorted(tenants)
-                tweights = [max(view.reservations.get(t, 0.0), 1e-12) for t in tlist]
-                tshares = _weighted_fill(share, tweights, [tdem[t] for t in tlist])
-                for t, ts in zip(tlist, tshares):
-                    qflows = tenants[t]
-                    fills = _water_fill(ts, [min(caps[f.fid], C) for f in qflows])
-                    for f, r in zip(qflows, fills):
-                        out[f.fid] = r
-        return out
+    def _plan(self, routed: list) -> list:
+        """Per directed link, in key order: (capacity, fsum of queue weights,
+        queues). Queues come in qid order as (weight, fsum of tenant weights,
+        groups); a group is (cap, weight, positions in `routed` in fid order)
+        for one tenant. The shared queue holds one group per tenant, in
+        tenant order, capped at the tenant's reservation; a dedicated queue
+        holds its owner's flows uncapped (cap None). Static mode puts every
+        tenant, capped at its reservation, in one queue."""
+        by_link: dict = {}
+        for i in sorted(range(len(routed)), key=lambda i: routed[i].fid):
+            for dkey in routed[i].route:
+                by_link.setdefault(dkey, []).append(i)
+        static = self.mode == "static"
+        plans = []
+        for dkey in sorted(by_link):
+            view = self.views[link_key(*dkey)]
+            by_queue: dict = {}
+            for i in by_link[dkey]:
+                t = routed[i].tenant
+                qid = ("static",) if static else view.tenant_queue(t)
+                by_queue.setdefault(qid, {}).setdefault(t, []).append(i)
+            queues = []
+            for qid in sorted(by_queue):
+                groups = []
+                for t, pos in sorted(by_queue[qid].items()):
+                    g = view.reservations.get(t, 0.0)
+                    groups.append((None if qid[0] == "dedicated" else g,
+                                   max(g, 1e-12), pos))
+                w_q = max(view.qweights.get(qid, 0.0), 1e-12)
+                queues.append((w_q, math.fsum(w for _, w, _ in groups), groups))
+            plans.append((view.capacity, math.fsum(q[0] for q in queues), queues))
+        return plans
 
-    def _alloc_static(self, view, members: list, caps: dict) -> dict:
-        tenants: dict = {}
-        for f in members:
-            tenants.setdefault(f.tenant, []).append(f)
-        out = {}
-        for t, qflows in sorted(tenants.items()):
-            cap_t = view.reservations.get(t, 0.0)
-            fills = _water_fill(cap_t, [min(caps[f.fid], view.capacity)
-                                        for f in qflows])
-            for f, r in zip(qflows, fills):
-                out[f.fid] = r
-        return out
-
-    def _grants(self, dkey, members: list, rates: dict) -> dict:
-        """Per-flow lifted grants at one directed link: the share each flow
-        would receive if it alone were greedy while every other flow consumed
-        its current rate. Shared tenants stay capped at their per-link
-        reservation (a policy cap, never lifted)."""
-        view = self.views[link_key(*dkey)]
-        C = view.capacity
-        cap = {f.fid: min(rates.get(f.fid, math.inf), C) for f in members}
-        out: dict = {}
-        if self.mode == "static":
-            tenants: dict = {}
-            for f in members:
-                tenants.setdefault(f.tenant, []).append(f)
-            for t, qflows in sorted(tenants.items()):
-                cap_t = view.reservations.get(t, 0.0)
-                levels = _lift_levels(cap_t, [cap[f.fid] for f in qflows])
-                for f, lvl in zip(qflows, levels):
-                    out[f.fid] = min(lvl, cap_t)
-            return out
-        by_queue: dict = {}
-        for f in members:
-            by_queue.setdefault(view.tenant_queue(f.tenant), []).append(f)
-        qids = sorted(by_queue)
-        qweights, qdemands = [], []
-        tenant_dem: dict = {}
-        for qid in qids:
-            qflows = by_queue[qid]
-            if qid[0] == "dedicated":
-                demand = math.fsum(cap[f.fid] for f in qflows)
+    def _sweep(self, plans: list, rates: list, lift: bool) -> list:
+        """New per-flow rates: the minimum over each flow's links of its
+        lifted grant (`lift`) or of its capped projection, every flow
+        demanding its current rate. Shared and static tenants stay capped at
+        their per-link reservation (a policy cap, never lifted)."""
+        out = [math.inf] * len(rates)
+        static = self.mode == "static"
+        for C, qwsum, queues in plans:
+            # `C if C < r else r` is min(r, C), without the call
+            caps = [[[C if C < r else r for r in map(rates.__getitem__, pos)]
+                     for _, _, pos in groups] for _, _, groups in queues]
+            if static:
+                shares = [[g for g, _, _ in groups] for _, _, groups in queues]
             else:
-                groups: dict = {}
-                for f in qflows:
-                    groups.setdefault(f.tenant, []).append(f)
-                for t, fl in groups.items():
-                    tenant_dem[t] = min(math.fsum(cap[f.fid] for f in fl),
-                                        view.reservations.get(t, 0.0))
-                demand = math.fsum(tenant_dem[t] for t in groups)
-            qweights.append(max(view.qweights.get(qid, 0.0), 1e-12))
-            qdemands.append(demand)
-        for qi, qid in enumerate(qids):
-            qflows = by_queue[qid]
-            other_w = qweights[:qi] + qweights[qi + 1:]
-            other_d = qdemands[:qi] + qdemands[qi + 1:]
-            if qid[0] == "dedicated":
-                # a greedy member makes the whole queue greedy
-                u_q = _weighted_lift(C, qweights[qi], C, other_w, other_d)
-                levels = _lift_levels(u_q, [cap[f.fid] for f in qflows])
-                for f, lvl in zip(qflows, levels):
-                    out[f.fid] = lvl
-            else:
-                groups: dict = {}
-                for f in qflows:
-                    groups.setdefault(f.tenant, []).append(f)
-                tlist = sorted(groups)
-                for t in tlist:
-                    g_t = view.reservations.get(t, 0.0)
-                    # lifting one flow lifts its tenant's demand to the cap
-                    d_lift = qdemands[qi] - tenant_dem[t] + g_t
-                    v_t = _weighted_lift(C, qweights[qi], d_lift,
-                                         other_w, other_d)
-                    ow = [max(view.reservations.get(x, 0.0), 1e-12)
-                          for x in tlist if x != t]
-                    od = [tenant_dem[x] for x in tlist if x != t]
-                    t_share = _weighted_lift(v_t, max(g_t, 1e-12), g_t, ow, od)
-                    levels = _lift_levels(t_share,
-                                          [cap[f.fid] for f in groups[t]])
-                    for f, lvl in zip(groups[t], levels):
-                        out[f.fid] = min(lvl, g_t)
+                shares = _wfq_shares(C, qwsum, queues, caps, lift)
+            for (_, _, groups), gcaps, gshares in zip(queues, caps, shares):
+                for (g, _, pos), c, share in zip(groups, gcaps, gshares):
+                    if not lift:
+                        levels = _water_fill(share, c)
+                    elif g is None:
+                        levels = _lift_levels(share, c)
+                    else:
+                        levels = [g if g < lvl else lvl
+                                  for lvl in _lift_levels(share, c)]
+                    for i, r in zip(pos, levels):
+                        if r < out[i]:
+                            out[i] = r
         return out
 
 
@@ -587,6 +562,10 @@ class SegmentStats:
     engaged source hypervisors, same at the engaged destinations). A tenant
     engaging every hypervisor it occupies is entitled to its full link
     reservation.
+
+    guarantee_violation_time counts wall seconds in which at least one tenant
+    got less than its entitlement; guarantee_violation_tenant_time sums those
+    seconds over the violating tenants (tenant-seconds).
     """
 
     dkey: tuple
@@ -597,6 +576,7 @@ class SegmentStats:
     time_total: float = 0.0
     busy_time: float = 0.0
     guarantee_violation_time: float = 0.0
+    guarantee_violation_tenant_time: float = 0.0
     conservation_violation_time: float = 0.0
     violating_tenants: set = field(default_factory=set)
 
@@ -633,11 +613,15 @@ class SegmentStats:
                     if all_unsaturated(f, self.dkey):
                         self.conservation_violation_time += dt
                         break
+        violated = False
         for tenant, (rate, srcs, dsts) in per_tenant.items():
             entitled = self.entitlement(tenant, srcs, dsts)
             if entitled > 0 and rate < entitled * (1.0 - 1e-6):
-                self.guarantee_violation_time += dt
+                self.guarantee_violation_tenant_time += dt
                 self.violating_tenants.add(tenant)
+                violated = True
+        if violated:
+            self.guarantee_violation_time += dt
 
 
 class FluidSimulation:
@@ -886,11 +870,3 @@ def make_clients(tenants: dict, vm_map: dict, *, client_hyps=None,
             clients.append(ClientSpec(tid, vm, hyp, start, stop,
                                       concurrency=concurrency))
     return clients
-
-
-def run_control_loop(topo, tenants, generator, **kwargs) -> list:
-    """Convenience wrapper: build the simulation and run it."""
-    duration = kwargs.pop("duration", 10.0)
-    warmup = kwargs.pop("warmup_intervals", 0)
-    sim = FluidSimulation(topo, tenants, generator, **kwargs)
-    return sim.run(duration, warmup_intervals=warmup)

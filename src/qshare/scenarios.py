@@ -218,6 +218,7 @@ def run_wcbg(doc: dict) -> tuple[dict, dict]:
     summary = {
         "mean_core_utilization": run.mean_core_utilization(),
         "guarantee_violation_time_s": stats.guarantee_violation_time,
+        "guarantee_violation_tenant_s": stats.guarantee_violation_tenant_time,
         "conservation_violation_time_s": stats.conservation_violation_time,
         "active_time_s": stats.time_active,
         "busy_fraction": stats.busy_time / max(stats.time_active, 1e-12),

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import WfqOracle
+from qshare import cli
 from qshare import fluid as F
 from qshare import placement as P
+from qshare import scenarios as S
 from qshare import topology as T
 from qshare.tenants import TenantRequest
 
@@ -176,35 +178,164 @@ def random_wfq_case(rng, max_links=4, max_flows=6):
     return topo, tenants, owners, flows
 
 
-def test_fixed_point_matches_oracle(rng):
-    # quick development slice; the acceptance suite runs the 1000-case sweep
-    solver_failures = 0
-    for case in range(80):
-        topo, tenants, owners, flows = random_wfq_case(rng)
+def large_shared_case(rng, dedicated_queues=(0, 1)):
+    """Star of 2-4 links where 2-8 tenants span every link and up to 40 flows
+    cross it. A count drawn from `dedicated_queues` of the tenants own a
+    dedicated queue on every link; the rest, up to 8, share the shared
+    queue. Reservations take one of two values, so tenants often tie on
+    reservation and on demand/weight."""
+    n_links = int(rng.integers(2, 5))
+    hyps = [f"h{i}" for i in range(n_links)]
+    topo = T.build_custom(
+        [("s0", "switch", 1, 0)] + [(h, "hypervisor", 0, 50) for h in hyps],
+        [(h, "s0", float(rng.integers(20, 40) * 100)) for h in hyps])
+    tenants = {}
+    for ti in range(int(rng.integers(2, 9))):
+        tid = f"T{ti}"
+        tenants[tid] = P.embed_fixed(
+            topo, TenantRequest(n_links, float(rng.choice([50.0, 100.0]))),
+            tid, "s0", {h: 1 for h in hyps})
+    tids = sorted(tenants)
+    n_ded = min(int(rng.choice(dedicated_queues)), len(tids) - 1)
+    dedicated = set(rng.choice(tids, size=n_ded, replace=False).tolist())
+    owners = {key: set(dedicated) for key in topo.links}
+    flows = []
+    for fid in range(1, int(rng.integers(1, 41)) + 1):
+        tid = tids[int(rng.integers(0, len(tids)))]
+        a, b = rng.choice(hyps, size=2, replace=False).tolist()
+        flows.append(F.Flow(fid, tid, 0, 1, a, b, 1e9, 0.0,
+                            route=F.tenant_route(tenants[tid], a, b)))
+    return topo, tenants, owners, flows
+
+
+def oracle_rates(solver, flows):
+    """WfqOracle's fixed point for the queue configuration `solver` holds."""
+    capacities, reservations, dir_owners, weights = {}, {}, {}, {}
+    for f in flows:
+        for dk in f.route:
+            view = solver.views[T.link_key(*dk)]
+            capacities[dk] = view.capacity
+            reservations[dk] = view.reservations
+            dir_owners[dk] = view.owners
+            weights[dk] = view.qweights
+    return WfqOracle(capacities, dir_owners, reservations, weights).solve(flows)
+
+
+def check_against_oracle(rng, case_maker, cases):
+    for case in range(cases):
+        topo, tenants, owners, flows = case_maker(rng)
         if not flows:
             continue
         solver = F.RateSolver(topo)
         solver.rebuild(owners)
         solver.solve(flows)
-        capacities = {}
-        reservations = {}
-        dir_owners = {}
-        weights = {}
-        for f in flows:
-            for dk in f.route:
-                uk = T.link_key(*dk)
-                view = solver.views[uk]
-                capacities[dk] = view.capacity
-                reservations[dk] = view.reservations
-                dir_owners[dk] = view.owners
-                weights[dk] = view.qweights
-        oracle = WfqOracle(capacities, dir_owners, reservations, weights)
-        orates = oracle.solve(flows)
+        assert (solver.solves, solver.nonconverged) == (1, 0), f"case {case}"
+        orates = oracle_rates(solver, flows)
         for f in flows:
             ref = orates[f.fid]
             assert abs(f.rate - ref) <= 1e-6 * max(ref, 1.0), \
                 f"case {case}: flow {f.fid} {f.rate} vs {ref}"
-    assert solver_failures == 0
+
+
+def test_fixed_point_matches_oracle(rng):
+    # quick development slice; the acceptance suite runs the 1000-case sweep
+    check_against_oracle(rng, random_wfq_case, 80)
+
+
+def test_many_shared_tenants_match_oracle(rng):
+    check_against_oracle(rng, large_shared_case, 100)
+
+
+def test_static_mode_caps_tenants_and_bottlenecks_every_flow(rng):
+    for case in range(100):
+        topo, tenants, _, flows = large_shared_case(rng)
+        solver = F.RateSolver(topo, mode="static")
+        solver.rebuild({})
+        solver.solve(flows)
+        assert solver.nonconverged == 0
+        load, tenant_load = {}, {}
+        for f in flows:
+            for dk in f.route:
+                load[dk] = load.get(dk, 0.0) + f.rate
+                tenant_load[dk, f.tenant] = (tenant_load.get((dk, f.tenant), 0.0)
+                                             + f.rate)
+
+        def reservation(dk, tid):
+            return topo.links[T.link_key(*dk)].reservations[tid]
+
+        def capacity(dk):
+            return topo.links[T.link_key(*dk)].capacity
+
+        for (dk, tid), total in tenant_load.items():
+            assert total <= reservation(dk, tid) * (1 + 1e-9), f"case {case}"
+        for dk, total in load.items():
+            assert total <= capacity(dk) * (1 + 1e-9), f"case {case}"
+        for f in flows:
+            assert any(
+                tenant_load[dk, f.tenant] >= reservation(dk, f.tenant) * (1 - 1e-9)
+                or load[dk] >= capacity(dk) * (1 - 1e-9)
+                for dk in f.route), f"case {case}: flow {f.fid} not bottlenecked"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known fault: with two dedicated queues on shared links the per-sweep "
+    "lifted grants can settle into a 2-cycle, in RateSolver and in "
+    "WfqOracle alike, so the solve stops at its sweep cap"))
+def test_two_dedicated_queues_converge(rng):
+    for case in range(40):
+        topo, tenants, owners, flows = large_shared_case(rng, (2,))
+        solver = F.RateSolver(topo)
+        solver.rebuild(owners)
+        solver.solve(flows)
+        assert solver.nonconverged == 0, f"case {case}"
+
+
+def test_solver_counts_sweeps_and_nonconverged_solves(monkeypatch):
+    _, tenants, solver = contended_link()
+    flows = [flow(1, tenants, "A"), flow(2, tenants, "B")]
+    solver.solve(flows)
+    assert (solver.solves, solver.nonconverged) == (1, 0)
+    first = solver.sweeps
+    assert 1 <= first < 20
+    # two directed links: the sweep cap is max(10 * 2, 8); a negative
+    # tolerance keeps every sweep short of convergence
+    monkeypatch.setattr(F, "_TOL", -1.0)
+    solver.solve(flows)
+    assert (solver.solves, solver.nonconverged) == (2, 1)
+    assert solver.sweeps == first + 20
+
+
+def test_bundled_unpredictable_solves_converge():
+    for seed in (1, 2, 3):
+        doc = dict(cli.load_scenario("unpredictable"), seed=seed,
+                   duration_s=2.0)
+        solver = S.build_wcbg(doc).sim.solver
+        assert solver.solves > 0 and solver.nonconverged == 0, f"seed {seed}"
+
+
+def test_violation_time_counts_wall_and_tenant_seconds():
+    dkey = ("h1", "s1")
+    stats = F.SegmentStats(
+        dkey, 1000.0, {"A": 100.0, "B": 100.0},
+        {(t, h): 100.0 for t in "AB" for h in ("h1", "h2")})
+
+    def flows(rate_a, rate_b):
+        out = []
+        for fid, (tid, rate) in enumerate((("A", rate_a), ("B", rate_b))):
+            out.append(F.Flow(fid, tid, 0, 1, "h1", "h2", 1e9, 0.0,
+                              rate=rate, route=(dkey, ("s1", "h2"))))
+        return out
+
+    def unsaturated(f, excluding):
+        return False
+
+    stats.observe(0.0, 2.0, flows(10.0, 20.0), set(), unsaturated)
+    assert stats.guarantee_violation_time == 2.0  # both below 100 at once
+    assert stats.guarantee_violation_tenant_time == 4.0
+    stats.observe(2.0, 3.0, flows(10.0, 100.0), set(), unsaturated)
+    assert stats.guarantee_violation_time == 3.0
+    assert stats.guarantee_violation_tenant_time == 5.0
+    assert stats.violating_tenants == {"A", "B"}
 
 
 def test_capacity_respected_and_flows_conserved(rng):
