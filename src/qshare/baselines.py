@@ -1,6 +1,7 @@
-"""Comparison policies at fluid fidelity: static reservation and an
-endhost guarantee-partitioning + rate-allocation model (conservative and
-aggressive variants).
+"""Comparison policy at fluid fidelity: an endhost guarantee-partitioning +
+rate-allocation model (conservative and aggressive variants). The other
+baseline, static reservation, is the rate solver's static mode
+(`fluid.RateSolver`).
 
 The endhost baseline keeps a per-VM-pair rate limiter updated every probe
 quantum from congestion feedback, with the classic conservative mechanisms
@@ -47,47 +48,6 @@ class RAConfig:
             self.hold_increase = 0
             self.rate_caution = 1.0
 
-    @staticmethod
-    def conservative(**kw) -> "RAConfig":
-        return RAConfig(mode="conservative", **kw)
-
-    @staticmethod
-    def aggressive(**kw) -> "RAConfig":
-        return RAConfig(mode="aggressive", **kw)
-
-
-def static_rates(tenants: dict, links: dict) -> dict:
-    """Static reservation: per-tenant rate cap on every link of its routing
-    tree equal to the reserved bandwidth there; spare capacity is never
-    redistributed."""
-    return {tid: dict(t.tr.reserved) for tid, t in tenants.items()}
-
-
-def gp_split(tenant, believed_peers: dict) -> dict:
-    """Divide each VM's hose guarantee equally among its believed peers; a
-    pair's guarantee is the minimum of the two endpoints' shares. A pair the
-    belief does not yet cover gets only the all-peers seed B/(N-1): the
-    guarantee partition must be re-learned whenever the traffic matrix
-    changes, and a fresh pair starts from the unallocated share."""
-    b = tenant.request.per_vm_guarantee
-    n = tenant.request.vm_count
-    seed = b / max(n - 1, 1)
-    out = {}
-    vms = set()
-    for vm, peers in believed_peers.items():
-        vms.add(vm)
-        vms.update(peers)
-    for x in vms:
-        for y in believed_peers.get(x, ()):
-            gx = b / max(len(believed_peers.get(x, ())), 1)
-            gy_peers = believed_peers.get(y)
-            if gy_peers is None or x not in gy_peers:
-                gy = seed
-            else:
-                gy = b / len(gy_peers)
-            out[(x, y)] = min(gx, gy)
-    return out
-
 
 def ra_update(rate: float, guarantee: float, congested: bool, hold: int,
               cfg: RAConfig) -> tuple[float, int]:
@@ -101,20 +61,6 @@ def ra_update(rate: float, guarantee: float, congested: bool, hold: int,
     if rate > guarantee:
         step *= cfg.rate_caution
     return rate + step, 0
-
-
-def ra_rates(pair_guarantees: dict, pair_rates: dict, congested_pairs: set,
-             holds: dict, cfg: RAConfig) -> tuple[dict, dict]:
-    """Advance every pair limiter one quantum; pairs missing from pair_rates
-    start at their guarantee."""
-    new_rates, new_holds = {}, {}
-    for pair, g in pair_guarantees.items():
-        rate = pair_rates.get(pair, g)
-        r, h = ra_update(rate, g, pair in congested_pairs,
-                         holds.get(pair, 0), cfg)
-        new_rates[pair] = r
-        new_holds[pair] = h
-    return new_rates, new_holds
 
 
 def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
@@ -159,8 +105,6 @@ class EndhostRatePolicy:
         self.holds: dict = {}
         self.beliefs: dict = {tid: {} for tid in tenants}
         self.congested_links: set = set()
-        self.capacities = {}
-        self.violation_flags: list = []
 
     def _pair_key(self, f):
         return (f.tenant, f.src_vm, f.dst_vm)

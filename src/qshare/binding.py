@@ -17,15 +17,6 @@ from .tenants import Tenant, payment_factor
 
 
 @dataclass(frozen=True)
-class UsageMeasurement:
-    tenant_id: str
-    hypervisor_id: str
-    inbound_mbps: float
-    outbound_mbps: float
-    interval: int = 0
-
-
-@dataclass(frozen=True)
 class TenantScore:
     tenant_id: str
     u_factor: float

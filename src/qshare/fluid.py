@@ -79,15 +79,7 @@ def sample_flow_size(distribution, rng) -> float:
     "datamining", or ("fixed", bytes)."""
     if isinstance(distribution, tuple) and distribution[0] == "fixed":
         return float(distribution[1])
-    pts = load_workload_cdf(distribution)
-    u = rng.random()
-    if u <= pts[0][1]:
-        return pts[0][0]
-    for (b0, p0), (b1, p1) in zip(pts, pts[1:]):
-        if u <= p1:
-            frac = (u - p0) / (p1 - p0)
-            return math.exp(math.log(b0) + frac * (math.log(b1) - math.log(b0)))
-    return pts[-1][0]
+    return cdf_quantile(distribution, rng.random())
 
 
 def cdf_quantile(name: str, q: float) -> float:
@@ -547,10 +539,6 @@ class IntervalReport:
     fcts: list
     scores: dict
 
-    def max_utilization(self) -> float:
-        return max((max(series) for series in self.link_util.values()),
-                   default=0.0)
-
 
 @dataclass
 class SegmentStats:
@@ -684,7 +672,10 @@ class FluidSimulation:
             seq += 1
             heapq.heappush(events, (when, seq, ev))
         t = 0.0
-        horizon = warmup_intervals * self.interval + duration
+        # segments before the end of warm-up are simulated but not measured;
+        # interval boundaries are segment endpoints, so none straddles it
+        measure_from = warmup_intervals * self.interval
+        horizon = measure_from + duration
         interval_idx = 0
         int_start = 0.0
         next_quantum = self.quantum if self.quantum is not None else math.inf
@@ -707,7 +698,7 @@ class FluidSimulation:
                         t_next = t_done
             t_next = max(t_next, t)
             self._advance(t, t_next, usage, buckets, ten_bytes)
-            if self.stats is not None:
+            if self.stats is not None and t >= measure_from - _TOL:
                 self.stats.observe(t, t_next, list(self.flows.values()),
                                    self.controller.state.dedicated,
                                    self._all_unsaturated)

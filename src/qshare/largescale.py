@@ -1,6 +1,6 @@
 """Production-scale studies: tenant population sampling, fill-to-capacity
-embedding, queue-scarcity statistics, churn emulation, and throughput-gain /
-link-utilization analysis.
+embedding, queue-scarcity statistics with interval-wise opportunistic
+dedication, and throughput-gain / link-utilization analysis.
 
 Gains use the weighted-share formula rather than flow simulation: a dedicated
 high-demand tenant's per-link gain is 1 + spare / (sum of high-demand
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import placement
 from .binding import QueueAllocationState, allocate_queues, assign_dscp
 from .placement import CostPolicy, embed
 from .tenants import TenantRequest, payment_factor
@@ -29,7 +28,6 @@ class PopulationSpec:
     vm_floor: int = 2
     guarantees: tuple = (10.0, 50.0, 100.0, 200.0, 300.0)
     payment_constant: float = 1.0
-    per_vm_sampling: bool = False  # heterogeneity switch; per-tenant default
 
     def sample(self, rng) -> TenantRequest:
         n = max(self.vm_floor, int(round(rng.exponential(self.vm_mean))))
@@ -46,7 +44,6 @@ class ScarcityReport:
     max_port_tenants: int
     r_nd: float
     r_ni: float | None = None
-    r_ni_min: float | None = None
     dscp_values_used: int | None = None
     tenants: int = 0
 
@@ -115,11 +112,10 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
             streak += 1
     report = port_statistics(topo, tenants)
     qc = max((l.queue_count for l in topo.links.values()), default=8)
-    r_ni, r_ni_min, dscp_used = interval_dedication(
+    r_ni, dscp_used = interval_dedication(
         topo, tenants, r_in=r_in, intervals=intervals, seed=seed,
         queue_count=qc)
     report.r_ni = r_ni
-    report.r_ni_min = r_ni_min
     report.dscp_values_used = dscp_used
     return FillResult(tenants, attempted, rejected, report, topo)
 
@@ -128,10 +124,10 @@ def interval_dedication(topo: Topology, tenants: dict, *, r_in: float = 0.5,
                         intervals: int = 20, seed: int = 0,
                         queue_count: int = 8):
     """Simulate interval-wise binding under random per-interval activity.
-    Returns (mean %, min %, max dscp values used) of tenants holding dedicated
-    queues per interval."""
+    Returns (mean % of tenants holding dedicated queues per interval, max dscp
+    value used)."""
     if not tenants:
-        return 100.0, 100.0, 0
+        return 100.0, 0
     rng = np.random.default_rng([seed, 0xD5C9])
     ids = sorted(tenants)
     pays = {tid: payment_factor(tenants[tid].request) for tid in ids}
@@ -147,54 +143,7 @@ def interval_dedication(topo: Topology, tenants: dict, *, r_in: float = 0.5,
         assignment, _failed = assign_dscp(tenants, state.dedicated, scores)
         if assignment:
             dscp_used = max(dscp_used, max(assignment.values()))
-    return float(np.mean(fractions)), float(min(fractions)), dscp_used
-
-
-def churn_run(topo: Topology, spec: PopulationSpec, *, arrival_rate: float,
-              lifetime: float, horizon: float, seed: int = 0,
-              policy: CostPolicy | None = None, sample_every: float = None):
-    """Poisson arrivals at `arrival_rate`, constant lifetime; returns sampled
-    (time, load, resident, r_nd) rows after embedding/departing tenants
-    event-by-event. Load is the occupied VM-slot fraction."""
-    if arrival_rate <= 0:
-        raise ValueError("arrival rate must be positive")
-    policy = policy or CostPolicy.stress()
-    rng = np.random.default_rng(seed)
-    total_slots = topo.total_vm_slots()
-    sample_every = sample_every or max(lifetime / 2, 1.0)
-    t = 0.0
-    next_sample = lifetime  # skip the fill-up transient before first sample
-    departures: list = []
-    resident: dict = {}
-    rows = []
-    counter = 0
-    while t < horizon:
-        t += rng.exponential(1.0 / arrival_rate)
-        while departures and departures[0][0] <= t:
-            _, tid = departures.pop(0)
-            placement.depart(topo, resident.pop(tid))
-        while next_sample <= t and next_sample < horizon:
-            rep = port_statistics(topo, resident)
-            load = 1.0 - topo.free_vm_slots() / total_slots
-            rows.append({"time": next_sample, "load": load,
-                         "resident": len(resident), "r_nd_pct": rep.r_nd})
-            next_sample += sample_every
-        if t >= horizon:
-            break
-        counter += 1
-        req = spec.sample(rng)
-        out = embed(topo, req, policy, tenant_id=f"c{counter:06d}")
-        if out.feasible:
-            resident[out.tenant.id] = out.tenant
-            departures.append((t + lifetime, out.tenant.id))
-            departures.sort()
-    return rows
-
-
-def arrival_rate_for_load(topo: Topology, spec: PopulationSpec,
-                          target_load: float, lifetime: float) -> float:
-    """Little's-law sizing: lambda = target_load * slots / (E[N] * lifetime)."""
-    return target_load * topo.total_vm_slots() / (spec.vm_mean * lifetime)
+    return float(np.mean(fractions)), dscp_used
 
 
 @dataclass

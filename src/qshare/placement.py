@@ -9,9 +9,13 @@ by computing a minimum-reservation VM allocation for it.
 The allocation itself is an exact dynamic program over the tree (min-plus
 convolution on VM counts) rather than a largest-first greedy: the greedy is
 not optimal once a tree has two switch levels, and the test suite holds this
-module to an exhaustive-search oracle. Hypervisor usable-slot semantics
-(free slots intersected with what the root path can absorb) are preserved,
-and `usable_vm_slots` exposes them directly.
+module to an exhaustive-search oracle. A hypervisor's usable slots are its
+free slots capped by the fault-domain limit; what its root path can absorb
+enters through the per-link edge costs.
+
+Both the chosen and an explicitly given placement (`embed_fixed`) become a
+routing tree the same way: the skeleton pruned to the hosting hypervisors,
+each link reserving the cut rule for the VMs below it.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ class CostPolicy:
         """Queue-balancing stress mode: c_q dominates the election."""
         return CostPolicy(w_b=0.01, w_q=1.0)
 
-    @staticmethod
-    def bandwidth_first() -> "CostPolicy":
-        return CostPolicy(w_b=1.0, w_q=0.01)
-
 
 @dataclass
 class TrEvaluation:
@@ -82,7 +82,7 @@ class PlacementOutcome:
 
 class _EpisodeContext:
     """Per-embed cache: subtree profiles keyed by node id (valid because the
-    downward closure of a node is identical in every tree-mode skeleton)."""
+    downward closure of a node is identical in every skeleton)."""
 
     def __init__(self, topo: Topology, request: TenantRequest):
         self.topo = topo
@@ -92,7 +92,6 @@ class _EpisodeContext:
         self.ha = request.per_hypervisor_cap
         self.profiles: dict[str, tuple] = {}
         self.ops = 0
-        self.memo_ok = topo.kind == "tree"
 
     def hyp_cap(self, hyp: str) -> int:
         """Per-hypervisor VM cap from free slots and the fault-domain limit."""
@@ -210,7 +209,7 @@ def _reconstruct(ctx: _EpisodeContext, node: str, j: int, placement: dict) -> No
 
 
 def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
-    if ctx.memo_ok and node in ctx.profiles:
+    if node in ctx.profiles:
         return ctx.profiles[node][0]
     topo, n = ctx.topo, ctx.n
     children = skel.children[node]
@@ -243,8 +242,6 @@ def evaluate_tr(topo: Topology, skel: TRSkeleton, request: TenantRequest,
     """Feasibility plus (c_b, c_q) for one routing-tree option."""
     if ctx is None:
         ctx = _EpisodeContext(topo, request)
-    if not ctx.memo_ok:
-        ctx.profiles.clear()
     n = request.vm_count
     idx = _leaf_indices(topo, skel)
     usable = np.minimum(topo._free_arr[idx], ctx.ha)
@@ -259,7 +256,19 @@ def evaluate_tr(topo: Topology, skel: TRSkeleton, request: TenantRequest,
     placement: dict[str, int] = {}
     _reconstruct(ctx, skel.root, n, placement)
     placement = {h: m for h, m in placement.items() if m > 0}
+    ev = _pruned_tree(topo, skel, request, placement)
+    if not math.isclose(ev.c_b, float(F[n]), rel_tol=1e-9, abs_tol=1e-6):
+        raise AssertionError(f"allocation cost mismatch: {ev.c_b} vs {F[n]}")
+    ev.c_q = max((topo.links[key].tenant_count() + 1 for key in ev.pruned_links),
+                 default=1)
+    return ev
 
+
+def _pruned_tree(topo: Topology, skel: TRSkeleton, request: TenantRequest,
+                 placement: dict) -> TrEvaluation:
+    """The skeleton pruned to the hosting hypervisors: its links in sorted
+    order, each reserving the cut rule for the VMs below it, their parent
+    pointers and c_b. c_q is left 0 for the caller."""
     below: dict[str, int] = {}
     pruned_nodes = {skel.root}
     for h, m in placement.items():
@@ -271,72 +280,16 @@ def evaluate_tr(topo: Topology, skel: TRSkeleton, request: TenantRequest,
         while u is not None:
             below[u] = below.get(u, 0) + m
             u = skel.parent[u]
-    pruned_links = []
-    reserved = {}
-    parent = {skel.root: None}
+    links, reserved, parent = [], {}, {skel.root: None}
     for u in sorted(pruned_nodes - {skel.root}):
         p = skel.parent[u]
         key = link_key(u, p)
-        pruned_links.append(key)
+        links.append(key)
         reserved[key] = cut_reservation(request, below[u])
         parent[u] = p
-    c_b = math.fsum(reserved.values())
-    if not math.isclose(c_b, float(F[n]), rel_tol=1e-9, abs_tol=1e-6):
-        raise AssertionError(f"allocation cost mismatch: {c_b} vs {F[n]}")
-    c_q = 0
-    for key in pruned_links:
-        c_q = max(c_q, topo.links[key].tenant_count() + 1)
-    if not pruned_links:
-        c_q = 1
-    return TrEvaluation(True, placement, c_b, c_q, tuple(pruned_links), reserved,
-                        parent, skel.root, topo.nodes[skel.root].layer)
-
-
-def optimal_allocation(topo: Topology, skel: TRSkeleton,
-                       request: TenantRequest) -> dict | None:
-    """Minimum-reservation VM allocation on one routing tree, or None."""
-    ev = evaluate_tr(topo, skel, request)
-    return ev.placement if ev.feasible else None
-
-
-def usable_vm_slots(topo: Topology, skel: TRSkeleton, request: TenantRequest,
-                    hyp: str, partial: dict | None = None) -> int:
-    """Largest VM count the hypervisor can take given its free slots, the
-    fault-domain cap, and what its root path can absorb on top of a partial
-    placement (VMs placed so far count toward the far side of each cut)."""
-    partial = partial or {}
-    nd = topo.nodes[hyp]
-    n, b, ha = request.vm_count, request.per_vm_guarantee, request.per_hypervisor_cap
-    cap = min(nd.vm_slots_free, ha - partial.get(hyp, 0),
-              n - sum(partial.values()))
-    cap = max(cap, 0)
-
-    def leaves_under(u: str) -> list:
-        out, stack = [], [u]
-        while stack:
-            x = stack.pop()
-            if topo.nodes[x].is_hypervisor():
-                out.append(x)
-            stack.extend(skel.children[x])
-        return out
-
-    path = []
-    u = hyp
-    while skel.parent[u] is not None:
-        p = skel.parent[u]
-        base_below = sum(partial.get(h, 0) for h in leaves_under(u))
-        path.append((topo.link(u, p).residual, base_below))
-        u = p
-    for m in range(cap, 0, -1):
-        ok = True
-        for residual, base in path:
-            need = b * min(base + m, n - base - m)
-            if need > residual + _EPS * max(residual, 1.0):
-                ok = False
-                break
-        if ok:
-            return m
-    return 0
+    return TrEvaluation(True, placement, math.fsum(reserved.values()), 0,
+                        tuple(links), reserved, parent, skel.root,
+                        topo.nodes[skel.root].layer)
 
 
 def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = None,
@@ -413,29 +366,10 @@ def embed_fixed(topo: Topology, request: TenantRequest, tenant_id: str,
     tree spanning root and hosts within the root's skeleton."""
     layer = topo.nodes[root].layer
     skel = next(s for s in trs_at_layer(topo, layer) if s.root == root)
-    below: dict[str, int] = {}
-    pruned_nodes = {root}
-    for h, m in placement.items():
-        u = h
-        while u not in pruned_nodes:
-            below[u] = below.get(u, 0) + m
-            pruned_nodes.add(u)
-            u = skel.parent[u]
-        while u is not None:
-            below[u] = below.get(u, 0) + m
-            u = skel.parent[u]
-    links, reserved, parent = [], {}, {root: None}
-    for u in sorted(pruned_nodes - {root}):
-        p = skel.parent[u]
-        key = link_key(u, p)
-        links.append(key)
-        reserved[key] = cut_reservation(request, below[u])
-        parent[u] = p
-    ev = TrEvaluation(True, dict(placement), math.fsum(reserved.values()),
-                      0, tuple(links), reserved, parent, root, layer)
+    ev = _pruned_tree(topo, skel, request, placement)
     _commit(topo, request, tenant_id, ev)
-    c_q = max((topo.links[k].tenant_count() for k in links), default=1)
+    c_q = max((topo.links[k].tenant_count() for k in ev.pruned_links), default=1)
     return Tenant(id=tenant_id, request=request,
-                  tr=TenantRouting(root, layer, tuple(links), reserved, parent,
-                                   cost_b=ev.c_b, cost_q=c_q),
+                  tr=TenantRouting(root, layer, ev.pruned_links, ev.reserved,
+                                   ev.parent, cost_b=ev.c_b, cost_q=c_q),
                   vm_placement=dict(placement))

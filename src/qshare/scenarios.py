@@ -32,6 +32,7 @@ from .tenants import TenantRequest
 from .topology import Topology, build_testbed, fattree_like
 
 POLICIES = ("qshare", "static", "es_conservative", "es_aggressive")
+WEIGHT_MODES = ("normalized", "quantized")
 
 
 class ScenarioError(ValueError):
@@ -50,6 +51,8 @@ def validate(doc: dict) -> dict:
     need("name", isinstance(doc.get("name"), str) and doc["name"],
          "scenario needs a name")
     need("seed", isinstance(doc.get("seed", 0), int), "seed must be an integer")
+    need("weight_mode", doc.get("weight_mode", "normalized") in WEIGHT_MODES,
+         f"weight_mode must be one of {WEIGHT_MODES}")
     kind = doc["kind"]
     if kind in ("wcbg", "sweep"):
         ten = doc.get("tenants", {})
@@ -67,6 +70,9 @@ def validate(doc: dict) -> dict:
     if kind == "fct":
         for ld in doc.get("loads", [0.3, 0.5, 0.7, 0.9]):
             need("loads", 0 < ld < 1, "loads must be in (0, 1)")
+        for i, policy in enumerate(doc.get("policies", [])):
+            need(f"policies[{i}]", policy in POLICIES,
+                 f"unknown policy {policy!r}; must be one of {POLICIES}")
     if kind == "sweep":
         for iv in doc.get("intervals", [1, 2, 4, 8]):
             need("intervals", iv > 0, "intervals must be positive")
@@ -110,26 +116,19 @@ def _testbed(doc: dict) -> Topology:
     )
 
 
-def _striped_tenants(topo: Topology, count: int, vms_per_tenant: int,
-                     core_guarantee: float, name_prefix: str = "t",
-                     payment_constant: float = 1.0) -> dict:
-    """Stripe each tenant's VMs across all servers round-robin, so the core
-    link carries B * min(half, half) = the requested per-tenant guarantee."""
+def _striped_tenants(topo: Topology, requests: dict) -> dict:
+    """Embed each tenant (id -> TenantRequest, in order) under the top switch
+    with its VMs striped across all servers round-robin."""
     hyps = topo.hypervisors()
-    half = vms_per_tenant // 2
-    b = core_guarantee / max(min(half, vms_per_tenant - half), 1)
-    tenants = {}
     root = topo.nodes_at_layer(topo.layer_count - 1)[0]
-    for i in range(count):
+    tenants = {}
+    for tid, request in requests.items():
+        vms = request.vm_count
         placement: dict = {}
-        for k in range(vms_per_tenant):
-            hyp = hyps[(k * len(hyps) // vms_per_tenant) % len(hyps)]
+        for k in range(vms):
+            hyp = hyps[(k * len(hyps) // vms) % len(hyps)]
             placement[hyp] = placement.get(hyp, 0) + 1
-        tid = f"{name_prefix}{i + 1:02d}"
-        tenants[tid] = embed_fixed(
-            topo, TenantRequest(vms_per_tenant, b,
-                                payment_constant=payment_constant),
-            tid, root, placement)
+        tenants[tid] = embed_fixed(topo, request, tid, root, placement)
     return tenants
 
 
@@ -144,12 +143,13 @@ def build_wcbg(doc: dict) -> WcbgRun:
     doc = validate(doc)
     topo = _testbed(doc)
     ten_cfg = doc.get("tenants", {})
-    count = ten_cfg.get("count", 10)
-    tenants = _striped_tenants(
-        topo, count, ten_cfg.get("vms_per_tenant", 10),
-        ten_cfg.get("core_guarantee_mbps", 94.0))
+    vms = ten_cfg.get("vms_per_tenant", 10)
+    # striped, the core link carries B * min(half, half): the core guarantee
+    half = vms // 2
+    b = ten_cfg.get("core_guarantee_mbps", 94.0) / max(min(half, vms - half), 1)
+    tenants = _striped_tenants(topo, {f"t{i + 1:02d}": TenantRequest(vms, b)
+                                      for i in range(ten_cfg.get("count", 10))})
     dem = doc.get("demand", {})
-    seed = doc.get("seed", 0)
     monitor = _monitor_link(topo)
     dst_rack = set(topo.down_neighbors(monitor[1]))
 
@@ -166,33 +166,43 @@ def build_wcbg(doc: dict) -> WcbgRun:
                                  concurrency=dem.get("concurrency", 1))
     if dem.get("peers", "any") == "remote":
         _restrict_to_remote_peers(topo, clients, vm_map)
+    sim = _simulation(doc, topo, tenants, clients, doc.get("policy", "qshare"),
+                      monitor, initial_dedicated=dem.get("initial_dedicated"))
+    warmup = doc.get("warmup_intervals", 0)
+    reports = sim.run(doc.get("duration_s", 10.0), warmup_intervals=warmup)
+    return WcbgRun(sim, reports, monitor, warmup)
+
+
+def _simulation(doc: dict, topo: Topology, tenants: dict, clients: list,
+                policy: str, monitor: tuple,
+                initial_dedicated: list | None = None) -> fluid.FluidSimulation:
+    """The fluid simulation of `tenants` under `policy`: the demand generator
+    over `clients` (whose own settings override the doc's `demand` defaults),
+    the endhost rate hook for the es_* policies, and the doc's control
+    interval, weight mode, sample width and seed."""
+    dem = doc.get("demand", {})
+    seed = doc.get("seed", 0)
     gen = fluid.DemandGenerator(
         mode=dem.get("mode", "unpredictable"),
         flow_sizes=_sizes(dem.get("flow_sizes", "enterprise")),
         dormancy=dem.get("dormancy_s", 1.0),
         size_scale=dem.get("size_scale", 1.0),
         seed=seed, clients=clients)
-
-    policy = doc.get("policy", "qshare")
     hook = None
     quantum = None
     if policy.startswith("es_"):
-        cfg = RAConfig(mode=policy.removeprefix("es_"),
-                       **doc.get("ra", {}))
+        cfg = RAConfig(mode=policy.removeprefix("es_"), **doc.get("ra", {}))
         hook = EndhostRatePolicy(topo, tenants, cfg)
         quantum = cfg.probe_period
-    sim = fluid.FluidSimulation(
+    return fluid.FluidSimulation(
         topo, tenants, gen,
         interval=doc.get("control_interval_s", 4.0),
         policy=policy,
         weight_mode=doc.get("weight_mode", "normalized"),
         seed=seed, monitor=monitor,
         sample=doc.get("sample_s", 0.1),
-        initial_dedicated=dem.get("initial_dedicated"),
+        initial_dedicated=initial_dedicated,
         rate_hook=hook, quantum=quantum)
-    warmup = doc.get("warmup_intervals", 0)
-    reports = sim.run(doc.get("duration_s", 10.0), warmup_intervals=warmup)
-    return WcbgRun(sim, reports, monitor, warmup)
 
 
 def _sizes(spec):
@@ -371,7 +381,6 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
     """Half-reserved bursty scenario (conservative waste vs work conservation)
     and the asymmetric-guarantee scenario (aggressive probing vs guarantees)."""
     doc = validate(doc)
-    seed = doc.get("seed", 0)
     duration = doc.get("duration_s", 30.0)
     rows = []
     summary: dict = {}
@@ -401,44 +410,20 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
                  "mean_mbps": repr(q_util)})
 
     def asym(policy):
-        sub = dict(doc, kind="wcbg", policy=policy,
-                   tenants={"count": 2, "vms_per_tenant": 10,
-                            "core_guarantee_mbps": 0.0},
-                   demand={"mode": "predictable", "flow_sizes": "enterprise",
-                           "size_scale": doc.get("size_scale", 50.0),
-                           "clients": "rack0"},
-                   duration_s=duration,
-                   warmup_intervals=1 if policy == "qshare" else 0)
-        topo = _testbed(sub)
-        a = embed_fixed(topo, TenantRequest(10, 140.0), "tA",
-                        topo.nodes_at_layer(topo.layer_count - 1)[0],
-                        _even_striping(topo, 10))
-        b = embed_fixed(topo, TenantRequest(10, 40.0), "tB",
-                        topo.nodes_at_layer(topo.layer_count - 1)[0],
-                        _even_striping(topo, 10))
-        tenants = {"tA": a, "tB": b}
+        topo = _testbed(doc)
+        tenants = _striped_tenants(topo, {"tA": TenantRequest(10, 140.0),
+                                          "tB": TenantRequest(10, 40.0)})
         monitor = _monitor_link(topo)
         clients = fluid.make_clients(
             tenants, {t: fluid._expand_vms(x) for t, x in tenants.items()},
             client_hyps=set(topo.down_neighbors(monitor[1])))
-        gen = fluid.DemandGenerator(
-            mode="unpredictable", flow_sizes="enterprise",
-            size_scale=doc.get("size_scale", 50.0), seed=seed, clients=clients)
-        for c in gen.clients:
+        for c in clients:
             if c.tenant == "tA":
                 c.mode = "predictable"
-        hook = None
-        quantum = None
-        if policy.startswith("es_"):
-            cfg = RAConfig(mode=policy.removeprefix("es_"))
-            hook = EndhostRatePolicy(topo, tenants, cfg)
-            quantum = cfg.probe_period
-        sim = fluid.FluidSimulation(
-            topo, tenants, gen, interval=doc.get("control_interval_s", 4.0),
-            policy=policy, seed=seed, monitor=monitor, rate_hook=hook,
-            quantum=quantum)
-        reports = sim.run(duration, warmup_intervals=sub["warmup_intervals"])
-        skip = sub["warmup_intervals"]
+        sub = dict(doc, demand={"size_scale": doc.get("size_scale", 50.0)})
+        skip = 1 if policy == "qshare" else 0
+        reports = _simulation(sub, topo, tenants, clients, policy,
+                              monitor).run(duration, warmup_intervals=skip)
         violations = 0
         for rep in reports[skip:]:
             series = rep.tenant_throughput_mbps.get("tA", [])
@@ -461,41 +446,27 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
     return summary, {"tradeoff": (["case", "policy", "mean_mbps"], rows)}
 
 
-def _even_striping(topo: Topology, vms: int) -> dict:
-    hyps = topo.hypervisors()
-    placement: dict = {}
-    for k in range(vms):
-        hyp = hyps[(k * len(hyps) // vms) % len(hyps)]
-        placement[hyp] = placement.get(hyp, 0) + 1
-    return placement
-
-
 def run_fct(doc: dict) -> tuple[dict, dict]:
     """Shuffle-phase FCTs for one foreground tenant against background load,
     compared across policies at several fabric loads."""
     doc = validate(doc)
-    seed = doc.get("seed", 0)
     loads = doc.get("loads", [0.3, 0.5, 0.7, 0.9])
     policies = doc.get("policies", ["qshare", "es_aggressive", "static"])
     duration = doc.get("duration_s", 20.0)
     bg_count = doc.get("background_tenants", 4)
-    rows = []
+    # the clients below set their own mode and scale, the background ones
+    # their sizes; an empty `demand` keeps the generator's defaults for the
+    # rest (enterprise sizes for the foreground, 1 s background dormancy)
+    sim_doc = dict(doc, demand={})
     means: dict = {}
     for load in loads:
         for policy in policies:
             topo = _testbed(doc)
-            core_cap = 1000.0
-            fg = embed_fixed(topo, TenantRequest(10, 94.0 / 5), "fg",
-                             topo.nodes_at_layer(topo.layer_count - 1)[0],
-                             _even_striping(topo, 10))
-            tenants = {"fg": fg}
-            bg_core = load * core_cap / bg_count
-            for i in range(bg_count):
-                tid = f"bg{i}"
-                tenants[tid] = embed_fixed(
-                    topo, TenantRequest(10, bg_core / 5), tid,
-                    topo.nodes_at_layer(topo.layer_count - 1)[0],
-                    _even_striping(topo, 10))
+            bg_core = load * 1000.0 / bg_count
+            tenants = _striped_tenants(topo, {
+                "fg": TenantRequest(10, 94.0 / 5),
+                **{f"bg{i}": TenantRequest(10, bg_core / 5)
+                   for i in range(bg_count)}})
             monitor = _monitor_link(topo)
             rack0 = set(topo.down_neighbors(monitor[1]))
             vm_map = {t: fluid._expand_vms(x) for t, x in tenants.items()}
@@ -512,25 +483,13 @@ def run_fct(doc: dict) -> tuple[dict, dict]:
                     c.mode = "unpredictable"
                     c.flow_sizes = ("fixed", bg_flow_bytes)
                     c.size_scale = 1.0
-            gen = fluid.DemandGenerator(
-                mode="unpredictable", flow_sizes="enterprise",
-                size_scale=1.0, seed=seed, clients=clients)
-            hook = None
-            quantum = None
-            if policy.startswith("es_"):
-                cfg = RAConfig(mode=policy.removeprefix("es_"))
-                hook = EndhostRatePolicy(topo, tenants, cfg)
-                quantum = cfg.probe_period
             # with fewer tenants than dedicated slots the binding steady state
             # is everyone-dedicated; seed it so all policies start settled
-            sim = fluid.FluidSimulation(
-                topo, tenants, gen, interval=doc.get("control_interval_s", 4.0),
-                policy=policy, seed=seed, monitor=monitor,
-                rate_hook=hook, quantum=quantum,
+            sim = _simulation(
+                sim_doc, topo, tenants, clients, policy, monitor,
                 initial_dedicated=(sorted(tenants) if policy == "qshare"
                                    and len(tenants) < 8 else None))
-            warmup = 0
-            reports = sim.run(duration, warmup_intervals=warmup)
+            reports = sim.run(duration)
             per_client: dict = {}
             for rep in reports:
                 for (fid, tid, size, start, dur, client) in rep.fcts:

@@ -9,7 +9,7 @@ implemented by `reserve_on_link`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,6 @@ class TenantRequest:
     per_vm_guarantee: float
     payment_constant: float = 1.0
     wcs: float | None = None
-    arrival_time: float = 0.0
-    lifetime: float = math.inf
 
     def __post_init__(self):
         if self.vm_count < 2:
@@ -73,15 +71,6 @@ class TenantRouting:
     cost_b: float = 0.0
     cost_q: int = 0
 
-    def path_to_root(self, node: str) -> list:
-        from .topology import link_key
-        keys = []
-        u = node
-        while self.parent.get(u) is not None:
-            keys.append(link_key(u, self.parent[u]))
-            u = self.parent[u]
-        return keys
-
 
 @dataclass
 class Tenant:
@@ -92,7 +81,6 @@ class Tenant:
     dscp: int = 0
     state: str = "shared"
     embedded: bool = True
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         total = sum(self.vm_placement.values())
@@ -102,9 +90,6 @@ class Tenant:
 
     def hypervisors(self) -> list:
         return sorted(h for h, m in self.vm_placement.items() if m > 0)
-
-    def guarantee_on(self, hypervisor: str) -> float:
-        return guarantee_on_hypervisor(self, hypervisor)
 
     def payment(self) -> float:
         return payment_factor(self.request)

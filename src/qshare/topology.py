@@ -1,9 +1,9 @@
 """Layered datacenter topologies with capacity and queue bookkeeping.
 
-Topologies are layered graphs: hypervisors at layer 0, switch tiers above.
-Tree-derived builds (multi-rooted trees, fattree-equivalents) keep links
-between adjacent layers only; random builds put every switch at layer 1 and
-precompute k-shortest path sets between hypervisor pairs.
+Topologies are multi-rooted trees: hypervisors at layer 0, switch tiers
+above, links between adjacent layers only (multi-rooted trees, fattree
+equivalents, the two-tier testbed, hand-built trees). A routing-tree skeleton
+is the downward closure of one switch.
 
 Reservation state on links is mutated only by the placement module under a
 single-writer contract; everything else is immutable after construction.
@@ -11,7 +11,6 @@ single-writer contract; everything else is immutable after construction.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -80,9 +79,7 @@ class Topology:
     nodes: dict
     links: dict
     layer_count: int
-    kind: str = "tree"
     params: dict = field(default_factory=dict)
-    path_sets: dict | None = None
 
     def __post_init__(self):
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -190,7 +187,6 @@ class Topology:
         return json.dumps(
             {
                 "layer_count": self.layer_count,
-                "kind": self.kind,
                 "oversubscription": self.oversubscription_descriptor(),
                 "nodes": [
                     {
@@ -333,7 +329,7 @@ def build_multirooted(params: MultiRootedParams) -> Topology:
             for k in [k for k in links if dead in k]:
                 del links[k]
 
-    topo = Topology(nodes, links, layer_count=n + 1, kind="tree",
+    topo = Topology(nodes, links, layer_count=n + 1,
                     params={"multirooted": params.__dict__ | {
                         "disabled_fraction": dict(params.disabled_fraction)}})
     _check_upward_connectivity(topo)
@@ -409,7 +405,7 @@ def build_custom(nodes: list, links: list, *, queue_count: int = 8) -> Topology:
         k = link_key(u, v)
         lk[k] = Link(k[0], k[1], float(cap), queue_count=queue_count)
     layer_count = max(d.layer for d in nd.values()) + 1
-    return Topology(nd, lk, layer_count=layer_count, kind="tree")
+    return Topology(nd, lk, layer_count=layer_count)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +415,7 @@ def build_custom(nodes: list, links: list, *, queue_count: int = 8) -> Topology:
 @dataclass
 class TRSkeleton:
     """Tree rooted at a switch whose leaves are the hypervisors reachable
-    using only downward links (tree mode) / BFS tree (random mode)."""
+    using only downward links."""
 
     root: str
     parent: dict
@@ -428,16 +424,8 @@ class TRSkeleton:
     leaves: list
     links: list
 
-    def path_to_root(self, node: str) -> list:
-        keys = []
-        u = node
-        while self.parent[u] is not None:
-            keys.append(link_key(u, self.parent[u]))
-            u = self.parent[u]
-        return keys
 
-
-def _bfs_tree(topo: Topology, root: str, downward_only: bool) -> TRSkeleton:
+def _bfs_tree(topo: Topology, root: str) -> TRSkeleton:
     parent = {root: None}
     children: dict[str, list] = {root: []}
     order = [root]
@@ -445,11 +433,7 @@ def _bfs_tree(topo: Topology, root: str, downward_only: bool) -> TRSkeleton:
     while frontier:
         nxt = []
         for u in frontier:
-            if downward_only:
-                neigh = topo.down_neighbors(u)
-            else:
-                neigh = topo.adjacency[u]
-            for v in sorted(neigh):
+            for v in sorted(topo.down_neighbors(u)):
                 if v in parent:
                     continue
                 parent[v] = u
@@ -475,171 +459,8 @@ def trs_at_layer(topo: Topology, layer: int) -> list:
     for root in topo.nodes_at_layer(layer):
         if topo.nodes[root].kind != SWITCH:
             continue
-        skel = _bfs_tree(topo, root, downward_only=(topo.kind == "tree"))
+        skel = _bfs_tree(topo, root)
         if skel.leaves:
             skeletons.append(skel)
     topo._skel_cache[layer] = skeletons
     return skeletons
-
-
-# ---------------------------------------------------------------------------
-# k-shortest paths and random topologies
-# ---------------------------------------------------------------------------
-
-def _lex_shortest_path(adj: dict, src: str, dst: str,
-                       banned_nodes=frozenset(), banned_edges=frozenset()):
-    """Shortest path by edge count, ties broken by lexicographic node sequence."""
-    heap = [(0, (src,))]
-    best = {}
-    while heap:
-        dist, path = heapq.heappop(heap)
-        u = path[-1]
-        if u == dst:
-            return list(path)
-        if best.get(u, (1 << 30, None)) < (dist, path):
-            continue
-        for v in adj[u]:
-            if v in banned_nodes or v in path:
-                continue
-            if (u, v) in banned_edges or (v, u) in banned_edges:
-                continue
-            cand = (dist + 1, path + (v,))
-            if v not in best or cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, cand)
-    return None
-
-
-def k_shortest_paths(adj: dict, src: str, dst: str, k: int) -> list:
-    """Up to k loop-free shortest paths (Yen), edge-count length with
-    lexicographic tie-breaking; returns every simple path when k exceeds the
-    number available."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    first = _lex_shortest_path(adj, src, dst)
-    if first is None:
-        return []
-    paths = [first]
-    candidates: list = []
-    seen = {tuple(first)}
-    while len(paths) < k:
-        prev = paths[-1]
-        for i in range(len(prev) - 1):
-            spur = prev[i]
-            root = prev[: i + 1]
-            banned_edges = set()
-            for p in paths:
-                if p[: i + 1] == root and len(p) > i + 1:
-                    banned_edges.add((p[i], p[i + 1]))
-            banned_nodes = frozenset(root[:-1])
-            rest = _lex_shortest_path(adj, spur, dst, banned_nodes,
-                                      frozenset(banned_edges))
-            if rest is None:
-                continue
-            total = root[:-1] + rest
-            t = tuple(total)
-            if t not in seen:
-                seen.add(t)
-                heapq.heappush(candidates, (len(total) - 1, total))
-        if not candidates:
-            break
-        _, nxt = heapq.heappop(candidates)
-        paths.append(list(nxt))
-    return paths
-
-
-@dataclass
-class RandomParams:
-    switches: int
-    degree: int
-    hypervisors: int
-    k: int
-    switch_mbps: float = 1000.0
-    nic_mbps: float = 1000.0
-    vm_slots: int = 10
-    queue_count: int = 8
-    seed: int = 0
-    max_retries: int = 50
-
-
-def build_random(params: RandomParams) -> Topology:
-    """Random regular-ish switch graph with hypervisors attached round-robin;
-    precomputes <= k loop-free shortest paths per hypervisor pair."""
-    if params.k < 1:
-        raise ConstructionError("k must be >= 1")
-    if params.switches < 2 or params.degree < 1:
-        raise ConstructionError("need at least two switches with degree >= 1")
-    rng = np.random.default_rng(params.seed)
-    sw = [f"s{i:03d}" for i in range(params.switches)]
-    edges = None
-    for _ in range(params.max_retries):
-        edges = _sample_regular_edges(sw, params.degree, rng)
-        if edges is not None and _connected(sw, edges):
-            break
-        edges = None
-    if edges is None:
-        raise ConstructionError("could not sample a connected random graph")
-
-    nodes = {s: Node(s, SWITCH, 1) for s in sw}
-    links = {}
-    for (u, v) in edges:
-        k = link_key(u, v)
-        links[k] = Link(k[0], k[1], params.switch_mbps, queue_count=params.queue_count)
-    attach = {}
-    for i in range(params.hypervisors):
-        h = _hyp_id(i)
-        s = sw[i % params.switches]
-        attach[h] = s
-        nodes[h] = Node(h, HYPERVISOR, 0, params.vm_slots, params.vm_slots)
-        k = link_key(h, s)
-        links[k] = Link(k[0], k[1], params.nic_mbps, queue_count=params.queue_count)
-
-    sw_adj = {s: [] for s in sw}
-    for (u, v) in edges:
-        sw_adj[u].append(v)
-        sw_adj[v].append(u)
-    for s in sw_adj:
-        sw_adj[s] = sorted(set(sw_adj[s]))
-
-    path_sets = {}
-    hyps = sorted(attach)
-    for i, h1 in enumerate(hyps):
-        for h2 in hyps[i + 1:]:
-            s1, s2 = attach[h1], attach[h2]
-            if s1 == s2:
-                core_paths = [[s1]]
-            else:
-                core_paths = k_shortest_paths(sw_adj, s1, s2, params.k)
-            path_sets[(h1, h2)] = [[h1] + p + [h2] for p in core_paths]
-
-    topo = Topology(nodes, links, layer_count=2, kind="random",
-                    params={"random": params.__dict__}, path_sets=path_sets)
-    return topo
-
-
-def _sample_regular_edges(nodes: list, degree: int, rng) -> set | None:
-    stubs = [n for n in nodes for _ in range(degree)]
-    rng.shuffle(stubs)
-    edges = set()
-    for i in range(0, len(stubs) - 1, 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v or (link_key(u, v) in edges):
-            return None
-        edges.add(link_key(u, v))
-    return edges
-
-
-def _connected(nodes: list, edges: set) -> bool:
-    adj = {n: [] for n in nodes}
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(nodes)

@@ -38,6 +38,32 @@ def test_validate_rejects_bad_documents():
         validate({"kind": "wcbg"})
 
 
+def test_validate_rejects_unknown_weight_mode():
+    with pytest.raises(ScenarioError, match="^weight_mode: "):
+        validate(tiny_scenario(weight_mode="quantised"))
+    for mode in ("normalized", "quantized"):
+        validate(tiny_scenario(weight_mode=mode))
+
+
+def test_validate_names_the_unknown_fct_policy():
+    doc = {"name": "f", "kind": "fct", "policies": ["qshare", "es_aggresive"]}
+    with pytest.raises(ScenarioError, match=r"^policies\[1\]: .*es_aggresive"):
+        validate(doc)
+    validate(dict(doc, policies=["qshare", "es_aggressive", "static"]))
+
+
+@pytest.mark.parametrize("scenario,item,path", [
+    ("unpredictable", "weight_mode=quantised", "weight_mode"),
+    ("shuffle-fct", 'policies=["qshare","bogus"]', "policies[1]"),
+])
+def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
+    rc = cli.main(["run", scenario, "--set", item,
+                   "--out", str(tmp_path / "out")])
+    assert rc != 0
+    assert f"scenario error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_file_reports_line(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x",\n  "kind": }')

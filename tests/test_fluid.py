@@ -313,6 +313,17 @@ def test_bundled_unpredictable_solves_converge():
         assert solver.solves > 0 and solver.nonconverged == 0, f"seed {seed}"
 
 
+def test_segment_stats_skip_the_warmup_interval():
+    doc = dict(cli.load_scenario("unpredictable"), seed=1, duration_s=2.0)
+    assert doc["warmup_intervals"] == 1
+    run = S.build_wcbg(doc)
+    stats = run.sim.stats
+    assert 0.0 < stats.time_active <= stats.time_total
+    assert math.isclose(stats.time_total, 2.0)
+    assert stats.busy_time <= stats.time_active
+    assert stats.guarantee_violation_time <= stats.time_active
+
+
 def test_violation_time_counts_wall_and_tenant_seconds():
     dkey = ("h1", "s1")
     stats = F.SegmentStats(

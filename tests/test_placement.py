@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -14,18 +15,6 @@ def fig3_topology(h1_cap=100.0, slots=(4, 10)):
         [("h1", "hypervisor", 0, slots[0]), ("h2", "hypervisor", 0, slots[1]),
          ("s1", "switch", 1, 0)],
         [("h1", "s1", h1_cap), ("h2", "s1", 100.0)])
-
-
-def test_usable_slots_zero_when_residual_below_guarantee():
-    topo = fig3_topology(h1_cap=5.0)
-    skel = T.trs_at_layer(topo, 1)[0]
-    req = TenantRequest(5, 10.0)
-    # 4 free slots, but the uplink cannot absorb even one VM's cut
-    assert P.usable_vm_slots(topo, skel, req, "h1") == 0
-    assert P.usable_vm_slots(topo, skel, req, "h2") == 5
-    ample = fig3_topology(h1_cap=100.0)
-    skel2 = T.trs_at_layer(ample, 1)[0]
-    assert P.usable_vm_slots(ample, skel2, req, "h1") == 4
 
 
 def test_colocation_costs_nothing():
@@ -57,7 +46,8 @@ def test_ha_spreads_allocation():
 def test_infeasible_when_slots_short():
     topo = fig3_topology(slots=(1, 1))
     skel = T.trs_at_layer(topo, 1)[0]
-    assert P.optimal_allocation(topo, skel, TenantRequest(5, 1.0)) is None
+    ev = P.evaluate_tr(topo, skel, TenantRequest(5, 1.0))
+    assert not ev.feasible and ev.placement is None
 
 
 def test_embed_early_return_at_layer1():
@@ -115,6 +105,26 @@ def test_optimality_matches_exhaustive_search(rng):
                                               abs_tol=1e-9):
             mismatches += 1
     assert mismatches == 0
+
+
+def test_embed_fixed_builds_the_evaluated_tree(rng):
+    """Committing evaluate_tr's placement with embed_fixed reproduces the
+    routing tree, its reservations and c_b that evaluate_tr reported."""
+    feasible = 0
+    for _ in range(300):
+        topo = random_tree(rng)
+        fresh = copy.deepcopy(topo)
+        req = random_request(rng)
+        ev = P.evaluate_tr(topo, T.trs_at_layer(topo, 2)[0], req)
+        if not ev.feasible:
+            continue
+        feasible += 1
+        t = P.embed_fixed(fresh, req, "t", ev.root, ev.placement)
+        assert t.tr.links == ev.pruned_links
+        assert t.tr.reserved == ev.reserved
+        assert t.tr.parent == ev.parent
+        assert t.tr.cost_b == ev.c_b
+    assert feasible >= 200
 
 
 def test_star_profile_matches_generic_merge(rng):
@@ -178,16 +188,3 @@ def test_operation_counter_scales_polynomially():
     c = 3.0 * ops4 / v4 ** (5 / 3)
     assert ops8 <= c * v8 ** (5 / 3)
 
-
-def test_embed_on_random_topology():
-    topo = T.build_random(T.RandomParams(switches=6, degree=3, hypervisors=8,
-                                         k=2, vm_slots=4, seed=7))
-    out = P.embed(topo, TenantRequest(6, 50.0), tenant_id="r1")
-    assert out.feasible
-    t = out.tenant
-    hosts = set(t.vm_placement)
-    nodes = {t.tr.root} | {n for k in t.tr.links for n in k}
-    assert hosts <= nodes
-    assert len(t.tr.links) == len(nodes) - 1  # spanning tree
-    P.depart(topo, t)
-    assert P.embed(topo, TenantRequest(40, 1.0), tenant_id="r2").feasible is False

@@ -83,29 +83,6 @@ def test_dump_json_round_trips():
     assert len(doc["links"]) == len(topo.links)
 
 
-def test_ring_k_shortest_paths():
-    adj = {"A": ["B", "D"], "B": ["A", "C"], "C": ["B", "D"], "D": ["A", "C"]}
-    assert T.k_shortest_paths(adj, "A", "C", 1) == [["A", "B", "C"]]
-    two = T.k_shortest_paths(adj, "A", "C", 2)
-    assert two == [["A", "B", "C"], ["A", "D", "C"]]
-    assert len(two[0]) == len(two[1])
-    saturated = T.k_shortest_paths(adj, "A", "C", 9)
-    assert saturated == two  # all simple paths, no duplicates
-
-
-def test_build_random_path_sets():
-    topo = T.build_random(T.RandomParams(switches=4, degree=2, hypervisors=4,
-                                         k=1, seed=2))
-    for (h1, h2), paths in topo.path_sets.items():
-        assert len(paths) == 1
-        assert paths[0][0] == h1 and paths[0][-1] == h2
-    topo2 = T.build_random(T.RandomParams(switches=6, degree=3, hypervisors=4,
-                                          k=3, seed=2))
-    for paths in topo2.path_sets.values():
-        assert 1 <= len(paths) <= 3
-        assert len({tuple(p) for p in paths}) == len(paths)
-
-
 def test_reservation_bookkeeping_roundtrip():
     topo = T.build_testbed()
     key = ("h0000", "t000")
