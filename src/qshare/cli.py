@@ -58,31 +58,39 @@ def load_scenario(ref: str) -> dict:
     return scenarios.validate(doc)
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    doc = json.loads(json.dumps(doc))
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "oversub", None):
-        doc["oversub"] = args.oversub
-    if getattr(args, "policy", None):
-        doc["policy"] = args.policy
-    if getattr(args, "interval", None):
-        doc["control_interval_s"] = args.interval
+def _apply_overrides(doc: dict, args, point: dict | None = None) -> dict:
+    """A checked copy of `doc` with the command line's overrides set, then
+    a sweep grid `point`'s (dotted path -> value)."""
+    values = [] if args.seed is None else [("seed", args.seed)]
+    for key, flag in (("oversub", "oversub"), ("policy", "policy"),
+                      ("control_interval_s", "interval")):
+        if getattr(args, flag, None):
+            values.append((key, getattr(args, flag)))
     for item in getattr(args, "set", None) or []:
         key, _, value = item.partition("=")
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError:
-            pass
+        values.append((key, _value(value)))
+    doc = json.loads(json.dumps(doc))
+    for key, value in [*values, *(point or {}).items()]:
         _set_path(doc, key, value)
-    return doc
+    return scenarios.validate(doc)
+
+
+def _value(text: str):
+    """A --set or --grid value: its JSON reading, or the bare string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
     parts = dotted.split(".")
     node = doc
-    for p in parts[:-1]:
+    for i, p in enumerate(parts[:-1]):
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ScenarioError(
+                f"{dotted}: {'.'.join(parts[:i + 1])} is not an object")
     node[parts[-1]] = value
 
 
@@ -133,34 +141,24 @@ def cmd_run(args) -> int:
 
 
 def _grid_points(grid_args: list) -> list:
-    axes = []
+    points = [{}]
     for item in grid_args:
         key, _, values = item.partition("=")
-        vals = []
-        for v in values.split(","):
-            try:
-                vals.append(json.loads(v))
-            except json.JSONDecodeError:
-                vals.append(v)
-        axes.append((key, vals))
-    points = [{}]
-    for key, vals in axes:
-        points = [dict(p, **{key: v}) for p in points for v in vals]
-    return points if axes else []
+        points = [dict(p, **{key: _value(v)}) for p in points
+                  for v in values.split(",")]
+    return points if grid_args else []
 
 
-def _run_point(payload):
-    doc, point, index = payload
-    sub = json.loads(json.dumps(doc))
-    for key, value in point.items():
-        _set_path(sub, key, value)
-    summary, _ = scenarios.run_scenario(sub)
-    return index, point, summary
+def _summary(doc: dict) -> dict:
+    return scenarios.run_scenario(doc)[0]
 
 
 def cmd_sweep(args) -> int:
-    doc = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
+    doc = _apply_overrides(scenario, args)
     points = _grid_points(args.grid or [])
+    # every point is checked before any runs or the output directory exists
+    docs = [_apply_overrides(scenario, args, point) for point in points]
     outdir = Path(args.out) if args.out else Path("runs") / f"{doc['name']}-sweep"
     outdir.mkdir(parents=True, exist_ok=True)
     if not points:
@@ -170,24 +168,20 @@ def cmd_sweep(args) -> int:
         print("empty grid: nothing to run")
         return 0
     t0 = time.monotonic()
-    results = []
+    summaries = []
     failure = None
-    payloads = [(doc, point, i) for i, point in enumerate(points)]
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         try:
-            for index, point, summary in pool.map(_run_point, payloads):
-                results.append((index, point, summary))
+            for summary in pool.map(_summary, docs):
+                summaries.append(summary)
         except Exception as exc:  # partial-results manifest, nonzero exit
             failure = repr(exc)
-    rows = []
-    keys = sorted({k for _, p, _ in results for k in p})
-    metric_keys = sorted({k for _, _, s in results for k in s
+    keys = sorted({k for p in points[:len(summaries)] for k in p})
+    metric_keys = sorted({k for s in summaries for k in s
                           if isinstance(s[k], (int, float))})
-    for index, point, summary in sorted(results):
-        row = {"point": index}
-        row.update({k: point.get(k) for k in keys})
-        row.update({k: summary.get(k) for k in metric_keys})
-        rows.append(row)
+    rows = [{"point": i, **{k: points[i].get(k) for k in keys},
+             **{k: s.get(k) for k in metric_keys}}
+            for i, s in enumerate(summaries)]
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["point"] + keys + metric_keys)
         writer.writeheader()
@@ -196,14 +190,14 @@ def cmd_sweep(args) -> int:
         json.dump({
             "scenario": doc,
             "points": points,
-            "completed": len(results),
+            "completed": len(summaries),
             "failure": failure,
             "version": _version(),
             "wall_time_s": time.monotonic() - t0,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if failure:
-        print(f"sweep aborted after {len(results)}/{len(points)} points: "
+        print(f"sweep aborted after {len(summaries)}/{len(points)} points: "
               f"{failure}", file=sys.stderr)
         return 1
     print(f"swept {len(points)} points -> {outdir}")
@@ -232,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario", help="bundled scenario name or JSON path")
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="output directory")
-    run.add_argument("--oversub", choices=["1:1", "4:1", "16:1"])
+    run.add_argument("--oversub", choices=scenarios.OVERSUBS)
     run.add_argument("--policy", choices=list(scenarios.POLICIES))
     run.add_argument("--interval", type=float,
                      help="control interval override, seconds")

@@ -76,8 +76,8 @@ def load_workload_cdf(name: str):
 
 def sample_flow_size(distribution, rng) -> float:
     """Draw a flow size in bytes. `distribution` is "enterprise",
-    "datamining", or ("fixed", bytes)."""
-    if isinstance(distribution, tuple) and distribution[0] == "fixed":
+    "datamining", or ("fixed", bytes) as a tuple or a list."""
+    if not isinstance(distribution, str):
         return float(distribution[1])
     return cdf_quantile(distribution, rng.random())
 
@@ -853,7 +853,7 @@ def make_clients(tenants: dict, vm_map: dict, *, client_hyps=None,
         if start is None:
             continue
         stop = math.inf
-        if isinstance(start, tuple):
+        if isinstance(start, (tuple, list)):
             start, stop = start
         for vm, hyp in enumerate(vm_map[tid]):
             if client_hyps is not None and hyp not in client_hyps:

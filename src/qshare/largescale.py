@@ -26,7 +26,7 @@ from .topology import Topology
 class PopulationSpec:
     vm_mean: float = 49.0
     vm_floor: int = 2
-    guarantees: tuple = (10.0, 50.0, 100.0, 200.0, 300.0)
+    guarantees: tuple | list = (10.0, 50.0, 100.0, 200.0, 300.0)
     payment_constant: float = 1.0
 
     def sample(self, rng) -> TenantRequest:

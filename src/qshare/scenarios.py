@@ -12,6 +12,10 @@ whose `kind` selects the experiment pipeline:
   tradeoff  endhost-baseline utilization/guarantee tradeoff scenarios
   fct       shuffle flow-completion-time comparison across policies
 
+`SCHEMA` declares every key each kind takes, with its default and its check.
+`resolve` rejects an unknown key, a wrong type or a bad value by its dotted
+path and fills every default; each public entry resolves its input once.
+
 Runners return (summary, artifacts): `summary` is a flat dict of headline
 metrics echoed into summary.json; `artifacts` maps artifact names to
 (fieldnames, rows) written by the CLI as CSV, or as JSON lines when the name
@@ -20,8 +24,11 @@ carries a .jsonl suffix.
 
 from __future__ import annotations
 
+import copy
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,53 +36,148 @@ from . import fluid, largescale
 from .baselines import EndhostRatePolicy, RAConfig
 from .placement import CostPolicy, embed_fixed
 from .tenants import TenantRequest
-from .topology import Topology, build_testbed, fattree_like
+from .topology import build_testbed, fattree_like
 
+KINDS = ("wcbg", "sweep", "scarcity", "gain", "tradeoff", "fct")
 POLICIES = ("qshare", "static", "es_conservative", "es_aggressive")
-WEIGHT_MODES = ("normalized", "quantized")
+OVERSUBS = ("1:1", "4:1", "16:1")
 
 
 class ScenarioError(ValueError):
     """Scenario file failed validation; message carries the offending path."""
 
 
+class Rule(NamedTuple):
+    """A table leaf with its own check: `ok` holds for every good value (for
+    a list default, for every entry) and `why` says what a bad one is not."""
+    default: object
+    ok: Callable
+    why: str
+
+
+def _is(v, types=(int, float)) -> bool:
+    """`v` is of `types`, numbers by default; a bool is never a number."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string")}
+
+
+def _rule(leaf, low=None) -> Rule:
+    """The Rule of a table leaf that is not one: a tuple's choices (default
+    first), or else the default's type for every value (for a list, for
+    every entry, that of its first) and, given a `low`, a value above it."""
+    if isinstance(leaf, tuple):
+        return Rule(leaf[0], lambda v: v in leaf, f"is not one of {leaf}")
+    sample = leaf[0] if isinstance(leaf, list) else leaf
+    types, name = _TYPES[type(sample)]
+    return Rule(leaf, lambda v: _is(v, types) and (low is None or v > low),
+                f"is not {name}" + ("" if low is None else f" > {low}"))
+
+
+def _activation(v) -> bool:
+    return v is None or _is(v) or (isinstance(v, list) and len(v) == 2
+                                    and all(map(_is, v)))
+
+
+# Table leaves: a dict is a block, a tuple lists the choices with the default
+# first, a Rule carries its own check, and any other value is a default whose
+# type every value must have (see `_rule`).
+_NAME = Rule(None, lambda v: isinstance(v, str) and v != "",
+             "is not a scenario name")
+_TESTBED = {
+    "name": _NAME, "kind": KINDS, "seed": 0, "sample_s": _rule(0.1, low=0),
+    "control_interval_s": _rule(4.0, low=0),
+    "weight_mode": ("normalized", "quantized"),
+    "topology": {"racks": 2, "servers_per_rack": 5, "vm_slots": 10,
+                 "nic_mbps": 1000.0, "core_mbps": 1000.0,
+                 "queues_per_link": 8},
+    "ra": {f.name: f.default for f in fields(RAConfig) if f.name != "mode"},
+}
+_WCBG = {
+    **_TESTBED, "policy": POLICIES, "duration_s": _rule(10.0, low=0),
+    "warmup_intervals": 0,
+    "tenants": {"count": _rule(10, low=0), "vms_per_tenant": _rule(10, low=1),
+                "core_guarantee_mbps": 94.0},
+    "demand": {
+        "mode": ("unpredictable", "predictable", "shuffle"),
+        "flow_sizes": Rule("enterprise", lambda v: v in (
+            "enterprise", "datamining") or (isinstance(v, list) and len(v) == 2
+                                            and v[0] == "fixed" and _is(v[1])),
+            'is not "enterprise", "datamining" or ["fixed", bytes]'),
+        "dormancy_s": 1.0, "size_scale": 1.0, "clients": ("rack0", "all"),
+        "concurrency": _rule(1, low=0), "peers": ("any", "remote"),
+        "activations": Rule({}, lambda v: isinstance(v, dict) and all(
+            map(_activation, v.values())), "is not a map of tenant id to a "
+            "start time, [start, stop] or null"),
+        "initial_dedicated": Rule([], lambda v: isinstance(v, str),
+                                  "is not a tenant id"),
+    },
+}
+_FILL = {
+    "name": _NAME, "kind": KINDS, "seed": 0, "oversub": OVERSUBS,
+    "topology": {"queues_per_link": 8},
+    "population": {"vm_mean": largescale.PopulationSpec.vm_mean,
+                   "vm_floor": largescale.PopulationSpec.vm_floor,
+                   "guarantees": list(largescale.PopulationSpec.guarantees)},
+    "fill": {"reject_streak": 50, "r_in": 0.5, "intervals": 20},
+}
+SCHEMA = {
+    "wcbg": _WCBG,
+    "sweep": {**_WCBG, "warmup_intervals": 1,
+              "intervals": _rule([1.0, 2.0, 4.0, 8.0], low=0)},
+    "scarcity": _FILL,
+    "gain": {**_FILL, "cdf_r_in": 0.5,
+             "r_in_values": [round(0.1 * k, 1) for k in range(1, 10)]},
+    "tradeoff": {**_TESTBED, "duration_s": _rule(30.0, low=0), "size_scale": 50.0},
+    "fct": {**_TESTBED, "duration_s": _rule(20.0, low=0), "size_scale": 100.0,
+            "loads": Rule([0.3, 0.5, 0.7, 0.9], lambda v: _is(v) and 0 < v < 1,
+                          "is not a number in (0, 1)"),
+            "policies": Rule(["qshare", "es_aggressive", "static"],
+                             lambda v: v in POLICIES, f"is not one of {POLICIES}"),
+            "background_tenants": _rule(4, low=0), "background_flow_mb": 3.0},
+}
+
+
+def _walk(spec: dict, doc, prefix: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{prefix[:-1]}: {json.dumps(doc)} is not an object")
+    for key in doc:
+        if key not in spec:
+            raise ScenarioError(f"{prefix}{key}: unknown key")
+    out = {}
+    for key, leaf in spec.items():
+        path = prefix + key
+        if isinstance(leaf, dict):
+            out[key] = _walk(leaf, doc.get(key, {}), path + ".")
+            continue
+        rule = leaf if isinstance(leaf, Rule) else _rule(leaf)
+        value = out[key] = doc[key] if key in doc else copy.deepcopy(rule.default)
+        entries = [(path, value)]
+        if isinstance(rule.default, list):
+            if not isinstance(value, list):
+                raise ScenarioError(f"{path}: {json.dumps(value)} is not a list")
+            entries = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+        for at, v in entries:
+            if not rule.ok(v):
+                raise ScenarioError(f"{at}: {json.dumps(v)} {rule.why}")
+    return out
+
+
+def resolve(doc: dict) -> dict:
+    """`doc` checked against its kind's table, as a new document with every
+    default filled and every given value unchanged (so resolving is
+    idempotent). Raises ScenarioError naming the first bad key's path."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in KINDS:
+        raise ScenarioError(f"kind: {json.dumps(kind)} is not one of {KINDS}")
+    return _walk(SCHEMA[kind], doc, "")
+
+
 def validate(doc: dict) -> dict:
-    """Validate a scenario document, raising ScenarioError with a key-path
-    message on the first problem. Returns the document."""
-    def need(path, cond, why):
-        if not cond:
-            raise ScenarioError(f"{path}: {why}")
-    need("kind", doc.get("kind") in ("wcbg", "sweep", "scarcity", "gain",
-                                     "tradeoff", "fct"),
-         f"unknown kind {doc.get('kind')!r}")
-    need("name", isinstance(doc.get("name"), str) and doc["name"],
-         "scenario needs a name")
-    need("seed", isinstance(doc.get("seed", 0), int), "seed must be an integer")
-    need("weight_mode", doc.get("weight_mode", "normalized") in WEIGHT_MODES,
-         f"weight_mode must be one of {WEIGHT_MODES}")
-    kind = doc["kind"]
-    if kind in ("wcbg", "sweep"):
-        ten = doc.get("tenants", {})
-        need("tenants.count", int(ten.get("count", 10)) >= 1, "need >= 1 tenant")
-        need("tenants.vms_per_tenant", int(ten.get("vms_per_tenant", 10)) >= 2,
-             "tenants need >= 2 VMs")
-        dem = doc.get("demand", {})
-        need("demand.mode", dem.get("mode", "unpredictable") in
-             ("predictable", "unpredictable", "shuffle"), "bad demand mode")
-        need("policy", doc.get("policy", "qshare") in POLICIES,
-             f"policy must be one of {POLICIES}")
-    if kind in ("scarcity", "gain"):
-        need("oversub", doc.get("oversub", "1:1") in ("1:1", "4:1", "16:1"),
-             "oversub must be 1:1, 4:1 or 16:1")
-    if kind == "fct":
-        for ld in doc.get("loads", [0.3, 0.5, 0.7, 0.9]):
-            need("loads", 0 < ld < 1, "loads must be in (0, 1)")
-        for i, policy in enumerate(doc.get("policies", [])):
-            need(f"policies[{i}]", policy in POLICIES,
-                 f"unknown policy {policy!r}; must be one of {POLICIES}")
-    if kind == "sweep":
-        for iv in doc.get("intervals", [1, 2, 4, 8]):
-            need("intervals", iv > 0, "intervals must be positive")
+    """Check a scenario document (see `resolve`); returns it as given."""
+    resolve(doc)
     return doc
 
 
@@ -87,38 +189,46 @@ def validate(doc: dict) -> dict:
 class WcbgRun:
     sim: fluid.FluidSimulation
     reports: list
-    monitor: tuple
     warmup_intervals: int
 
     def measured_reports(self) -> list:
         return self.reports[self.warmup_intervals:]
 
-    def core_series(self) -> list:
-        out = []
-        for rep in self.measured_reports():
-            out.extend(rep.link_util.get(self.monitor, []))
-        return out
-
     def mean_core_utilization(self) -> float:
-        series = self.core_series()
+        series = [u for rep in self.measured_reports()
+                  for u in rep.link_util.get(self.sim.monitor, [])]
         return float(np.mean(series)) if series else 0.0
 
 
-def _testbed(doc: dict) -> Topology:
-    topo_cfg = doc.get("topology", {})
-    return build_testbed(
-        racks=topo_cfg.get("racks", 2),
-        servers_per_rack=topo_cfg.get("servers_per_rack", 5),
-        vm_slots=topo_cfg.get("vm_slots", 10),
-        nic_mbps=topo_cfg.get("nic_mbps", 1000.0),
-        core_mbps=topo_cfg.get("core_mbps", 1000.0),
-        queue_count=topo_cfg.get("queues_per_link", 8),
-    )
+def build_wcbg(doc: dict) -> WcbgRun:
+    cfg = resolve(doc)
+    ten = cfg["tenants"]
+    vms = ten["vms_per_tenant"]
+    # striped, the core link carries B * min(half, half): the core guarantee
+    half = vms // 2
+    b = ten["core_guarantee_mbps"] / max(min(half, vms - half), 1)
+    sim = _simulation(cfg, {f"t{i + 1:02d}": TenantRequest(vms, b)
+                            for i in range(ten["count"])})
+    warmup = cfg["warmup_intervals"]
+    reports = sim.run(cfg["duration_s"], warmup_intervals=warmup)
+    return WcbgRun(sim, reports, warmup)
 
 
-def _striped_tenants(topo: Topology, requests: dict) -> dict:
-    """Embed each tenant (id -> TenantRequest, in order) under the top switch
-    with its VMs striped across all servers round-robin."""
+def _wcbg(cfg: dict, **keys) -> dict:
+    """The resolved wcbg document of a run inside `cfg`, a resolved tradeoff
+    or fct document: the keys both kinds declare, then `keys`."""
+    return resolve({**{k: v for k, v in cfg.items() if k in _WCBG},
+                    "kind": "wcbg", **keys})
+
+
+def _simulation(cfg: dict, requests: dict,
+                shape: dict | None = None) -> fluid.FluidSimulation:
+    """The fluid simulation that the resolved wcbg document `cfg` describes
+    for `requests` (id -> TenantRequest), each striped round-robin over all
+    servers under the top switch, monitoring the core link toward rack 0.
+    `shape` overrides the `demand` block per tenant (id -> field -> value)."""
+    topo = build_testbed(**{"queue_count" if k == "queues_per_link" else k: v
+                            for k, v in cfg["topology"].items()})
     hyps = topo.hypervisors()
     root = topo.nodes_at_layer(topo.layer_count - 1)[0]
     tenants = {}
@@ -129,97 +239,42 @@ def _striped_tenants(topo: Topology, requests: dict) -> dict:
             hyp = hyps[(k * len(hyps) // vms) % len(hyps)]
             placement[hyp] = placement.get(hyp, 0) + 1
         tenants[tid] = embed_fixed(topo, request, tid, root, placement)
-    return tenants
-
-
-def _monitor_link(topo: Topology) -> tuple:
-    """Directed core link toward rack 0 (the side flow requesters sit on)."""
-    root = topo.nodes_at_layer(topo.layer_count - 1)[0]
-    tor0 = sorted(topo.down_neighbors(root))[0]
-    return (root, tor0)
-
-
-def build_wcbg(doc: dict) -> WcbgRun:
-    doc = validate(doc)
-    topo = _testbed(doc)
-    ten_cfg = doc.get("tenants", {})
-    vms = ten_cfg.get("vms_per_tenant", 10)
-    # striped, the core link carries B * min(half, half): the core guarantee
-    half = vms // 2
-    b = ten_cfg.get("core_guarantee_mbps", 94.0) / max(min(half, vms - half), 1)
-    tenants = _striped_tenants(topo, {f"t{i + 1:02d}": TenantRequest(vms, b)
-                                      for i in range(ten_cfg.get("count", 10))})
-    dem = doc.get("demand", {})
-    monitor = _monitor_link(topo)
-    dst_rack = set(topo.down_neighbors(monitor[1]))
-
-    client_side = dem.get("clients", "rack0")
-    client_hyps = dst_rack if client_side == "rack0" else None
-    activations = {}
-    for tid in tenants:
-        spec = dem.get("activations", {}).get(tid, 0.0)
-        activations[tid] = tuple(spec) if isinstance(spec, list) else spec
+    monitor = (root, sorted(topo.down_neighbors(root))[0])
+    dem, policy = cfg["demand"], cfg["policy"]
     vm_map = {t: fluid._expand_vms(x) for t, x in tenants.items()}
-    clients = fluid.make_clients(tenants, vm_map,
-                                 client_hyps=client_hyps,
-                                 activations=activations,
-                                 concurrency=dem.get("concurrency", 1))
-    if dem.get("peers", "any") == "remote":
-        _restrict_to_remote_peers(topo, clients, vm_map)
-    sim = _simulation(doc, topo, tenants, clients, doc.get("policy", "qshare"),
-                      monitor, initial_dedicated=dem.get("initial_dedicated"))
-    warmup = doc.get("warmup_intervals", 0)
-    reports = sim.run(doc.get("duration_s", 10.0), warmup_intervals=warmup)
-    return WcbgRun(sim, reports, monitor, warmup)
-
-
-def _simulation(doc: dict, topo: Topology, tenants: dict, clients: list,
-                policy: str, monitor: tuple,
-                initial_dedicated: list | None = None) -> fluid.FluidSimulation:
-    """The fluid simulation of `tenants` under `policy`: the demand generator
-    over `clients` (whose own settings override the doc's `demand` defaults),
-    the endhost rate hook for the es_* policies, and the doc's control
-    interval, weight mode, sample width and seed."""
-    dem = doc.get("demand", {})
-    seed = doc.get("seed", 0)
+    rack0 = set(topo.down_neighbors(monitor[1]))
+    clients = fluid.make_clients(
+        tenants, vm_map, client_hyps=rack0 if dem["clients"] == "rack0" else None,
+        activations=dem["activations"], concurrency=dem["concurrency"])
+    if dem["peers"] == "remote":
+        # transfers only from peers under a different ToR (pure rack-to-rack
+        # traffic, the reference testbed pattern)
+        tor_of = {h: topo.up_neighbors(h)[0] for h in hyps}
+        for c in clients:
+            c.peer_vms = tuple(v for v, hyp in enumerate(vm_map[c.tenant])
+                               if tor_of[hyp] != tor_of[c.hyp])
+    for c in clients:
+        for field, value in (shape or {}).get(c.tenant, {}).items():
+            setattr(c, field, value)
     gen = fluid.DemandGenerator(
-        mode=dem.get("mode", "unpredictable"),
-        flow_sizes=_sizes(dem.get("flow_sizes", "enterprise")),
-        dormancy=dem.get("dormancy_s", 1.0),
-        size_scale=dem.get("size_scale", 1.0),
-        seed=seed, clients=clients)
+        mode=dem["mode"], flow_sizes=dem["flow_sizes"],
+        dormancy=dem["dormancy_s"], size_scale=dem["size_scale"],
+        seed=cfg["seed"], clients=clients)
     hook = None
     quantum = None
     if policy.startswith("es_"):
-        cfg = RAConfig(mode=policy.removeprefix("es_"), **doc.get("ra", {}))
-        hook = EndhostRatePolicy(topo, tenants, cfg)
-        quantum = cfg.probe_period
+        ra = RAConfig(mode=policy.removeprefix("es_"), **cfg["ra"])
+        hook = EndhostRatePolicy(topo, tenants, ra)
+        quantum = ra.probe_period
     return fluid.FluidSimulation(
         topo, tenants, gen,
-        interval=doc.get("control_interval_s", 4.0),
+        interval=cfg["control_interval_s"],
         policy=policy,
-        weight_mode=doc.get("weight_mode", "normalized"),
-        seed=seed, monitor=monitor,
-        sample=doc.get("sample_s", 0.1),
-        initial_dedicated=initial_dedicated,
+        weight_mode=cfg["weight_mode"],
+        seed=cfg["seed"], monitor=monitor,
+        sample=cfg["sample_s"],
+        initial_dedicated=dem["initial_dedicated"],
         rate_hook=hook, quantum=quantum)
-
-
-def _sizes(spec):
-    if isinstance(spec, (list, tuple)) and spec and spec[0] == "fixed":
-        return ("fixed", float(spec[1]))
-    return spec
-
-
-def _restrict_to_remote_peers(topo: Topology, clients: list, vm_map: dict) -> None:
-    """Clients transfer only from peers under a different ToR (pure
-    rack-to-rack traffic, the reference testbed pattern)."""
-    tor_of = {h: topo.up_neighbors(h)[0] for h in topo.hypervisors()}
-    for c in clients:
-        vms = vm_map[c.tenant]
-        remote = tuple(v for v, hyp in enumerate(vms)
-                       if tor_of[hyp] != tor_of[c.hyp])
-        c.peer_vms = remote
 
 
 def run_wcbg(doc: dict) -> tuple[dict, dict]:
@@ -233,16 +288,14 @@ def run_wcbg(doc: dict) -> tuple[dict, dict]:
         "active_time_s": stats.time_active,
         "busy_fraction": stats.busy_time / max(stats.time_active, 1e-12),
     }
-    util_rows = []
+    util_rows, tenant_rows, fct_rows = [], [], []
     for rep in run.measured_reports():
-        series = rep.link_util.get(run.monitor, [])
+        series = rep.link_util.get(run.sim.monitor, [])
         for i, u in enumerate(series):
             util_rows.append({
                 "time_s": round(rep.start + i * run.sim.sample, 4),
                 "utilization": repr(u),
             })
-    tenant_rows = []
-    for rep in run.measured_reports():
         for tid in sorted(run.sim.tenants):
             series = rep.tenant_throughput_mbps.get(tid, [])
             for i, mbps in enumerate(series):
@@ -251,6 +304,9 @@ def run_wcbg(doc: dict) -> tuple[dict, dict]:
                     "tenant": tid,
                     "mbps": repr(mbps),
                 })
+        for fid, tid, size, start, dur, client in rep.fcts:
+            fct_rows.append({"flow": fid, "tenant": tid, "bytes": repr(size),
+                             "start_s": repr(start), "fct_s": repr(dur)})
     binding_rows = []
     for rep in run.reports:
         for tid in sorted(rep.scores):
@@ -261,11 +317,6 @@ def run_wcbg(doc: dict) -> tuple[dict, dict]:
                 "state": run.sim.tenants[tid].state,
                 "dscp": run.sim.tenants[tid].dscp,
             })
-    fct_rows = []
-    for rep in run.measured_reports():
-        for fid, tid, size, start, dur, client in rep.fcts:
-            fct_rows.append({"flow": fid, "tenant": tid, "bytes": repr(size),
-                             "start_s": repr(start), "fct_s": repr(dur)})
     artifacts = {
         "utilization": (["time_s", "utilization"], util_rows),
         "tenant_throughput": (["time_s", "tenant", "mbps"], tenant_rows),
@@ -276,15 +327,10 @@ def run_wcbg(doc: dict) -> tuple[dict, dict]:
 
 
 def run_interval_sweep(doc: dict) -> tuple[dict, dict]:
-    doc = validate(doc)
-    intervals = doc.get("intervals", [1.0, 2.0, 4.0, 8.0])
+    cfg = resolve(doc)
     rows = []
-    for iv in intervals:
-        sub = dict(doc)
-        sub["kind"] = "wcbg"
-        sub["control_interval_s"] = float(iv)
-        sub.setdefault("warmup_intervals", 1)
-        run = build_wcbg(sub)
+    for iv in cfg["intervals"]:
+        run = build_wcbg(dict(cfg, control_interval_s=float(iv)))
         rows.append({"interval_s": iv,
                      "mean_core_utilization": repr(run.mean_core_utilization())})
     summary = {f"util_at_{r['interval_s']}s": float(r["mean_core_utilization"])
@@ -298,29 +344,18 @@ def run_interval_sweep(doc: dict) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 def build_fill(doc: dict) -> largescale.FillResult:
-    doc = validate(doc)
-    fill_cfg = doc.get("fill", {})
-    pop_cfg = doc.get("population", {})
-    topo = fattree_like(doc.get("oversub", "1:1"),
-                        seed=doc.get("seed", 0),
-                        queue_count=doc.get("topology", {}).get(
-                            "queues_per_link", 8))
-    spec = largescale.PopulationSpec(
-        vm_mean=pop_cfg.get("vm_mean", 49.0),
-        vm_floor=pop_cfg.get("vm_floor", 2),
-        guarantees=tuple(pop_cfg.get("guarantees",
-                                     (10.0, 50.0, 100.0, 200.0, 300.0))),
-    )
-    return largescale.fill_to_capacity(
-        topo, spec, CostPolicy.stress(), seed=doc.get("seed", 0),
-        reject_streak=fill_cfg.get("reject_streak", 50),
-        r_in=fill_cfg.get("r_in", 0.5),
-        intervals=fill_cfg.get("intervals", 20))
+    cfg = resolve(doc)
+    topo = fattree_like(cfg["oversub"], seed=cfg["seed"],
+                        queue_count=cfg["topology"]["queues_per_link"])
+    spec = largescale.PopulationSpec(**cfg["population"])
+    return largescale.fill_to_capacity(topo, spec, CostPolicy.stress(),
+                                       seed=cfg["seed"], **cfg["fill"])
 
 
 def run_scarcity(doc: dict) -> tuple[dict, dict]:
-    result = build_fill(doc)
-    row = {"oversub": doc.get("oversub", "1:1"), **result.report.as_row(),
+    cfg = resolve(doc)
+    result = build_fill(cfg)
+    row = {"oversub": cfg["oversub"], **result.report.as_row(),
            "attempted": result.attempted, "rejected": result.rejected}
     summary = dict(row)
     embed_rows = [
@@ -332,23 +367,22 @@ def run_scarcity(doc: dict) -> tuple[dict, dict]:
                      "embedding.jsonl": (None, embed_rows)}
 
 
-def run_gain(doc: dict, fill: largescale.FillResult | None = None):
-    doc = validate(doc)
-    fill = fill or build_fill(doc)
-    r_values = doc.get("r_in_values",
-                       [round(0.1 * k, 1) for k in range(1, 10)])
+def run_gain(doc: dict) -> tuple[dict, dict]:
+    cfg = resolve(doc)
+    fill = build_fill(cfg)
+    r_values = cfg["r_in_values"]
     gain_rows = []
     reports = {}
     for r_in in r_values:
         rep = largescale.throughput_gain(fill.topo, fill.tenants, r_in,
-                                         seed=doc.get("seed", 0))
+                                         seed=cfg["seed"])
         reports[r_in] = rep
         gain_rows.append({"r_in": r_in, "mean_gain": repr(rep.mean_gain),
                           "high_tenants": rep.high_count})
-    cdf_r = doc.get("cdf_r_in", 0.5)
+    cdf_r = cfg["cdf_r_in"]
     if cdf_r not in reports:
         reports[cdf_r] = largescale.throughput_gain(
-            fill.topo, fill.tenants, cdf_r, seed=doc.get("seed", 0))
+            fill.topo, fill.tenants, cdf_r, seed=cfg["seed"])
     rep = reports[cdf_r]
     cdf_rows = []
     for key in sorted(rep.link_util):
@@ -380,22 +414,15 @@ def run_gain(doc: dict, fill: largescale.FillResult | None = None):
 def run_tradeoff(doc: dict) -> tuple[dict, dict]:
     """Half-reserved bursty scenario (conservative waste vs work conservation)
     and the asymmetric-guarantee scenario (aggressive probing vs guarantees)."""
-    doc = validate(doc)
-    duration = doc.get("duration_s", 30.0)
+    cfg = resolve(doc)
     rows = []
     summary: dict = {}
 
-    half = dict(doc, kind="wcbg", policy="es_conservative",
-                tenants={"count": 2, "vms_per_tenant": 10,
-                         "core_guarantee_mbps": 250.0},
-                demand={"mode": "unpredictable", "flow_sizes": "enterprise",
-                        "size_scale": doc.get("size_scale", 50.0),
-                        "clients": "rack0"},
-                duration_s=duration, warmup_intervals=0)
+    half = _wcbg(cfg, policy="es_conservative",
+                 tenants={"count": 2, "core_guarantee_mbps": 250.0},
+                 demand={"size_scale": cfg["size_scale"]})
     cons = build_wcbg(half)
-    half_q = dict(half, policy="qshare")
-    half_q["demand"] = dict(half["demand"])
-    qsh = build_wcbg(dict(half_q, warmup_intervals=1))
+    qsh = build_wcbg(dict(half, policy="qshare", warmup_intervals=1))
     cap = cons.sim.stats.capacity
     reserved = 500.0
     cons_util = cons.mean_core_utilization() * cap
@@ -410,20 +437,12 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
                  "mean_mbps": repr(q_util)})
 
     def asym(policy):
-        topo = _testbed(doc)
-        tenants = _striped_tenants(topo, {"tA": TenantRequest(10, 140.0),
-                                          "tB": TenantRequest(10, 40.0)})
-        monitor = _monitor_link(topo)
-        clients = fluid.make_clients(
-            tenants, {t: fluid._expand_vms(x) for t, x in tenants.items()},
-            client_hyps=set(topo.down_neighbors(monitor[1])))
-        for c in clients:
-            if c.tenant == "tA":
-                c.mode = "predictable"
-        sub = dict(doc, demand={"size_scale": doc.get("size_scale", 50.0)})
+        sim = _simulation(dict(half, policy=policy),
+                          {"tA": TenantRequest(10, 140.0),
+                           "tB": TenantRequest(10, 40.0)},
+                          {"tA": {"mode": "predictable"}})
         skip = 1 if policy == "qshare" else 0
-        reports = _simulation(sub, topo, tenants, clients, policy,
-                              monitor).run(duration, warmup_intervals=skip)
+        reports = sim.run(cfg["duration_s"], warmup_intervals=skip)
         violations = 0
         for rep in reports[skip:]:
             series = rep.tenant_throughput_mbps.get("tA", [])
@@ -449,47 +468,34 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
 def run_fct(doc: dict) -> tuple[dict, dict]:
     """Shuffle-phase FCTs for one foreground tenant against background load,
     compared across policies at several fabric loads."""
-    doc = validate(doc)
-    loads = doc.get("loads", [0.3, 0.5, 0.7, 0.9])
-    policies = doc.get("policies", ["qshare", "es_aggressive", "static"])
-    duration = doc.get("duration_s", 20.0)
-    bg_count = doc.get("background_tenants", 4)
-    # the clients below set their own mode and scale, the background ones
-    # their sizes; an empty `demand` keeps the generator's defaults for the
-    # rest (enterprise sizes for the foreground, 1 s background dormancy)
-    sim_doc = dict(doc, demand={})
+    cfg = resolve(doc)
+    loads, policies = cfg["loads"], cfg["policies"]
+    bg_count = cfg["background_tenants"]
     means: dict = {}
     for load in loads:
+        bg_core = load * 1000.0 / bg_count
+        requests = {"fg": TenantRequest(10, 94.0 / 5),
+                    **{f"bg{i}": TenantRequest(10, bg_core / 5)
+                       for i in range(bg_count)}}
+        # the foreground shuffles, the background sends fixed-size flows
+        # whose bytes scale with the fabric load they are meant to create,
+        # keeping their busy fraction load-proportional; the default `demand`
+        # block gives the rest (enterprise sizes for the foreground, and
+        # unpredictable mode, scale 1 and 1 s dormancy for the background)
+        bg = {"flow_sizes": ("fixed",
+                             cfg["background_flow_mb"] * 1e6 * (load / 0.3))}
+        shape = {"fg": {"mode": "shuffle", "size_scale": cfg["size_scale"]},
+                 **{tid: bg for tid in requests if tid != "fg"}}
         for policy in policies:
-            topo = _testbed(doc)
-            bg_core = load * 1000.0 / bg_count
-            tenants = _striped_tenants(topo, {
-                "fg": TenantRequest(10, 94.0 / 5),
-                **{f"bg{i}": TenantRequest(10, bg_core / 5)
-                   for i in range(bg_count)}})
-            monitor = _monitor_link(topo)
-            rack0 = set(topo.down_neighbors(monitor[1]))
-            vm_map = {t: fluid._expand_vms(x) for t, x in tenants.items()}
-            clients = fluid.make_clients(tenants, vm_map, client_hyps=rack0)
-            _restrict_to_remote_peers(topo, clients, vm_map)
-            # background bytes scale with the fabric load they are meant to
-            # create, keeping their busy fraction load-proportional
-            bg_flow_bytes = doc.get("background_flow_mb", 3.0) * 1e6 * (load / 0.3)
-            for c in clients:
-                if c.tenant == "fg":
-                    c.mode = "shuffle"
-                    c.size_scale = doc.get("size_scale", 100.0)
-                else:
-                    c.mode = "unpredictable"
-                    c.flow_sizes = ("fixed", bg_flow_bytes)
-                    c.size_scale = 1.0
             # with fewer tenants than dedicated slots the binding steady state
             # is everyone-dedicated; seed it so all policies start settled
+            dedicated = (sorted(requests) if policy == "qshare"
+                         and len(requests) < 8 else [])
             sim = _simulation(
-                sim_doc, topo, tenants, clients, policy, monitor,
-                initial_dedicated=(sorted(tenants) if policy == "qshare"
-                                   and len(tenants) < 8 else None))
-            reports = sim.run(duration)
+                _wcbg(cfg, policy=policy, demand={
+                    "peers": "remote", "initial_dedicated": dedicated}),
+                requests, shape)
+            reports = sim.run(cfg["duration_s"])
             per_client: dict = {}
             for rep in reports:
                 for (fid, tid, size, start, dur, client) in rep.fcts:
@@ -530,5 +536,5 @@ RUNNERS = {
 
 
 def run_scenario(doc: dict) -> tuple[dict, dict]:
-    doc = validate(doc)
-    return RUNNERS[doc["kind"]](doc)
+    cfg = resolve(doc)
+    return RUNNERS[cfg["kind"]](cfg)

@@ -93,12 +93,3 @@ class Tenant:
 
     def payment(self) -> float:
         return payment_factor(self.request)
-
-
-def guarantee_on_hypervisor(tenant: Tenant, hypervisor: str) -> float:
-    """Tenant guarantee at a hosting hypervisor's interface:
-    B * min(m, N - m) for the m VMs hosted there."""
-    m = tenant.vm_placement.get(hypervisor, 0)
-    if m <= 0:
-        raise ValueError(f"{hypervisor} hosts no VMs of tenant {tenant.id}")
-    return cut_reservation(tenant.request, m)

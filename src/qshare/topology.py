@@ -11,7 +11,6 @@ single-writer contract; everything else is immutable after construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -146,12 +145,6 @@ class Topology:
             raise ConstructionError("no uplinks at the top tier")
         return down / up
 
-    def oversubscription_descriptor(self) -> str:
-        r = self.oversubscription()
-        if abs(r - round(r)) < 1e-6:
-            return f"{int(round(r))}:1"
-        return f"{r:.2f}:1"
-
     # -- reservation state (single-writer: placement module) ------------
     def reserve(self, key: tuple[str, str], tenant_id: str, amount: float) -> None:
         lnk = self.links[key]
@@ -182,31 +175,6 @@ class Topology:
         if node.vm_slots_free > node.vm_slots_total:
             raise ValueError(f"slot underflow on {hyp}")
         self._free_arr[self.hyp_index[hyp]] = node.vm_slots_free
-
-    def dump_json(self) -> str:
-        return json.dumps(
-            {
-                "layer_count": self.layer_count,
-                "oversubscription": self.oversubscription_descriptor(),
-                "nodes": [
-                    {
-                        "id": n.id, "kind": n.kind, "layer": n.layer,
-                        "vm_slots_total": n.vm_slots_total,
-                        "vm_slots_free": n.vm_slots_free,
-                    }
-                    for _, n in sorted(self.nodes.items())
-                ],
-                "links": [
-                    {
-                        "a": l.a, "b": l.b, "capacity": l.capacity,
-                        "reserved": l.reserved, "queue_count": l.queue_count,
-                        "tenants": sorted(l.reservations),
-                    }
-                    for _, l in sorted(self.links.items())
-                ],
-            },
-            indent=2,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +331,8 @@ def fattree_like(oversub: str = "1:1", *, k: int = 16, vm_slots: int = 100,
     """k-ary fattree-equivalent multi-rooted tree; oversubscription realized
     by disabling core switches uniformly at random per seed."""
     half = k // 2
-    ratio = {"1:1": 1, "4:1": 4, "16:1": 16}.get(oversub)
-    if ratio is None:
-        num, _, den = oversub.partition(":")
-        ratio = int(num) / int(den or "1")
+    num, _, den = oversub.partition(":")
+    ratio = int(num) / int(den or "1")
     cores_full = half * half
     frac = 1.0 - 1.0 / ratio if ratio > 1 else 0.0
     return build_multirooted(MultiRootedParams(

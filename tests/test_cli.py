@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qshare import cli
-from qshare.scenarios import ScenarioError, validate
+from qshare.scenarios import KINDS, ScenarioError, resolve, validate
 
 
 def tiny_scenario(**overrides):
@@ -55,13 +57,100 @@ def test_validate_names_the_unknown_fct_policy():
 @pytest.mark.parametrize("scenario,item,path", [
     ("unpredictable", "weight_mode=quantised", "weight_mode"),
     ("shuffle-fct", 'policies=["qshare","bogus"]', "policies[1]"),
+    ("unpredictable", "seed.x=1", "seed.x"),
+    ("unpredictable", "duraton_s=30", "duraton_s"),
+    ("tradeoff", "ra.headrom=0.2", "ra.headrom"),
+    ("unpredictable", 'duration_s="abc"', "duration_s"),
+    ("unpredictable", 'tenants.count="abc"', "tenants.count"),
+    ("shuffle-fct", 'loads=["a"]', "loads[0]"),
+    ("unpredictable", "seed=true", "seed"),
+    ("unpredictable", "demand.mdoe=shuffle", "demand.mdoe"),
+    ("unpredictable", "control_interval_s=0", "control_interval_s"),
+    ("interval-sweep", "intervals=[2,0]", "intervals[1]"),
 ])
 def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
     rc = cli.main(["run", scenario, "--set", item,
                    "--out", str(tmp_path / "out")])
-    assert rc != 0
+    assert rc == 2
     assert f"scenario error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_checks_every_grid_point_before_running(tmp_path, capsys):
+    rc = cli.main(["sweep", "unpredictable", "--grid", "duraton_s=1,2",
+                   "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert "scenario error: duraton_s: " in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+# What the runners read when a document sets nothing but its name and kind.
+TESTBED = {
+    "seed": 0, "control_interval_s": 4.0, "weight_mode": "normalized",
+    "sample_s": 0.1,
+    "topology": {"racks": 2, "servers_per_rack": 5, "vm_slots": 10,
+                 "nic_mbps": 1000.0, "core_mbps": 1000.0,
+                 "queues_per_link": 8},
+    "ra": {"headroom": 0.1, "hold_increase": 3, "rate_caution": 0.5,
+           "probe_period": 0.015, "ai_gain": 0.25,
+           "overload_goodput_exponent": 2.0},
+}
+WCBG = {
+    **TESTBED, "policy": "qshare", "duration_s": 10.0, "warmup_intervals": 0,
+    "tenants": {"count": 10, "vms_per_tenant": 10, "core_guarantee_mbps": 94.0},
+    "demand": {"mode": "unpredictable", "flow_sizes": "enterprise",
+               "dormancy_s": 1.0, "size_scale": 1.0, "clients": "rack0",
+               "concurrency": 1, "peers": "any", "activations": {},
+               "initial_dedicated": []},
+}
+FILL = {
+    "seed": 0, "oversub": "1:1", "topology": {"queues_per_link": 8},
+    "population": {"vm_mean": 49.0, "vm_floor": 2,
+                   "guarantees": [10.0, 50.0, 100.0, 200.0, 300.0]},
+    "fill": {"reject_streak": 50, "r_in": 0.5, "intervals": 20},
+}
+DEFAULTS = {
+    "wcbg": WCBG,
+    "sweep": {**WCBG, "warmup_intervals": 1, "intervals": [1.0, 2.0, 4.0, 8.0]},
+    "scarcity": FILL,
+    "gain": {**FILL, "cdf_r_in": 0.5,
+             "r_in_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
+    "tradeoff": {**TESTBED, "duration_s": 30.0, "size_scale": 50.0},
+    "fct": {**TESTBED, "duration_s": 20.0, "size_scale": 100.0,
+            "loads": [0.3, 0.5, 0.7, 0.9],
+            "policies": ["qshare", "es_aggressive", "static"],
+            "background_tenants": 4, "background_flow_mb": 3.0},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_minimal_document_resolves_to_the_runner_defaults(kind):
+    doc = {"name": "m", "kind": kind}
+    assert resolve(doc) == {"name": "m", "kind": kind, **DEFAULTS[kind]}
+    assert doc == {"name": "m", "kind": kind}
+
+
+def test_bundled_scenarios_resolve_and_resolving_is_idempotent():
+    for name in cli.list_bundled():
+        doc = cli.load_scenario(name)
+        cfg = resolve(doc)
+        assert resolve(cfg) == cfg, name
+
+
+def test_resolve_takes_ints_for_floats_but_no_bool_for_an_int():
+    cfg = resolve(tiny_scenario(duration_s=2, tenants={"count": 4}))
+    assert cfg["duration_s"] == 2 and isinstance(cfg["duration_s"], int)
+    with pytest.raises(ScenarioError, match=r"^tenants\.count: true "):
+        resolve(tiny_scenario(tenants={"count": True}))
+
+
+def test_readme_wcbg_example_validates():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    doc = json.loads(example)
+    assert doc["kind"] == "wcbg"
+    assert validate(doc) == doc
 
 
 def test_malformed_file_reports_line(tmp_path):

@@ -3,8 +3,7 @@ import pytest
 from qshare import placement as P
 from qshare import topology as T
 from qshare.tenants import (Tenant, TenantRequest, cut_reservation,
-                            guarantee_on_hypervisor, payment_factor,
-                            reserve_on_link)
+                            payment_factor, reserve_on_link)
 
 
 def test_reserve_on_link_min_of_sums():
@@ -17,15 +16,6 @@ def test_reserve_on_link_homogeneous_cases():
     b = 7.0
     assert reserve_on_link([b], [b] * 4) == b
     assert reserve_on_link([b] * 2, [b] * 3) == 2 * b
-
-
-def test_guarantee_on_hypervisor():
-    topo = T.build_testbed()
-    t = P.embed_fixed(topo, TenantRequest(10, 50.0), "t", "a000",
-                      {"h0000": 5, "h0005": 5})
-    assert guarantee_on_hypervisor(t, "h0000") == 250.0
-    with pytest.raises(ValueError):
-        guarantee_on_hypervisor(t, "h0001")
 
 
 def test_guarantee_edge_cases():

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from qshare import topology as T
@@ -17,18 +15,18 @@ def test_fattree_scale_and_descriptor():
     topo = T.fattree_like("1:1")
     assert len(topo.hypervisors()) == 1024
     assert topo.total_vm_slots() == 1024 * 100
-    assert topo.oversubscription_descriptor() == "1:1"
+    assert topo.oversubscription() == 1.0
 
 
 @pytest.mark.parametrize("ratio,cores", [("4:1", 16), ("16:1", 4)])
 def test_disabling_realizes_oversubscription(ratio, cores):
     topo = T.fattree_like(ratio, seed=3)
     assert len(topo.nodes_at_layer(3)) == cores
-    assert topo.oversubscription_descriptor() == ratio
+    assert topo.oversubscription() == {"4:1": 4.0, "16:1": 16.0}[ratio]
 
 
 def test_testbed_oversubscription():
-    assert T.build_testbed().oversubscription_descriptor() == "5:1"
+    assert T.build_testbed().oversubscription() == 5.0
 
 
 def test_disabling_everything_disconnects():
@@ -73,14 +71,6 @@ def test_empty_layer_returns_empty_list():
     assert T.trs_at_layer(topo, topo.layer_count) == []
     with pytest.raises(ValueError):
         T.trs_at_layer(topo, 0)
-
-
-def test_dump_json_round_trips():
-    topo = T.build_testbed()
-    doc = json.loads(topo.dump_json())
-    assert doc["oversubscription"] == "5:1"
-    assert len(doc["nodes"]) == len(topo.nodes)
-    assert len(doc["links"]) == len(topo.links)
 
 
 def test_reservation_bookkeeping_roundtrip():
