@@ -632,8 +632,7 @@ class FluidSimulation:
         self.quantum = quantum
         self.rng = np.random.default_rng([seed, 0xB1ED])
         self.vm_map = {tid: _expand_vms(t) for tid, t in tenants.items()}
-        self.controller = BindingController(
-            queue_count=max((l.queue_count for l in topo.links.values()), default=8))
+        self.controller = BindingController(queue_count=topo.max_queue_count)
         self.solver = RateSolver(topo, mode="static" if policy == "static" else "wfq",
                                  weight_mode=weight_mode)
         if initial_dedicated:

@@ -111,10 +111,9 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
             rejected += 1
             streak += 1
     report = port_statistics(topo, tenants)
-    qc = max((l.queue_count for l in topo.links.values()), default=8)
     r_ni, dscp_used = interval_dedication(
         topo, tenants, r_in=r_in, intervals=intervals, seed=seed,
-        queue_count=qc)
+        queue_count=topo.max_queue_count)
     report.r_ni = r_ni
     report.dscp_values_used = dscp_used
     return FillResult(tenants, attempted, rejected, report, topo)

@@ -13,6 +13,15 @@ module to an exhaustive-search oracle. A hypervisor's usable slots are its
 free slots capped by the fault-domain limit; what its root path can absorb
 enters through the per-link edge costs.
 
+Links and slots do not change within one embed, so the closed-form profiles
+of all star switches (switches over hypervisors only) come from one array
+pass the first time the embed needs one, and every merge is a min-plus
+convolution in array form: each feasible count of the child is added to a
+shifted view of the profile so far, a bounded block of counts at a time.
+`ops` counts work units as a scalar DP would spend them: hypervisors x
+(N+1) the first time an embed uses a star's profile, N+1 per merge, and the
+skeleton size per evaluated routing tree.
+
 Both the chosen and an explicitly given placement (`embed_fixed`) become a
 routing tree the same way: the skeleton pruned to the hosting hypervisors,
 each link reserving the cut rule for the VMs below it.
@@ -26,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tenants import Tenant, TenantRequest, TenantRouting, cut_reservation
-from .topology import Topology, TRSkeleton, link_key, trs_at_layer
+from .topology import (Topology, TRSkeleton, link_key, star_table,
+                       trs_at_layer)
 
 _EPS = 1e-9
 
@@ -82,7 +92,9 @@ class PlacementOutcome:
 
 class _EpisodeContext:
     """Per-embed cache: subtree profiles keyed by node id (valid because the
-    downward closure of a node is identical in every skeleton)."""
+    downward closure of a node is identical in every skeleton), the star
+    profiles of the whole topology once one is needed, and the cut-rule
+    cost B*min(j, N-j) of each VM count j below a link."""
 
     def __init__(self, topo: Topology, request: TenantRequest):
         self.topo = topo
@@ -90,13 +102,11 @@ class _EpisodeContext:
         self.n = request.vm_count
         self.b = request.per_vm_guarantee
         self.ha = request.per_hypervisor_cap
+        j = np.arange(self.n + 1)
+        self.cut = self.b * np.minimum(j, self.n - j).astype(float)
         self.profiles: dict[str, tuple] = {}
+        self.stars: tuple | None = None
         self.ops = 0
-
-    def hyp_cap(self, hyp: str) -> int:
-        """Per-hypervisor VM cap from free slots and the fault-domain limit."""
-        nd = self.topo.nodes[hyp]
-        return max(min(nd.vm_slots_free, self.ha, self.n), 0)
 
 
 def _leaf_indices(topo: Topology, skel: TRSkeleton) -> np.ndarray:
@@ -107,70 +117,81 @@ def _leaf_indices(topo: Topology, skel: TRSkeleton) -> np.ndarray:
     return idx
 
 
-def _edge_cost_vector(n: int, b: float, residual: float) -> np.ndarray:
-    j = np.arange(n + 1)
-    cost = b * np.minimum(j, n - j).astype(float)
-    cost[cost > residual + _EPS * max(residual, 1.0)] = np.inf
-    return cost
+_MINPLUS_ROWS = 32  # rows of H per block: temporaries stay at 32 x (N+1)
 
 
 def _minplus(G: np.ndarray, H: np.ndarray, ctx: _EpisodeContext):
-    """Min-plus convolution restricted to 0..N; argmin prefers the smallest
-    contribution from H for determinism."""
+    """Min-plus convolution restricted to 0..N: out[t] = min over finite
+    H[j], j <= t, of G[t - j] + H[j], with arg[t] the smallest such j (0
+    where out is inf). Each finite H[j] is added to G shifted right by j,
+    read off one strided view; the first such row seeds out, the others
+    follow a block of rows at a time."""
     n = len(G)
-    out = np.full(n, np.inf)
-    arg = np.zeros(n, dtype=np.int32)
     ctx.ops += n
-    for j in np.flatnonzero(np.isfinite(H)):
-        cand = G[: n - j] + H[j]
-        seg = out[j:]
-        better = cand < seg
-        if better.any():
-            seg[better] = cand[better]
-            arg[j:][better] = j
+    js = (H < np.inf).nonzero()[0]
+    if not len(js):
+        return np.full(n, np.inf), np.zeros(n, dtype=np.int32)
+    pad = np.full(2 * n - 1, np.inf)
+    pad[n - 1:] = G
+    # shifted[j][t] is G[t - j], or inf for t < j
+    shifted = np.ndarray((n, n), buffer=pad, offset=(n - 1) * pad.itemsize,
+                         strides=(-pad.itemsize, pad.itemsize))
+    out = shifted[js[0]] + H[js[0]]
+    arg = np.zeros(n, dtype=np.int32)
+    arg[out < np.inf] = js[0]
+    for lo in range(1, len(js), _MINPLUS_ROWS):
+        rows = js[lo:lo + _MINPLUS_ROWS]
+        cand = shifted[rows] + H[rows, None]
+        best = cand.min(axis=0)
+        better = best < out
+        out[better] = best[better]
+        arg[better] = rows[cand.argmin(axis=0)[better]]
     return out, arg
 
 
-def _star_profile(ctx: _EpisodeContext, hyps: list, nic_residuals: list):
-    """Closed-form profile for a switch whose children are all hypervisors.
+def _star_profiles(ctx: _EpisodeContext) -> tuple:
+    """Closed-form profiles of every star switch (see `star_table`), one row
+    per star: (F, best_h, best_m, cap_low), computed for all stars at once,
+    one hypervisor slot at a time.
 
-    For j VMs inside the star the internal cost is B*(j - m + min(m, N - m))
+    For j VMs inside a star the internal cost is B*(j - m + min(m, N - m))
     where m is the count on a designated hypervisor; cost is minimized by the
-    largest admissible m, trying every hypervisor as the designee.
-    """
-    n, b, ha = ctx.n, ctx.b, ctx.ha
-    h = len(hyps)
-    upper = np.array([ctx.hyp_cap(x) for x in hyps], dtype=np.int64)
+    largest admissible m, trying every hypervisor as the designee (the first
+    in children order wins a tie). Padding slots are never feasible. Only
+    the columns up to the largest sum of caps can be finite (j - m <= rest
+    gives j <= sum of caps), so only those are computed."""
+    topo, n, b = ctx.topo, ctx.n, ctx.b
+    tab = star_table(topo)
+    upper = np.maximum(np.minimum(topo._free_arr[tab.hyp_idx], min(ctx.ha, n)), 0)
+    upper[~tab.valid] = 0
     if b > 0:
-        a = np.floor(np.array(nic_residuals) / b + _EPS).astype(np.int64)
+        residual = np.zeros(tab.valid.shape)
+        residual[tab.valid] = [topo.links[key].residual for key in tab.links]
+        a = np.floor(residual / b + _EPS).astype(np.int64)
     else:
-        a = np.full(h, n, dtype=np.int64)
+        a = np.full(tab.valid.shape, n, dtype=np.int64)
     a = np.minimum(a, n)
     gap = 2 * a < n  # NIC window is split: m <= a or m >= n - a
     cap_low = np.where(gap, np.minimum(upper, a), upper)
-    total_low = int(cap_low.sum())
-    rest = total_low - cap_low
+    rest = cap_low.sum(axis=1, keepdims=True) - cap_low
+    rest[~tab.valid] = -1  # j - m >= 0 > rest: never feasible
 
-    js = np.arange(n + 1)
-    F = np.full(n + 1, np.inf)
-    best_h = np.full(n + 1, -1, dtype=np.int32)
-    best_m = np.zeros(n + 1, dtype=np.int32)
-    ctx.ops += h * (n + 1)
-    for i in range(h):
-        hi = np.minimum(upper[i], js)
-        if gap[i]:
-            m = np.where(hi >= n - a[i], hi, np.minimum(hi, a[i]))
-        else:
-            m = hi
-        feas = (js - m) <= rest[i]
+    F = np.full((len(tab.hyps), n + 1), np.inf)
+    best_h = np.full(F.shape, -1, dtype=np.int32)
+    best_m = np.zeros(F.shape, dtype=np.int32)
+    js = np.arange(min(n, int(upper.sum(axis=1).max())) + 1)
+    F_js, h_js, m_js = (x[:, :len(js)] for x in (F, best_h, best_m))
+    for i in range(tab.valid.shape[1]):
+        ai = a[:, i, None]
+        hi = np.minimum(upper[:, i, None], js)
+        m = np.where(gap[:, i, None] & (hi < n - ai), np.minimum(hi, ai), hi)
         cost = b * (js - m + np.minimum(m, n - m))
-        cost = np.where(feas, cost, np.inf)
-        better = cost < F
-        F[better] = cost[better]
-        best_h[better] = i
-        best_m[better] = m[better]
-    recon = ("star", hyps, best_h, best_m, cap_low)
-    return F, recon
+        cost[js - m > rest[:, i, None]] = np.inf
+        better = cost < F_js
+        F_js[better] = cost[better]
+        h_js[better] = i
+        m_js[better] = m[better]
+    return F, best_h, best_m, cap_low
 
 
 def _reconstruct(ctx: _EpisodeContext, node: str, j: int, placement: dict) -> None:
@@ -215,22 +236,29 @@ def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
     children = skel.children[node]
     nd = topo.nodes[node]
     if nd.is_hypervisor():
-        cap = ctx.hyp_cap(node)
+        cap = max(min(nd.vm_slots_free, ctx.ha, n), 0)
         F = np.full(n + 1, np.inf)
         F[: cap + 1] = 0.0
         ctx.profiles[node] = (F, ("leaf",))
         return F
-    if children and all(topo.nodes[c].is_hypervisor() for c in children):
-        residuals = [topo.link(node, c).residual for c in children]
-        F, recon = _star_profile(ctx, list(children), residuals)
-        ctx.profiles[node] = (F, recon)
+    tab = star_table(topo)
+    row = tab.row.get(node)
+    if row is not None:
+        if ctx.stars is None:
+            ctx.stars = _star_profiles(ctx)
+        F, best_h, best_m, cap_low = (x[row] for x in ctx.stars)
+        ctx.ops += len(tab.hyps[row]) * (n + 1)
+        ctx.profiles[node] = (F, ("star", tab.hyps[row], best_h, best_m,
+                                  cap_low))
         return F
     G = np.full(n + 1, np.inf)
     G[0] = 0.0
     args = []
     for c in children:
         Fc = _subtree_profile(ctx, skel, c)
-        H = Fc + _edge_cost_vector(n, ctx.b, topo.link(node, c).residual)
+        residual = topo.link(node, c).residual
+        H = np.where(ctx.cut > residual + _EPS * max(residual, 1.0), np.inf,
+                     Fc + ctx.cut)
         G, arg = _minplus(G, H, ctx)
         args.append(arg)
     ctx.profiles[node] = (G, ("merge", list(children), args))
@@ -301,7 +329,7 @@ def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = No
     ctx = _EpisodeContext(topo, request)
     load = topo.load()
     w_b, w_q = policy.weights(load)
-    qc = max((l.queue_count for l in topo.links.values()), default=8)
+    qc = topo.max_queue_count
     denom_b = request.per_vm_guarantee * request.vm_count
     layer = 1
     total_candidates = 0

@@ -106,7 +106,9 @@ _WCBG = {
             "enterprise", "datamining") or (isinstance(v, list) and len(v) == 2
                                             and v[0] == "fixed" and _is(v[1])),
             'is not "enterprise", "datamining" or ["fixed", bytes]'),
-        "dormancy_s": 1.0, "size_scale": 1.0, "clients": ("rack0", "all"),
+        "dormancy_s": Rule(1.0, lambda v: _is(v) and v >= 0,
+                           "is not a number >= 0"),
+        "size_scale": _rule(1.0, low=0), "clients": ("rack0", "all"),
         "concurrency": _rule(1, low=0), "peers": ("any", "remote"),
         "activations": Rule({}, lambda v: isinstance(v, dict) and all(
             map(_activation, v.values())), "is not a map of tenant id to a "
@@ -130,8 +132,10 @@ SCHEMA = {
     "scarcity": _FILL,
     "gain": {**_FILL, "cdf_r_in": 0.5,
              "r_in_values": [round(0.1 * k, 1) for k in range(1, 10)]},
-    "tradeoff": {**_TESTBED, "duration_s": _rule(30.0, low=0), "size_scale": 50.0},
-    "fct": {**_TESTBED, "duration_s": _rule(20.0, low=0), "size_scale": 100.0,
+    "tradeoff": {**_TESTBED, "duration_s": _rule(30.0, low=0),
+                 "size_scale": _rule(50.0, low=0)},
+    "fct": {**_TESTBED, "duration_s": _rule(20.0, low=0),
+            "size_scale": _rule(100.0, low=0),
             "loads": Rule([0.3, 0.5, 0.7, 0.9], lambda v: _is(v) and 0 < v < 1,
                           "is not a number in (0, 1)"),
             "policies": Rule(["qshare", "es_aggressive", "static"],
@@ -227,18 +231,31 @@ def _simulation(cfg: dict, requests: dict,
     for `requests` (id -> TenantRequest), each striped round-robin over all
     servers under the top switch, monitoring the core link toward rack 0.
     `shape` overrides the `demand` block per tenant (id -> field -> value)."""
+    top = cfg["topology"]
     topo = build_testbed(**{"queue_count" if k == "queues_per_link" else k: v
-                            for k, v in cfg["topology"].items()})
+                            for k, v in top.items()})
     hyps = topo.hypervisors()
     root = topo.nodes_at_layer(topo.layer_count - 1)[0]
-    tenants = {}
+    placements, hosted = {}, dict.fromkeys(hyps, 0)
     for tid, request in requests.items():
         vms = request.vm_count
-        placement: dict = {}
+        placement = placements[tid] = {}
         for k in range(vms):
             hyp = hyps[(k * len(hyps) // vms) % len(hyps)]
             placement[hyp] = placement.get(hyp, 0) + 1
-        tenants[tid] = embed_fixed(topo, request, tid, root, placement)
+            hosted[hyp] += 1
+    busiest = max(hyps, key=hosted.get)
+    if hosted[busiest] > top["vm_slots"]:
+        sizes = sorted({r.vm_count for r in requests.values()})
+        raise ScenarioError(
+            f"topology.vm_slots: {top['vm_slots']} VM slots per server, but "
+            f"{len(requests)} tenants of {'/'.join(map(str, sizes))} VMs "
+            f"(tenants.vms_per_tenant, in a wcbg run) striped over "
+            f"topology.racks x topology.servers_per_rack = {top['racks']} x "
+            f"{top['servers_per_rack']} servers put {hosted[busiest]} on "
+            f"{busiest}")
+    tenants = {tid: embed_fixed(topo, request, tid, root, placements[tid])
+               for tid, request in requests.items()}
     monitor = (root, sorted(topo.down_neighbors(root))[0])
     dem, policy = cfg["demand"], cfg["policy"]
     vm_map = {t: fluid._expand_vms(x) for t, x in tenants.items()}

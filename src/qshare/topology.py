@@ -89,8 +89,11 @@ class Topology:
             adj[n].sort()
         self.adjacency = adj
         self.total_capacity = math.fsum(l.capacity for l in self.links.values())
+        self.max_queue_count = max(
+            (l.queue_count for l in self.links.values()), default=8)
         self._reserved_sum = math.fsum(l.reserved for l in self.links.values())
         self._skel_cache: dict[int, list] = {}
+        self._star_cache: StarTable | None = None
         hyps = sorted(n for n, d in self.nodes.items() if d.kind == HYPERVISOR)
         self.hyp_index = {h: i for i, h in enumerate(hyps)}
         self._free_arr = np.array(
@@ -430,3 +433,41 @@ def trs_at_layer(topo: Topology, layer: int) -> list:
             skeletons.append(skel)
     topo._skel_cache[layer] = skeletons
     return skeletons
+
+
+@dataclass
+class StarTable:
+    """Every star switch of a topology: a switch whose down-neighbours are
+    all hypervisors. A hypervisor hangs under one switch, so a star's
+    children are the same in every skeleton: its down-neighbours in sorted
+    order. Rows are padded to the widest star; `valid` is False in padding.
+    """
+
+    row: dict          # star switch id -> row
+    hyps: list         # per row, its hypervisors in skeleton-children order
+    hyp_idx: np.ndarray  # (stars, width) indices into `_free_arr`, 0 in padding
+    valid: np.ndarray    # (stars, width) bool
+    links: list        # keys of the star-to-hypervisor links, valid slots row-major
+
+
+def star_table(topo: Topology) -> StarTable:
+    """The topology's star table, built on first use and cached (it is
+    structural)."""
+    if topo._star_cache is not None:
+        return topo._star_cache
+    stars = []
+    for node in sorted(topo.nodes):
+        down = topo.down_neighbors(node) if topo.nodes[node].kind == SWITCH else []
+        if down and all(topo.nodes[h].kind == HYPERVISOR for h in down):
+            stars.append((node, sorted(down)))
+    width = max((len(hs) for _, hs in stars), default=0)
+    hyp_idx = np.zeros((len(stars), width), dtype=np.int64)
+    valid = np.zeros((len(stars), width), dtype=bool)
+    for r, (_, hs) in enumerate(stars):
+        hyp_idx[r, :len(hs)] = [topo.hyp_index[h] for h in hs]
+        valid[r, :len(hs)] = True
+    topo._star_cache = StarTable(
+        {node: r for r, (node, _) in enumerate(stars)}, [hs for _, hs in stars],
+        hyp_idx, valid,
+        [link_key(node, h) for node, hs in stars for h in hs])
+    return topo._star_cache

@@ -1,14 +1,18 @@
 """Independent oracle implementations the production code is checked against.
 
 These deliberately re-derive semantics with different algorithms and data
-structures: exhaustive enumeration for VM allocation, clip-loop redistribution
-plus Jacobi iteration for the WFQ fixed point, and a direct transcription of
-the queue-allocation pass.
+structures: exhaustive enumeration for VM allocation, scalar loops for the
+allocation DP's star and min-plus kernels, clip-loop redistribution plus
+Jacobi iteration for the WFQ fixed point, and a direct transcription of the
+queue-allocation pass.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from qshare.tenants import cut_reservation
 
@@ -51,6 +55,103 @@ def _placement_cost(topo, skel, request, placement):
             return None
         total += need
     return total
+
+
+# -- allocation DP profiles by scalar loops ----------------------------------
+#
+# The same float operations as the production kernels, one value at a time:
+# a profile F[j] is the least internal reservation for j VMs in a subtree,
+# and the records say which choice reached it (the first in loop order wins
+# a tie).
+
+def star_profile_reference(n, b, ha, free, residuals):
+    """A switch whose children are hypervisors with `free` slots behind links
+    with `residuals`: (F, best_h, best_m, cap_low, ops). For j VMs the cost is
+    B*(j - m + min(m, N - m)) with m VMs on a designated hypervisor, taking
+    the largest admissible m and trying each hypervisor in order."""
+    h = len(free)
+    upper = [max(min(f, ha, n), 0) for f in free]
+    a = [min(math.floor(r / b + 1e-9) if b > 0 else n, n) for r in residuals]
+    gap = [2 * ai < n for ai in a]
+    cap_low = [min(u, ai) if g else u for u, ai, g in zip(upper, a, gap)]
+    rest = [sum(cap_low) - c for c in cap_low]
+    F = [math.inf] * (n + 1)
+    best_h = [-1] * (n + 1)
+    best_m = [0] * (n + 1)
+    for i in range(h):
+        for j in range(n + 1):
+            m = min(upper[i], j)
+            if gap[i] and m < n - a[i]:
+                m = min(m, a[i])
+            if j - m > rest[i]:
+                continue
+            cost = b * (j - m + min(m, n - m))
+            if cost < F[j]:
+                F[j], best_h[j], best_m[j] = cost, i, m
+    return np.array(F), best_h, best_m, cap_low, h * (n + 1)
+
+
+def minplus_reference(G, H):
+    """out[t] = min over finite H[j], j <= t, of G[t - j] + H[j], with the
+    smallest such j as arg (0 where out is inf); ops = len(G)."""
+    n = len(G)
+    out = [math.inf] * n
+    arg = [0] * n
+    for j in range(n):
+        if not math.isfinite(H[j]):
+            continue
+        for t in range(j, n):
+            cand = G[t - j] + H[j]
+            if cand < out[t]:
+                out[t], arg[t] = cand, j
+    return np.array(out), arg, n
+
+
+def _edge_cost_reference(n, b, residual):
+    limit = residual + 1e-9 * max(residual, 1.0)
+    costs = [b * float(min(j, n - j)) for j in range(n + 1)]
+    return np.array([c if c <= limit else math.inf for c in costs])
+
+
+def profiles_reference(topo, skel, request, cache):
+    """The allocation DP's profile of every node under `skel.root` into
+    `cache` (node -> (F, record)), skipping nodes already there as one embed
+    does; returns the ops the new nodes cost. A hypervisor records
+    ("leaf",), a switch whose skeleton children are all hypervisors
+    ("star", children, best_h, best_m, cap_low), any other switch
+    ("merge", children, args)."""
+    n, b = request.vm_count, request.per_vm_guarantee
+    ha = request.per_hypervisor_cap
+
+    def visit(node):
+        if node in cache:
+            return 0
+        children = skel.children[node]
+        if topo.nodes[node].is_hypervisor():
+            cap = max(min(topo.nodes[node].vm_slots_free, ha, n), 0)
+            cache[node] = (np.array([0.0 if j <= cap else math.inf
+                                     for j in range(n + 1)]), ("leaf",))
+            return 0
+        if children and all(topo.nodes[c].is_hypervisor() for c in children):
+            F, best_h, best_m, cap_low, ops = star_profile_reference(
+                n, b, ha, [topo.nodes[c].vm_slots_free for c in children],
+                [topo.link(node, c).residual for c in children])
+            cache[node] = (F, ("star", list(children), best_h, best_m, cap_low))
+            return ops
+        ops = 0
+        G = np.array([0.0] + [math.inf] * n)
+        args = []
+        for c in children:
+            ops += visit(c)
+            H = cache[c][0] + _edge_cost_reference(
+                n, b, topo.link(node, c).residual)
+            G, arg, step = minplus_reference(G, H)
+            ops += step
+            args.append(arg)
+        cache[node] = (G, ("merge", list(children), args))
+        return ops
+
+    return visit(skel.root)
 
 
 # -- WFQ fixed point by clip-loop redistribution + Jacobi --------------------

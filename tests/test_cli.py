@@ -67,6 +67,13 @@ def test_validate_names_the_unknown_fct_policy():
     ("unpredictable", "demand.mdoe=shuffle", "demand.mdoe"),
     ("unpredictable", "control_interval_s=0", "control_interval_s"),
     ("interval-sweep", "intervals=[2,0]", "intervals[1]"),
+    ("unpredictable", "topology.racks=1", "topology.vm_slots"),
+    ("unpredictable", "topology.vm_slots=0", "topology.vm_slots"),
+    ("unpredictable", "tenants.vms_per_tenant=30", "topology.vm_slots"),
+    ("unpredictable", "demand.dormancy_s=-1", "demand.dormancy_s"),
+    ("unpredictable", "demand.size_scale=0", "demand.size_scale"),
+    ("tradeoff", "size_scale=0", "size_scale"),
+    ("shuffle-fct", "size_scale=-1", "size_scale"),
 ])
 def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
     rc = cli.main(["run", scenario, "--set", item,

@@ -1,10 +1,11 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_request, random_tree
-from oracles import exhaustive_min_cb
+from oracles import exhaustive_min_cb, profiles_reference
 from qshare import placement as P
 from qshare import topology as T
 from qshare.tenants import TenantRequest
@@ -146,6 +147,65 @@ def test_star_profile_matches_generic_merge(rng):
             assert math.isclose(ev.c_b, oracle, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def ragged_stars(rng):
+    """A root over 1-4 ToRs with 1-5 hypervisors each: random slots, some
+    hypervisors full, random link capacities, part of each reserved."""
+    nodes, links = [("s0", "switch", 2, 0)], []
+    h = 0
+    for t in range(int(rng.integers(1, 5))):
+        nodes.append((f"t{t}", "switch", 1, 0))
+        links.append((f"t{t}", "s0", float(rng.integers(1, 60))))
+        for _ in range(int(rng.integers(1, 6))):
+            nodes.append((f"h{h}", "hypervisor", 0, int(rng.integers(0, 8))))
+            links.append((f"h{h}", f"t{t}", float(rng.integers(1, 30))))
+            h += 1
+    topo = T.build_custom(nodes, links)
+    for hyp in topo.hypervisors():
+        if rng.random() < 0.25:
+            topo.occupy_slots(hyp, topo.nodes[hyp].vm_slots_free)
+    for key, lnk in topo.links.items():
+        topo.reserve(key, "filler", lnk.capacity * float(rng.random()) * 0.5)
+    return topo
+
+
+def test_profiles_match_reference_kernels(rng):
+    """Every subtree profile one embed computes, bit for bit, with the same
+    argmins wherever it is finite and the same ops, as the scalar reference
+    kernels: random trees and ragged stars, b = 0, wcs-capped requests and
+    full hypervisors."""
+    stars = 0
+    for case in range(300):
+        topo = random_tree(rng) if case % 2 else ragged_stars(rng)
+        req = random_request(rng, n_hi=12)
+        if case % 5 == 0:
+            req = TenantRequest(req.vm_count, 0.0, wcs=req.wcs)
+        ctx = P._EpisodeContext(topo, req)
+        ref: dict = {}
+        ref_ops = 0
+        for layer in range(1, topo.layer_count):
+            for skel in T.trs_at_layer(topo, layer):
+                P._subtree_profile(ctx, skel, skel.root)
+                ref_ops += profiles_reference(topo, skel, req, ref)
+        assert ctx.ops == ref_ops
+        assert ctx.profiles.keys() == ref.keys()
+        for node, (F, rec) in ctx.profiles.items():
+            ref_F, ref_rec = ref[node]
+            assert F.tobytes() == ref_F.tobytes(), node
+            assert rec[0] == ref_rec[0]
+            if rec[0] == "star":
+                stars += 1
+                _, hyps, best_h, best_m, cap_low = rec
+                assert hyps == ref_rec[1]
+                assert list(cap_low[:len(hyps)]) == ref_rec[4]
+                for j in np.flatnonzero(np.isfinite(F)):
+                    assert (best_h[j], best_m[j]) == (ref_rec[2][j],
+                                                      ref_rec[3][j])
+            elif rec[0] == "merge":
+                assert rec[1] == ref_rec[1]
+                assert [list(a) for a in rec[2]] == ref_rec[2]
+    assert stars >= 300
+
+
 def test_early_return_layering_is_minimal(rng):
     for _ in range(100):
         topo = T.fattree_like("1:1", k=4, vm_slots=int(rng.integers(2, 6)),
@@ -179,9 +239,14 @@ def test_operation_counter_scales_polynomially():
     for k in (4, 8):
         topo = T.fattree_like("1:1", k=k, vm_slots=2, nic_mbps=10.0,
                               port_mbps=40.0)
-        # exhaust slots near the top so exploration reaches the core layer
-        req = TenantRequest(2 * len(topo.hypervisors()) // 2, 1.0, wcs=0.5)
+        # a filler holds every slot but those of one hypervisor per ToR, so
+        # no pod has the six hypervisors the probe needs (one VM each) and
+        # exploration reaches the core layer at both sizes
+        for tor in topo.nodes_at_layer(1):
+            for h in topo.down_neighbors(tor)[1:]:
+                topo.occupy_slots(h, topo.nodes[h].vm_slots_free)
         out = P.embed(topo, TenantRequest(6, 1.0, wcs=0.8), tenant_id="t")
+        assert out.feasible and out.layer == topo.layer_count - 1
         budgets[k] = (out.ops, len(topo.nodes))
     ops4, v4 = budgets[4]
     ops8, v8 = budgets[8]
