@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import link_key
-
 _TOL = 1e-9
 
 
@@ -63,44 +61,61 @@ def ra_update(rate: float, guarantee: float, congested: bool, hold: int,
     return rate + step, 0
 
 
+def _overloads(on_link: dict, capacities: dict) -> dict:
+    """Offered load over capacity of every link above it, in `capacities`
+    order."""
+    out = {}
+    for dkey, cap in capacities.items():
+        total = sum(f.rate for f in on_link.get(dkey, ()))
+        if total > cap * (1 + 1e-9):
+            out[dkey] = total / cap
+    return out
+
+
 def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
-               goodput_exponent: float = 1.0) -> None:
+               goodput_exponent: float = 1.0) -> bool:
     """Scale flow rates down per overloaded link until no link exceeds
     capacity. With goodput_exponent 1 this is proportional FIFO sharing of
     the offered load; above 1 the delivered goodput additionally collapses
-    with overload (drop-tail losses feeding retransmissions)."""
+    with overload (drop-tail losses feeding retransmissions). Each round
+    scales the most overloaded link, the first in `capacities` order on a
+    tie. Returns False when `max_rounds` rounds left some link over."""
+    on_link: dict = {}  # the flows crossing each link, in flow order
+    for f in flows:
+        for dkey in f.route:
+            on_link.setdefault(dkey, []).append(f)
     if goodput_exponent > 1.0:
         for dkey, cap in capacities.items():
-            offered = sum(f.rate for f in flows if dkey in f.route)
+            offered = sum(f.rate for f in on_link.get(dkey, ()))
             if offered > cap * (1 + 1e-9):
                 shrink = (cap / offered) ** goodput_exponent
-                for f in flows:
-                    if dkey in f.route:
-                        f.rate *= shrink
+                for f in on_link[dkey]:
+                    f.rate *= shrink
     for _ in range(max_rounds):
-        worst = None
-        for dkey, cap in capacities.items():
-            total = sum(f.rate for f in flows if dkey in f.route)
-            if total > cap * (1 + 1e-9):
-                over = total / cap
-                if worst is None or over > worst[1]:
-                    worst = (dkey, over)
-        if worst is None:
-            return
-        dkey, over = worst
-        for f in flows:
-            if dkey in f.route:
-                f.rate /= over
+        over = _overloads(on_link, capacities)
+        if not over:
+            return True
+        dkey = max(over, key=over.get)
+        for f in on_link[dkey]:
+            f.rate /= over[dkey]
+    return not _overloads(on_link, capacities)
 
 
 class EndhostRatePolicy:
     """Rate hook for the fluid engine: per-pair limiters driven by probe-
-    quantum congestion feedback, enforced on FIFO links."""
+    quantum congestion feedback, enforced on FIFO links.
+
+    `fifo_stops` counts the compute calls whose FIFO scaling stopped at its
+    round cap with some link still over capacity."""
 
     def __init__(self, topo, tenants: dict, cfg: RAConfig):
         self.topo = topo
         self.tenants = tenants
         self.cfg = cfg
+        self.capacities = {dkey: link.capacity
+                           for (u, v), link in topo.links.items()
+                           for dkey in ((u, v), (v, u))}
+        self.fifo_stops = 0
         self.limiters: dict = {}
         self.holds: dict = {}
         self.beliefs: dict = {tid: {} for tid in tenants}
@@ -125,6 +140,8 @@ class EndhostRatePolicy:
         return min(g_src, g_dst)
 
     def compute(self, sim, flows: list, t: float) -> None:
+        routed = []
+        offered: dict = {}  # per directed link, summed in flow order
         for f in flows:
             if not f.route:
                 f.rate = 100_000.0
@@ -134,20 +151,17 @@ class EndhostRatePolicy:
                 self.limiters[key] = self._pair_guarantee(f)
                 self.holds[key] = 0
             f.rate = self.limiters[key]
-        caps = {}
-        for f in flows:
+            routed.append(f)
             for dkey in f.route:
-                caps.setdefault(dkey, sim.topo.links[link_key(*dkey)].capacity)
-        routed = [f for f in flows if f.route]
+                offered[dkey] = offered.get(dkey, 0.0) + f.rate
+        caps = {dkey: self.capacities[dkey] for dkey in offered}
         # congestion observed on offered load, before FIFO scaling
         threshold = 1.0 - (self.cfg.headroom if self.cfg.mode == "conservative" else 0.0)
-        self.congested_links = set()
-        for dkey, cap in caps.items():
-            offered = sum(f.rate for f in routed if dkey in f.route)
-            if offered > cap * threshold + _TOL:
-                self.congested_links.add(dkey)
-        fifo_scale(routed, caps,
-                   goodput_exponent=self.cfg.overload_goodput_exponent)
+        self.congested_links = {dkey for dkey, load in offered.items()
+                                if load > caps[dkey] * threshold + _TOL}
+        if not fifo_scale(routed, caps,
+                          goodput_exponent=self.cfg.overload_goodput_exponent):
+            self.fifo_stops += 1
 
     def on_quantum(self, sim, t: float) -> None:
         flows = [f for f in sim.flows.values() if f.route]
@@ -165,7 +179,7 @@ class EndhostRatePolicy:
             self.holds.pop(key, None)
         for key, f in sorted(active_pairs.items()):
             g = self._pair_guarantee(f)
-            congested = any(dkey in self.congested_links for dkey in f.route)
+            congested = not self.congested_links.isdisjoint(f.route)
             rate, hold = ra_update(self.limiters.get(key, g), g, congested,
                                    self.holds.get(key, 0), self.cfg)
             self.limiters[key] = rate

@@ -140,8 +140,10 @@ def allocate_queues(tenants: dict, scores: dict, prev: QueueAllocationState,
             if len(owners) < state.dedicated_slots():
                 plan[key] = None
                 continue
-            victim = min(owners, key=lambda t: (scores.get(t, 0.0), t))
-            if scores.get(victim, 0.0) < scores.get(tid, 0.0):
+            # a link with no dedicated queue at all has no victim either
+            victim = min(owners, key=lambda t: (scores.get(t, 0.0), t),
+                         default=None)
+            if victim is not None and scores.get(victim, 0.0) < scores.get(tid, 0.0):
                 plan[key] = victim
             else:
                 feasible = False

@@ -530,6 +530,12 @@ class DemandGenerator:
 
 @dataclass
 class IntervalReport:
+    """One control interval of a run. `link_util` holds the monitored
+    directed link only, mapped to its utilization per sample (absent when no
+    flow crossed it); `tenant_throughput_mbps` maps each tenant with a flow
+    across that link to its Mbps there per sample; `usage` is every tenant's
+    (in, out) Mbps per hypervisor over the interval."""
+
     index: int
     start: float
     end: float
@@ -575,6 +581,9 @@ class SegmentStats:
 
     def observe(self, t0: float, t1: float, flows: list, owners: set,
                 all_unsaturated) -> None:
+        """Account the segment [t0, t1) at constant rates: only the flows
+        in `flows` that cross `dkey` count, and `owners` are the tenants
+        with a dedicated queue."""
         dt = t1 - t0
         if dt <= 0:
             return
@@ -583,11 +592,12 @@ class SegmentStats:
         total = 0.0
         for f in flows:
             if self.dkey in f.route:
-                rate, srcs, dsts = per_tenant.setdefault(
-                    f.tenant, [0.0, set(), set()])
-                per_tenant[f.tenant][0] += f.rate
-                srcs.add(f.src_hyp)
-                dsts.add(f.dst_hyp)
+                entry = per_tenant.get(f.tenant)
+                if entry is None:
+                    entry = per_tenant[f.tenant] = [0.0, set(), set()]
+                entry[0] += f.rate
+                entry[1].add(f.src_hyp)
+                entry[2].add(f.dst_hyp)
                 total += f.rate
         if not per_tenant:
             return
@@ -613,12 +623,17 @@ class SegmentStats:
 
 
 class FluidSimulation:
-    """Event-driven control loop over an embedded tenant set."""
+    """Event-driven control loop over an embedded tenant set.
+
+    `monitor` is the one directed link the run measures: `stats` checks it
+    per segment, and the reports' `link_util` and `tenant_throughput_mbps`
+    series cover it alone. Binding reads per-hypervisor usage, which every
+    flow feeds."""
 
     def __init__(self, topo: Topology, tenants: dict, generator: DemandGenerator,
                  *, interval: float = 4.0, policy: str = "qshare",
                  weight_mode: str = "normalized", seed: int = 0,
-                 monitor: tuple | None = None, sample: float = 0.1,
+                 monitor: tuple, sample: float = 0.1,
                  initial_dedicated: list | None = None,
                  rate_hook=None, quantum: float | None = None):
         self.topo = topo
@@ -646,18 +661,15 @@ class FluidSimulation:
         self.completed: list = []
         self._fid = 0
         self.reports: list = []
-        self.stats: SegmentStats | None = None
-        if monitor is not None:
-            ukey = link_key(*monitor)
-            nic_g = {}
-            for tid, t in tenants.items():
-                n = t.request.vm_count
-                for hyp, m in t.vm_placement.items():
-                    nic_g[(tid, hyp)] = t.request.per_vm_guarantee * min(m, n - m)
-            self.stats = SegmentStats(
-                monitor, topo.links[ukey].capacity,
-                {tid: topo.links[ukey].reservations.get(tid, 0.0)
-                 for tid in tenants}, nic_g)
+        link = topo.links[link_key(*monitor)]
+        nic_g = {}
+        for tid, t in tenants.items():
+            n = t.request.vm_count
+            for hyp, m in t.vm_placement.items():
+                nic_g[(tid, hyp)] = t.request.per_vm_guarantee * min(m, n - m)
+        self.stats = SegmentStats(
+            monitor, link.capacity,
+            {tid: link.reservations.get(tid, 0.0) for tid in tenants}, nic_g)
 
     def next_fid(self) -> int:
         self._fid += 1
@@ -696,9 +708,9 @@ class FluidSimulation:
                     if t_done < t_next:
                         t_next = t_done
             t_next = max(t_next, t)
-            self._advance(t, t_next, usage, buckets, ten_bytes)
-            if self.stats is not None and t >= measure_from - _TOL:
-                self.stats.observe(t, t_next, list(self.flows.values()),
+            crossing = self._advance(t, t_next, usage, buckets, ten_bytes)
+            if t >= measure_from - _TOL:
+                self.stats.observe(t, t_next, crossing,
                                    self.controller.state.dedicated,
                                    self._all_unsaturated)
             t = t_next
@@ -751,10 +763,17 @@ class FluidSimulation:
         else:
             self.solver.solve(flows)
 
-    def _advance(self, t0: float, t1: float, usage, buckets, ten_bytes) -> None:
+    def _advance(self, t0: float, t1: float, usage, buckets, ten_bytes) -> list:
+        """Move every flow on by its rate over [t0, t1), adding its bytes to
+        `usage` and, when it crosses the monitored link, to the monitor's and
+        its tenant's sample buckets. Returns the flows crossing the monitor,
+        in flow order."""
         dt = t1 - t0
         if dt <= 0:
-            return
+            return []
+        spans = _spans(t0, t1, self.sample)
+        monitor = self.monitor
+        crossing = []
         for f in self.flows.values():
             moved = f.rate * BYTES_PER_MBPS_SEC * dt
             f.remaining = max(f.remaining - moved, 0.0)
@@ -763,12 +782,14 @@ class FluidSimulation:
             src[1] += moved
             dst = u.setdefault(f.dst_hyp, [0.0, 0.0])
             dst[0] += moved
-            for dkey in f.route:
-                _bucketize(buckets.setdefault(dkey, {}), t0, t1,
-                           f.rate, self.sample)
-            if self.monitor is not None and self.monitor in f.route:
-                _bucketize(ten_bytes.setdefault(f.tenant, {}), t0, t1,
-                           f.rate, self.sample)
+            if monitor in f.route:
+                crossing.append(f)
+                per_s = f.rate * BYTES_PER_MBPS_SEC
+                for bucket in (buckets.setdefault(monitor, {}),
+                               ten_bytes.setdefault(f.tenant, {})):
+                    for i, width in spans:
+                        bucket[i] = bucket.get(i, 0.0) + per_s * width
+        return crossing
 
     def _all_unsaturated(self, flow, excluding) -> bool:
         for dkey in flow.route:
@@ -814,18 +835,19 @@ def _expand_vms(tenant) -> list:
     return vms
 
 
-def _bucketize(bucket: dict, t0: float, t1: float, rate_mbps: float,
-               sample: float) -> None:
-    """Integrate rate over [t0, t1) into fixed-width sample buckets (bytes)."""
+def _spans(t0: float, t1: float, sample: float) -> list:
+    """(index, overlap width) of every fixed-width sample bucket that
+    [t0, t1) overlaps; a rate integrates into a bucket as rate * width."""
+    out = []
     i = math.floor(t0 / sample + 1e-12)
     while True:
         edge = (i + 1) * sample
         hi = min(edge, t1)
         lo = max(i * sample, t0)
         if hi > lo:
-            bucket[i] = bucket.get(i, 0.0) + rate_mbps * BYTES_PER_MBPS_SEC * (hi - lo)
+            out.append((i, hi - lo))
         if edge >= t1 - 1e-15:
-            break
+            return out
         i += 1
 
 

@@ -35,8 +35,8 @@ import numpy as np
 from . import fluid, largescale
 from .baselines import EndhostRatePolicy, RAConfig
 from .placement import CostPolicy, embed_fixed
-from .tenants import TenantRequest
-from .topology import build_testbed, fattree_like
+from .tenants import TenantRequest, cut_reservation
+from .topology import build_testbed, fattree_like, link_key
 
 KINDS = ("wcbg", "sweep", "scarcity", "gain", "tradeoff", "fct")
 POLICIES = ("qshare", "static", "es_conservative", "es_aggressive")
@@ -90,16 +90,18 @@ _TESTBED = {
     "name": _NAME, "kind": KINDS, "seed": 0, "sample_s": _rule(0.1, low=0),
     "control_interval_s": _rule(4.0, low=0),
     "weight_mode": ("normalized", "quantized"),
-    "topology": {"racks": 2, "servers_per_rack": 5, "vm_slots": 10,
-                 "nic_mbps": 1000.0, "core_mbps": 1000.0,
-                 "queues_per_link": 8},
+    "topology": {"racks": _rule(2, low=0), "servers_per_rack": _rule(5, low=0),
+                 "vm_slots": _rule(10, low=0), "nic_mbps": _rule(1000.0, low=0),
+                 "core_mbps": _rule(1000.0, low=0),
+                 "queues_per_link": _rule(8, low=0)},
     "ra": {f.name: f.default for f in fields(RAConfig) if f.name != "mode"},
 }
 _WCBG = {
     **_TESTBED, "policy": POLICIES, "duration_s": _rule(10.0, low=0),
     "warmup_intervals": 0,
     "tenants": {"count": _rule(10, low=0), "vms_per_tenant": _rule(10, low=1),
-                "core_guarantee_mbps": 94.0},
+                "core_guarantee_mbps": Rule(94.0, lambda v: _is(v) and v >= 0,
+                                            "is not a number >= 0")},
     "demand": {
         "mode": ("unpredictable", "predictable", "shuffle"),
         "flow_sizes": Rule("enterprise", lambda v: v in (
@@ -119,7 +121,7 @@ _WCBG = {
 }
 _FILL = {
     "name": _NAME, "kind": KINDS, "seed": 0, "oversub": OVERSUBS,
-    "topology": {"queues_per_link": 8},
+    "topology": {"queues_per_link": _rule(8, low=0)},
     "population": {"vm_mean": largescale.PopulationSpec.vm_mean,
                    "vm_floor": largescale.PopulationSpec.vm_floor,
                    "guarantees": list(largescale.PopulationSpec.guarantees)},
@@ -254,6 +256,27 @@ def _simulation(cfg: dict, requests: dict,
             f"topology.racks x topology.servers_per_rack = {top['racks']} x "
             f"{top['servers_per_rack']} servers put {hosted[busiest]} on "
             f"{busiest}")
+    # the cut rule's reservation on every link (server to ToR, ToR to core)
+    tor_of = {h: topo.up_neighbors(h)[0] for h in hyps}
+    reserved: dict = {}
+    for tid, request in requests.items():
+        below = dict(placements[tid])
+        for hyp, m in placements[tid].items():
+            below[tor_of[hyp]] = below.get(tor_of[hyp], 0) + m
+        for node, m in below.items():
+            key = (node, tor_of.get(node, root))
+            reserved[key] = reserved.get(key, 0.0) + cut_reservation(request, m)
+    for (node, up), total in sorted(reserved.items()):
+        cap = topo.links[link_key(node, up)].capacity
+        if total > cap * (1 + 1e-9):
+            cap_key = "nic_mbps" if node in tor_of else "core_mbps"
+            per_vm = sorted({r.per_vm_guarantee for r in requests.values()})
+            raise ScenarioError(
+                f"topology.{cap_key}: {cap} Mbps per link, but the cut rule "
+                f"reserves {total:.1f} Mbps on {node}-{up} for {len(requests)} "
+                f"tenants of {'/'.join(map(repr, per_vm))} Mbps per VM "
+                f"(tenants.core_guarantee_mbps over half the VMs, in a wcbg "
+                f"run)")
     tenants = {tid: embed_fixed(topo, request, tid, root, placements[tid])
                for tid, request in requests.items()}
     monitor = (root, sorted(topo.down_neighbors(root))[0])
@@ -266,7 +289,6 @@ def _simulation(cfg: dict, requests: dict,
     if dem["peers"] == "remote":
         # transfers only from peers under a different ToR (pure rack-to-rack
         # traffic, the reference testbed pattern)
-        tor_of = {h: topo.up_neighbors(h)[0] for h in hyps}
         for c in clients:
             c.peer_vms = tuple(v for v, hyp in enumerate(vm_map[c.tenant])
                                if tor_of[hyp] != tor_of[c.hyp])

@@ -3,7 +3,8 @@
 These deliberately re-derive semantics with different algorithms and data
 structures: exhaustive enumeration for VM allocation, scalar loops for the
 allocation DP's star and min-plus kernels, clip-loop redistribution plus
-Jacobi iteration for the WFQ fixed point, and a direct transcription of the
+Jacobi iteration for the WFQ fixed point, all-flow scans for FIFO scaling,
+per-flow, per-hop sample accounting, and a direct transcription of the
 queue-allocation pass.
 """
 
@@ -277,6 +278,92 @@ class WfqOracle:
             if delta < tol:
                 break
         return rates
+
+
+# -- FIFO scaling and sample accounting by scanning every flow ----------------
+#
+# The same float operations as the production code, in the same order, but
+# found by scanning all flows per link and integrating each flow per hop.
+
+def fifo_scale_reference(flows, capacities, max_rounds=50,
+                         goodput_exponent=1.0):
+    """baselines.fifo_scale with a scan of every flow per link and round;
+    returns whether no link is left over capacity."""
+    def offered(dkey):
+        return sum(f.rate for f in flows if dkey in f.route)
+
+    if goodput_exponent > 1.0:
+        for dkey, cap in capacities.items():
+            load = offered(dkey)
+            if load > cap * (1 + 1e-9):
+                shrink = (cap / load) ** goodput_exponent
+                for f in flows:
+                    if dkey in f.route:
+                        f.rate *= shrink
+    def worst_link():
+        worst = None
+        for dkey, cap in capacities.items():
+            total = offered(dkey)
+            if total > cap * (1 + 1e-9):
+                over = total / cap
+                if worst is None or over > worst[1]:
+                    worst = (dkey, over)
+        return worst
+
+    for _ in range(max_rounds):
+        worst = worst_link()
+        if worst is None:
+            return True
+        dkey, over = worst
+        for f in flows:
+            if dkey in f.route:
+                f.rate /= over
+    return worst_link() is None
+
+
+def congested_reference(flows, capacities, threshold, tol=1e-9):
+    """Links whose offered load, scanned over every flow, exceeds
+    capacity * threshold + tol."""
+    return {dkey for dkey, cap in capacities.items()
+            if sum(f.rate for f in flows if dkey in f.route)
+            > cap * threshold + tol}
+
+
+def bucketize_reference(bucket, t0, t1, rate_mbps, sample):
+    """Integrate one rate over [t0, t1) into fixed-width sample buckets
+    (bytes), one bucket at a time."""
+    i = math.floor(t0 / sample + 1e-12)
+    while True:
+        edge = (i + 1) * sample
+        hi = min(edge, t1)
+        lo = max(i * sample, t0)
+        if hi > lo:
+            bucket[i] = bucket.get(i, 0.0) + rate_mbps * 125_000.0 * (hi - lo)
+        if edge >= t1 - 1e-15:
+            break
+        i += 1
+
+
+def advance_reference(sim, t0, t1, usage, buckets, ten_bytes):
+    """FluidSimulation._advance integrating every flow on every hop of its
+    route into that link's buckets, and on the monitored link into its
+    tenant's; returns every flow for the segment checks."""
+    dt = t1 - t0
+    if dt <= 0:
+        return []
+    for f in sim.flows.values():
+        moved = f.rate * 125_000.0 * dt
+        f.remaining = max(f.remaining - moved, 0.0)
+        u = usage.setdefault(f.tenant, {})
+        u.setdefault(f.src_hyp, [0.0, 0.0])[1] += moved
+        u.setdefault(f.dst_hyp, [0.0, 0.0])[0] += moved
+        for dkey in f.route:
+            bucketize_reference(buckets.setdefault(dkey, {}), t0, t1, f.rate,
+                                sim.sample)
+        if sim.monitor in f.route:
+            bucketize_reference(ten_bytes.setdefault(f.tenant, {}), t0, t1,
+                                f.rate, sim.sample)
+    return list(sim.flows.values())
 
 
 # -- queue allocation pass, direct transcription ------------------------------

@@ -1,7 +1,10 @@
+import copy
+import functools
 import math
 
 import pytest
 
+import oracles
 from qshare import baselines as BL
 from qshare import fluid as F
 from qshare import placement as P
@@ -76,6 +79,106 @@ def test_fifo_scale_respects_capacity_and_collapses_goodput():
     flows = mk()
     BL.fifo_scale(flows, {("a", "b"): 1000.0}, goodput_exponent=2.0)
     assert math.isclose(sum(f.rate for f in flows), 1000.0 * (1000.0 / 1200.0))
+
+
+def _random_fifo_case(rng):
+    """Up to 30 flows over up to six directed links, each flow crossing one
+    to three of them at a random rate; the capacities come in random link
+    order, so that order and not the links' names breaks ties."""
+    links = [(f"s{i}", f"d{i}") for i in range(int(rng.integers(1, 7)))]
+    caps = {links[i]: float(rng.integers(5, 20) * 100)
+            for i in rng.permutation(len(links))}
+    flows = []
+    for fid in range(1, int(rng.integers(1, 31)) + 1):
+        hops = rng.choice(len(links), replace=False,
+                          size=int(rng.integers(1, min(3, len(links)) + 1)))
+        flows.append(F.Flow(fid, "t", 0, 1, "a", "b", 1e9, 0.0,
+                            rate=float(rng.uniform(1.0, 600.0)),
+                            route=tuple(links[h] for h in hops)))
+    return flows, caps
+
+
+def test_fifo_scale_matches_the_scanning_reference(rng):
+    outcomes = set()
+    for case in range(300):
+        flows, caps = _random_fifo_case(rng)
+        exponent = float(rng.choice([1.0, 2.0]))
+        rounds = int(rng.choice([1, 2, 50]))
+        ref = copy.deepcopy(flows)
+        met = BL.fifo_scale(flows, caps, rounds, exponent)
+        assert met == oracles.fifo_scale_reference(ref, caps, rounds, exponent)
+        assert [f.rate for f in flows] == [f.rate for f in ref], f"case {case}"
+        outcomes.add(met)
+    assert outcomes == {True, False}
+
+
+def _pair_flows(rng, tenants, count):
+    """`count` flows between random distinct VMs of random tenants."""
+    flows = []
+    tids = sorted(tenants)
+    for fid in range(1, count + 1):
+        tid = tids[int(rng.integers(0, len(tids)))]
+        vms = F._expand_vms(tenants[tid])
+        src, dst = (int(v) for v in rng.choice(len(vms), size=2, replace=False))
+        flows.append(F.Flow(fid, tid, src, dst, vms[src], vms[dst], 1e9, 0.0,
+                            route=F.tenant_route(tenants[tid], vms[src],
+                                                 vms[dst])))
+    return flows
+
+
+@pytest.mark.parametrize("mode", ["aggressive", "conservative"])
+def test_compute_matches_the_scanning_reference(rng, monkeypatch, mode):
+    topo = T.build_testbed()
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 9.0), tid, "a000",
+                                  {h: 1 for h in topo.hypervisors()})
+               for tid in ("t0", "t1", "t2")}
+    cfg = BL.RAConfig(mode=mode)
+    threshold = 1.0 - cfg.headroom
+    for case in range(40):
+        flows = _pair_flows(rng, tenants, int(rng.integers(1, 40)))
+        limiters = {(f.tenant, f.src_vm, f.dst_vm): float(rng.uniform(1, 500))
+                    for f in flows}
+        policy, ref_policy = (BL.EndhostRatePolicy(topo, tenants, cfg)
+                              for _ in range(2))
+        policy.limiters, ref_policy.limiters = dict(limiters), dict(limiters)
+        ref = copy.deepcopy(flows)
+        policy.compute(None, flows, 0.0)
+        offered = copy.deepcopy(ref)
+        for f in offered:
+            f.rate = limiters[(f.tenant, f.src_vm, f.dst_vm)]
+        with monkeypatch.context() as m:
+            m.setattr(BL, "fifo_scale", oracles.fifo_scale_reference)
+            ref_policy.compute(None, ref, 0.0)
+        assert [f.rate for f in flows] == [f.rate for f in ref], f"case {case}"
+        caps = {dkey: topo.links[T.link_key(*dkey)].capacity
+                for f in flows for dkey in f.route}
+        assert policy.congested_links == oracles.congested_reference(
+            offered, caps, threshold)
+
+
+def test_fifo_stops_count_the_calls_left_over_capacity(monkeypatch):
+    topo = T.build_testbed()
+    t = P.embed_fixed(topo, TenantRequest(10, 9.0), "t", "a000",
+                      {h: 1 for h in topo.hypervisors()})
+    policy = BL.EndhostRatePolicy(topo, {"t": t},
+                                  BL.RAConfig(overload_goodput_exponent=1.0))
+    vms = F._expand_vms(t)
+
+    def pair(fid, src, dst, rate):
+        policy.limiters[("t", src, dst)] = rate
+        return F.Flow(fid, "t", src, dst, vms[src], vms[dst], 1e9, 0.0,
+                      route=F.tenant_route(t, vms[src], vms[dst]))
+
+    # two same-rack flows, one per rack: disjoint links, both over 1000 Mbps
+    flows = [pair(1, 0, 1, 1500.0), pair(2, 5, 6, 1200.0)]
+    monkeypatch.setattr(BL, "fifo_scale",
+                        functools.partial(BL.fifo_scale, max_rounds=1))
+    policy.compute(None, flows, 0.0)
+    # the one round scaled the worse link only
+    assert [f.rate for f in flows] == [1000.0, 1200.0]
+    assert policy.fifo_stops == 1
+    policy.compute(None, flows[:1], 0.0)
+    assert flows[0].rate == 1000.0 and policy.fifo_stops == 1
 
 
 def test_tradeoff_scenario_orderings():

@@ -74,6 +74,18 @@ def test_validate_names_the_unknown_fct_policy():
     ("unpredictable", "demand.size_scale=0", "demand.size_scale"),
     ("tradeoff", "size_scale=0", "size_scale"),
     ("shuffle-fct", "size_scale=-1", "size_scale"),
+    ("unpredictable", "topology.racks=0", "topology.racks"),
+    ("unpredictable", "topology.servers_per_rack=0", "topology.servers_per_rack"),
+    ("unpredictable", "topology.queues_per_link=0", "topology.queues_per_link"),
+    ("unpredictable", "topology.nic_mbps=0", "topology.nic_mbps"),
+    ("unpredictable", "topology.core_mbps=0", "topology.core_mbps"),
+    ("shuffle-fct", "topology.core_mbps=-1", "topology.core_mbps"),
+    ("unpredictable", "tenants.core_guarantee_mbps=-5",
+     "tenants.core_guarantee_mbps"),
+    ("unpredictable", "tenants.core_guarantee_mbps=500", "topology.core_mbps"),
+    ("unpredictable", "topology.nic_mbps=50", "topology.nic_mbps"),
+    ("shuffle-fct", "topology.core_mbps=300", "topology.core_mbps"),
+    ("queue-scarcity", "topology.queues_per_link=0", "topology.queues_per_link"),
 ])
 def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
     rc = cli.main(["run", scenario, "--set", item,
@@ -81,6 +93,29 @@ def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
     assert rc == 2
     assert f"scenario error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_over_reservation_names_the_guarantee_and_the_capacity(tmp_path,
+                                                             capsys):
+    rc = cli.main(["run", "unpredictable", "--set",
+                   "tenants.core_guarantee_mbps=500",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scenario error: topology.core_mbps: 1000.0 Mbps per link" in err
+    assert "reserves 5000.0 Mbps on t000-a000" in err
+    assert "tenants.core_guarantee_mbps" in err
+
+
+def test_one_queue_per_link_runs_with_every_tenant_shared(tmp_path):
+    out = tmp_path / "out"
+    doc = tiny_scenario(topology={"queues_per_link": 1}, control_interval_s=0.5)
+    path = tmp_path / "one-queue.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in
+            (out / "binding.jsonl").read_text().splitlines()]
+    assert rows and {r["state"] for r in rows} == {"shared"}
 
 
 def test_sweep_checks_every_grid_point_before_running(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import WfqOracle
 from qshare import cli
 from qshare import fluid as F
@@ -386,6 +387,35 @@ def test_simulation_determinism():
                 for rep in reports]
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("policy", ["qshare", "es_aggressive"])
+def test_monitored_series_match_the_per_hop_reference(monkeypatch, policy):
+    doc = dict(cli.load_scenario("unpredictable"), seed=4, duration_s=1.0,
+               control_interval_s=0.4, warmup_intervals=0, policy=policy)
+    run = S.build_wcbg(doc)
+    monkeypatch.setattr(F.FluidSimulation, "_advance",
+                        oracles.advance_reference)
+    ref = S.build_wcbg(doc)
+    monitor = run.sim.monitor
+    assert len(run.reports) == len(ref.reports) > 1
+    for rep, want in zip(run.reports, ref.reports):
+        # the reference buckets every link; the simulation keeps the monitor's
+        assert len(want.link_util) > 1
+        assert rep.link_util == {monitor: want.link_util[monitor]}
+        assert rep.tenant_throughput_mbps == want.tenant_throughput_mbps
+        assert rep.usage == want.usage and rep.fcts == want.fcts
+    assert vars(run.sim.stats) == vars(ref.sim.stats)
+
+
+def test_link_util_holds_only_the_monitored_direction():
+    doc = dict(cli.load_scenario("unpredictable"), seed=1, duration_s=1.0,
+               control_interval_s=0.4, warmup_intervals=0)
+    run = S.build_wcbg(doc)
+    assert len(run.reports) == 3
+    for rep in run.reports:
+        assert list(rep.link_util) == [run.sim.monitor]
+        assert rep.tenant_throughput_mbps
 
 
 def test_tenant_route_within_tree():
