@@ -310,9 +310,19 @@ class RateSolver:
     mode "static": every tenant hard-capped at its per-link reservation, no
     redistribution of unused capacity.
 
+    One link's work in a sweep (its kernel, _link_levels) is a pure function
+    of the sweep kind, the link's plan numbers and its capped demands, and
+    between two solves most links see the same inputs again. The solver
+    therefore memoises kernel results keyed by (lift, signature id, capped
+    demands), where the signature id names the plan's numbers (see _plan).
+    The memo keeps two generations, this solve's entries and the previous
+    solve's, so it never holds more than two solves' results.
+
     Counters over the solver's life: `solves` (calls to solve), `sweeps`
-    (lift sweeps summed over solves) and `nonconverged` (solves that stopped
-    at the sweep cap with the last relative rate change still >= _TOL).
+    (lift sweeps summed over solves), `nonconverged` (solves that stopped
+    at the sweep cap with the last relative rate change still >= _TOL),
+    and `kernel_runs` and `kernel_hits` (per-link kernel evaluations and
+    memo hits; together, planned links times lift and projection sweeps).
     """
 
     def __init__(self, topo: Topology, mode: str = "wfq",
@@ -322,6 +332,14 @@ class RateSolver:
         self.weight_mode = weight_mode
         self.views: dict = {}
         self.solves = self.sweeps = self.nonconverged = 0
+        self.kernel_runs = self.kernel_hits = 0
+        # this solve's and the previous solve's: signature -> id, and
+        # (lift, signature id, capped demands) -> levels
+        self._sigs: dict = {}
+        self._sigs_prev: dict = {}
+        self._memo: dict = {}
+        self._memo_prev: dict = {}
+        self._next_sid = itertools.count(1)
 
     def rebuild(self, owners_by_link: dict) -> None:
         self.views = {}
@@ -341,8 +359,15 @@ class RateSolver:
         queues or tenants presorted by demand/weight (_lifted_share), not from
         a full weighted fill per entry. Two final capped passes project the
         result onto link capacities.
+
+        A link whose kernel input already occurred in this solve or the
+        previous one reuses that result (see the class docstring), so the
+        rates are the same bits as without the memo. The memo rotates at the
+        start of every solve.
         """
         self.solves += 1
+        self._sigs_prev, self._sigs = self._sigs, {}
+        self._memo_prev, self._memo = self._memo, {}
         routed = [f for f in flows if f.route]
         for f in flows:
             if not f.route:
@@ -368,17 +393,25 @@ class RateSolver:
 
     def _plan(self, routed: list) -> list:
         """Per directed link, in key order: (capacity, fsum of queue weights,
-        queues). Queues come in qid order as (weight, fsum of tenant weights,
-        groups); a group is (cap, weight, positions in `routed` in fid order)
-        for one tenant. The shared queue holds one group per tenant, in
-        tenant order, capped at the tenant's reservation; a dedicated queue
-        holds its owner's flows uncapped (cap None). Static mode puts every
-        tenant, capped at its reservation, in one queue."""
+        queues, positions, signature id). Queues come in qid order as
+        (weight, fsum of tenant weights, groups); a group is (cap, weight,
+        positions in `routed` in fid order) for one tenant. The shared queue
+        holds one group per tenant, in tenant order, capped at the tenant's
+        reservation; a dedicated queue holds its owner's flows uncapped (cap
+        None). Static mode puts every tenant, capped at its reservation, in
+        one queue. `positions` lists every group's positions in plan order.
+
+        The signature is every number of the plan the kernel reads, flat:
+        the capacity, the weight sum, then per queue its weight, its tenant
+        weight sum and its group count, each followed by its groups' cap,
+        weight and flow count. Equal signatures get the same id in this
+        solve and the previous one."""
         by_link: dict = {}
         for i in sorted(range(len(routed)), key=lambda i: routed[i].fid):
             for dkey in routed[i].route:
                 by_link.setdefault(dkey, []).append(i)
         static = self.mode == "static"
+        sigs, sigs_prev = self._sigs, self._sigs_prev
         plans = []
         for dkey in sorted(by_link):
             view = self.views[link_key(*dkey)]
@@ -387,46 +420,83 @@ class RateSolver:
                 t = routed[i].tenant
                 qid = ("static",) if static else view.tenant_queue(t)
                 by_queue.setdefault(qid, {}).setdefault(t, []).append(i)
-            queues = []
+            queues, numbers, positions = [], [], []
             for qid in sorted(by_queue):
                 groups = []
                 for t, pos in sorted(by_queue[qid].items()):
                     g = view.reservations.get(t, 0.0)
                     groups.append((None if qid[0] == "dedicated" else g,
                                    max(g, 1e-12), pos))
+                    positions += pos
                 w_q = max(view.qweights.get(qid, 0.0), 1e-12)
-                queues.append((w_q, math.fsum(w for _, w, _ in groups), groups))
-            plans.append((view.capacity, math.fsum(q[0] for q in queues), queues))
+                twsum = math.fsum(w for _, w, _ in groups)
+                queues.append((w_q, twsum, groups))
+                numbers += (w_q, twsum, len(groups))
+                for g, w, pos in groups:
+                    numbers += (g, w, len(pos))
+            qwsum = math.fsum(q[0] for q in queues)
+            sig = (view.capacity, qwsum, *numbers)
+            # ids start at 1, so a found id is never falsy
+            sid = sigs.get(sig) or sigs_prev.get(sig) or next(self._next_sid)
+            sigs[sig] = sid
+            plans.append((view.capacity, qwsum, queues, positions, sid))
         return plans
 
     def _sweep(self, plans: list, rates: list, lift: bool) -> list:
         """New per-flow rates: the minimum over each flow's links of its
         lifted grant (`lift`) or of its capped projection, every flow
-        demanding its current rate. Shared and static tenants stay capped at
-        their per-link reservation (a policy cap, never lifted)."""
+        demanding its current rate (see _link_levels), each link's levels
+        taken from the memo when its input repeats."""
         out = [math.inf] * len(rates)
-        static = self.mode == "static"
-        for C, qwsum, queues in plans:
-            # `C if C < r else r` is min(r, C), without the call
-            caps = [[[C if C < r else r for r in map(rates.__getitem__, pos)]
-                     for _, _, pos in groups] for _, _, groups in queues]
-            if static:
-                shares = [[g for g, _, _ in groups] for _, _, groups in queues]
+        memo, memo_prev = self._memo, self._memo_prev
+        for C, qwsum, queues, positions, sid in plans:
+            # `C if C < r else r` is min(r, C), without the call. No capped
+            # demand is -0.0, which would share a key with 0.0: rates start
+            # at inf, _lift_levels clamps negative levels to 0.0, and the
+            # fills give min(cap, positive share) or 0.0.
+            capped = tuple([C if C < r else r
+                            for r in map(rates.__getitem__, positions)])
+            key = (lift, sid, capped)
+            levels = memo.get(key) or memo_prev.get(key)
+            if levels is None:
+                levels = self._link_levels(C, qwsum, queues, capped, lift)
+                self.kernel_runs += 1
             else:
-                shares = _wfq_shares(C, qwsum, queues, caps, lift)
-            for (_, _, groups), gcaps, gshares in zip(queues, caps, shares):
-                for (g, _, pos), c, share in zip(groups, gcaps, gshares):
-                    if not lift:
-                        levels = _water_fill(share, c)
-                    elif g is None:
-                        levels = _lift_levels(share, c)
-                    else:
-                        levels = [g if g < lvl else lvl
-                                  for lvl in _lift_levels(share, c)]
-                    for i, r in zip(pos, levels):
-                        if r < out[i]:
-                            out[i] = r
+                self.kernel_hits += 1
+            memo[key] = levels
+            for i, r in zip(positions, levels):
+                if r < out[i]:
+                    out[i] = r
         return out
+
+    def _link_levels(self, C: float, qwsum: float, queues: list,
+                     capped: tuple, lift: bool) -> tuple:
+        """One link's kernel: the level of every position of its plan, in
+        plan order, its flows demanding `capped`. Shared and static tenants
+        stay capped at their per-link reservation (a policy cap, never
+        lifted). The result is shared between memo hits and never mutated."""
+        caps, at = [], 0
+        for _, _, groups in queues:
+            gcaps = []
+            for _, _, pos in groups:
+                gcaps.append(capped[at:at + len(pos)])
+                at += len(pos)
+            caps.append(gcaps)
+        if self.mode == "static":
+            shares = [[g for g, _, _ in groups] for _, _, groups in queues]
+        else:
+            shares = _wfq_shares(C, qwsum, queues, caps, lift)
+        out = []
+        for (_, _, groups), gcaps, gshares in zip(queues, caps, shares):
+            for (g, _, _), c, share in zip(groups, gcaps, gshares):
+                if not lift:
+                    out += _water_fill(share, c)
+                elif g is None:
+                    out += _lift_levels(share, c)
+                else:
+                    out += [g if g < lvl else lvl
+                            for lvl in _lift_levels(share, c)]
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,8 @@ def _star_profiles(ctx: _EpisodeContext) -> tuple:
     upper = np.maximum(np.minimum(topo._free_arr[tab.hyp_idx], min(ctx.ha, n)), 0)
     upper[~tab.valid] = 0
     if b > 0:
-        residual = np.zeros(tab.valid.shape)
-        residual[tab.valid] = [topo.links[key].residual for key in tab.links]
+        residual = topo._residual_arr[tab.link_idx]
+        residual[~tab.valid] = 0.0
         a = np.floor(residual / b + _EPS).astype(np.int64)
     else:
         a = np.full(tab.valid.shape, n, dtype=np.int64)

@@ -98,6 +98,10 @@ class Topology:
         self.hyp_index = {h: i for i, h in enumerate(hyps)}
         self._free_arr = np.array(
             [self.nodes[h].vm_slots_free for h in hyps], dtype=np.int64)
+        # each link's residual, in `links` order, kept by reserve and release
+        self.link_index = {key: i for i, key in enumerate(self.links)}
+        self._residual_arr = np.array(
+            [l.residual for l in self.links.values()], dtype=np.float64)
 
     # -- queries -------------------------------------------------------
     def hypervisors(self) -> list[str]:
@@ -157,6 +161,7 @@ class Topology:
         lnk.reservations[tenant_id] = amount
         lnk._recompute()
         self._reserved_sum += lnk.reserved - before
+        self._residual_arr[self.link_index[key]] = lnk.residual
 
     def release(self, key: tuple[str, str], tenant_id: str) -> None:
         lnk = self.links[key]
@@ -164,6 +169,7 @@ class Topology:
         del lnk.reservations[tenant_id]
         lnk._recompute()
         self._reserved_sum += lnk.reserved - before
+        self._residual_arr[self.link_index[key]] = lnk.residual
 
     def occupy_slots(self, hyp: str, count: int) -> None:
         node = self.nodes[hyp]
@@ -447,7 +453,8 @@ class StarTable:
     hyps: list         # per row, its hypervisors in skeleton-children order
     hyp_idx: np.ndarray  # (stars, width) indices into `_free_arr`, 0 in padding
     valid: np.ndarray    # (stars, width) bool
-    links: list        # keys of the star-to-hypervisor links, valid slots row-major
+    link_idx: np.ndarray  # (stars, width) indices of the star-to-hypervisor
+                          # links into `_residual_arr`, 0 in padding
 
 
 def star_table(topo: Topology) -> StarTable:
@@ -463,11 +470,12 @@ def star_table(topo: Topology) -> StarTable:
     width = max((len(hs) for _, hs in stars), default=0)
     hyp_idx = np.zeros((len(stars), width), dtype=np.int64)
     valid = np.zeros((len(stars), width), dtype=bool)
-    for r, (_, hs) in enumerate(stars):
+    link_idx = np.zeros((len(stars), width), dtype=np.int64)
+    for r, (node, hs) in enumerate(stars):
         hyp_idx[r, :len(hs)] = [topo.hyp_index[h] for h in hs]
         valid[r, :len(hs)] = True
+        link_idx[r, :len(hs)] = [topo.link_index[link_key(node, h)] for h in hs]
     topo._star_cache = StarTable(
         {node: r for r, (node, _) in enumerate(stars)}, [hs for _, hs in stars],
-        hyp_idx, valid,
-        [link_key(node, h) for node, hs in stars for h in hs])
+        hyp_idx, valid, link_idx)
     return topo._star_cache

@@ -393,8 +393,9 @@ def alg2_reference(tr_links, scores, prev_owned, queue_count):
         for k in tr_links[t]:
             if t in owners[k] or len(owners[k]) < slots:
                 continue
-            weakest = min(owners[k], key=lambda x: (scores[x], x))
-            if scores[weakest] < scores[t]:
+            # with one queue per link there is no owner to preempt
+            weakest = min(owners[k], key=lambda x: (scores[x], x), default=None)
+            if weakest is not None and scores[weakest] < scores[t]:
                 victims[k] = weakest
             else:
                 ok = False

@@ -187,7 +187,7 @@ def test_dscp_disjoint_trees_share_and_clique_needs_n():
 
 def test_allocate_queues_matches_reference(rng):
     for _ in range(300):
-        qc = int(rng.integers(2, 5))
+        qc = int(rng.integers(1, 5))  # 1: one queue, every tenant shared
         links = [f"L{i}" for i in range(int(rng.integers(1, 4)))]
         tenants = {}
         tr_links = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -226,6 +227,35 @@ def test_run_is_byte_reproducible(tmp_path):
                  "flows.jsonl", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+# SHA-256 of the byte-stable artifact bodies, pinned so that a change which
+# claims identical outputs is held to it; summary.json and manifest.json are
+# left out (the manifest holds wall times, and summary keys may be renamed)
+PINNED_BODIES = {
+    ("unpredictable", "--seed", "1", "--set", "duration_s=2.0"): {
+        "utilization.csv":
+            "851522c0842885d70a023a8bb371c45dcb1acd43d14cb6f4155a713e3f3e9bcf",
+        "tenant_throughput.csv":
+            "80bb6fefd3794981d79f8e84fad89c4b2cba7acc5a1b20b33c515f733f08dd61",
+        "binding.jsonl":
+            "62d8fb4d23204fef967c512cc4a8cd58405014e2ed4f3f0d496e51849e1bc313",
+        "flows.jsonl":
+            "c5b67797006773fa5442843082b03e761f8f3c168acd31ec3a244c96b7bd23e0",
+    },
+    ("shuffle-fct", "--seed", "5", "--set", "loads=[0.5,0.9]"): {
+        "fct.csv":
+            "11ce10d3afb3a8a58fbb120dd4bc61db942690a80713597df2298a8c667374f9",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_BODIES), ids=lambda a: a[0])
+def test_artifact_bodies_match_pinned_digests(tmp_path, argv):
+    assert cli.main(["run", *argv, "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_BODIES[argv]}
+    assert digests == PINNED_BODIES[argv]
 
 
 def test_cli_overrides_apply(tmp_path):

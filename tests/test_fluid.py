@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -304,6 +305,91 @@ def test_solver_counts_sweeps_and_nonconverged_solves(monkeypatch):
     solver.solve(flows)
     assert (solver.solves, solver.nonconverged) == (2, 1)
     assert solver.sweeps == first + 20
+
+
+@pytest.mark.parametrize("mode", ["wfq", "static"])
+def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
+    """One solver takes a sequence of solves: flows arrive one at a time and
+    then leave one at a time, with a rebuild to other owners halfway. Every
+    solve's rates, and one lift and one projection sweep from arbitrary
+    demands, equal bit for bit those of a fresh solver (empty memo) with the
+    same views. Re-solving an unchanged flow set is all memo hits, the memo
+    holds at most the kernel inputs of the last two solves, and every
+    planned link's lift and projection sweeps count once as a run or a hit."""
+    def fresh_solver():
+        fresh = F.RateSolver(topo, mode=mode)
+        fresh.rebuild(owners)
+        return fresh
+
+    def hexes(rates):
+        return [r.hex() for r in rates]
+
+    for case in range(12):
+        maker = random_wfq_case if case % 2 else large_shared_case
+        topo, tenants, owners, flows = maker(rng)
+        if not flows:
+            continue
+        solver = fresh_solver()
+        tids = sorted(tenants)
+        later = {key: {tids[int(rng.integers(0, len(tids)))]}
+                 for key in topo.links}
+        arrive = [flows[j] for j in rng.permutation(len(flows))]
+        steps = [arrive[:n] for n in range(1, len(arrive) + 1)]
+        for j in rng.permutation(len(flows))[:-1]:
+            steps.append([f for f in steps[-1] if f is not flows[j]])
+        marks = [0]  # kernel evaluations before each solve
+
+        def solve(active):
+            marks.append(solver.kernel_runs + solver.kernel_hits)
+            sweeps = solver.sweeps
+            solver.solve(active)
+            evals = solver.kernel_runs + solver.kernel_hits
+            links = len({dk for f in active for dk in f.route})
+            assert evals - marks[-1] == links * (solver.sweeps - sweeps + 2)
+            assert len(solver._memo) + len(solver._memo_prev) <= evals - marks[-2]
+
+        for step, active in enumerate(steps):
+            where = f"case {case} step {step}"
+            if step == len(steps) // 2:
+                owners = later
+                solver.rebuild(owners)
+            solve(active)
+            copies = [dataclasses.replace(f) for f in active]
+            fresh_solver().solve(copies)
+            assert hexes(f.rate for f in active) == \
+                hexes(f.rate for f in copies), where
+            runs = solver.kernel_runs
+            solve(active)
+            assert solver.kernel_runs == runs, where
+            routed = [f for f in active if f.route]
+            # few distinct values, so that links of equal structure often
+            # see equal demands, some above capacity
+            demands = rng.choice([50.0, 200.0, 1500.0, 5000.0],
+                                 len(routed)).tolist()
+            plans = solver._plan(routed)
+            for lift in (True, False, True):
+                fresh = fresh_solver()
+                want = fresh._sweep(fresh._plan(routed), demands, lift)
+                assert hexes(solver._sweep(plans, demands, lift)) == \
+                    hexes(want), f"{where} lift {lift}"
+
+
+def test_memo_keeps_links_apart_that_differ_only_in_capacity():
+    # a lone dedicated flow is lifted to each link's capacity, whatever
+    # it demands, so the link keyed second must not reuse the first's level
+    topo = T.build_custom(
+        [("h1", "hypervisor", 0, 10), ("h2", "hypervisor", 0, 10),
+         ("s1", "switch", 1, 0)],
+        [("h1", "s1", 2000.0), ("h2", "s1", 1000.0)])
+    t = P.embed_fixed(topo, TenantRequest(2, 50.0), "A", "s1",
+                      {"h1": 1, "h2": 1})
+    solver = F.RateSolver(topo)
+    solver.rebuild({key: {"A"} for key in topo.links})
+    f = F.Flow(1, "A", 0, 1, "h1", "h2", 1e9, 0.0,
+               route=F.tenant_route(t, "h1", "h2"))
+    solver.solve([f])
+    assert f.rate == 1000.0
+    assert solver._sweep(solver._plan([f]), [300.0], lift=True) == [1000.0]
 
 
 def test_bundled_unpredictable_solves_converge():

@@ -76,15 +76,23 @@ def test_empty_layer_returns_empty_list():
 def test_reservation_bookkeeping_roundtrip():
     topo = T.build_testbed()
     key = ("h0000", "t000")
+
+    def residuals_kept():
+        return all(topo._residual_arr[i] == topo.links[k].residual
+                   for k, i in topo.link_index.items())
+
     topo.reserve(key, "x", 400.0)
     topo.reserve(key, "y", 0.0)
     assert topo.links[key].reserved == 400.0
     assert topo.links[key].tenant_count() == 2
+    assert residuals_kept() and topo._residual_arr[topo.link_index[key]] == 600.0
     with pytest.raises(ValueError):
         topo.reserve(key, "z", 700.0)
     topo.release(key, "x")
+    assert residuals_kept()
     topo.release(key, "y")
     assert topo.links[key].reserved == 0.0
+    assert residuals_kept()
 
 
 def test_determinism_same_seed_same_topology():
