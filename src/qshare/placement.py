@@ -18,9 +18,17 @@ of all star switches (switches over hypervisors only) come from one array
 pass the first time the embed needs one, and every merge is a min-plus
 convolution in array form: each feasible count of the child is added to a
 shifted view of the profile so far, a bounded block of counts at a time.
-`ops` counts work units as a scalar DP would spend them: hypervisors x
-(N+1) the first time an embed uses a star's profile, N+1 per merge, and the
-skeleton size per evaluated routing tree.
+
+`embed` takes each layer in two array passes. The first screens every
+skeleton of the layer on its usable-slot sum. The second elects every star
+root that passes straight from the star arrays: its VMs, c_b and c_q come
+out as they would from the tree built for it, but no tree is built. Any
+other root goes through `evaluate_tr`, which builds its tree. A star that
+wins is built last, by `evaluate_tr`, and must cost what it was elected on.
+`ops` still counts work units as evaluating every skeleton with
+`evaluate_tr` would spend them: hypervisors x (N+1) the first time an embed
+uses a star's profile, N+1 per merge, and the skeleton size per screened
+routing tree.
 
 Both the chosen and an explicitly given placement (`embed_fixed`) become a
 routing tree the same way: the skeleton pruned to the hosting hypervisors,
@@ -35,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tenants import Tenant, TenantRequest, TenantRouting, cut_reservation
-from .topology import (Topology, TRSkeleton, link_key, star_table,
-                       trs_at_layer)
+from .topology import (Topology, TRSkeleton, layer_table, link_key,
+                       star_table, trs_at_layer)
 
 _EPS = 1e-9
 
@@ -93,8 +101,9 @@ class PlacementOutcome:
 class _EpisodeContext:
     """Per-embed cache: subtree profiles keyed by node id (valid because the
     downward closure of a node is identical in every skeleton), the star
-    profiles of the whole topology once one is needed, and the cut-rule
-    cost B*min(j, N-j) of each VM count j below a link."""
+    profiles of the whole topology once one is needed with the star rows
+    used so far, and the cut-rule cost B*min(j, N-j) of each VM count j
+    below a link."""
 
     def __init__(self, topo: Topology, request: TenantRequest):
         self.topo = topo
@@ -106,6 +115,7 @@ class _EpisodeContext:
         self.cut = self.b * np.minimum(j, self.n - j).astype(float)
         self.profiles: dict[str, tuple] = {}
         self.stars: tuple | None = None
+        self.stars_used: set = set()
         self.ops = 0
 
 
@@ -194,6 +204,49 @@ def _star_profiles(ctx: _EpisodeContext) -> tuple:
     return F, best_h, best_m, cap_low
 
 
+def _use_stars(ctx: _EpisodeContext, rows) -> tuple:
+    """The star arrays, computed the first time the embed needs them; each
+    row's ops count the first time the embed uses it."""
+    if ctx.stars is None:
+        ctx.stars = _star_profiles(ctx)
+    hyps = star_table(ctx.topo).hyps
+    for r in rows:
+        if r not in ctx.stars_used:
+            ctx.stars_used.add(r)
+            ctx.ops += len(hyps[r]) * (ctx.n + 1)
+    return ctx.stars
+
+
+def _star_candidates(ctx: _EpisodeContext, rows: np.ndarray) -> list:
+    """(position in `rows`, c_b, c_q) of every star whose row can host the
+    N VMs, read off the star arrays without building a tree. The VMs go
+    where `_reconstruct` puts them: best_m on the designee, then the other
+    hypervisors fill up to cap_low in children order. c_b is the fsum of
+    their links' cut-rule reservations, as `_pruned_tree` sums them, and c_q
+    is 1 + the most tenants on one of those links."""
+    if not len(rows):
+        return []
+    topo, n = ctx.topo, ctx.n
+    F, best_h, best_m, cap_low = _use_stars(ctx, rows.tolist())
+    pos = np.flatnonzero(np.isfinite(F[rows, n]))
+    rows = rows[pos]
+    at, h, m = np.arange(len(rows)), best_h[rows, n], best_m[rows, n]
+    caps = cap_low[rows]
+    caps[at, h] = 0
+    before = np.cumsum(caps, axis=1) - caps
+    vms = np.minimum(caps, np.maximum((n - m)[:, None] - before, 0))
+    vms[at, h] = m
+    if (vms.sum(axis=1) != n).any():
+        raise AssertionError("star reconstruction failed")
+    c_b = [math.fsum(r) for r in (ctx.b * np.minimum(vms, n - vms)).tolist()]
+    tenants = topo._tenant_arr[star_table(topo).link_idx[rows]]
+    c_q = (np.where(vms > 0, tenants, 0).max(axis=1) + 1).tolist()
+    for cb, f in zip(c_b, F[rows, n].tolist()):
+        if not math.isclose(cb, f, rel_tol=1e-9, abs_tol=1e-6):
+            raise AssertionError(f"allocation cost mismatch: {cb} vs {f}")
+    return list(zip(pos.tolist(), c_b, c_q))
+
+
 def _reconstruct(ctx: _EpisodeContext, node: str, j: int, placement: dict) -> None:
     kind = ctx.profiles[node][1][0]
     recon = ctx.profiles[node][1]
@@ -244,10 +297,7 @@ def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
     tab = star_table(topo)
     row = tab.row.get(node)
     if row is not None:
-        if ctx.stars is None:
-            ctx.stars = _star_profiles(ctx)
-        F, best_h, best_m, cap_low = (x[row] for x in ctx.stars)
-        ctx.ops += len(tab.hyps[row]) * (n + 1)
+        F, best_h, best_m, cap_low = (x[row] for x in _use_stars(ctx, (row,)))
         ctx.profiles[node] = (F, ("star", tab.hyps[row], best_h, best_m,
                                   cap_low))
         return F
@@ -256,7 +306,7 @@ def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
     args = []
     for c in children:
         Fc = _subtree_profile(ctx, skel, c)
-        residual = topo.link(node, c).residual
+        residual = topo._residual_arr[topo.link_index[link_key(node, c)]]
         H = np.where(ctx.cut > residual + _EPS * max(residual, 1.0), np.inf,
                      Fc + ctx.cut)
         G, arg = _minplus(G, H, ctx)
@@ -323,41 +373,66 @@ def _pruned_tree(topo: Topology, skel: TRSkeleton, request: TenantRequest,
 def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = None,
           tenant_id: str = "tenant") -> PlacementOutcome:
     """Explore layers bottom-up; at the first layer with feasible candidates
-    commit the one with minimum combined cost. Returns an embedding-error
-    outcome when the whole topology is exhausted."""
+    commit the one with minimum combined cost, the smaller root id breaking
+    a tie. Returns an embedding-error outcome when the whole topology is
+    exhausted.
+
+    One pass screens every skeleton of a layer on its usable-slot sum. A
+    star root that passes is elected from the star arrays
+    (`_star_candidates`), any other root through `evaluate_tr`. Only then is
+    a star winner's tree built, by `evaluate_tr`, and its c_b and c_q must
+    equal those it won on. `ops` counts what evaluating every skeleton on
+    its own would: the re-evaluated winner adds nothing."""
     policy = policy or CostPolicy()
     ctx = _EpisodeContext(topo, request)
-    load = topo.load()
-    w_b, w_q = policy.weights(load)
+    w_b, w_q = policy.weights(topo.load())
     qc = topo.max_queue_count
     denom_b = request.per_vm_guarantee * request.vm_count
-    layer = 1
+
+    def cost(c_b: float, c_q: int) -> float:
+        chat_b = c_b / denom_b if denom_b > 0 else 0.0
+        return w_b * chat_b + w_q * (c_q / qc)
+
     total_candidates = 0
-    while layer <= topo.layer_count:
-        best = None
-        for skel in trs_at_layer(topo, layer):
+    for layer in range(1, topo.layer_count + 1):
+        skels = trs_at_layer(topo, layer)
+        table = layer_table(topo, layer)
+        usable = np.minimum(topo._free_arr[table.leaf_idx], ctx.ha)
+        passed = np.add.reduceat(usable, table.starts) >= ctx.n
+        scalar = passed & (table.star_row < 0)
+        ctx.ops += int(table.sizes[~scalar].sum())  # evaluate_tr counts the rest
+        # ((cost, root), c_b, c_q, skeleton, its evaluation if one was made)
+        cands = []
+        stars = np.flatnonzero(passed & ~scalar)
+        for k, c_b, c_q in _star_candidates(ctx, table.star_row[stars]):
+            skel = skels[stars[k]]
+            cands.append(((cost(c_b, c_q), skel.root), c_b, c_q, skel, None))
+        for i in np.flatnonzero(scalar):
+            ev = evaluate_tr(topo, skels[i], request, ctx)
+            if ev.feasible:
+                cands.append(((cost(ev.c_b, ev.c_q), ev.root), ev.c_b, ev.c_q,
+                              skels[i], ev))
+        total_candidates += len(cands)
+        if not cands:
+            continue
+        _, c_b, c_q, skel, ev = min(cands, key=lambda c: c[0])
+        if ev is None:
+            ops = ctx.ops
             ev = evaluate_tr(topo, skel, request, ctx)
-            if not ev.feasible:
-                continue
-            total_candidates += 1
-            chat_b = ev.c_b / denom_b if denom_b > 0 else 0.0
-            chat_q = ev.c_q / qc
-            cost = (w_b * chat_b + w_q * chat_q, ev.root)
-            if best is None or cost < best[0]:
-                best = (cost, ev)
-        if best is not None:
-            ev = best[1]
-            _commit(topo, request, tenant_id, ev)
-            tenant = Tenant(
-                id=tenant_id, request=request,
-                tr=TenantRouting(ev.root, ev.layer, ev.pruned_links,
-                                 dict(ev.reserved), dict(ev.parent),
-                                 cost_b=ev.c_b, cost_q=ev.c_q),
-                vm_placement=dict(ev.placement),
-            )
-            return PlacementOutcome(True, tenant, ev.layer, total_candidates,
-                                    ctx.ops)
-        layer += 1
+            ctx.ops = ops
+            if (ev.c_b, ev.c_q) != (c_b, c_q):
+                raise AssertionError(f"{skel.root} won on ({c_b}, {c_q}) but "
+                                     f"its tree costs ({ev.c_b}, {ev.c_q})")
+        _commit(topo, request, tenant_id, ev)
+        tenant = Tenant(
+            id=tenant_id, request=request,
+            tr=TenantRouting(ev.root, ev.layer, ev.pruned_links,
+                             dict(ev.reserved), dict(ev.parent),
+                             cost_b=ev.c_b, cost_q=ev.c_q),
+            vm_placement=dict(ev.placement),
+        )
+        return PlacementOutcome(True, tenant, ev.layer, total_candidates,
+                                ctx.ops)
     return PlacementOutcome(False, None, 0, total_candidates, ctx.ops,
                             error="no feasible routing tree at any layer")
 
@@ -393,7 +468,10 @@ def embed_fixed(topo: Topology, request: TenantRequest, tenant_id: str,
     spread is part of the experiment design). The routing tree is the pruned
     tree spanning root and hosts within the root's skeleton."""
     layer = topo.nodes[root].layer
-    skel = next(s for s in trs_at_layer(topo, layer) if s.root == root)
+    skels = trs_at_layer(topo, layer) if layer >= 1 else []
+    skel = next((s for s in skels if s.root == root), None)
+    if skel is None:
+        raise ValueError(f"{root} roots no routing-tree skeleton")
     ev = _pruned_tree(topo, skel, request, placement)
     _commit(topo, request, tenant_id, ev)
     c_q = max((topo.links[k].tenant_count() for k in ev.pruned_links), default=1)

@@ -94,14 +94,18 @@ class Topology:
         self._reserved_sum = math.fsum(l.reserved for l in self.links.values())
         self._skel_cache: dict[int, list] = {}
         self._star_cache: StarTable | None = None
+        self._layer_cache: dict[int, LayerTable] = {}
         hyps = sorted(n for n, d in self.nodes.items() if d.kind == HYPERVISOR)
         self.hyp_index = {h: i for i, h in enumerate(hyps)}
         self._free_arr = np.array(
             [self.nodes[h].vm_slots_free for h in hyps], dtype=np.int64)
-        # each link's residual, in `links` order, kept by reserve and release
+        # each link's residual and tenant count, in `links` order, kept by
+        # reserve and release
         self.link_index = {key: i for i, key in enumerate(self.links)}
         self._residual_arr = np.array(
             [l.residual for l in self.links.values()], dtype=np.float64)
+        self._tenant_arr = np.array(
+            [l.tenant_count() for l in self.links.values()], dtype=np.int64)
 
     # -- queries -------------------------------------------------------
     def hypervisors(self) -> list[str]:
@@ -161,7 +165,9 @@ class Topology:
         lnk.reservations[tenant_id] = amount
         lnk._recompute()
         self._reserved_sum += lnk.reserved - before
-        self._residual_arr[self.link_index[key]] = lnk.residual
+        i = self.link_index[key]
+        self._residual_arr[i] = lnk.residual
+        self._tenant_arr[i] = lnk.tenant_count()
 
     def release(self, key: tuple[str, str], tenant_id: str) -> None:
         lnk = self.links[key]
@@ -169,7 +175,9 @@ class Topology:
         del lnk.reservations[tenant_id]
         lnk._recompute()
         self._reserved_sum += lnk.reserved - before
-        self._residual_arr[self.link_index[key]] = lnk.residual
+        i = self.link_index[key]
+        self._residual_arr[i] = lnk.residual
+        self._tenant_arr[i] = lnk.tenant_count()
 
     def occupy_slots(self, hyp: str, count: int) -> None:
         node = self.nodes[hyp]
@@ -479,3 +487,31 @@ def star_table(topo: Topology) -> StarTable:
         {node: r for r, (node, _) in enumerate(stars)}, [hs for _, hs in stars],
         hyp_idx, valid, link_idx)
     return topo._star_cache
+
+
+@dataclass
+class LayerTable:
+    """The skeletons of one layer (`trs_at_layer` order) as arrays, so that
+    all of them can be screened in one pass."""
+
+    leaf_idx: np.ndarray  # every skeleton's leaves' indices into `_free_arr`,
+                          # concatenated in skeleton order
+    starts: np.ndarray    # where each skeleton's run of `leaf_idx` starts
+    sizes: np.ndarray     # each skeleton's node count, len(order)
+    star_row: np.ndarray  # each root's row in the star table, -1 if no star
+
+
+def layer_table(topo: Topology, layer: int) -> LayerTable:
+    """The layer's table, built on first use and cached (it is structural)."""
+    cached = topo._layer_cache.get(layer)
+    if cached is not None:
+        return cached
+    skels = trs_at_layer(topo, layer)
+    rows = star_table(topo).row
+    leaves = [topo.hyp_index[h] for s in skels for h in s.leaves]
+    starts = np.cumsum([0] + [len(s.leaves) for s in skels], dtype=np.int64)
+    topo._layer_cache[layer] = LayerTable(
+        np.array(leaves, dtype=np.int64), starts[:-1],
+        np.array([len(s.order) for s in skels], dtype=np.int64),
+        np.array([rows.get(s.root, -1) for s in skels], dtype=np.int64))
+    return topo._layer_cache[layer]

@@ -2,7 +2,8 @@
 
 These deliberately re-derive semantics with different algorithms and data
 structures: exhaustive enumeration for VM allocation, scalar loops for the
-allocation DP's star and min-plus kernels, clip-loop redistribution plus
+allocation DP's star and min-plus kernels, a per-skeleton loop for the
+tenant election, clip-loop redistribution plus
 Jacobi iteration for the WFQ fixed point, all-flow scans for FIFO scaling,
 per-flow, per-hop sample accounting, and a direct transcription of the
 queue-allocation pass.
@@ -15,7 +16,9 @@ import math
 
 import numpy as np
 
-from qshare.tenants import cut_reservation
+from qshare import placement as P
+from qshare.tenants import Tenant, TenantRouting, cut_reservation
+from qshare.topology import trs_at_layer
 
 
 # -- minimum-reservation allocation by enumeration ---------------------------
@@ -153,6 +156,44 @@ def profiles_reference(topo, skel, request, cache):
         return ops
 
     return visit(skel.root)
+
+
+# -- tenant election one skeleton at a time ---------------------------------
+
+def embed_reference(topo, request, policy, tenant_id):
+    """`placement.embed` as a loop over skeletons: `evaluate_tr` screens,
+    evaluates and builds every routing tree of a layer, the first layer with
+    a feasible one commits the least (cost, root). Returns the outcome and
+    how many other candidates had the winner's cost, so that its root won."""
+    ctx = P._EpisodeContext(topo, request)
+    w_b, w_q = policy.weights(topo.load())
+    qc = topo.max_queue_count
+    denom_b = request.per_vm_guarantee * request.vm_count
+    candidates = 0
+    for layer in range(1, topo.layer_count + 1):
+        best, costs = None, []
+        for skel in trs_at_layer(topo, layer):
+            ev = P.evaluate_tr(topo, skel, request, ctx)
+            if not ev.feasible:
+                continue
+            candidates += 1
+            chat_b = ev.c_b / denom_b if denom_b > 0 else 0.0
+            cost = (w_b * chat_b + w_q * (ev.c_q / qc), ev.root)
+            costs.append(cost[0])
+            if best is None or cost < best[0]:
+                best = (cost, ev)
+        if best is None:
+            continue
+        (won, _), ev = best
+        P._commit(topo, request, tenant_id, ev)
+        tenant = Tenant(tenant_id, request,
+                        TenantRouting(ev.root, ev.layer, ev.pruned_links,
+                                      dict(ev.reserved), dict(ev.parent),
+                                      cost_b=ev.c_b, cost_q=ev.c_q),
+                        dict(ev.placement))
+        return (P.PlacementOutcome(True, tenant, ev.layer, candidates, ctx.ops),
+                costs.count(won) - 1)
+    return P.PlacementOutcome(False, None, 0, candidates, ctx.ops), 0
 
 
 # -- WFQ fixed point by clip-loop redistribution + Jacobi --------------------

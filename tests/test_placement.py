@@ -1,3 +1,4 @@
+import collections
 import copy
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_request, random_tree
-from oracles import exhaustive_min_cb, profiles_reference
+from oracles import embed_reference, exhaustive_min_cb, profiles_reference
+from qshare import largescale as L
 from qshare import placement as P
 from qshare import topology as T
 from qshare.tenants import TenantRequest
@@ -106,6 +108,16 @@ def test_optimality_matches_exhaustive_search(rng):
                                               abs_tol=1e-9):
             mismatches += 1
     assert mismatches == 0
+
+
+def test_embed_fixed_rejects_a_root_without_a_skeleton():
+    topo = T.build_custom(
+        [("h1", "hypervisor", 0, 4), ("s1", "switch", 1, 0),
+         ("s2", "switch", 1, 0)],
+        [("h1", "s1", 10.0)])
+    for root in ("s2", "h1"):
+        with pytest.raises(ValueError, match=root):
+            P.embed_fixed(topo, TenantRequest(2, 1.0), "t", root, {"h1": 2})
 
 
 def test_embed_fixed_builds_the_evaluated_tree(rng):
@@ -253,3 +265,120 @@ def test_operation_counter_scales_polynomially():
     c = 3.0 * ops4 / v4 ** (5 / 3)
     assert ops8 <= c * v8 ** (5 / 3)
 
+
+
+POLICIES = (P.CostPolicy(), P.CostPolicy.stress(), P.CostPolicy(w_b=1.0, w_q=0.0))
+
+
+def mixed_layers(rng):
+    """A star and a merge root at layer 2 under a layer-3 root: s0 over 1-4
+    hypervisors, s1 over 1-3 ToRs of 1-3 hypervisors each; random slots and
+    capacities, part of each link reserved."""
+    nodes = [("c0", "switch", 3, 0), ("s0", "switch", 2, 0),
+             ("s1", "switch", 2, 0)]
+    links = [("s0", "c0", float(rng.integers(1, 60))),
+             ("s1", "c0", float(rng.integers(1, 60)))]
+    parents = ["s0"] * int(rng.integers(1, 5))
+    for t in range(int(rng.integers(1, 4))):
+        nodes.append((f"t{t}", "switch", 1, 0))
+        links.append((f"t{t}", "s1", float(rng.integers(1, 60))))
+        parents += [f"t{t}"] * int(rng.integers(1, 4))
+    for h, up in enumerate(parents):
+        nodes.append((f"h{h}", "hypervisor", 0, int(rng.integers(0, 8))))
+        links.append((f"h{h}", up, float(rng.integers(1, 30))))
+    topo = T.build_custom(nodes, links)
+    for key, lnk in topo.links.items():
+        topo.reserve(key, "filler", lnk.capacity * float(rng.random()) * 0.5)
+    return topo
+
+
+def _outcome_fields(out):
+    fields = (out.feasible, out.layer, out.candidates, out.ops)
+    t = out.tenant
+    if t is None:
+        return repr(fields)
+    return repr(fields + (t.tr.root, sorted(t.vm_placement.items()),
+                          sorted(t.tr.reserved.items()), t.tr.cost_b,
+                          t.tr.cost_q))
+
+
+def test_embed_matches_scalar_election(rng):
+    """embed screens, elects, places and counts bit for bit as the
+    per-skeleton loop of `embed_reference` over embed/depart sequences:
+    ragged stars, random trees, 4:1 fattrees and a star competing with a
+    merge at one layer, three policies, b = 0 every fifth request, wcs caps,
+    rejections, and exact cost ties that the root decides."""
+    seen = collections.Counter()
+    for case in range(400):
+        kind = case % 4
+        if kind == 0:
+            topo = ragged_stars(rng)
+        elif kind == 1:
+            topo = random_tree(rng)
+        elif kind == 2:
+            topo = T.fattree_like("4:1", k=4, vm_slots=int(rng.integers(2, 6)),
+                                  nic_mbps=float(rng.integers(5, 30)),
+                                  port_mbps=40.0, seed=case)
+        else:
+            topo = mixed_layers(rng)
+        twin = copy.deepcopy(topo)
+        policy = POLICIES[case // 4 % len(POLICIES)]
+        live = []
+        for step in range(6):
+            if live and rng.random() < 0.3:
+                mine, ref = live.pop(int(rng.integers(len(live))))
+                P.depart(topo, mine)
+                P.depart(twin, ref)
+                seen["depart"] += 1
+                continue
+            req = random_request(rng, n_hi=12)
+            if seen["embed"] % 5 == 0:
+                req = TenantRequest(req.vm_count, 0.0, wcs=req.wcs)
+            seen["embed"] += 1
+            out = P.embed(topo, req, policy, tenant_id=f"t{step}")
+            ref, ties = embed_reference(twin, req, policy, f"t{step}")
+            assert _outcome_fields(out) == _outcome_fields(ref), (case, step)
+            if not out.feasible:
+                seen["rejected"] += 1
+                continue
+            live.append((out.tenant, ref.tenant))
+            root = out.tenant.tr.root
+            seen["star win" if root in T.star_table(topo).row else
+                 "merge win"] += 1
+            seen["layer-2 star win"] += kind == 3 and root == "s0"
+            if ties:
+                seen["tie"] += 1
+                seen["fresh tie"] += kind == 2 and step == 0
+        assert topo._residual_arr.tobytes() == twin._residual_arr.tobytes()
+        assert np.array_equal(topo._free_arr, twin._free_arr)
+    assert seen["embed"] >= 1200 and seen["depart"] >= 100
+    for what in ("rejected", "star win", "merge win", "tie", "fresh tie",
+                 "layer-2 star win"):
+        assert seen[what] >= 30, (what, seen)
+
+
+def test_embed_builds_one_tree_per_star_win(monkeypatch):
+    """A fill builds one routing tree per feasible non-star candidate and
+    one per embed that a star root wins, none for a losing star."""
+    calls = collections.Counter()
+    pruned_tree, evaluate_tr = P._pruned_tree, P.evaluate_tr
+
+    def counted_tree(*args):
+        calls["trees"] += 1
+        return pruned_tree(*args)
+
+    def counted_evaluate(topo, skel, request, ctx=None):
+        ev = evaluate_tr(topo, skel, request, ctx)
+        if ev.feasible and skel.root not in T.star_table(topo).row:
+            calls["non-star feasible"] += 1
+        return ev
+
+    monkeypatch.setattr(P, "_pruned_tree", counted_tree)
+    monkeypatch.setattr(P, "evaluate_tr", counted_evaluate)
+    topo = T.fattree_like("1:1", k=4, vm_slots=10, seed=1)
+    fill = L.fill_to_capacity(topo, L.PopulationSpec(vm_mean=20.0), seed=2,
+                              reject_streak=10, intervals=1)
+    star_wins = sum(t.tr.root in T.star_table(topo).row
+                    for t in fill.tenants.values())
+    assert star_wins >= 5 and calls["non-star feasible"] >= 10, calls
+    assert calls["trees"] == star_wins + calls["non-star feasible"]

@@ -1,6 +1,8 @@
 import pytest
 
+from qshare import placement as P
 from qshare import topology as T
+from qshare.tenants import TenantRequest
 
 
 def test_smallest_tree_star():
@@ -77,22 +79,37 @@ def test_reservation_bookkeeping_roundtrip():
     topo = T.build_testbed()
     key = ("h0000", "t000")
 
-    def residuals_kept():
+    def arrays_kept():
         return all(topo._residual_arr[i] == topo.links[k].residual
+                   and topo._tenant_arr[i] == topo.links[k].tenant_count()
                    for k, i in topo.link_index.items())
 
     topo.reserve(key, "x", 400.0)
+    assert arrays_kept()
     topo.reserve(key, "y", 0.0)
     assert topo.links[key].reserved == 400.0
     assert topo.links[key].tenant_count() == 2
-    assert residuals_kept() and topo._residual_arr[topo.link_index[key]] == 600.0
+    assert arrays_kept() and topo._residual_arr[topo.link_index[key]] == 600.0
+    assert topo._tenant_arr[topo.link_index[key]] == 2
     with pytest.raises(ValueError):
         topo.reserve(key, "z", 700.0)
+    assert arrays_kept()
     topo.release(key, "x")
-    assert residuals_kept()
+    assert arrays_kept()
     topo.release(key, "y")
     assert topo.links[key].reserved == 0.0
-    assert residuals_kept()
+    assert arrays_kept() and not topo._tenant_arr.any()
+
+    tenants = []
+    for i in range(6):
+        out = P.embed(topo, TenantRequest(4 + 3 * i, 20.0), tenant_id=f"t{i}")
+        assert out.feasible and arrays_kept()
+        tenants.append(out.tenant)
+    assert topo._tenant_arr.max() >= 2
+    for t in tenants[::2] + tenants[1::2]:
+        P.depart(topo, t)
+        assert arrays_kept()
+    assert not topo._tenant_arr.any()
 
 
 def test_determinism_same_seed_same_topology():
