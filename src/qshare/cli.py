@@ -6,9 +6,10 @@ Verbs:
   validate        check a scenario file and echo the parsed document
   list-scenarios  show the bundled scenarios
 
-Every run writes a manifest.json (config echo, seed, version, wall time) plus
-CSV/JSON artifacts into the output directory; CSV bodies are byte-stable for
-a given seed.
+Every run writes a manifest.json (config echo, seed, version, wall time and,
+for runs that simulate flows, the rate solvers' counters) plus CSV/JSON
+artifacts into the output directory; CSV bodies are byte-stable for a given
+seed.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ def _set_path(doc: dict, dotted: str, value) -> None:
 
 
 def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
-                    wall: float) -> None:
+                    wall: float, solver: dict | None = None) -> None:
     """Artifacts whose name carries a .jsonl suffix are written as JSON lines;
-    everything else as CSV. Wall time and version live in the manifest only,
-    so CSV/JSONL bodies are byte-stable per seed."""
+    everything else as CSV. Wall time, version and the `solver` counters
+    (summed over the run's simulations, when given) live in the manifest
+    only, so CSV/JSONL bodies are byte-stable per seed."""
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, (fields, rows) in artifacts.items():
@@ -116,24 +118,28 @@ def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, default=str, sort_keys=True)
         fh.write("\n")
+    manifest = {
+        "scenario": doc,
+        "seed": doc.get("seed", 0),
+        "version": _version(),
+        "wall_time_s": wall,
+        "artifacts": sorted(names) + ["summary.json"],
+    }
+    if solver is not None:
+        manifest["solver"] = solver
     with open(outdir / "manifest.json", "w") as fh:
-        json.dump({
-            "scenario": doc,
-            "seed": doc.get("seed", 0),
-            "version": _version(),
-            "wall_time_s": wall,
-            "artifacts": sorted(names) + ["summary.json"],
-        }, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_run(args) -> int:
     doc = _apply_overrides(load_scenario(args.scenario), args)
+    counters: dict = {}
     t0 = time.monotonic()
-    summary, artifacts = scenarios.run_scenario(doc)
+    summary, artifacts = scenarios.run_scenario(doc, counters)
     wall = time.monotonic() - t0
     outdir = Path(args.out) if args.out else Path("runs") / doc["name"]
-    write_artifacts(outdir, doc, summary, artifacts, wall)
+    write_artifacts(outdir, doc, summary, artifacts, wall, counters or None)
     print(f"{doc['name']}: done in {wall:.1f}s -> {outdir}")
     for key, val in summary.items():
         print(f"  {key}: {val}")

@@ -14,6 +14,7 @@ measurements and reassigns queues.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import itertools
@@ -149,14 +150,24 @@ def _ancestors(parent: dict, node: str) -> list:
     return out
 
 
-def _water_fill(total: float, caps: list) -> list:
+# ---------------------------------------------------------------------------
+# the per-link WFQ kernel
+# ---------------------------------------------------------------------------
+#
+# The helpers do the same IEEE operations in the same order as the direct
+# transcription in tests/oracles.py (link_levels_reference); they only skip
+# work whose result is known. math.fsum of one value is that value and of
+# two is a + b, since both are correctly rounded; a one- or two-entry sort
+# is a comparison. Demands are never negative or -0.0, and every weight is
+# floored at 1e-12, so it is positive.
+
+def _water_fill(total: float, caps) -> list:
     """Equal-share max-min of `total` among entries capped at caps[i]."""
     n = len(caps)
     out = [0.0] * n
     remaining = total
-    order = sorted(range(n), key=lambda i: caps[i])
     active = n
-    for idx, i in enumerate(order):
+    for i in sorted(range(n), key=caps.__getitem__):
         if remaining <= 0:
             break
         share = remaining / active
@@ -167,15 +178,15 @@ def _water_fill(total: float, caps: list) -> list:
     return out
 
 
-def _weighted_fill(total: float, weights: list, caps: list) -> list:
+def _weighted_fill(total: float, weights: list, caps: list,
+                   wsum: float) -> list:
     """Weighted max-min of `total` with per-entry caps; surplus from capped
-    entries is redistributed in proportion to the remaining weights."""
+    entries is redistributed in proportion to the remaining weights. `wsum`
+    is the math.fsum of the weights, all positive."""
     n = len(weights)
     out = [0.0] * n
     remaining = total
-    wsum = math.fsum(weights)
-    order = sorted(range(n), key=lambda i: (caps[i] / weights[i]) if weights[i] > 0 else 0.0)
-    for i in order:
+    for i in sorted(range(n), key=lambda i: caps[i] / weights[i]):
         if wsum <= 0 or remaining <= 0:
             break
         give = min(caps[i], remaining * weights[i] / wsum)
@@ -185,7 +196,7 @@ def _weighted_fill(total: float, weights: list, caps: list) -> list:
     return out
 
 
-def _lift_levels(total: float, caps: list) -> list:
+def _lift_levels(total: float, caps) -> list:
     """Equal-weight water level of every entry when it alone is greedy:
     out[i] is the max-min share of `total` for entry i while every other
     entry keeps its cap. A binary search over the other caps, sorted, finds
@@ -228,9 +239,9 @@ def _by_key(weights: list, caps: list) -> list:
 
 def _lifted_share(total: float, w0: float, c0: float, wsum: float,
                   others: list, skip: int) -> float:
-    """out[0] of _weighted_fill(total, [w0] + ws, [c0] + cs), the others being
-    the entries of `others` (from _by_key) except index `skip`; `wsum` is the
-    math.fsum of every weight, w0's included, and all weights are positive.
+    """out[0] of _weighted_fill(total, [w0] + ws, [c0] + cs, wsum), the
+    others being the entries of `others` (from _by_key) except index `skip`;
+    `wsum` is the math.fsum of every weight, w0's included.
 
     The stable sort puts entry 0 before every other of equal key, so the fill
     reaches it at the first other whose key is not below c0 / w0 and stops."""
@@ -252,39 +263,194 @@ def _lifted_share(total: float, w0: float, c0: float, wsum: float,
     return give if give < c0 else c0
 
 
-def _wfq_shares(C: float, qwsum: float, queues: list, caps: list,
-                lift: bool) -> list:
-    """Share of every flow group of one link's plan (see RateSolver._plan)
-    under WFQ, the groups demanding `caps`. With `lift`, a group's share is
-    its lifted share: the dedicated queue's when the queue alone is greedy,
-    a shared tenant's when its demand alone is lifted to its reservation.
-    Otherwise it is the weighted max-min split of C over the queues and of
-    the shared queue's share over its tenants."""
-    tdems = [[math.fsum(c) if g is None else min(math.fsum(c), g)
-              for (g, _, _), c in zip(groups, gcaps)]
-             for (_, _, groups), gcaps in zip(queues, caps)]
-    qdems = [math.fsum(td) for td in tdems]
+def _lift_into(out: list, total: float, capped: tuple, a: int, n: int) -> None:
+    """Append _lift_levels(total, capped[a:a + n]) to `out`."""
+    if n == 1:
+        out.append(0.0 if total < 0.0 else total)
+    elif n == 2:
+        x, y = capped[a], capped[a + 1]
+        s0, s1 = (y, x) if y < x else (x, y)
+        half = total / 2
+        # the smaller cap's level, then the larger's: one saturated other
+        # makes the level total minus that other, read off the prefix sums
+        low = total - ((s0 + s1) - s0) if s1 < half - 1e-15 else half
+        high = total - s0 if s0 < half - 1e-15 else half
+        low = 0.0 if low < 0.0 else low
+        high = 0.0 if high < 0.0 else high
+        out += (high, low) if y < x else (low, high)
+    else:
+        out += _lift_levels(total, capped[a:a + n])
+
+
+def _fill_into(out: list, total: float, capped: tuple, a: int, n: int) -> None:
+    """Append _water_fill(total, capped[a:a + n]) to `out`."""
+    if total <= 0:
+        out += [0.0] * n
+    elif n == 1:
+        c = capped[a]
+        out.append(total if total < c else c)
+    elif n == 2:
+        x, y = capped[a], capped[a + 1]
+        half = total / 2
+        if y < x:
+            gy = half if half < y else y
+            rem = total - gy
+            gx = 0.0 if rem <= 0 else (rem if rem < x else x)
+        else:
+            gx = half if half < x else x
+            rem = total - gx
+            gy = 0.0 if rem <= 0 else (rem if rem < y else y)
+        out += (gx, gy)
+    else:
+        out += _water_fill(total, capped[a:a + n])
+
+
+def _demand(capped: tuple, a: int, n: int) -> float:
+    """math.fsum(capped[a:a + n])."""
+    if n == 1:
+        return capped[a]
+    if n == 2:
+        return capped[a] + capped[a + 1]
+    return math.fsum(capped[a:a + n])
+
+
+def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool) -> tuple:
+    """One link's kernel: the level of every flow of `plan`, in plan order,
+    its flows demanding `capped`. With `lift` a flow's level is its lifted
+    grant: the max-min level of its group's lifted share (the dedicated
+    queue's when the queue alone is greedy, a shared tenant's when its
+    demand alone is lifted to its reservation) with the flow alone greedy.
+    Otherwise it is its water-fill level of the weighted max-min split of
+    the capacity over the queues and of the shared queue's share over its
+    tenants. Shared and static tenants stay capped at their per-link
+    reservation (a policy cap, never lifted). The result is shared between
+    memo hits and never mutated."""
+    put = _lift_into if lift else _fill_into
+    out: list = []
+    if plan.static:
+        for g, _, a, n in plan.groups:
+            put(out, g, capped, a, n)
+        return tuple(out)
+    ded, groups = plan.ded, plan.groups
+    if groups:
+        tds = []
+        for g, _, a, n in groups:
+            d = _demand(capped, a, n)
+            tds.append(g if g < d else d)
+        sdem = _demand(tds, 0, len(tds))
+    if not ded:
+        # the shared queue alone: its weighted share of C is plan.K
+        K = plan.K
+        if lift:
+            tsorted = _by_key(plan.tweights, tds)
+            twsum = plan.twsum
+            for ti, ((g, w, a, n), d) in enumerate(zip(groups, tds)):
+                c0 = sdem - d + g
+                put(out, _lifted_share(K if K < c0 else c0, w, g, twsum,
+                                       tsorted, ti), capped, a, n)
+            return tuple(out)
+        qs = K if K < sdem else sdem
+        for (_, _, a, n), share in zip(groups, _weighted_fill(
+                qs, plan.tweights, tds, plan.twsum)):
+            put(out, share, capped, a, n)
+        return tuple(out)
+    qdems = [_demand(capped, a, n) for _, a, n in ded]
+    if groups:
+        qdems.append(sdem)
+    C, qwsum = plan.C, plan.qwsum
     if not lift:
-        qshares = _weighted_fill(C, [q[0] for q in queues], qdems)
-        return [[qs] if groups[0][0] is None
-                else _weighted_fill(qs, [w for _, w, _ in groups], td)
-                for (_, _, groups), qs, td in zip(queues, qshares, tdems)]
-    qsorted = _by_key([q[0] for q in queues], qdems)
-    shares = []
-    for qi, (w_q, twsum, groups) in enumerate(queues):
-        if groups[0][0] is None:
-            # a greedy member makes the whole queue greedy
-            shares.append([_lifted_share(C, w_q, C, qwsum, qsorted, qi)])
-            continue
+        qshares = _weighted_fill(C, plan.qweights, qdems, qwsum)
+        for (_, a, n), qs in zip(ded, qshares):
+            put(out, qs, capped, a, n)
+        if groups:
+            for (_, _, a, n), share in zip(groups, _weighted_fill(
+                    qshares[-1], plan.tweights, tds, plan.twsum)):
+                put(out, share, capped, a, n)
+        return tuple(out)
+    qsorted = _by_key(plan.qweights, qdems)
+    for qi, (w_q, a, n) in enumerate(ded):
+        # a greedy member makes the whole queue greedy
+        put(out, _lifted_share(C, w_q, C, qwsum, qsorted, qi), capped, a, n)
+    if groups:
         # lifting one flow lifts its tenant's demand to the cap
-        td = tdems[qi]
-        tsorted = _by_key([w for _, w, _ in groups], td)
-        shares.append([
-            _lifted_share(
-                _lifted_share(C, w_q, qdems[qi] - d + g, qwsum, qsorted, qi),
-                w, g, twsum, tsorted, ti)
-            for ti, ((g, w, _), d) in enumerate(zip(groups, td))])
-    return shares
+        qi, w_q = len(ded), plan.qweights[-1]
+        tsorted = _by_key(plan.tweights, tds)
+        twsum = plan.twsum
+        for ti, ((g, w, a, n), d) in enumerate(zip(groups, tds)):
+            share = _lifted_share(C, w_q, sdem - d + g, qwsum, qsorted, qi)
+            put(out, _lifted_share(share, w, g, twsum, tsorted, ti),
+                capped, a, n)
+    return tuple(out)
+
+
+class _LinkPlan:
+    """One directed link's flows under the current queue views, as the
+    kernel reads them. `queues` gives (weight, groups) per queue in qid
+    order, a group being (cap, weight, flow count) for one tenant, its flows
+    in fid order: a dedicated queue holds its owner's flows uncapped (cap
+    None), the shared queue one group per tenant in tenant order, capped at
+    the tenant's reservation. Static mode puts every tenant, capped at its
+    reservation, in one queue.
+
+    The kernel reads `ded`, (weight, offset, count) per dedicated queue,
+    `groups`, (cap, weight, offset, count) per shared or static group, with
+    their weights and the weights' math.fsum (`qweights`/`qwsum` over
+    queues, `tweights`/`twsum` over groups), and `K`, the shared queue's
+    weighted share of the capacity when it is the only queue. The signature
+    `sig` is every number the kernel reads, flat: the capacity, the weight
+    sum, then per queue its weight, its tenant weight sum and its group
+    count, each followed by its groups' cap, weight and flow count. `sid`
+    names the signature in the memo; `fids` and `positions` list the flows
+    and their solver slots in plan order."""
+
+    __slots__ = ("C", "static", "qweights", "qwsum", "ded", "groups",
+                 "tweights", "twsum", "K", "sig", "sid", "fids", "positions",
+                 "gather")
+
+    def __init__(self, C: float, static: bool, queues: list):
+        self.C, self.static = C, static
+        self.ded, self.groups, self.tweights = [], [], []
+        self.qweights = [w_q for w_q, _ in queues]
+        self.qwsum = math.fsum(self.qweights)
+        self.twsum = 0.0
+        numbers, at = [], 0
+        for w_q, groups in queues:
+            twsum = math.fsum(w for _, w, _ in groups)
+            numbers += (w_q, twsum, len(groups))
+            for g, w, n in groups:
+                numbers += (g, w, n)
+                if g is None:
+                    self.ded.append((w_q, at, n))
+                else:
+                    self.groups.append((g, w, at, n))
+                    self.tweights.append(w)
+                at += n
+            if groups[0][0] is not None:
+                self.twsum = twsum
+        # what _lifted_share and _weighted_fill give the lone queue: 0.0
+        # on a link without capacity
+        self.K = ((C * self.qweights[0] / self.qwsum if C > 0 else 0.0)
+                  if len(queues) == 1 and not self.ded else None)
+        self.sig = (C, self.qwsum, *numbers)
+        self.sid = 0
+        self.fids = self.positions = ()
+
+    def place(self, positions: list) -> None:
+        """Set the solver slots of the plan's flows, in plan order, and
+        `gather`, which reads their entries of a per-slot list as a tuple."""
+        self.positions = positions
+        self.gather = (operator.itemgetter(*positions) if len(positions) > 1
+                       else lambda rates, at=positions[0]: (rates[at],))
+
+
+def _settled(new: list, old: list) -> bool:
+    """Whether every rate's relative change from `old` to `new`,
+    |new - old| / max(new, 1e-9), is below _TOL (never from an infinite
+    old rate)."""
+    for r, o in zip(new, old):
+        if not abs(r - o) / (1e-9 if r < 1e-9 else r) < _TOL:
+            return False
+    return True
 
 
 class LinkQueueView:
@@ -299,9 +465,6 @@ class LinkQueueView:
         col = 0 if weight_mode == "normalized" else 1
         self.qweights = {qid: w[col] for qid, w in weights.items()}
 
-    def tenant_queue(self, tenant: str):
-        return ("dedicated", tenant) if tenant in self.owners else ("shared",)
-
 
 class RateSolver:
     """Iterative per-link water-filling toward the network-wide fixed point.
@@ -310,20 +473,37 @@ class RateSolver:
     mode "static": every tenant hard-capped at its per-link reservation, no
     redistribution of unused capacity.
 
+    The solver keeps one plan per directed link that some flow crosses (a
+    _LinkPlan: the link's flows grouped by queue and tenant) from one solve
+    to the next. Every routed flow holds a dense slot, the index of its rate
+    in the flat rate list; when a flow leaves, the last slot moves into its
+    place. A solve re-plans only the links on the routes of flows that
+    arrived or left, and a moved flow's links only get their slot list
+    renewed. A flow is carried when its (fid, tenant, route) is unchanged;
+    a reused fid with another tenant or route leaves and arrives.
+    `rebuild` drops every plan, since the plans read the queue views.
+
     One link's work in a sweep (its kernel, _link_levels) is a pure function
     of the sweep kind, the link's plan numbers and its capped demands, and
     between two solves most links see the same inputs again. The solver
     therefore memoises kernel results keyed by (lift, signature id, capped
-    demands), where the signature id names the plan's numbers (see _plan).
-    The memo keeps two generations, this solve's entries and the previous
-    solve's, so it never holds more than two solves' results.
+    demands), where the signature id names the plan's numbers (see
+    _LinkPlan). Every plan registers its signature each solve, so equal
+    signatures get the same id in this solve and the previous one. The memo
+    keeps two generations, this solve's entries and the previous solve's,
+    so it never holds more than two solves' results.
 
     Counters over the solver's life: `solves` (calls to solve), `sweeps`
     (lift sweeps summed over solves), `nonconverged` (solves that stopped
     at the sweep cap with the last relative rate change still >= _TOL),
-    and `kernel_runs` and `kernel_hits` (per-link kernel evaluations and
-    memo hits; together, planned links times lift and projection sweeps).
+    `kernel_runs` and `kernel_hits` (per-link kernel evaluations and memo
+    hits; together, planned links times lift and projection sweeps), and
+    `plans_built` and `plans_kept` (per solve, each planned link is either
+    planned anew or carried from the previous solve).
     """
+
+    COUNTERS = ("solves", "sweeps", "nonconverged", "kernel_runs",
+                "kernel_hits", "plans_built", "plans_kept")
 
     def __init__(self, topo: Topology, mode: str = "wfq",
                  weight_mode: str = "normalized"):
@@ -333,6 +513,7 @@ class RateSolver:
         self.views: dict = {}
         self.solves = self.sweeps = self.nonconverged = 0
         self.kernel_runs = self.kernel_hits = 0
+        self.plans_built = self.plans_kept = 0
         # this solve's and the previous solve's: signature -> id, and
         # (lift, signature id, capped demands) -> levels
         self._sigs: dict = {}
@@ -340,25 +521,34 @@ class RateSolver:
         self._memo: dict = {}
         self._memo_prev: dict = {}
         self._next_sid = itertools.count(1)
+        # routed flows by slot with the (tenant, route) they were planned
+        # under, each one's slot by fid, every crossed link's fids by tenant
+        # in fid order, and the plans of those links in dkey order
+        self._flows: list = []
+        self._idents: list = []
+        self._slot: dict = {}
+        self._members: dict = {}
+        self._plans: dict = {}
 
     def rebuild(self, owners_by_link: dict) -> None:
         self.views = {}
         for ukey, link in self.topo.links.items():
             owners = owners_by_link.get(ukey, set())
             self.views[ukey] = LinkQueueView(ukey, link, owners, self.weight_mode)
+        self._plans = {}
 
     def solve(self, flows: list) -> None:
         """Set flow.rate for every flow in place.
 
-        Iterative water-filling toward the hierarchical max-min fixed point.
-        The flows are grouped once per solve into a plan per directed link
-        (see _plan). Each sweep computes per-link *lifted grants* (the share a
-        flow would receive there if it alone were greedy, everyone else
-        consuming their current rates) and updates every flow's rate to the
-        minimum grant over its path. A lifted share is read off the other
-        queues or tenants presorted by demand/weight (_lifted_share), not from
-        a full weighted fill per entry. Two final capped passes project the
-        result onto link capacities.
+        Iterative water-filling toward the hierarchical max-min fixed point,
+        over the carried link plans (see the class docstring and _update).
+        Each sweep computes per-link *lifted grants* (the share a flow would
+        receive there if it alone were greedy, everyone else consuming their
+        current rates) and updates every flow's rate to the minimum grant
+        over its path. A lifted share is read off the other queues or
+        tenants presorted by demand/weight (_lifted_share), not from a full
+        weighted fill per entry. Two final capped passes project the result
+        onto link capacities.
 
         A link whose kernel input already occurred in this solve or the
         previous one reuses that result (see the class docstring), so the
@@ -368,135 +558,160 @@ class RateSolver:
         self.solves += 1
         self._sigs_prev, self._sigs = self._sigs, {}
         self._memo_prev, self._memo = self._memo, {}
-        routed = [f for f in flows if f.route]
+        routed = []
         for f in flows:
-            if not f.route:
+            if f.route:
+                routed.append(f)
+            else:
                 f.rate = LOOPBACK_MBPS
+        self._update(routed)
         if not routed:
             return
-        plans = self._plan(routed)
         rates = [math.inf] * len(routed)
-        for sweep in range(1, max(10 * len(plans), 8) + 1):
-            new = self._sweep(plans, rates, lift=True)
-            delta = max(abs(r - old) / max(r, 1e-9) if math.isfinite(old)
-                        else math.inf for r, old in zip(new, rates))
+        for sweep in range(1, max(10 * len(self._plans), 8) + 1):
+            new = self._sweep(rates, lift=True)
+            settled = _settled(new, rates)
             rates = new
-            if delta < _TOL:
+            if settled:
                 break
         else:
             self.nonconverged += 1
         self.sweeps += sweep
         for _ in range(2):
-            rates = self._sweep(plans, rates, lift=False)
-        for f, r in zip(routed, rates):
+            rates = self._sweep(rates, lift=False)
+        for f, r in zip(self._flows, rates):
             f.rate = r
 
-    def _plan(self, routed: list) -> list:
-        """Per directed link, in key order: (capacity, fsum of queue weights,
-        queues, positions, signature id). Queues come in qid order as
-        (weight, fsum of tenant weights, groups); a group is (cap, weight,
-        positions in `routed` in fid order) for one tenant. The shared queue
-        holds one group per tenant, in tenant order, capped at the tenant's
-        reservation; a dedicated queue holds its owner's flows uncapped (cap
-        None). Static mode puts every tenant, capped at its reservation, in
-        one queue. `positions` lists every group's positions in plan order.
-
-        The signature is every number of the plan the kernel reads, flat:
-        the capacity, the weight sum, then per queue its weight, its tenant
-        weight sum and its group count, each followed by its groups' cap,
-        weight and flow count. Equal signatures get the same id in this
-        solve and the previous one."""
-        by_link: dict = {}
-        for i in sorted(range(len(routed)), key=lambda i: routed[i].fid):
-            for dkey in routed[i].route:
-                by_link.setdefault(dkey, []).append(i)
-        static = self.mode == "static"
+    def _update(self, routed: list) -> None:
+        """Bring the slots and plans up to `routed`: the flows that left
+        free their slots (the last slot moving into each freed one), those
+        that arrived take new slots, every link on their routes is planned
+        anew, and a link no flow crosses any more is dropped. Then every
+        plan registers its signature id for this solve."""
+        flows, idents, slot = self._flows, self._idents, self._slot
+        members, plans = self._members, self._plans
+        arrived, carried = [], []
+        for f in routed:
+            s = slot.get(f.fid)
+            if s is not None and idents[s] == (f.tenant, f.route):
+                flows[s] = f
+                carried.append(s)
+            else:
+                arrived.append(f)
+        touched, moved = set(), set()
+        if len(carried) < len(flows):
+            # from the last slot down, so that the slot moved into a freed
+            # one never belongs to a flow that left
+            for s in sorted(set(range(len(flows))).difference(carried),
+                            reverse=True):
+                tenant, route = idents[s]
+                fid = flows[s].fid
+                for dkey in route:
+                    by_tenant = members[dkey]
+                    by_tenant[tenant].remove(fid)
+                    if not by_tenant[tenant]:
+                        del by_tenant[tenant]
+                        if not by_tenant:
+                            del members[dkey]
+                touched.update(route)
+                del slot[fid]
+                last = flows.pop()
+                ident = idents.pop()
+                if s < len(flows):
+                    flows[s], idents[s] = last, ident
+                    slot[last.fid] = s
+                    moved.update(ident[1])
+        for f in arrived:
+            slot[f.fid] = len(flows)
+            flows.append(f)
+            idents.append((f.tenant, f.route))
+            for dkey in f.route:
+                fids = members.setdefault(dkey, {}).setdefault(f.tenant, [])
+                if fids and fids[-1] > f.fid:
+                    bisect.insort(fids, f.fid)
+                else:
+                    fids.append(f.fid)
+            touched.update(f.route)
+        for dkey in touched:
+            plans.pop(dkey, None)
+        kept = len(plans)
+        if kept < len(members):
+            plans.update((dkey, self._plan(dkey, by_tenant))
+                         for dkey, by_tenant in members.items()
+                         if dkey not in plans)
+            self._plans = plans = dict(sorted(plans.items()))
+        for dkey in moved.difference(touched):
+            plan = plans.get(dkey)
+            if plan is not None:
+                plan.place([slot[fid] for fid in plan.fids])
+        self.plans_kept += kept
+        self.plans_built += len(plans) - kept
         sigs, sigs_prev = self._sigs, self._sigs_prev
-        plans = []
-        for dkey in sorted(by_link):
-            view = self.views[link_key(*dkey)]
-            by_queue: dict = {}
-            for i in by_link[dkey]:
-                t = routed[i].tenant
-                qid = ("static",) if static else view.tenant_queue(t)
-                by_queue.setdefault(qid, {}).setdefault(t, []).append(i)
-            queues, numbers, positions = [], [], []
-            for qid in sorted(by_queue):
-                groups = []
-                for t, pos in sorted(by_queue[qid].items()):
-                    g = view.reservations.get(t, 0.0)
-                    groups.append((None if qid[0] == "dedicated" else g,
-                                   max(g, 1e-12), pos))
-                    positions += pos
-                w_q = max(view.qweights.get(qid, 0.0), 1e-12)
-                twsum = math.fsum(w for _, w, _ in groups)
-                queues.append((w_q, twsum, groups))
-                numbers += (w_q, twsum, len(groups))
-                for g, w, pos in groups:
-                    numbers += (g, w, len(pos))
-            qwsum = math.fsum(q[0] for q in queues)
-            sig = (view.capacity, qwsum, *numbers)
+        for plan in plans.values():
             # ids start at 1, so a found id is never falsy
-            sid = sigs.get(sig) or sigs_prev.get(sig) or next(self._next_sid)
-            sigs[sig] = sid
-            plans.append((view.capacity, qwsum, queues, positions, sid))
-        return plans
+            sid = (plan.sid or sigs.get(plan.sig) or sigs_prev.get(plan.sig)
+                   or next(self._next_sid))
+            sigs[plan.sig] = plan.sid = sid
 
-    def _sweep(self, plans: list, rates: list, lift: bool) -> list:
-        """New per-flow rates: the minimum over each flow's links of its
+    def _plan(self, dkey: tuple, by_tenant: dict) -> _LinkPlan:
+        """A new plan of link `dkey` for its fids by tenant (see _LinkPlan)."""
+        view = self.views[link_key(*dkey)]
+        res, qweights = view.reservations, view.qweights
+        static = self.mode == "static"
+        queues, shared, fids = [], [], []
+        for t in sorted(by_tenant):
+            if static or t not in view.owners:
+                shared.append(t)
+                continue
+            queues.append((max(qweights.get(("dedicated", t), 0.0), 1e-12),
+                           [(None, max(res.get(t, 0.0), 1e-12),
+                             len(by_tenant[t]))]))
+            fids += by_tenant[t]
+        if shared:
+            groups = []
+            for t in shared:
+                g = res.get(t, 0.0)
+                groups.append((g, max(g, 1e-12), len(by_tenant[t])))
+                fids += by_tenant[t]
+            qid = ("static",) if static else ("shared",)
+            queues.append((max(qweights.get(qid, 0.0), 1e-12), groups))
+        plan = _LinkPlan(view.capacity, static, queues)
+        plan.fids = fids
+        plan.place([self._slot[fid] for fid in fids])
+        return plan
+
+    def _sweep(self, rates: list, lift: bool) -> list:
+        """New per-slot rates: the minimum over each flow's links of its
         lifted grant (`lift`) or of its capped projection, every flow
         demanding its current rate (see _link_levels), each link's levels
         taken from the memo when its input repeats."""
         out = [math.inf] * len(rates)
         memo, memo_prev = self._memo, self._memo_prev
-        for C, qwsum, queues, positions, sid in plans:
-            # `C if C < r else r` is min(r, C), without the call. No capped
-            # demand is -0.0, which would share a key with 0.0: rates start
-            # at inf, _lift_levels clamps negative levels to 0.0, and the
-            # fills give min(cap, positive share) or 0.0.
-            capped = tuple([C if C < r else r
-                            for r in map(rates.__getitem__, positions)])
-            key = (lift, sid, capped)
-            levels = memo.get(key) or memo_prev.get(key)
+        runs = 0
+        for plan in self._plans.values():
+            C = plan.C
+            capped = plan.gather(rates)
+            # `C if C < r else r` is min(r, C), without the call; after the
+            # first sweep a demand rarely exceeds C. No capped demand is
+            # -0.0, which would share a key with 0.0: rates start at inf,
+            # _lift_levels clamps negative levels to 0.0, and the fills give
+            # min(cap, positive share) or 0.0.
+            if max(capped) > C:
+                capped = tuple([C if C < r else r for r in capped])
+            key = (lift, plan.sid, capped)
+            levels = memo.get(key)
             if levels is None:
-                levels = self._link_levels(C, qwsum, queues, capped, lift)
-                self.kernel_runs += 1
-            else:
-                self.kernel_hits += 1
-            memo[key] = levels
-            for i, r in zip(positions, levels):
+                levels = memo_prev.get(key)
+                if levels is None:
+                    levels = _link_levels(plan, capped, lift)
+                    runs += 1
+                memo[key] = levels
+            for i, r in zip(plan.positions, levels):
                 if r < out[i]:
                     out[i] = r
+        self.kernel_runs += runs
+        self.kernel_hits += len(self._plans) - runs
         return out
-
-    def _link_levels(self, C: float, qwsum: float, queues: list,
-                     capped: tuple, lift: bool) -> tuple:
-        """One link's kernel: the level of every position of its plan, in
-        plan order, its flows demanding `capped`. Shared and static tenants
-        stay capped at their per-link reservation (a policy cap, never
-        lifted). The result is shared between memo hits and never mutated."""
-        caps, at = [], 0
-        for _, _, groups in queues:
-            gcaps = []
-            for _, _, pos in groups:
-                gcaps.append(capped[at:at + len(pos)])
-                at += len(pos)
-            caps.append(gcaps)
-        if self.mode == "static":
-            shares = [[g for g, _, _ in groups] for _, _, groups in queues]
-        else:
-            shares = _wfq_shares(C, qwsum, queues, caps, lift)
-        out = []
-        for (_, _, groups), gcaps, gshares in zip(queues, caps, shares):
-            for (g, _, _), c, share in zip(groups, gcaps, gshares):
-                if not lift:
-                    out += _water_fill(share, c)
-                elif g is None:
-                    out += _lift_levels(share, c)
-                else:
-                    out += [g if g < lvl else lvl
-                            for lvl in _lift_levels(share, c)]
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +913,16 @@ class FluidSimulation:
     `monitor` is the one directed link the run measures: `stats` checks it
     per segment, and the reports' `link_util` and `tenant_throughput_mbps`
     series cover it alone. Binding reads per-hypervisor usage, which every
-    flow feeds."""
+    flow feeds. When `run` returns, it adds the rate solver's counters (see
+    RateSolver.COUNTERS) to `counters`, when given."""
 
     def __init__(self, topo: Topology, tenants: dict, generator: DemandGenerator,
                  *, interval: float = 4.0, policy: str = "qshare",
                  weight_mode: str = "normalized", seed: int = 0,
                  monitor: tuple, sample: float = 0.1,
                  initial_dedicated: list | None = None,
-                 rate_hook=None, quantum: float | None = None):
+                 rate_hook=None, quantum: float | None = None,
+                 counters: dict | None = None):
         self.topo = topo
         self.tenants = tenants
         self.generator = generator
@@ -715,6 +932,7 @@ class FluidSimulation:
         self.sample = sample
         self.rate_hook = rate_hook
         self.quantum = quantum
+        self.counters = counters
         self.rng = np.random.default_rng([seed, 0xB1ED])
         self.vm_map = {tid: _expand_vms(t) for tid, t in tenants.items()}
         self.controller = BindingController(queue_count=topo.max_queue_count)
@@ -813,6 +1031,10 @@ class FluidSimulation:
             interval_idx += 1
             self._interval_boundary(interval_idx, int_start, t, usage, buckets,
                                     ten_bytes, fcts, rebind=False)
+        if self.counters is not None:
+            for name in RateSolver.COUNTERS:
+                self.counters[name] = (self.counters.get(name, 0)
+                                       + getattr(self.solver, name))
         return self.reports
 
     def _handle_event(self, ev, t: float) -> bool:

@@ -206,7 +206,7 @@ class WcbgRun:
         return float(np.mean(series)) if series else 0.0
 
 
-def build_wcbg(doc: dict) -> WcbgRun:
+def build_wcbg(doc: dict, counters: dict | None = None) -> WcbgRun:
     cfg = resolve(doc)
     ten = cfg["tenants"]
     vms = ten["vms_per_tenant"]
@@ -214,7 +214,7 @@ def build_wcbg(doc: dict) -> WcbgRun:
     half = vms // 2
     b = ten["core_guarantee_mbps"] / max(min(half, vms - half), 1)
     sim = _simulation(cfg, {f"t{i + 1:02d}": TenantRequest(vms, b)
-                            for i in range(ten["count"])})
+                            for i in range(ten["count"])}, counters=counters)
     warmup = cfg["warmup_intervals"]
     reports = sim.run(cfg["duration_s"], warmup_intervals=warmup)
     return WcbgRun(sim, reports, warmup)
@@ -227,12 +227,14 @@ def _wcbg(cfg: dict, **keys) -> dict:
                     "kind": "wcbg", **keys})
 
 
-def _simulation(cfg: dict, requests: dict,
-                shape: dict | None = None) -> fluid.FluidSimulation:
+def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
+                counters: dict | None = None) -> fluid.FluidSimulation:
     """The fluid simulation that the resolved wcbg document `cfg` describes
     for `requests` (id -> TenantRequest), each striped round-robin over all
     servers under the top switch, monitoring the core link toward rack 0.
-    `shape` overrides the `demand` block per tenant (id -> field -> value)."""
+    `shape` overrides the `demand` block per tenant (id -> field -> value).
+    The simulation adds its solver counters to `counters` when given (see
+    FluidSimulation)."""
     top = cfg["topology"]
     topo = build_testbed(**{"queue_count" if k == "queues_per_link" else k: v
                             for k, v in top.items()})
@@ -313,11 +315,11 @@ def _simulation(cfg: dict, requests: dict,
         seed=cfg["seed"], monitor=monitor,
         sample=cfg["sample_s"],
         initial_dedicated=dem["initial_dedicated"],
-        rate_hook=hook, quantum=quantum)
+        rate_hook=hook, quantum=quantum, counters=counters)
 
 
-def run_wcbg(doc: dict) -> tuple[dict, dict]:
-    run = build_wcbg(doc)
+def run_wcbg(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
+    run = build_wcbg(doc, counters)
     stats = run.sim.stats
     summary = {
         "mean_core_utilization": run.mean_core_utilization(),
@@ -365,11 +367,12 @@ def run_wcbg(doc: dict) -> tuple[dict, dict]:
     return summary, artifacts
 
 
-def run_interval_sweep(doc: dict) -> tuple[dict, dict]:
+def run_interval_sweep(doc: dict,
+                       counters: dict | None = None) -> tuple[dict, dict]:
     cfg = resolve(doc)
     rows = []
     for iv in cfg["intervals"]:
-        run = build_wcbg(dict(cfg, control_interval_s=float(iv)))
+        run = build_wcbg(dict(cfg, control_interval_s=float(iv)), counters)
         rows.append({"interval_s": iv,
                      "mean_core_utilization": repr(run.mean_core_utilization())})
     summary = {f"util_at_{r['interval_s']}s": float(r["mean_core_utilization"])
@@ -391,7 +394,7 @@ def build_fill(doc: dict) -> largescale.FillResult:
                                        seed=cfg["seed"], **cfg["fill"])
 
 
-def run_scarcity(doc: dict) -> tuple[dict, dict]:
+def run_scarcity(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     cfg = resolve(doc)
     result = build_fill(cfg)
     row = {"oversub": cfg["oversub"], **result.report.as_row(),
@@ -406,7 +409,7 @@ def run_scarcity(doc: dict) -> tuple[dict, dict]:
                      "embedding.jsonl": (None, embed_rows)}
 
 
-def run_gain(doc: dict) -> tuple[dict, dict]:
+def run_gain(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     cfg = resolve(doc)
     fill = build_fill(cfg)
     r_values = cfg["r_in_values"]
@@ -450,7 +453,7 @@ def run_gain(doc: dict) -> tuple[dict, dict]:
 # baseline tradeoff and FCT studies
 # ---------------------------------------------------------------------------
 
-def run_tradeoff(doc: dict) -> tuple[dict, dict]:
+def run_tradeoff(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     """Half-reserved bursty scenario (conservative waste vs work conservation)
     and the asymmetric-guarantee scenario (aggressive probing vs guarantees)."""
     cfg = resolve(doc)
@@ -460,8 +463,8 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
     half = _wcbg(cfg, policy="es_conservative",
                  tenants={"count": 2, "core_guarantee_mbps": 250.0},
                  demand={"size_scale": cfg["size_scale"]})
-    cons = build_wcbg(half)
-    qsh = build_wcbg(dict(half, policy="qshare", warmup_intervals=1))
+    cons = build_wcbg(half, counters)
+    qsh = build_wcbg(dict(half, policy="qshare", warmup_intervals=1), counters)
     cap = cons.sim.stats.capacity
     reserved = 500.0
     cons_util = cons.mean_core_utilization() * cap
@@ -479,7 +482,7 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
         sim = _simulation(dict(half, policy=policy),
                           {"tA": TenantRequest(10, 140.0),
                            "tB": TenantRequest(10, 40.0)},
-                          {"tA": {"mode": "predictable"}})
+                          {"tA": {"mode": "predictable"}}, counters)
         skip = 1 if policy == "qshare" else 0
         reports = sim.run(cfg["duration_s"], warmup_intervals=skip)
         violations = 0
@@ -504,7 +507,7 @@ def run_tradeoff(doc: dict) -> tuple[dict, dict]:
     return summary, {"tradeoff": (["case", "policy", "mean_mbps"], rows)}
 
 
-def run_fct(doc: dict) -> tuple[dict, dict]:
+def run_fct(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     """Shuffle-phase FCTs for one foreground tenant against background load,
     compared across policies at several fabric loads."""
     cfg = resolve(doc)
@@ -533,7 +536,7 @@ def run_fct(doc: dict) -> tuple[dict, dict]:
             sim = _simulation(
                 _wcbg(cfg, policy=policy, demand={
                     "peers": "remote", "initial_dedicated": dedicated}),
-                requests, shape)
+                requests, shape, counters)
             reports = sim.run(cfg["duration_s"])
             per_client: dict = {}
             for rep in reports:
@@ -574,6 +577,9 @@ RUNNERS = {
 }
 
 
-def run_scenario(doc: dict) -> tuple[dict, dict]:
+def run_scenario(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
+    """(summary, artifacts) of the scenario `doc`. When `counters` is
+    given, every fluid simulation of the run adds its rate solver's counters
+    to it; the scarcity and gain studies simulate no flow and add none."""
     cfg = resolve(doc)
-    return RUNNERS[cfg["kind"]](cfg)
+    return RUNNERS[cfg["kind"]](cfg, counters)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -325,6 +326,183 @@ class WfqOracle:
 #
 # The same float operations as the production code, in the same order, but
 # found by scanning all flows per link and integrating each flow per hop.
+
+# -- per-link WFQ kernel, as first written ------------------------------------
+#
+# The rate solver's per-link kernel before it read precomputed plan lists,
+# kept unchanged as the referee of fluid._link_levels: the two must agree
+# bit for bit. A plan here is (capacity, fsum of queue weights, queues),
+# queues in qid order as (weight, fsum of tenant weights, groups) and a
+# group as (cap, weight, flows) with cap None in a dedicated queue; only
+# len(flows) is read.
+
+def _water_fill(total: float, caps: list) -> list:
+    """Equal-share max-min of `total` among entries capped at caps[i]."""
+    n = len(caps)
+    out = [0.0] * n
+    remaining = total
+    order = sorted(range(n), key=lambda i: caps[i])
+    active = n
+    for idx, i in enumerate(order):
+        if remaining <= 0:
+            break
+        share = remaining / active
+        give = min(caps[i], share)
+        out[i] = give
+        remaining -= give
+        active -= 1
+    return out
+
+
+def _weighted_fill(total: float, weights: list, caps: list) -> list:
+    """Weighted max-min of `total` with per-entry caps; surplus from capped
+    entries is redistributed in proportion to the remaining weights."""
+    n = len(weights)
+    out = [0.0] * n
+    remaining = total
+    wsum = math.fsum(weights)
+    order = sorted(range(n), key=lambda i: (caps[i] / weights[i]) if weights[i] > 0 else 0.0)
+    for i in order:
+        if wsum <= 0 or remaining <= 0:
+            break
+        give = min(caps[i], remaining * weights[i] / wsum)
+        out[i] = give
+        remaining -= give
+        wsum -= weights[i]
+    return out
+
+
+def _lift_levels(total: float, caps: list) -> list:
+    """Equal-weight water level of every entry when it alone is greedy:
+    out[i] is the max-min share of `total` for entry i while every other
+    entry keeps its cap. A binary search over the other caps, sorted, finds
+    how many of them saturate below the level."""
+    n = len(caps)
+    if n == 1:
+        return [max(total, 0.0)]
+    order = sorted(range(n), key=caps.__getitem__)
+    S = [caps[i] for i in order]
+    P = list(itertools.accumulate(S, initial=0.0))
+    out = [0.0] * n
+    for rank, idx in enumerate(order):
+        # with entry `rank` left out, the k smallest others sum to P[k] for
+        # k <= rank and to P[k + 1] - S[rank] above; the k-th is S[k] or S[k + 1]
+        s_r = S[rank]
+        lo, hi = 0, n - 1  # number of saturated others
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid < rank:
+                sat, nxt = P[mid], S[mid]
+            else:
+                sat = P[mid] if mid == rank else P[mid + 1] - s_r
+                nxt = S[mid + 1]
+            if nxt < (total - sat) / (n - mid) - 1e-15:
+                lo = mid + 1
+            else:
+                hi = mid
+        sat = P[lo] if lo <= rank else P[lo + 1] - s_r
+        level = (total - sat) / (n - lo)
+        out[idx] = 0.0 if level < 0.0 else level  # max(level, 0.0)
+    return out
+
+
+def _by_key(weights: list, caps: list) -> list:
+    """(cap/weight, weight, cap, index) per entry, stably sorted by cap/weight:
+    the order _weighted_fill visits them in."""
+    return sorted(((c / w, w, c, j) for j, (w, c) in enumerate(zip(weights, caps))),
+                  key=operator.itemgetter(0))
+
+
+def _lifted_share(total: float, w0: float, c0: float, wsum: float,
+                  others: list, skip: int) -> float:
+    """out[0] of _weighted_fill(total, [w0] + ws, [c0] + cs), the others being
+    the entries of `others` (from _by_key) except index `skip`; `wsum` is the
+    math.fsum of every weight, w0's included, and all weights are positive.
+
+    The stable sort puts entry 0 before every other of equal key, so the fill
+    reaches it at the first other whose key is not below c0 / w0 and stops."""
+    k0 = c0 / w0
+    rem = total
+    for key, w, c, j in others:
+        if j == skip:
+            continue
+        if key >= k0:
+            break
+        if wsum <= 0 or rem <= 0:
+            return 0.0
+        give = rem * w / wsum
+        rem -= give if give < c else c
+        wsum -= w
+    if wsum <= 0 or rem <= 0:
+        return 0.0
+    give = rem * w0 / wsum
+    return give if give < c0 else c0
+
+
+def _wfq_shares(C: float, qwsum: float, queues: list, caps: list,
+                lift: bool) -> list:
+    """Share of every flow group of one link's plan (see above) under WFQ,
+    the groups demanding `caps`. With `lift`, a group's share is its lifted
+    share: the dedicated queue's when the queue alone is greedy,
+    a shared tenant's when its demand alone is lifted to its reservation.
+    Otherwise it is the weighted max-min split of C over the queues and of
+    the shared queue's share over its tenants."""
+    tdems = [[math.fsum(c) if g is None else min(math.fsum(c), g)
+              for (g, _, _), c in zip(groups, gcaps)]
+             for (_, _, groups), gcaps in zip(queues, caps)]
+    qdems = [math.fsum(td) for td in tdems]
+    if not lift:
+        qshares = _weighted_fill(C, [q[0] for q in queues], qdems)
+        return [[qs] if groups[0][0] is None
+                else _weighted_fill(qs, [w for _, w, _ in groups], td)
+                for (_, _, groups), qs, td in zip(queues, qshares, tdems)]
+    qsorted = _by_key([q[0] for q in queues], qdems)
+    shares = []
+    for qi, (w_q, twsum, groups) in enumerate(queues):
+        if groups[0][0] is None:
+            # a greedy member makes the whole queue greedy
+            shares.append([_lifted_share(C, w_q, C, qwsum, qsorted, qi)])
+            continue
+        # lifting one flow lifts its tenant's demand to the cap
+        td = tdems[qi]
+        tsorted = _by_key([w for _, w, _ in groups], td)
+        shares.append([
+            _lifted_share(
+                _lifted_share(C, w_q, qdems[qi] - d + g, qwsum, qsorted, qi),
+                w, g, twsum, tsorted, ti)
+            for ti, ((g, w, _), d) in enumerate(zip(groups, td))])
+    return shares
+
+
+def link_levels_reference(mode: str, C: float, qwsum: float, queues: list,
+                          capped: tuple, lift: bool) -> tuple:
+    """One link's kernel: the level of every position of its plan, in
+    plan order, its flows demanding `capped`. Shared and static tenants
+    stay capped at their per-link reservation (a policy cap, never
+    lifted)."""
+    caps, at = [], 0
+    for _, _, groups in queues:
+        gcaps = []
+        for _, _, pos in groups:
+            gcaps.append(capped[at:at + len(pos)])
+            at += len(pos)
+        caps.append(gcaps)
+    if mode == "static":
+        shares = [[g for g, _, _ in groups] for _, _, groups in queues]
+    else:
+        shares = _wfq_shares(C, qwsum, queues, caps, lift)
+    out = []
+    for (_, _, groups), gcaps, gshares in zip(queues, caps, shares):
+        for (g, _, _), c, share in zip(groups, gcaps, gshares):
+            if not lift:
+                out += _water_fill(share, c)
+            elif g is None:
+                out += _lift_levels(share, c)
+            else:
+                out += [g if g < lvl else lvl
+                        for lvl in _lift_levels(share, c)]
+    return tuple(out)
+
 
 def fifo_scale_reference(flows, capacities, max_rounds=50,
                          goodput_exponent=1.0):

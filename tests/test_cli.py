@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from qshare import cli
-from qshare.scenarios import KINDS, ScenarioError, resolve, validate
+from qshare.fluid import RateSolver
+from qshare.scenarios import (KINDS, ScenarioError, build_wcbg, resolve,
+                              validate)
 
 
 def tiny_scenario(**overrides):
@@ -256,6 +258,34 @@ def test_artifact_bodies_match_pinned_digests(tmp_path, argv):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in PINNED_BODIES[argv]}
     assert digests == PINNED_BODIES[argv]
+
+
+def test_manifest_holds_the_solver_counters_summed_over_simulations(tmp_path):
+    assert cli.main(["run", "unpredictable", "--set", "duration_s=2",
+                     "--out", str(tmp_path / "u")]) == 0
+    manifest = json.loads((tmp_path / "u" / "manifest.json").read_text())
+    counters = manifest["solver"]
+    assert set(counters) == set(RateSolver.COUNTERS)
+    assert counters["nonconverged"] == 0
+    assert 0 < counters["solves"] <= counters["sweeps"]
+    assert counters["kernel_runs"] > 0 and counters["kernel_hits"] > 0
+    assert counters["plans_built"] > 0 and counters["plans_kept"] > 0
+    for name in ("summary.json", "utilization.csv", "tenant_throughput.csv",
+                 "binding.jsonl", "flows.jsonl"):
+        body = (tmp_path / "u" / name).read_text()
+        assert not any(key in body for key in RateSolver.COUNTERS), name
+    # a sweep over two control intervals runs two simulations
+    doc = tiny_scenario(kind="sweep", intervals=[0.5, 1.0])
+    del doc["control_interval_s"]
+    scn = tmp_path / "sweep.json"
+    scn.write_text(json.dumps(doc))
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "s")]) == 0
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    counters = manifest["solver"]
+    solvers = [build_wcbg(dict(resolve(doc), control_interval_s=iv)).sim.solver
+               for iv in (0.5, 1.0)]
+    assert counters == {name: sum(getattr(s, name) for s in solvers)
+                        for name in RateSolver.COUNTERS}
 
 
 def test_cli_overrides_apply(tmp_path):

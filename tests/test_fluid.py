@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -307,13 +308,21 @@ def test_solver_counts_sweeps_and_nonconverged_solves(monkeypatch):
     assert solver.sweeps == first + 20
 
 
+def sweep_by_fid(solver, demands: dict, lift: bool) -> dict:
+    """fid -> float.hex of one sweep of `solver`'s current plans, every
+    routed flow demanding demands[fid]."""
+    rates = solver._sweep([demands[f.fid] for f in solver._flows], lift)
+    return {f.fid: r.hex() for f, r in zip(solver._flows, rates)}
+
+
 @pytest.mark.parametrize("mode", ["wfq", "static"])
 def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
     """One solver takes a sequence of solves: flows arrive one at a time and
-    then leave one at a time, with a rebuild to other owners halfway. Every
-    solve's rates, and one lift and one projection sweep from arbitrary
-    demands, equal bit for bit those of a fresh solver (empty memo) with the
-    same views. Re-solving an unchanged flow set is all memo hits, the memo
+    then leave one at a time, with a rebuild to other owners halfway, so
+    its plans are carried across solves. Every solve's rates, and one lift
+    and one projection sweep from arbitrary demands, equal bit for bit those
+    of a fresh solver (empty memo, every link planned anew) with the same
+    views. Re-solving an unchanged flow set is all memo hits, the memo
     holds at most the kernel inputs of the last two solves, and every
     planned link's lift and projection sweeps count once as a run or a hit."""
     def fresh_solver():
@@ -364,14 +373,13 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
             routed = [f for f in active if f.route]
             # few distinct values, so that links of equal structure often
             # see equal demands, some above capacity
-            demands = rng.choice([50.0, 200.0, 1500.0, 5000.0],
-                                 len(routed)).tolist()
-            plans = solver._plan(routed)
+            demands = dict(zip((f.fid for f in routed), rng.choice(
+                [50.0, 200.0, 1500.0, 5000.0], len(routed)).tolist()))
             for lift in (True, False, True):
                 fresh = fresh_solver()
-                want = fresh._sweep(fresh._plan(routed), demands, lift)
-                assert hexes(solver._sweep(plans, demands, lift)) == \
-                    hexes(want), f"{where} lift {lift}"
+                fresh._update(routed)
+                assert sweep_by_fid(solver, demands, lift) == \
+                    sweep_by_fid(fresh, demands, lift), f"{where} lift {lift}"
 
 
 def test_memo_keeps_links_apart_that_differ_only_in_capacity():
@@ -389,7 +397,149 @@ def test_memo_keeps_links_apart_that_differ_only_in_capacity():
                route=F.tenant_route(t, "h1", "h2"))
     solver.solve([f])
     assert f.rate == 1000.0
-    assert solver._sweep(solver._plan([f]), [300.0], lift=True) == [1000.0]
+    assert solver._sweep([300.0], lift=True) == [1000.0]
+
+
+def random_kernel_plan(rng):
+    """(mode, capacity, queues) of one random link plan, queues as
+    _LinkPlan takes them; the capacity may be 0. Reservations come from a
+    small set, with two below the 1e-12 weight floor (a tenant's cap/weight
+    key is then not 1), and so do queue weights and group sizes (1, 2 and
+    3-8 flows)."""
+    static = rng.random() < 0.25
+    C = float(rng.choice([0.0, 1000.0, 2500.0, rng.uniform(100.0, 5000.0)]))
+    reservations = [0.0, 5e-13, 50.0, 100.0, 100.0,
+                    float(rng.uniform(1.0, 400.0))]
+
+    def group(dedicated):
+        g = float(rng.choice(reservations))
+        n = int(rng.choice([1, 1, 2, 2, 3, int(rng.integers(4, 9))]))
+        return (None if dedicated else g, max(g, 1e-12), n)
+
+    def weight():
+        return max(float(rng.choice([0.0, 0.25, 0.5, 0.5, 1.0])), 1e-12)
+
+    if static:
+        groups = [group(False) for _ in range(int(rng.integers(1, 7)))]
+        return "static", C, [(1e-12, groups)]
+    n_ded = int(rng.integers(0, 4))
+    queues = [(weight(), [group(True)]) for _ in range(n_ded)]
+    if n_ded == 0 or rng.random() < 0.7:
+        queues.append((weight(), [group(False)
+                                  for _ in range(int(rng.integers(1, 7)))]))
+    return "wfq", C, queues
+
+
+def test_kernel_matches_reference_bit_for_bit(rng):
+    """fluid._link_levels on a _LinkPlan equals oracles.link_levels_reference
+    (the kernel as first written) bit for bit, in lift and projection
+    sweeps, on dedicated-only, shared-only, mixed and static plans whose
+    demands often tie, are zero or reach the capacity."""
+    kinds = collections.Counter()
+    for case in range(1500):
+        mode, C, queues = random_kernel_plan(rng)
+        plan = F._LinkPlan(C, mode == "static", queues)
+        ref_queues = [(w_q, math.fsum(w for _, w, _ in groups),
+                       [(g, w, range(n)) for g, w, n in groups])
+                      for w_q, groups in queues]
+        qwsum = math.fsum(w_q for w_q, _ in queues)
+        n = sum(n for _, groups in queues for _, _, n in groups)
+        pool = [0.0, 50.0, 100.0, C / 3, C, float(rng.uniform(0.0, C))]
+        capped = tuple(float(x) for x in rng.choice(pool, n))
+        for lift in (True, False):
+            got = F._link_levels(plan, capped, lift)
+            want = oracles.link_levels_reference(mode, C, qwsum, ref_queues,
+                                                 capped, lift)
+            assert [x.hex() for x in got] == [x.hex() for x in want], \
+                f"case {case} lift {lift}: {mode} {C} {queues} {capped}"
+        kinds[mode, bool(plan.ded), bool(plan.groups)] += 1
+        kinds.update(min(n, 3) for _, groups in queues for _, _, n in groups)
+    assert min(kinds[k] for k in (1, 2, 3, ("static", False, True),
+                                  ("wfq", True, False), ("wfq", False, True),
+                                  ("wfq", True, True))) >= 50, kinds
+
+
+def solved_elsewhere(topo, owners, flows, mode="wfq") -> list:
+    """float.hex of every flow's rate from a fresh solver, in flow order."""
+    copies = [dataclasses.replace(f) for f in flows]
+    fresh = F.RateSolver(topo, mode=mode)
+    fresh.rebuild(owners)
+    fresh.solve(copies)
+    return [f.rate.hex() for f in copies]
+
+
+def test_departure_replans_only_the_links_on_its_route(rng):
+    for case in range(30):
+        topo, tenants, owners, flows = large_shared_case(rng)
+        if len(flows) < 2:
+            continue
+        solver = F.RateSolver(topo)
+        solver.rebuild(owners)
+        solver.solve(flows)
+        before = dict(solver._plans)
+        gone = flows[int(rng.integers(0, len(flows)))]
+        rest = [f for f in flows if f is not gone]
+        built, kept = solver.plans_built, solver.plans_kept
+        solver.solve(rest)
+        crossed = {dk for f in rest for dk in f.route}
+        assert list(solver._plans) == sorted(crossed), f"case {case}"
+        for dk, plan in solver._plans.items():
+            assert (plan is before[dk]) == (dk not in gone.route), \
+                f"case {case}"
+        replanned = len(crossed.intersection(gone.route))
+        assert solver.plans_built - built == replanned
+        assert solver.plans_kept - kept == len(crossed) - replanned
+        # the flow that took the freed slot reads its rate from there
+        assert [f.rate.hex() for f in rest] == \
+            solved_elsewhere(topo, owners, rest), f"case {case}"
+
+
+def test_rebuild_replans_every_link():
+    topo, tenants, owners, flows = large_shared_case(np.random.default_rng(7))
+    solver = F.RateSolver(topo)
+    solver.rebuild(owners)
+    solver.solve(flows)
+    rates = [f.rate.hex() for f in flows]
+    before = dict(solver._plans)
+    built, kept = solver.plans_built, solver.plans_kept
+    solver.rebuild(owners)
+    solver.solve(flows)
+    assert solver.plans_built - built == len(before)
+    assert solver.plans_kept == kept
+    assert not any(solver._plans[dk] is plan for dk, plan in before.items())
+    assert [f.rate.hex() for f in flows] == rates
+
+
+def test_empty_solve_then_flows_again(rng):
+    topo, tenants, owners, flows = large_shared_case(rng)
+    solver = F.RateSolver(topo)
+    solver.rebuild(owners)
+    want = solved_elsewhere(topo, owners, flows)
+    for _ in range(2):
+        solver.solve([])
+        assert (solver._plans, solver._flows, solver._slot) == ({}, [], {})
+        solver.solve(flows)
+        assert [f.rate.hex() for f in flows] == want
+    links = len({dk for f in flows for dk in f.route})
+    assert (solver.plans_built, solver.plans_kept) == (2 * links, 0)
+
+
+def test_reused_fid_with_another_tenant_or_route_is_planned_anew():
+    topo, tenants, solver = contended_link()
+    owners = {("h1", "s1"): {"A"}, ("h2", "s1"): {"A"}}
+    first = flow(1, tenants, "A")
+    back = F.Flow(1, "A", 5, 0, "h2", "h1", 1e9, 0.0,
+                  route=F.tenant_route(tenants["A"], "h2", "h1"))
+    other = F.Flow(1, "B", 0, 5, "h1", "h2", 1e9, 0.0, route=first.route)
+    solver.solve([first, flow(2, tenants, "B")])
+    for f in (back, other):
+        peer = flow(2, tenants, "B")
+        built = solver.plans_built
+        solver.solve([f, peer])
+        assert list(solver._plans) == sorted({*f.route, *peer.route})
+        assert solver.plans_built - built == len(solver._plans)
+        assert [f.rate.hex(), peer.rate.hex()] == \
+            solved_elsewhere(topo, owners, [f, peer])
 
 
 def test_bundled_unpredictable_solves_converge():
