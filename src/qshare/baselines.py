@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fluid import LOOPBACK_MBPS, _rate, _same_objects
+
 _TOL = 1e-9
 
 
@@ -73,24 +75,40 @@ def _overloads(on_link: dict, capacities: dict) -> dict:
 
 
 def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
-               goodput_exponent: float = 1.0) -> bool:
+               goodput_exponent: float = 1.0, on_link: dict | None = None,
+               offered: dict | None = None) -> bool:
     """Scale flow rates down per overloaded link until no link exceeds
     capacity. With goodput_exponent 1 this is proportional FIFO sharing of
     the offered load; above 1 the delivered goodput additionally collapses
     with overload (drop-tail losses feeding retransmissions). Each round
     scales the most overloaded link, the first in `capacities` order on a
-    tie. Returns False when `max_rounds` rounds left some link over."""
-    on_link: dict = {}  # the flows crossing each link, in flow order
-    for f in flows:
-        for dkey in f.route:
-            on_link.setdefault(dkey, []).append(f)
+    tie. Returns False when `max_rounds` rounds left some link over.
+
+    `on_link` maps each link to the flows crossing it in flow order and
+    `offered` each link of `capacities` to its offered load, summed in that
+    order; both are derived from `flows` when not given. When no link is
+    offered above capacity, nothing is scaled."""
+    if on_link is None:
+        on_link = {}
+        for f in flows:
+            for dkey in f.route:
+                on_link.setdefault(dkey, []).append(f)
+    if offered is None:
+        offered = {dkey: sum(f.rate for f in on_link.get(dkey, ()))
+                   for dkey in capacities}
+    if not any(offered[dkey] > cap * (1 + 1e-9)
+               for dkey, cap in capacities.items()):
+        return True
     if goodput_exponent > 1.0:
+        shrunk = False  # offered loads hold until some link is scaled
         for dkey, cap in capacities.items():
-            offered = sum(f.rate for f in on_link.get(dkey, ()))
-            if offered > cap * (1 + 1e-9):
-                shrink = (cap / offered) ** goodput_exponent
+            load = (sum(f.rate for f in on_link.get(dkey, ())) if shrunk
+                    else offered[dkey])
+            if load > cap * (1 + 1e-9):
+                shrink = (cap / load) ** goodput_exponent
                 for f in on_link[dkey]:
                     f.rate *= shrink
+                shrunk = True
     for _ in range(max_rounds):
         over = _overloads(on_link, capacities)
         if not over:
@@ -104,6 +122,16 @@ def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
 class EndhostRatePolicy:
     """Rate hook for the fluid engine: per-pair limiters driven by probe-
     quantum congestion feedback, enforced on FIFO links.
+
+    Everything that depends only on the flow set is carried between calls
+    and rebuilt when a flow starts or ends (the flows passed differ by
+    identity from the last call's). `compute` carries the routed flows,
+    their pair keys, each link's flows in flow order and the links'
+    capacities in first-touch order, so a call reads the limiters, sums
+    each link's offered load once and scales. `on_quantum` carries the
+    beliefs, the sorted active pairs with each one's route and guarantee,
+    and prunes idle limiters only when the limiters hold some other pair,
+    so a quantum runs only `ra_update` per pair.
 
     `fifo_stops` counts the compute calls whose FIFO scaling stopped at its
     round cap with some link still over capacity."""
@@ -120,9 +148,19 @@ class EndhostRatePolicy:
         self.holds: dict = {}
         self.beliefs: dict = {tid: {} for tid in tenants}
         self.congested_links: set = set()
-
-    def _pair_key(self, f):
-        return (f.tenant, f.src_vm, f.dst_vm)
+        # compute's flow set and what it derives from it
+        self._flows: list | None = None
+        self._loopback: list = []
+        self._routed: list = []
+        self._keys: list = []
+        self._on_link: dict = {}
+        self._caps: dict = {}
+        # on_quantum's flow set, its active pair keys, and each active
+        # pair's (key, route, guarantee) in key order; the flow set's
+        # beliefs are `beliefs`
+        self._quantum_flows: list | None = None
+        self._active: set = set()
+        self._pairs: list = []
 
     def _pair_guarantee(self, f) -> float:
         """Believed pairs split each endpoint's hose guarantee; a pair the
@@ -139,48 +177,67 @@ class EndhostRatePolicy:
         g_dst = b / len(gd) if gd and f.src_vm in gd else seed
         return min(g_src, g_dst)
 
-    def compute(self, sim, flows: list, t: float) -> None:
-        routed = []
-        offered: dict = {}  # per directed link, summed in flow order
-        for f in flows:
-            if not f.route:
-                f.rate = 100_000.0
-                continue
-            key = self._pair_key(f)
-            if key not in self.limiters:
-                self.limiters[key] = self._pair_guarantee(f)
-                self.holds[key] = 0
-            f.rate = self.limiters[key]
-            routed.append(f)
+    def _carry_flows(self, flows: list) -> None:
+        self._flows = list(flows)
+        self._loopback = [f for f in flows if not f.route]
+        self._routed = [f for f in flows if f.route]
+        self._keys = [(f.tenant, f.src_vm, f.dst_vm) for f in self._routed]
+        on_link: dict = {}  # first-touch order, each link's flows in order
+        for f in self._routed:
             for dkey in f.route:
-                offered[dkey] = offered.get(dkey, 0.0) + f.rate
-        caps = {dkey: self.capacities[dkey] for dkey in offered}
+                on_link.setdefault(dkey, []).append(f)
+        self._on_link = on_link
+        self._caps = {dkey: self.capacities[dkey] for dkey in on_link}
+
+    def compute(self, sim, flows: list, t: float) -> None:
+        if not _same_objects(flows, self._flows):
+            self._carry_flows(flows)
+        for f in self._loopback:
+            f.rate = LOOPBACK_MBPS
+        limiters = self.limiters
+        for f, key in zip(self._routed, self._keys):
+            rate = limiters.get(key)
+            if rate is None:
+                rate = limiters[key] = self._pair_guarantee(f)
+                self.holds[key] = 0
+            f.rate = rate
+        caps = self._caps
+        offered = {dkey: sum(map(_rate, on))
+                   for dkey, on in self._on_link.items()}
         # congestion observed on offered load, before FIFO scaling
         threshold = 1.0 - (self.cfg.headroom if self.cfg.mode == "conservative" else 0.0)
         self.congested_links = {dkey for dkey, load in offered.items()
                                 if load > caps[dkey] * threshold + _TOL}
-        if not fifo_scale(routed, caps,
-                          goodput_exponent=self.cfg.overload_goodput_exponent):
+        if not fifo_scale(self._routed, caps,
+                          goodput_exponent=self.cfg.overload_goodput_exponent,
+                          on_link=self._on_link, offered=offered):
             self.fifo_stops += 1
 
-    def on_quantum(self, sim, t: float) -> None:
-        flows = [f for f in sim.flows.values() if f.route]
-        active_pairs = {self._pair_key(f): f for f in flows}
-        # update beliefs from this quantum's active set
-        beliefs = {tid: {} for tid in self.tenants}
-        for (tid, src, dst), f in active_pairs.items():
+    def _carry_pairs(self, flows) -> None:
+        self._quantum_flows = list(flows)
+        active_pairs = {(f.tenant, f.src_vm, f.dst_vm): f
+                        for f in flows if f.route}
+        beliefs: dict = {tid: {} for tid in self.tenants}
+        for (tid, src, dst) in active_pairs:
             beliefs[tid].setdefault(("src", src), set()).add(dst)
             beliefs[tid].setdefault(("dst", dst), set()).add(src)
         self.beliefs = beliefs
+        self._active = set(active_pairs)
+        self._pairs = [(key, f.route, self._pair_guarantee(f))
+                       for key, f in sorted(active_pairs.items())]
+
+    def on_quantum(self, sim, t: float) -> None:
+        if not _same_objects(sim.flows.values(), self._quantum_flows):
+            self._carry_pairs(sim.flows.values())
+        limiters, holds = self.limiters, self.holds
         # rate-allocation state decays with the pair: an idle pair's limiter
         # is dropped, so traffic-matrix changes pay the re-learning lag
-        for key in [k for k in self.limiters if k not in active_pairs]:
-            del self.limiters[key]
-            self.holds.pop(key, None)
-        for key, f in sorted(active_pairs.items()):
-            g = self._pair_guarantee(f)
-            congested = not self.congested_links.isdisjoint(f.route)
-            rate, hold = ra_update(self.limiters.get(key, g), g, congested,
-                                   self.holds.get(key, 0), self.cfg)
-            self.limiters[key] = rate
-            self.holds[key] = hold
+        if not limiters.keys() <= self._active:
+            for key in [k for k in limiters if k not in self._active]:
+                del limiters[key]
+                holds.pop(key, None)
+        congested_links, cfg = self.congested_links, self.cfg
+        for key, route, g in self._pairs:
+            limiters[key], holds[key] = ra_update(
+                limiters.get(key, g), g, not congested_links.isdisjoint(route),
+                holds.get(key, 0), cfg)

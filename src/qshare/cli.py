@@ -7,9 +7,9 @@ Verbs:
   list-scenarios  show the bundled scenarios
 
 Every run writes a manifest.json (config echo, seed, version, wall time and,
-for runs that simulate flows, the rate solvers' counters) plus CSV/JSON
-artifacts into the output directory; CSV bodies are byte-stable for a given
-seed.
+for runs that simulate flows, the rate solvers' and event loops' counters)
+plus CSV/JSON artifacts into the output directory; CSV bodies are
+byte-stable for a given seed.
 """
 
 from __future__ import annotations
@@ -96,11 +96,12 @@ def _set_path(doc: dict, dotted: str, value) -> None:
 
 
 def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
-                    wall: float, solver: dict | None = None) -> None:
+                    wall: float, counters: dict | None = None) -> None:
     """Artifacts whose name carries a .jsonl suffix are written as JSON lines;
-    everything else as CSV. Wall time, version and the `solver` counters
-    (summed over the run's simulations, when given) live in the manifest
-    only, so CSV/JSONL bodies are byte-stable per seed."""
+    everything else as CSV. Wall time, version and the `counters` (the
+    `solver` and `loop` groups summed over the run's simulations, when
+    given; see fluid.FluidSimulation) live in the manifest only, so
+    CSV/JSONL bodies are byte-stable per seed."""
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, (fields, rows) in artifacts.items():
@@ -125,8 +126,7 @@ def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
         "wall_time_s": wall,
         "artifacts": sorted(names) + ["summary.json"],
     }
-    if solver is not None:
-        manifest["solver"] = solver
+    manifest.update(counters or {})
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -31,6 +31,14 @@ from .topology import Topology, link_key
 BYTES_PER_MBPS_SEC = 125_000.0  # 1 Mbps moves 125 kB per second
 LOOPBACK_MBPS = 100_000.0       # flows between co-located VMs
 _TOL = 1e-9
+_rate = operator.attrgetter("rate")
+
+
+def _same_objects(items, carried) -> bool:
+    """Whether `items` are the objects in `carried`, in the same order
+    (never when `carried` is None)."""
+    return (carried is not None and len(items) == len(carried)
+            and all(map(operator.is_, items, carried)))
 
 
 def dormancy_probability(n_vm_pairs: int) -> float:
@@ -845,6 +853,12 @@ class SegmentStats:
     guarantee_violation_time counts wall seconds in which at least one tenant
     got less than its entitlement; guarantee_violation_tenant_time sums those
     seconds over the violating tenants (tenant-seconds).
+
+    What depends only on the flow set is carried from one segment to the
+    next and rebuilt when the flows passed differ by identity from the last
+    segment's: the flows crossing the link and, per tenant with a positive
+    entitlement, its crossing flows and the rate below which it is short.
+    Rates are still added in flow order every segment.
     """
 
     dkey: tuple
@@ -859,10 +873,35 @@ class SegmentStats:
     conservation_violation_time: float = 0.0
     violating_tenants: set = field(default_factory=set)
 
+    def __post_init__(self):
+        self._flows: list = []
+        self._crossing: list = []
+        self._entitled: dict = {}  # tenant -> (srcs, dsts, entitlement)
+        self._short: list = []  # (tenant, its crossing flows, threshold)
+
     def entitlement(self, tenant: str, srcs: set, dsts: set) -> float:
         out = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in srcs)
         inn = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in dsts)
         return min(self.guarantees.get(tenant, 0.0), out, inn)
+
+    def _carry(self, flows: list) -> None:
+        """Carry `flows`: a tenant whose engaged hypervisors are those of
+        the last carry keeps its entitlement."""
+        self._flows = list(flows)
+        self._crossing = [f for f in flows if self.dkey in f.route]
+        per_tenant: dict = {}
+        for f in self._crossing:
+            per_tenant.setdefault(f.tenant, []).append(f)
+        last, self._entitled, self._short = self._entitled, {}, []
+        for tenant, crossing in per_tenant.items():
+            srcs = {f.src_hyp for f in crossing}
+            dsts = {f.dst_hyp for f in crossing}
+            kept = last.get(tenant)
+            entitled = (kept[2] if kept and kept[:2] == (srcs, dsts)
+                        else self.entitlement(tenant, srcs, dsts))
+            self._entitled[tenant] = (srcs, dsts, entitled)
+            if entitled > 0:
+                self._short.append((tenant, crossing, entitled * (1.0 - 1e-6)))
 
     def observe(self, t0: float, t1: float, flows: list, owners: set,
                 all_unsaturated) -> None:
@@ -873,33 +912,23 @@ class SegmentStats:
         if dt <= 0:
             return
         self.time_total += dt
-        per_tenant: dict = {}
-        total = 0.0
-        for f in flows:
-            if self.dkey in f.route:
-                entry = per_tenant.get(f.tenant)
-                if entry is None:
-                    entry = per_tenant[f.tenant] = [0.0, set(), set()]
-                entry[0] += f.rate
-                entry[1].add(f.src_hyp)
-                entry[2].add(f.dst_hyp)
-                total += f.rate
-        if not per_tenant:
+        if not _same_objects(flows, self._flows):
+            self._carry(flows)
+        crossing = self._crossing
+        if not crossing:
             return
         self.time_active += dt
-        util = total / self.capacity
+        util = sum(map(_rate, crossing)) / self.capacity
         if util >= 1.0 - 1e-6:
             self.busy_time += dt
         else:
-            for f in flows:
-                if self.dkey in f.route and f.tenant in owners:
-                    if all_unsaturated(f, self.dkey):
-                        self.conservation_violation_time += dt
-                        break
+            for f in crossing:
+                if f.tenant in owners and all_unsaturated(f, self.dkey):
+                    self.conservation_violation_time += dt
+                    break
         violated = False
-        for tenant, (rate, srcs, dsts) in per_tenant.items():
-            entitled = self.entitlement(tenant, srcs, dsts)
-            if entitled > 0 and rate < entitled * (1.0 - 1e-6):
+        for tenant, tenant_flows, short in self._short:
+            if sum(map(_rate, tenant_flows)) < short:
                 self.guarantee_violation_tenant_time += dt
                 self.violating_tenants.add(tenant)
                 violated = True
@@ -913,8 +942,18 @@ class FluidSimulation:
     `monitor` is the one directed link the run measures: `stats` checks it
     per segment, and the reports' `link_util` and `tenant_throughput_mbps`
     series cover it alone. Binding reads per-hypervisor usage, which every
-    flow feeds. When `run` returns, it adds the rate solver's counters (see
-    RateSolver.COUNTERS) to `counters`, when given."""
+    flow feeds.
+
+    `self.flows` holds the active flows in fid order (fids only grow). The
+    loop carries what depends only on that flow set and the interval's
+    accumulators, and rebuilds it when a flow starts or ends or an interval
+    begins: each flow's (in, out) usage cells in the interval's `usage`
+    dict, and the flows crossing the monitor with their sample buckets.
+
+    When `run` returns, it adds to `counters`, when given, the rate
+    solver's counters (see RateSolver.COUNTERS) under "solver", and under
+    "loop" its `steps` (loop iterations) and the rate hook's `fifo_stops`
+    (0 without a hook)."""
 
     def __init__(self, topo: Topology, tenants: dict, generator: DemandGenerator,
                  *, interval: float = 4.0, policy: str = "qshare",
@@ -946,9 +985,18 @@ class FluidSimulation:
         self.solver.rebuild(self.controller.state.owners)
         self.monitor = monitor
         self.flows: dict = {}
-        self.completed: list = []
         self._fid = 0
+        self.steps = 0
         self.reports: list = []
+        # the flows and interval accumulators _advance last carried, each
+        # flow with its usage cells, and the monitor-crossing flows alone
+        # and with their (monitor, tenant) sample buckets
+        self._stepped: list | None = None
+        self._accumulators: tuple | None = None
+        self._cell_of: dict = {}  # fid -> cells, for these accumulators
+        self._cells: list = []
+        self._crossing: list = []
+        self._crossing_buckets: list = []
         link = topo.links[link_key(*monitor)]
         nic_g = {}
         for tid, t in tenants.items():
@@ -996,15 +1044,15 @@ class FluidSimulation:
                     if t_done < t_next:
                         t_next = t_done
             t_next = max(t_next, t)
-            crossing = self._advance(t, t_next, usage, buckets, ten_bytes)
+            self.steps += 1
+            crossing, done = self._advance(t, t_next, usage, buckets,
+                                           ten_bytes)
             if t >= measure_from - _TOL:
                 self.stats.observe(t, t_next, crossing,
                                    self.controller.state.dedicated,
                                    self._all_unsaturated)
             t = t_next
-            done = [f for f in self.flows.values()
-                    if f.rate > 0 and f.remaining <= 1e-6]
-            for f in sorted(done, key=lambda f: f.fid):
+            for f in done:
                 del self.flows[f.fid]
                 fcts.append((f.fid, f.tenant, f.size, f.start, t - f.start, f.client))
                 nxt = self.generator.after_completion(f.client, t)
@@ -1032,9 +1080,15 @@ class FluidSimulation:
             self._interval_boundary(interval_idx, int_start, t, usage, buckets,
                                     ten_bytes, fcts, rebind=False)
         if self.counters is not None:
-            for name in RateSolver.COUNTERS:
-                self.counters[name] = (self.counters.get(name, 0)
-                                       + getattr(self.solver, name))
+            for group, values in (
+                    ("solver", {name: getattr(self.solver, name)
+                                for name in RateSolver.COUNTERS}),
+                    ("loop", {"steps": self.steps,
+                              "fifo_stops": getattr(self.rate_hook,
+                                                    "fifo_stops", 0)})):
+                sums = self.counters.setdefault(group, {})
+                for name, value in values.items():
+                    sums[name] = sums.get(name, 0) + value
         return self.reports
 
     def _handle_event(self, ev, t: float) -> bool:
@@ -1049,39 +1103,71 @@ class FluidSimulation:
         return False
 
     def _resolve(self, t: float) -> None:
-        flows = sorted(self.flows.values(), key=lambda f: f.fid)
+        flows = list(self.flows.values())
         if self.rate_hook is not None:
             self.rate_hook.compute(self, flows, t)
         else:
             self.solver.solve(flows)
 
-    def _advance(self, t0: float, t1: float, usage, buckets, ten_bytes) -> list:
+    def _carry(self, accumulators: tuple) -> None:
+        """Carry the current flow set into the interval's `accumulators`
+        (usage, buckets, ten_bytes). A flow keeps its cells while the
+        accumulators stay; a new flow's missing entries are created in flow
+        order, as a per-flow pass would create them."""
+        usage, buckets, ten_bytes = accumulators
+        if not _same_objects(accumulators, self._accumulators):
+            self._accumulators, self._cell_of = accumulators, {}
+        cell_of = self._cell_of
+        self._stepped = list(self.flows.values())
+        self._cells = []
+        for f in self._stepped:
+            cells = cell_of.get(f.fid)
+            if cells is None or cells[0] is not f:
+                u = usage.setdefault(f.tenant, {})
+                src = u.setdefault(f.src_hyp, [0.0, 0.0])
+                dst = u.setdefault(f.dst_hyp, [0.0, 0.0])
+                if self.monitor in f.route:
+                    cells = (f, src, dst, buckets.setdefault(self.monitor, {}),
+                             ten_bytes.setdefault(f.tenant, {}))
+                else:
+                    cells = (f, src, dst, None, None)
+                cell_of[f.fid] = cells
+            self._cells.append(cells)
+        self._crossing_buckets = [c for c in self._cells if c[3] is not None]
+        self._crossing = [c[0] for c in self._crossing_buckets]
+
+    def _advance(self, t0: float, t1: float, usage, buckets,
+                 ten_bytes) -> tuple:
         """Move every flow on by its rate over [t0, t1), adding its bytes to
         `usage` and, when it crosses the monitored link, to the monitor's and
-        its tenant's sample buckets. Returns the flows crossing the monitor,
-        in flow order."""
+        its tenant's sample buckets. Returns the flows crossing the monitor
+        and the flows now complete, each in flow order."""
         dt = t1 - t0
         if dt <= 0:
-            return []
-        spans = _spans(t0, t1, self.sample)
-        monitor = self.monitor
-        crossing = []
-        for f in self.flows.values():
-            moved = f.rate * BYTES_PER_MBPS_SEC * dt
-            f.remaining = max(f.remaining - moved, 0.0)
-            u = usage.setdefault(f.tenant, {})
-            src = u.setdefault(f.src_hyp, [0.0, 0.0])
+            return [], [f for f in self.flows.values()
+                        if f.rate > 0 and f.remaining <= 1e-6]
+        accumulators = (usage, buckets, ten_bytes)
+        if not (_same_objects(self.flows.values(), self._stepped)
+                and _same_objects(accumulators, self._accumulators)):
+            self._carry(accumulators)
+        done = []
+        for f, src, dst, _, _ in self._cells:
+            rate = f.rate
+            moved = rate * BYTES_PER_MBPS_SEC * dt
+            left = f.remaining - moved
+            f.remaining = left = 0.0 if left < 0.0 else left
             src[1] += moved
-            dst = u.setdefault(f.dst_hyp, [0.0, 0.0])
             dst[0] += moved
-            if monitor in f.route:
-                crossing.append(f)
+            if left <= 1e-6 and rate > 0:
+                done.append(f)
+        if self._crossing:
+            spans = _spans(t0, t1, self.sample)
+            for f, _, _, monitor_bucket, tenant_bucket in self._crossing_buckets:
                 per_s = f.rate * BYTES_PER_MBPS_SEC
-                for bucket in (buckets.setdefault(monitor, {}),
-                               ten_bytes.setdefault(f.tenant, {})):
+                for bucket in (monitor_bucket, tenant_bucket):
                     for i, width in spans:
                         bucket[i] = bucket.get(i, 0.0) + per_s * width
-        return crossing
+        return self._crossing, done
 
     def _all_unsaturated(self, flow, excluding) -> bool:
         for dkey in flow.route:

@@ -233,8 +233,8 @@ def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
     for `requests` (id -> TenantRequest), each striped round-robin over all
     servers under the top switch, monitoring the core link toward rack 0.
     `shape` overrides the `demand` block per tenant (id -> field -> value).
-    The simulation adds its solver counters to `counters` when given (see
-    FluidSimulation)."""
+    The simulation adds its solver and loop counters to `counters` when
+    given (see FluidSimulation)."""
     top = cfg["topology"]
     topo = build_testbed(**{"queue_count" if k == "queues_per_link" else k: v
                             for k, v in top.items()})
@@ -579,7 +579,8 @@ RUNNERS = {
 
 def run_scenario(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     """(summary, artifacts) of the scenario `doc`. When `counters` is
-    given, every fluid simulation of the run adds its rate solver's counters
-    to it; the scarcity and gain studies simulate no flow and add none."""
+    given, every fluid simulation of the run adds its rate solver's and
+    loop's counters to it; the scarcity and gain studies simulate no flow
+    and add none."""
     cfg = resolve(doc)
     return RUNNERS[cfg["kind"]](cfg, counters)

@@ -5,6 +5,7 @@ structures: exhaustive enumeration for VM allocation, scalar loops for the
 allocation DP's star and min-plus kernels, a per-skeleton loop for the
 tenant election, clip-loop redistribution plus
 Jacobi iteration for the WFQ fixed point, all-flow scans for FIFO scaling,
+an endhost policy and link checks that re-derive everything on every call,
 per-flow, per-hop sample accounting, and a direct transcription of the
 queue-allocation pass.
 """
@@ -17,6 +18,7 @@ import operator
 
 import numpy as np
 
+from qshare import baselines as BL
 from qshare import placement as P
 from qshare.tenants import Tenant, TenantRouting, cut_reservation
 from qshare.topology import trs_at_layer
@@ -505,15 +507,16 @@ def link_levels_reference(mode: str, C: float, qwsum: float, queues: list,
 
 
 def fifo_scale_reference(flows, capacities, max_rounds=50,
-                         goodput_exponent=1.0):
+                         goodput_exponent=1.0, on_link=None, offered=None):
     """baselines.fifo_scale with a scan of every flow per link and round;
-    returns whether no link is left over capacity."""
-    def offered(dkey):
+    returns whether no link is left over capacity. The link index and
+    offered loads that `compute` passes are ignored."""
+    def load_on(dkey):
         return sum(f.rate for f in flows if dkey in f.route)
 
     if goodput_exponent > 1.0:
         for dkey, cap in capacities.items():
-            load = offered(dkey)
+            load = load_on(dkey)
             if load > cap * (1 + 1e-9):
                 shrink = (cap / load) ** goodput_exponent
                 for f in flows:
@@ -522,7 +525,7 @@ def fifo_scale_reference(flows, capacities, max_rounds=50,
     def worst_link():
         worst = None
         for dkey, cap in capacities.items():
-            total = offered(dkey)
+            total = load_on(dkey)
             if total > cap * (1 + 1e-9):
                 over = total / cap
                 if worst is None or over > worst[1]:
@@ -548,6 +551,61 @@ def congested_reference(flows, capacities, threshold, tol=1e-9):
             > cap * threshold + tol}
 
 
+class EndhostReference(BL.EndhostRatePolicy):
+    """baselines.EndhostRatePolicy re-deriving everything on every call:
+    `compute` re-reads every flow's limiter and re-sums every link's offered
+    load, and `on_quantum` rebuilds the beliefs, prunes the idle limiters
+    and re-derives every active pair's guarantee. FIFO scaling is the
+    scanning `fifo_scale_reference`."""
+
+    def compute(self, sim, flows: list, t: float) -> None:
+        routed = []
+        offered: dict = {}  # per directed link, summed in flow order
+        for f in flows:
+            if not f.route:
+                f.rate = 100_000.0
+                continue
+            key = (f.tenant, f.src_vm, f.dst_vm)
+            if key not in self.limiters:
+                self.limiters[key] = self._pair_guarantee(f)
+                self.holds[key] = 0
+            f.rate = self.limiters[key]
+            routed.append(f)
+            for dkey in f.route:
+                offered[dkey] = offered.get(dkey, 0.0) + f.rate
+        caps = {dkey: self.capacities[dkey] for dkey in offered}
+        # congestion observed on offered load, before FIFO scaling
+        threshold = 1.0 - (self.cfg.headroom
+                           if self.cfg.mode == "conservative" else 0.0)
+        self.congested_links = {dkey for dkey, load in offered.items()
+                                if load > caps[dkey] * threshold + 1e-9}
+        if not fifo_scale_reference(
+                routed, caps,
+                goodput_exponent=self.cfg.overload_goodput_exponent):
+            self.fifo_stops += 1
+
+    def on_quantum(self, sim, t: float) -> None:
+        flows = [f for f in sim.flows.values() if f.route]
+        active_pairs = {(f.tenant, f.src_vm, f.dst_vm): f for f in flows}
+        # update beliefs from this quantum's active set
+        beliefs = {tid: {} for tid in self.tenants}
+        for (tid, src, dst), f in active_pairs.items():
+            beliefs[tid].setdefault(("src", src), set()).add(dst)
+            beliefs[tid].setdefault(("dst", dst), set()).add(src)
+        self.beliefs = beliefs
+        # an idle pair's limiter is dropped
+        for key in [k for k in self.limiters if k not in active_pairs]:
+            del self.limiters[key]
+            self.holds.pop(key, None)
+        for key, f in sorted(active_pairs.items()):
+            g = self._pair_guarantee(f)
+            congested = not self.congested_links.isdisjoint(f.route)
+            rate, hold = BL.ra_update(self.limiters.get(key, g), g, congested,
+                                      self.holds.get(key, 0), self.cfg)
+            self.limiters[key] = rate
+            self.holds[key] = hold
+
+
 def bucketize_reference(bucket, t0, t1, rate_mbps, sample):
     """Integrate one rate over [t0, t1) into fixed-width sample buckets
     (bytes), one bucket at a time."""
@@ -566,11 +624,10 @@ def bucketize_reference(bucket, t0, t1, rate_mbps, sample):
 def advance_reference(sim, t0, t1, usage, buckets, ten_bytes):
     """FluidSimulation._advance integrating every flow on every hop of its
     route into that link's buckets, and on the monitored link into its
-    tenant's; returns every flow for the segment checks."""
+    tenant's; returns the flows crossing the monitor and the completed
+    flows, each found by a scan of every flow."""
     dt = t1 - t0
-    if dt <= 0:
-        return []
-    for f in sim.flows.values():
+    for f in sim.flows.values() if dt > 0 else ():
         moved = f.rate * 125_000.0 * dt
         f.remaining = max(f.remaining - moved, 0.0)
         u = usage.setdefault(f.tenant, {})
@@ -582,7 +639,51 @@ def advance_reference(sim, t0, t1, usage, buckets, ten_bytes):
         if sim.monitor in f.route:
             bucketize_reference(ten_bytes.setdefault(f.tenant, {}), t0, t1,
                                 f.rate, sim.sample)
-    return list(sim.flows.values())
+    flows = list(sim.flows.values())
+    return ([f for f in flows if sim.monitor in f.route],
+            [f for f in flows if f.rate > 0 and f.remaining <= 1e-6])
+
+
+def observe_reference(stats, t0, t1, flows, owners, all_unsaturated):
+    """SegmentStats.observe re-deriving each segment from `flows`: the flows
+    crossing the link, each tenant's rate and engaged hypervisors, and its
+    hose entitlement."""
+    dt = t1 - t0
+    if dt <= 0:
+        return
+    stats.time_total += dt
+    per_tenant: dict = {}
+    total = 0.0
+    for f in flows:
+        if stats.dkey in f.route:
+            entry = per_tenant.get(f.tenant)
+            if entry is None:
+                entry = per_tenant[f.tenant] = [0.0, set(), set()]
+            entry[0] += f.rate
+            entry[1].add(f.src_hyp)
+            entry[2].add(f.dst_hyp)
+            total += f.rate
+    if not per_tenant:
+        return
+    stats.time_active += dt
+    util = total / stats.capacity
+    if util >= 1.0 - 1e-6:
+        stats.busy_time += dt
+    else:
+        for f in flows:
+            if stats.dkey in f.route and f.tenant in owners:
+                if all_unsaturated(f, stats.dkey):
+                    stats.conservation_violation_time += dt
+                    break
+    violated = False
+    for tenant, (rate, srcs, dsts) in per_tenant.items():
+        entitled = stats.entitlement(tenant, srcs, dsts)
+        if entitled > 0 and rate < entitled * (1.0 - 1e-6):
+            stats.guarantee_violation_tenant_time += dt
+            stats.violating_tenants.add(tenant)
+            violated = True
+    if violated:
+        stats.guarantee_violation_time += dt
 
 
 # -- queue allocation pass, direct transcription ------------------------------

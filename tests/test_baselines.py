@@ -1,6 +1,8 @@
+import collections
 import copy
 import functools
 import math
+import types
 
 import pytest
 
@@ -217,3 +219,75 @@ def test_static_never_exceeds_and_never_starves(rng):
             caps = [topo.links[T.link_key(*dk)].reservations.get(f.tenant, 0.0)
                     for dk in f.route]
             assert f.rate <= min(caps) * (1 + 1e-9)
+
+
+def _endhost_state(policy, flows):
+    """Everything the endhost policy leaves behind, floats as `float.hex`."""
+    return ([f.rate.hex() for f in flows], policy.congested_links,
+            {k: v.hex() for k, v in policy.limiters.items()}, policy.holds,
+            policy.beliefs, policy.fifo_stops)
+
+
+@pytest.mark.parametrize("exponent", [1.0, 2.0])
+@pytest.mark.parametrize("mode", ["aggressive", "conservative"])
+def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
+    """Random arrivals, departures, quanta and limiter jolts, with compute
+    called through a simulation's flows or directly on a sublist with no
+    simulation; after every call the carried policy and the reference that
+    re-derives everything agree bit for bit."""
+    topo = T.build_testbed(nic_mbps=40.0, core_mbps=60.0)
+    hyps = topo.hypervisors()
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 2.0), tid, "a000",
+                                  {h: 1 for h in hyps})
+               for tid in ("t0", "t1")}
+    # two VMs per server in rack 0: pairs on one server are loopback flows
+    tenants["t2"] = P.embed_fixed(topo, TenantRequest(10, 2.0), "t2", "a000",
+                                  {h: 2 for h in hyps[:5]})
+    cfg = BL.RAConfig(mode=mode, overload_goodput_exponent=exponent)
+    policies = (BL.EndhostRatePolicy(topo, tenants, cfg),
+                oracles.EndhostReference(topo, tenants, cfg))
+    sims = [types.SimpleNamespace(flows={}) for _ in policies]
+    seen = collections.Counter()
+    fid = 0
+    for step in range(600):
+        action = rng.choice(["arrive", "depart", "jolt", "compute", "direct",
+                             "quantum"], p=[.2, .15, .1, .25, .1, .2])
+        if action == "arrive":
+            fid += 1
+            tid = f"t{int(rng.integers(0, 3))}"
+            vms = F._expand_vms(tenants[tid])
+            src, dst = (int(v) for v in rng.choice(len(vms), size=2,
+                                                   replace=False))
+            route = F.tenant_route(tenants[tid], vms[src], vms[dst])
+            seen["loopback"] += not route
+            for sim in sims:
+                sim.flows[fid] = F.Flow(fid, tid, src, dst, vms[src],
+                                        vms[dst], 1e9, 0.0, route=route)
+        elif action == "depart" and sims[0].flows:
+            gone = list(sims[0].flows)[int(rng.integers(0, len(sims[0].flows)))]
+            for sim in sims:
+                del sim.flows[gone]
+        elif action == "jolt" and policies[0].limiters:
+            keys = sorted(policies[0].limiters)
+            key = keys[int(rng.integers(0, len(keys)))]
+            rate = float(rng.uniform(1.0, 80.0))
+            for policy in policies:
+                policy.limiters[key] = rate
+        elif action in ("compute", "direct"):
+            keep = rng.random(len(sims[0].flows)) < (
+                0.7 if action == "direct" else 1.0)
+            for policy, sim in zip(policies, sims):
+                flows = [f for f, k in zip(sim.flows.values(), keep) if k]
+                policy.compute(sim if action == "compute" else None, flows,
+                               step * 0.001)
+            seen["congested"] += bool(policies[1].congested_links)
+        elif action == "quantum":
+            before = len(policies[1].limiters)
+            for policy, sim in zip(policies, sims):
+                policy.on_quantum(sim, step * 0.001)
+            seen["pruned"] += len(policies[1].limiters) < before
+        got, want = (_endhost_state(p, list(s.flows.values()))
+                     for p, s in zip(policies, sims))
+        assert got == want, f"step {step}: {action}"
+        seen[action] += 1
+    assert min(seen.values()) > 0, seen

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qshare import cli
-from qshare.fluid import RateSolver
+from qshare.fluid import FluidSimulation, RateSolver
 from qshare.scenarios import (KINDS, ScenarioError, build_wcbg, resolve,
                               validate)
 
@@ -249,10 +249,31 @@ PINNED_BODIES = {
         "fct.csv":
             "11ce10d3afb3a8a58fbb120dd4bc61db942690a80713597df2298a8c667374f9",
     },
+    ("tradeoff", "--set", "duration_s=8"): {
+        "tradeoff.csv":
+            "81249728606f0700ac1a4ad1375b0b6e1b785d3b700cc437b05f762057222788",
+    },
+    ("unpredictable", "--seed", "3", "--set", "duration_s=2.0",
+     "--set", "policy=es_conservative"): {
+        "utilization.csv":
+            "d67d7f08b16d5c9b41d6b272c6d50117b7e867e21c9c5811df5fad37aeaa6a14",
+        "tenant_throughput.csv":
+            "8cb8c7e47090ee7703d275a316c7c560d187a075021aeac30ff87e23b9fe9e4a",
+        "binding.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "flows.jsonl":
+            "e4c9dd04adef8138d05ae9538a1371d0077a02d09180c656be5b0f5d37a69256",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_BODIES), ids=lambda a: a[0])
+def _pin_id(argv):
+    """The scenario name, and the policy when the run overrides it."""
+    return "-".join([argv[0], *(a.removeprefix("policy=") for a in argv
+                                if a.startswith("policy="))])
+
+
+@pytest.mark.parametrize("argv", list(PINNED_BODIES), ids=_pin_id)
 def test_artifact_bodies_match_pinned_digests(tmp_path, argv):
     assert cli.main(["run", *argv, "--out", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -286,6 +307,31 @@ def test_manifest_holds_the_solver_counters_summed_over_simulations(tmp_path):
                for iv in (0.5, 1.0)]
     assert counters == {name: sum(getattr(s, name) for s in solvers)
                         for name in RateSolver.COUNTERS}
+
+
+def test_manifest_holds_the_loop_counters_summed_over_simulations(
+        tmp_path, monkeypatch):
+    sims = []
+    run = FluidSimulation.run
+
+    def recorded(self, *args, **kwargs):
+        sims.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FluidSimulation, "run", recorded)
+    assert cli.main(["run", "shuffle-fct", "--set", "loads=[0.5]",
+                     "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # one simulation per policy, one of them driven by the endhost hook
+    assert [s.policy for s in sims] == ["qshare", "es_aggressive", "static"]
+    assert all(s.steps > 0 for s in sims)
+    assert manifest["loop"] == {
+        "steps": sum(s.steps for s in sims),
+        "fifo_stops": sims[1].rate_hook.fifo_stops}
+    assert set(manifest["solver"]) == set(RateSolver.COUNTERS)
+    for name in ("fct.csv", "summary.json"):
+        body = (tmp_path / name).read_text()
+        assert "steps" not in body and "fifo_stops" not in body, name
 
 
 def test_cli_overrides_apply(tmp_path):

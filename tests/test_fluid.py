@@ -586,6 +586,65 @@ def test_violation_time_counts_wall_and_tenant_seconds():
     assert stats.violating_tenants == {"A", "B"}
 
 
+def _segment_fields(stats):
+    """Every SegmentStats field, floats as `float.hex`."""
+    out = {}
+    for field in dataclasses.fields(stats):
+        value = getattr(stats, field.name)
+        out[field.name] = value.hex() if isinstance(value, float) else value
+    return out
+
+
+def test_observe_matches_the_rederiving_reference(rng):
+    """Random arrivals, departures, rate changes and owner sets, and
+    segments of zero or negative length; after every segment the carried
+    observe and the reference that re-derives each segment agree on every
+    field, bit for bit."""
+    dkey = ("h1", "s1")
+    hyps = ("h1", "h2", "h3")
+    nic = {(t, h): float(rng.integers(0, 4)) * 40.0 for t in "ABC" for h in hyps}
+    guarantees = {"A": 100.0, "B": 60.0, "C": 0.0}
+    stats, ref = (F.SegmentStats(dkey, 400.0, dict(guarantees), dict(nic))
+                  for _ in range(2))
+    flows: list = []
+    seen = collections.Counter()
+    t = 0.0
+    for step in range(1500):
+        action = rng.choice(["arrive", "depart", "rates", "segment"],
+                            p=[.2, .15, .15, .5])
+        if action == "arrive":
+            src, dst = (str(h) for h in rng.choice(hyps, size=2))
+            route = ((src, "s1"), ("s1", dst)) if rng.random() < 0.7 else (
+                ("s1", dst),)
+            flows.append(F.Flow(step, str(rng.choice(list("ABC"))), 0, 1, src,
+                                dst, 1e9, 0.0, rate=float(rng.uniform(0, 150)),
+                                route=route))
+        elif action == "depart" and flows:
+            del flows[int(rng.integers(0, len(flows)))]
+        elif action == "rates":
+            for f in flows:
+                if rng.random() < 0.5:
+                    f.rate = float(rng.uniform(0, 150))
+        else:
+            dt = float(rng.choice([0.0, -0.01, rng.uniform(0.001, 0.5)]))
+            owners = {tid for tid in "ABC" if rng.random() < 0.4}
+            cut = int(rng.integers(0, 3))
+
+            def all_unsaturated(f, excluding):
+                return f.fid % 3 != cut and excluding == dkey
+
+            for s, observe in ((stats, F.SegmentStats.observe),
+                               (ref, oracles.observe_reference)):
+                observe(s, t, t + dt, list(flows), owners, all_unsaturated)
+            t += max(dt, 0.0)
+            seen["busy"] += stats.busy_time > 0
+            seen["short"] += bool(stats.violating_tenants)
+            seen["unsaturated"] += stats.conservation_violation_time > 0
+        assert _segment_fields(stats) == _segment_fields(ref), f"step {step}"
+        seen[action] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_capacity_respected_and_flows_conserved(rng):
     for _ in range(100):
         topo, tenants, owners, flows = random_wfq_case(rng)
