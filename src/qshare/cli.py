@@ -7,7 +7,8 @@ Verbs:
   list-scenarios  show the bundled scenarios
 
 Every run writes a manifest.json (config echo, seed, version, wall time and,
-for runs that simulate flows, the rate solvers' and event loops' counters)
+for runs that simulate flows, the rate solvers' and event loops' counters;
+for fills, the placement counters)
 plus CSV/JSON artifacts into the output directory; CSV bodies are
 byte-stable for a given seed.
 """
@@ -101,7 +102,8 @@ def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
     everything else as CSV. Wall time, version and the `counters` (the
     `solver` and `loop` groups summed over the run's simulations, when
     given; see fluid.FluidSimulation) live in the manifest only, so
-    CSV/JSONL bodies are byte-stable per seed."""
+    CSV/JSONL bodies are byte-stable per seed. A fill's `placement` group
+    comes the same way (see largescale.FillResult)."""
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, (fields, rows) in artifacts.items():

@@ -12,7 +12,7 @@ per-link reservations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class FillResult:
     rejected: int
     report: ScarcityReport
     topo: Topology = None
+    # what the embeds did: embeds, accepted, candidates, ops and the DP's
+    # merges_run, merges_shared and merges_skipped, summed over the fill
+    placement: dict = field(default_factory=dict)
 
 
 def port_statistics(topo: Topology, tenants: dict,
@@ -100,10 +103,18 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
     tenants: dict = {}
     streak = 0
     attempted = rejected = 0
+    counts = dict.fromkeys(("embeds", "accepted", "candidates", "ops",
+                            "merges_run", "merges_shared", "merges_skipped"), 0)
     while streak < reject_streak and attempted < max_attempts:
         req = spec.sample(rng)
         attempted += 1
         out = embed(topo, req, policy, tenant_id=f"t{attempted:05d}")
+        counts["embeds"] += 1
+        counts["accepted"] += out.feasible
+        counts["candidates"] += out.candidates
+        counts["ops"] += out.ops
+        for name, value in out.merges.items():
+            counts[f"merges_{name}"] += value
         if out.feasible:
             tenants[out.tenant.id] = out.tenant
             streak = 0
@@ -116,7 +127,7 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
         queue_count=topo.max_queue_count)
     report.r_ni = r_ni
     report.dscp_values_used = dscp_used
-    return FillResult(tenants, attempted, rejected, report, topo)
+    return FillResult(tenants, attempted, rejected, report, topo, counts)
 
 
 def interval_dedication(topo: Topology, tenants: dict, *, r_in: float = 0.5,

@@ -13,22 +13,32 @@ module to an exhaustive-search oracle. A hypervisor's usable slots are its
 free slots capped by the fault-domain limit; what its root path can absorb
 enters through the per-link edge costs.
 
-Links and slots do not change within one embed, so the closed-form profiles
-of all star switches (switches over hypervisors only) come from one array
-pass the first time the embed needs one, and every merge is a min-plus
+Links and slots do not change within one embed, so each embed computes
+only what its election reads. A star root is elected from count N of its
+closed-form profile, for all star roots of a layer in one array pass; the
+full profiles of all star switches (switches over hypervisors only) come
+from one pass the first time a merge needs one. A merge is a min-plus
 convolution in array form: each feasible count of the child is added to a
-shifted view of the profile so far, a bounded block of counts at a time.
+shifted view of the profile so far, a bounded block of counts at a time,
+over only the counts the two operands can reach. A child that can take no
+VM leaves the profile as it is, and a profile that holds only zero VMs so
+far gives the child's own. Switches whose children sit behind the same
+windows of admissible counts (aggregations of one pod, cores of one group)
+share each merge, so each distinct merge input is convolved once per embed.
 
 `embed` takes each layer in two array passes. The first screens every
 skeleton of the layer on its usable-slot sum. The second elects every star
 root that passes straight from the star arrays: its VMs, c_b and c_q come
 out as they would from the tree built for it, but no tree is built. Any
 other root goes through `evaluate_tr`, which builds its tree. A star that
-wins is built last, by `evaluate_tr`, and must cost what it was elected on.
-`ops` still counts work units as evaluating every skeleton with
-`evaluate_tr` would spend them: hypervisors x (N+1) the first time an embed
-uses a star's profile, N+1 per merge, and the skeleton size per screened
-routing tree.
+wins gets its tree last, from the VMs it was elected with, and the tree
+must cost what it was elected on.
+
+`ops` counts defined work units, not the work performed: what evaluating
+every skeleton with `evaluate_tr` and no sharing would spend,
+hypervisors x (N+1) the first time an embed uses a star's profile, N+1 per
+child of every merge (run, shared or skipped), and the skeleton size per
+screened routing tree.
 
 Both the chosen and an explicitly given placement (`embed_fixed`) become a
 routing tree the same way: the skeleton pruned to the hosting hypervisors,
@@ -37,6 +47,7 @@ each link reserving the cut rule for the VMs below it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -96,14 +107,22 @@ class PlacementOutcome:
     candidates: int = 0
     ops: int = 0
     error: str | None = None
+    merges: dict | None = None  # merges run, shared and skipped as identity
 
 
 class _EpisodeContext:
-    """Per-embed cache: subtree profiles keyed by node id (valid because the
-    downward closure of a node is identical in every skeleton), the star
-    profiles of the whole topology once one is needed with the star rows
-    used so far, and the cut-rule cost B*min(j, N-j) of each VM count j
-    below a link."""
+    """Per-embed cache. `profiles` holds each node's subtree profile and
+    record, keyed by node id (valid because the downward closure of a node
+    is identical in every skeleton), and `tops` the largest VM count each
+    profile admits (-1 if none). `merged` holds every merge result, keyed by
+    the merges that led to it: the children merged so far, each with its
+    link's window as the number of VM counts the cut rule excludes there.
+    Switches with the same children behind the same windows (aggregations
+    of one pod, cores of one group) share one result. The full star rows
+    come from one pass the first time a merge needs one; `stars_used` are
+    the rows whose ops are already counted. `cut` is the cut-rule cost
+    B*min(j, N-j) of each VM count j below a link. `merges` counts the
+    merges run, shared and skipped as the identity."""
 
     def __init__(self, topo: Topology, request: TenantRequest):
         self.topo = topo
@@ -113,10 +132,17 @@ class _EpisodeContext:
         self.ha = request.per_hypervisor_cap
         j = np.arange(self.n + 1)
         self.cut = self.b * np.minimum(j, self.n - j).astype(float)
+        self.cut_sorted = sorted(self.cut.tolist())
+        self.delta0 = np.full(self.n + 1, np.inf)  # no VM, at no cost
+        self.delta0[0] = 0.0
+        self.zeros = np.zeros(self.n + 1, dtype=np.int32)
         self.profiles: dict[str, tuple] = {}
+        self.tops: dict[str, int] = {}
+        self.merged: dict[tuple, tuple] = {}
         self.stars: tuple | None = None
         self.stars_used: set = set()
         self.ops = 0
+        self.merges = {"run": 0, "shared": 0, "skipped": 0}
 
 
 def _leaf_indices(topo: Topology, skel: TRSkeleton) -> np.ndarray:
@@ -130,68 +156,83 @@ def _leaf_indices(topo: Topology, skel: TRSkeleton) -> np.ndarray:
 _MINPLUS_ROWS = 32  # rows of H per block: temporaries stay at 32 x (N+1)
 
 
-def _minplus(G: np.ndarray, H: np.ndarray, ctx: _EpisodeContext):
+def _minplus(G: np.ndarray, g_top: int, H: np.ndarray) -> tuple:
     """Min-plus convolution restricted to 0..N: out[t] = min over finite
     H[j], j <= t, of G[t - j] + H[j], with arg[t] the smallest such j (0
-    where out is inf). Each finite H[j] is added to G shifted right by j,
-    read off one strided view; the first such row seeds out, the others
-    follow a block of rows at a time."""
+    where out is inf); returns (out, arg, the last finite t of out or -1).
+    `g_top` is the last finite index of G (-1 if none), so only the columns
+    up to it plus the last finite j of H can be finite, and only those are
+    computed. A G finite at 0 alone gives out = G[0] + H. Otherwise each
+    finite H[j] is added to G shifted right by j, read off one strided view;
+    the first such row seeds out, the others follow a block of rows at a
+    time."""
     n = len(G)
-    ctx.ops += n
-    js = (H < np.inf).nonzero()[0]
-    if not len(js):
-        return np.full(n, np.inf), np.zeros(n, dtype=np.int32)
-    pad = np.full(2 * n - 1, np.inf)
-    pad[n - 1:] = G
-    # shifted[j][t] is G[t - j], or inf for t < j
-    shifted = np.ndarray((n, n), buffer=pad, offset=(n - 1) * pad.itemsize,
-                         strides=(-pad.itemsize, pad.itemsize))
-    out = shifted[js[0]] + H[js[0]]
+    out = np.full(n, np.inf)
     arg = np.zeros(n, dtype=np.int32)
-    arg[out < np.inf] = js[0]
+    js = (H < np.inf).nonzero()[0]
+    if not len(js) or g_top < 0:
+        return out, arg, -1
+    if g_top == 0:
+        out[js] = G[0] + H[js]
+        arg[js] = js
+        return out, arg, int(js[-1])
+    m = min(n, g_top + int(js[-1]) + 1)
+    pad = np.full(2 * m - 1, np.inf)
+    pad[m - 1:] = G[:m]
+    # shifted[j][t] is G[t - j], or inf for t < j
+    shifted = np.ndarray((m, m), buffer=pad, offset=(m - 1) * pad.itemsize,
+                         strides=(-pad.itemsize, pad.itemsize))
+    head, head_arg = out[:m], arg[:m]
+    head[:] = shifted[js[0]] + H[js[0]]
+    head_arg[head < np.inf] = js[0]
     for lo in range(1, len(js), _MINPLUS_ROWS):
         rows = js[lo:lo + _MINPLUS_ROWS]
         cand = shifted[rows] + H[rows, None]
         best = cand.min(axis=0)
-        better = best < out
-        out[better] = best[better]
-        arg[better] = rows[cand.argmin(axis=0)[better]]
-    return out, arg
+        better = best < head
+        head[better] = best[better]
+        head_arg[better] = rows[cand.argmin(axis=0)[better]]
+    return out, arg, int(np.flatnonzero(head < np.inf)[-1])
 
 
-def _star_profiles(ctx: _EpisodeContext) -> tuple:
-    """Closed-form profiles of every star switch (see `star_table`), one row
-    per star: (F, best_h, best_m, cap_low), computed for all stars at once,
-    one hypervisor slot at a time.
+def _star_profiles(ctx: _EpisodeContext, rows=None, first: int = 0) -> tuple:
+    """Closed-form profiles of the star switches in `rows` of `star_table`
+    (every star by default) over the VM counts first..N, one row per star:
+    (F, best_h, best_m, cap_low), computed for all rows at once, one
+    hypervisor slot at a time. An election reads count N alone (first = N).
 
     For j VMs inside a star the internal cost is B*(j - m + min(m, N - m))
     where m is the count on a designated hypervisor; cost is minimized by the
     largest admissible m, trying every hypervisor as the designee (the first
     in children order wins a tie). Padding slots are never feasible. Only
-    the columns up to the largest sum of caps can be finite (j - m <= rest
+    the counts up to the largest sum of caps can be finite (j - m <= rest
     gives j <= sum of caps), so only those are computed."""
     topo, n, b = ctx.topo, ctx.n, ctx.b
     tab = star_table(topo)
-    upper = np.maximum(np.minimum(topo._free_arr[tab.hyp_idx], min(ctx.ha, n)), 0)
-    upper[~tab.valid] = 0
+    if rows is None:
+        rows = slice(None)
+    valid = tab.valid[rows]
+    upper = np.maximum(np.minimum(topo._free_arr[tab.hyp_idx[rows]],
+                                  min(ctx.ha, n)), 0)
+    upper[~valid] = 0
     if b > 0:
-        residual = topo._residual_arr[tab.link_idx]
-        residual[~tab.valid] = 0.0
+        residual = topo._residual_arr[tab.link_idx[rows]]
+        residual[~valid] = 0.0
         a = np.floor(residual / b + _EPS).astype(np.int64)
     else:
-        a = np.full(tab.valid.shape, n, dtype=np.int64)
+        a = np.full(valid.shape, n, dtype=np.int64)
     a = np.minimum(a, n)
     gap = 2 * a < n  # NIC window is split: m <= a or m >= n - a
     cap_low = np.where(gap, np.minimum(upper, a), upper)
     rest = cap_low.sum(axis=1, keepdims=True) - cap_low
-    rest[~tab.valid] = -1  # j - m >= 0 > rest: never feasible
+    rest[~valid] = -1  # j - m >= 0 > rest: never feasible
 
-    F = np.full((len(tab.hyps), n + 1), np.inf)
+    F = np.full((len(valid), n + 1 - first), np.inf)
     best_h = np.full(F.shape, -1, dtype=np.int32)
     best_m = np.zeros(F.shape, dtype=np.int32)
-    js = np.arange(min(n, int(upper.sum(axis=1).max())) + 1)
+    js = np.arange(first, min(n, int(upper.sum(axis=1).max())) + 1)
     F_js, h_js, m_js = (x[:, :len(js)] for x in (F, best_h, best_m))
-    for i in range(tab.valid.shape[1]):
+    for i in range(valid.shape[1]):
         ai = a[:, i, None]
         hi = np.minimum(upper[:, i, None], js)
         m = np.where(gap[:, i, None] & (hi < n - ai), np.minimum(hi, ai), hi)
@@ -204,34 +245,31 @@ def _star_profiles(ctx: _EpisodeContext) -> tuple:
     return F, best_h, best_m, cap_low
 
 
-def _use_stars(ctx: _EpisodeContext, rows) -> tuple:
-    """The star arrays, computed the first time the embed needs them; each
-    row's ops count the first time the embed uses it."""
-    if ctx.stars is None:
-        ctx.stars = _star_profiles(ctx)
+def _count_star_ops(ctx: _EpisodeContext, rows) -> None:
+    """Count each star row's ops the first time the embed uses it."""
     hyps = star_table(ctx.topo).hyps
     for r in rows:
         if r not in ctx.stars_used:
             ctx.stars_used.add(r)
             ctx.ops += len(hyps[r]) * (ctx.n + 1)
-    return ctx.stars
 
 
 def _star_candidates(ctx: _EpisodeContext, rows: np.ndarray) -> list:
-    """(position in `rows`, c_b, c_q) of every star whose row can host the
-    N VMs, read off the star arrays without building a tree. The VMs go
-    where `_reconstruct` puts them: best_m on the designee, then the other
-    hypervisors fill up to cap_low in children order. c_b is the fsum of
-    their links' cut-rule reservations, as `_pruned_tree` sums them, and c_q
-    is 1 + the most tenants on one of those links."""
+    """(position in `rows`, c_b, c_q, designee, VMs per hypervisor) of every
+    star whose row can host the N VMs, read off count N of its profile
+    without building a tree. The VMs go where `_reconstruct` puts them:
+    best_m on the designee, then the other hypervisors fill up to cap_low
+    in children order. c_b is the fsum of their links' cut-rule
+    reservations, as `_pruned_tree` sums them, and c_q is 1 + the most
+    tenants on one of those links."""
     if not len(rows):
         return []
     topo, n = ctx.topo, ctx.n
-    F, best_h, best_m, cap_low = _use_stars(ctx, rows.tolist())
-    pos = np.flatnonzero(np.isfinite(F[rows, n]))
-    rows = rows[pos]
-    at, h, m = np.arange(len(rows)), best_h[rows, n], best_m[rows, n]
-    caps = cap_low[rows]
+    _count_star_ops(ctx, rows.tolist())
+    F, best_h, best_m, cap_low = _star_profiles(ctx, rows, n)
+    pos = np.flatnonzero(F[:, 0] < np.inf)
+    F, h, m, caps = F[pos, 0], best_h[pos, 0], best_m[pos, 0], cap_low[pos]
+    at = np.arange(len(pos))
     caps[at, h] = 0
     before = np.cumsum(caps, axis=1) - caps
     vms = np.minimum(caps, np.maximum((n - m)[:, None] - before, 0))
@@ -239,12 +277,12 @@ def _star_candidates(ctx: _EpisodeContext, rows: np.ndarray) -> list:
     if (vms.sum(axis=1) != n).any():
         raise AssertionError("star reconstruction failed")
     c_b = [math.fsum(r) for r in (ctx.b * np.minimum(vms, n - vms)).tolist()]
-    tenants = topo._tenant_arr[star_table(topo).link_idx[rows]]
+    tenants = topo._tenant_arr[star_table(topo).link_idx[rows[pos]]]
     c_q = (np.where(vms > 0, tenants, 0).max(axis=1) + 1).tolist()
-    for cb, f in zip(c_b, F[rows, n].tolist()):
+    for cb, f in zip(c_b, F.tolist()):
         if not math.isclose(cb, f, rel_tol=1e-9, abs_tol=1e-6):
             raise AssertionError(f"allocation cost mismatch: {cb} vs {f}")
-    return list(zip(pos.tolist(), c_b, c_q))
+    return list(zip(pos.tolist(), c_b, c_q, h.tolist(), vms.tolist()))
 
 
 def _reconstruct(ctx: _EpisodeContext, node: str, j: int, placement: dict) -> None:
@@ -293,25 +331,46 @@ def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
         F = np.full(n + 1, np.inf)
         F[: cap + 1] = 0.0
         ctx.profiles[node] = (F, ("leaf",))
+        ctx.tops[node] = cap
         return F
     tab = star_table(topo)
     row = tab.row.get(node)
     if row is not None:
-        F, best_h, best_m, cap_low = (x[row] for x in _use_stars(ctx, (row,)))
+        _count_star_ops(ctx, (row,))
+        if ctx.stars is None:
+            ctx.stars = _star_profiles(ctx)
+        F, best_h, best_m, cap_low = (x[row] for x in ctx.stars)
         ctx.profiles[node] = (F, ("star", tab.hyps[row], best_h, best_m,
                                   cap_low))
+        ctx.tops[node] = int(np.flatnonzero(F < np.inf)[-1])
         return F
-    G = np.full(n + 1, np.inf)
-    G[0] = 0.0
+    # G starts as the profile of no child and takes one child at a time;
+    # `key` names the merges that made G
+    G, top, key = ctx.delta0, 0, ()
     args = []
     for c in children:
         Fc = _subtree_profile(ctx, skel, c)
-        residual = topo._residual_arr[topo.link_index[link_key(node, c)]]
-        H = np.where(ctx.cut > residual + _EPS * max(residual, 1.0), np.inf,
-                     Fc + ctx.cut)
-        G, arg = _minplus(G, H, ctx)
+        residual = float(topo._residual_arr[topo.link_index[link_key(node, c)]])
+        limit = residual + _EPS * max(residual, 1.0)
+        excluded = n + 1 - bisect.bisect_right(ctx.cut_sorted, limit)
+        ctx.ops += n + 1
+        if ctx.tops[c] == 0 and excluded <= n:
+            # the child takes no VM, at no cost: G stays as it is
+            ctx.merges["skipped"] += 1
+            args.append(ctx.zeros)
+            continue
+        key += ((c, excluded),)
+        merged = ctx.merged.get(key)
+        if merged is None:
+            H = np.where(ctx.cut > limit, np.inf, Fc + ctx.cut)
+            merged = ctx.merged[key] = _minplus(G, top, H)
+            ctx.merges["run"] += 1
+        else:
+            ctx.merges["shared"] += 1
+        G, arg, top = merged
         args.append(arg)
     ctx.profiles[node] = (G, ("merge", list(children), args))
+    ctx.tops[node] = top
     return G
 
 
@@ -337,8 +396,6 @@ def evaluate_tr(topo: Topology, skel: TRSkeleton, request: TenantRequest,
     ev = _pruned_tree(topo, skel, request, placement)
     if not math.isclose(ev.c_b, float(F[n]), rel_tol=1e-9, abs_tol=1e-6):
         raise AssertionError(f"allocation cost mismatch: {ev.c_b} vs {F[n]}")
-    ev.c_q = max((topo.links[key].tenant_count() + 1 for key in ev.pruned_links),
-                 default=1)
     return ev
 
 
@@ -346,7 +403,7 @@ def _pruned_tree(topo: Topology, skel: TRSkeleton, request: TenantRequest,
                  placement: dict) -> TrEvaluation:
     """The skeleton pruned to the hosting hypervisors: its links in sorted
     order, each reserving the cut rule for the VMs below it, their parent
-    pointers and c_b. c_q is left 0 for the caller."""
+    pointers, c_b, and c_q as 1 + the most tenants on one of its links."""
     below: dict[str, int] = {}
     pruned_nodes = {skel.root}
     for h, m in placement.items():
@@ -365,7 +422,8 @@ def _pruned_tree(topo: Topology, skel: TRSkeleton, request: TenantRequest,
         links.append(key)
         reserved[key] = cut_reservation(request, below[u])
         parent[u] = p
-    return TrEvaluation(True, placement, math.fsum(reserved.values()), 0,
+    c_q = max((topo.links[key].tenant_count() + 1 for key in links), default=1)
+    return TrEvaluation(True, placement, math.fsum(reserved.values()), c_q,
                         tuple(links), reserved, parent, skel.root,
                         topo.nodes[skel.root].layer)
 
@@ -378,11 +436,11 @@ def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = No
     exhausted.
 
     One pass screens every skeleton of a layer on its usable-slot sum. A
-    star root that passes is elected from the star arrays
+    star root that passes is elected from count N of its star profile
     (`_star_candidates`), any other root through `evaluate_tr`. Only then is
-    a star winner's tree built, by `evaluate_tr`, and its c_b and c_q must
-    equal those it won on. `ops` counts what evaluating every skeleton on
-    its own would: the re-evaluated winner adds nothing."""
+    a star winner's tree built, by `_pruned_tree` from the VMs it was
+    elected with, and its c_b and c_q must equal those it won on. `ops`
+    counts what evaluating every skeleton on its own would."""
     policy = policy or CostPolicy()
     ctx = _EpisodeContext(topo, request)
     w_b, w_q = policy.weights(topo.load())
@@ -401,25 +459,31 @@ def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = No
         passed = np.add.reduceat(usable, table.starts) >= ctx.n
         scalar = passed & (table.star_row < 0)
         ctx.ops += int(table.sizes[~scalar].sum())  # evaluate_tr counts the rest
-        # ((cost, root), c_b, c_q, skeleton, its evaluation if one was made)
+        # ((cost, root), c_b, c_q, skeleton, its evaluation if one was made,
+        # else the star's (row, designee, VMs per hypervisor))
         cands = []
         stars = np.flatnonzero(passed & ~scalar)
-        for k, c_b, c_q in _star_candidates(ctx, table.star_row[stars]):
+        rows = table.star_row[stars]
+        for k, c_b, c_q, h, vms in _star_candidates(ctx, rows):
             skel = skels[stars[k]]
-            cands.append(((cost(c_b, c_q), skel.root), c_b, c_q, skel, None))
+            cands.append(((cost(c_b, c_q), skel.root), c_b, c_q, skel, None,
+                          (int(rows[k]), h, vms)))
         for i in np.flatnonzero(scalar):
             ev = evaluate_tr(topo, skels[i], request, ctx)
             if ev.feasible:
                 cands.append(((cost(ev.c_b, ev.c_q), ev.root), ev.c_b, ev.c_q,
-                              skels[i], ev))
+                              skels[i], ev, None))
         total_candidates += len(cands)
         if not cands:
             continue
-        _, c_b, c_q, skel, ev = min(cands, key=lambda c: c[0])
+        _, c_b, c_q, skel, ev, star = min(cands, key=lambda c: c[0])
         if ev is None:
-            ops = ctx.ops
-            ev = evaluate_tr(topo, skel, request, ctx)
-            ctx.ops = ops
+            row, h, vms = star
+            hyps = star_table(topo).hyps[row]
+            # the designee first, as `_reconstruct` places them
+            placement = {hyps[i]: vms[i] for i in (h, *range(len(hyps)))
+                         if vms[i]}
+            ev = _pruned_tree(topo, skel, request, placement)
             if (ev.c_b, ev.c_q) != (c_b, c_q):
                 raise AssertionError(f"{skel.root} won on ({c_b}, {c_q}) but "
                                      f"its tree costs ({ev.c_b}, {ev.c_q})")
@@ -432,9 +496,10 @@ def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = No
             vm_placement=dict(ev.placement),
         )
         return PlacementOutcome(True, tenant, ev.layer, total_candidates,
-                                ctx.ops)
+                                ctx.ops, merges=ctx.merges)
     return PlacementOutcome(False, None, 0, total_candidates, ctx.ops,
-                            error="no feasible routing tree at any layer")
+                            error="no feasible routing tree at any layer",
+                            merges=ctx.merges)
 
 
 def _commit(topo: Topology, request: TenantRequest, tenant_id: str,

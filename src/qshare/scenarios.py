@@ -397,6 +397,8 @@ def build_fill(doc: dict) -> largescale.FillResult:
 def run_scarcity(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     cfg = resolve(doc)
     result = build_fill(cfg)
+    if counters is not None:
+        counters["placement"] = result.placement
     row = {"oversub": cfg["oversub"], **result.report.as_row(),
            "attempted": result.attempted, "rejected": result.rejected}
     summary = dict(row)
@@ -412,6 +414,8 @@ def run_scarcity(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
 def run_gain(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     cfg = resolve(doc)
     fill = build_fill(cfg)
+    if counters is not None:
+        counters["placement"] = fill.placement
     r_values = cfg["r_in_values"]
     gain_rows = []
     reports = {}
@@ -580,7 +584,7 @@ RUNNERS = {
 def run_scenario(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     """(summary, artifacts) of the scenario `doc`. When `counters` is
     given, every fluid simulation of the run adds its rate solver's and
-    loop's counters to it; the scarcity and gain studies simulate no flow
-    and add none."""
+    loop's counters to it, and the scarcity and gain studies put their
+    fill's placement counters under "placement"."""
     cfg = resolve(doc)
     return RUNNERS[cfg["kind"]](cfg, counters)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qshare import cli
+from qshare import cli, largescale, scenarios
 from qshare.fluid import FluidSimulation, RateSolver
 from qshare.scenarios import (KINDS, ScenarioError, build_wcbg, resolve,
                               validate)
@@ -332,6 +332,41 @@ def test_manifest_holds_the_loop_counters_summed_over_simulations(
     for name in ("fct.csv", "summary.json"):
         body = (tmp_path / name).read_text()
         assert "steps" not in body and "fifo_stops" not in body, name
+
+
+@pytest.mark.parametrize("scenario, bodies", [
+    ("queue-scarcity", ("scarcity.csv", "embedding.jsonl", "summary.json")),
+    ("throughput-gain", ("gains.csv", "utilization_cdf.csv", "summary.json"))])
+def test_manifest_holds_the_fill_placement_counters(tmp_path, monkeypatch,
+                                                    scenario, bodies):
+    outcomes = []
+    embed, fattree_like = largescale.embed, scenarios.fattree_like
+
+    def recorded(*args, **kwargs):
+        outcomes.append(embed(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(largescale, "embed", recorded)
+    # a k = 4 fattree instead of the bundled k = 16 keeps the fill small
+    monkeypatch.setattr(scenarios, "fattree_like",
+                        lambda *a, **kw: fattree_like(*a, k=4, **kw))
+    assert cli.main(["run", scenario, "--set", "oversub=4:1",
+                     "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    placement = manifest["placement"]
+    assert placement == {
+        "embeds": len(outcomes),
+        "accepted": sum(o.feasible for o in outcomes),
+        "candidates": sum(o.candidates for o in outcomes),
+        "ops": sum(o.ops for o in outcomes),
+        **{f"merges_{name}": sum(o.merges[name] for o in outcomes)
+           for name in ("run", "shared", "skipped")}}
+    assert placement["accepted"] >= 10
+    assert min(placement[f"merges_{name}"]
+               for name in ("run", "shared", "skipped")) > 0
+    for name in bodies:
+        body = (tmp_path / name).read_text()
+        assert "merges_" not in body and "embeds" not in body, name
 
 
 def test_cli_overrides_apply(tmp_path):

@@ -159,6 +159,17 @@ def test_star_profile_matches_generic_merge(rng):
             assert math.isclose(ev.c_b, oracle, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _load_randomly(topo, rng):
+    """Fill every slot of a quarter of the hypervisors and reserve up to
+    half of every link."""
+    for hyp in topo.hypervisors():
+        if rng.random() < 0.25:
+            topo.occupy_slots(hyp, topo.nodes[hyp].vm_slots_free)
+    for key, lnk in topo.links.items():
+        topo.reserve(key, "filler", lnk.capacity * float(rng.random()) * 0.5)
+    return topo
+
+
 def ragged_stars(rng):
     """A root over 1-4 ToRs with 1-5 hypervisors each: random slots, some
     hypervisors full, random link capacities, part of each reserved."""
@@ -171,23 +182,40 @@ def ragged_stars(rng):
             nodes.append((f"h{h}", "hypervisor", 0, int(rng.integers(0, 8))))
             links.append((f"h{h}", f"t{t}", float(rng.integers(1, 30))))
             h += 1
-    topo = T.build_custom(nodes, links)
-    for hyp in topo.hypervisors():
-        if rng.random() < 0.25:
-            topo.occupy_slots(hyp, topo.nodes[hyp].vm_slots_free)
-    for key, lnk in topo.links.items():
-        topo.reserve(key, "filler", lnk.capacity * float(rng.random()) * 0.5)
-    return topo
+    return _load_randomly(T.build_custom(nodes, links), rng)
 
 
-def test_profiles_match_reference_kernels(rng):
+def small_fattree(rng, case):
+    """A k = 4 fattree, where the two aggregations of a pod share their ToRs
+    and the two cores of a group their aggregations: random slots and NIC
+    capacities, some hypervisors full, part of each link reserved."""
+    topo = T.fattree_like("1:1", k=4, vm_slots=int(rng.integers(1, 6)),
+                          nic_mbps=float(rng.integers(5, 30)),
+                          port_mbps=float(rng.integers(10, 60)), seed=case)
+    return _load_randomly(topo, rng)
+
+
+def test_profiles_match_reference_kernels(rng, monkeypatch):
     """Every subtree profile one embed computes, bit for bit, with the same
     argmins wherever it is finite and the same ops, as the scalar reference
-    kernels: random trees and ragged stars, b = 0, wcs-capped requests and
-    full hypervisors."""
+    kernels: random trees, ragged stars and small fattrees, b = 0,
+    wcs-capped requests and full hypervisors. Every merge path is taken:
+    a child that takes no VM, a profile that holds no VM yet, a merge shared
+    with another switch, and a full convolution."""
+    paths = collections.Counter()
+    minplus = P._minplus
+
+    def counted(G, g_top, H):
+        paths["nothing yet" if g_top == 0 else "full" if g_top > 0 else
+              "nothing possible"] += 1
+        return minplus(G, g_top, H)
+
+    monkeypatch.setattr(P, "_minplus", counted)
     stars = 0
-    for case in range(300):
-        topo = random_tree(rng) if case % 2 else ragged_stars(rng)
+    for case in range(450):
+        kind = case % 3
+        topo = (ragged_stars(rng) if kind == 0 else random_tree(rng)
+                if kind == 1 else small_fattree(rng, case))
         req = random_request(rng, n_hi=12)
         if case % 5 == 0:
             req = TenantRequest(req.vm_count, 0.0, wcs=req.wcs)
@@ -200,10 +228,14 @@ def test_profiles_match_reference_kernels(rng):
                 ref_ops += profiles_reference(topo, skel, req, ref)
         assert ctx.ops == ref_ops
         assert ctx.profiles.keys() == ref.keys()
+        paths["shared"] += ctx.merges["shared"]
+        paths["no VM in child"] += ctx.merges["skipped"]
         for node, (F, rec) in ctx.profiles.items():
             ref_F, ref_rec = ref[node]
             assert F.tobytes() == ref_F.tobytes(), node
             assert rec[0] == ref_rec[0]
+            top = np.flatnonzero(np.isfinite(F))
+            assert ctx.tops[node] == (top[-1] if len(top) else -1)
             if rec[0] == "star":
                 stars += 1
                 _, hyps, best_h, best_m, cap_low = rec
@@ -214,8 +246,129 @@ def test_profiles_match_reference_kernels(rng):
                                                       ref_rec[3][j])
             elif rec[0] == "merge":
                 assert rec[1] == ref_rec[1]
+                assert all(a.dtype == np.int32 for a in rec[2])
                 assert [list(a) for a in rec[2]] == ref_rec[2]
     assert stars >= 300
+    for path in ("no VM in child", "nothing yet", "shared", "full"):
+        assert paths[path] >= 50, (path, paths)
+
+
+def _two_aggregations(slots, tor_residuals):
+    """Aggregations a0 and a1 over the same ToRs, each ToR over two
+    hypervisors with `slots` free slots each; a1's link to ToR i keeps
+    `tor_residuals[i]` of its 100 Mbps, every other link all of it."""
+    nodes = [("a0", "switch", 2, 0), ("a1", "switch", 2, 0)]
+    links = []
+    for t, free in enumerate(slots):
+        nodes.append((f"t{t}", "switch", 1, 0))
+        links += [(f"t{t}", "a0", 100.0), (f"t{t}", "a1", 100.0)]
+        for h in (2 * t, 2 * t + 1):
+            nodes.append((f"h{h}", "hypervisor", 0, 2))
+            links.append((f"h{h}", f"t{t}", 100.0))
+    topo = T.build_custom(nodes, links)
+    for t, free in enumerate(slots):
+        for h in (2 * t, 2 * t + 1):
+            topo.occupy_slots(f"h{h}", 2 - free)
+    for t, residual in enumerate(tor_residuals):
+        topo.reserve(T.link_key(f"t{t}", "a1"), "filler", 100.0 - residual)
+    return topo
+
+
+def _aggregation_profiles(topo, req):
+    ctx = P._EpisodeContext(topo, req)
+    ref: dict = {}
+    ref_ops = 0
+    for skel in T.trs_at_layer(topo, 2):
+        P._subtree_profile(ctx, skel, skel.root)
+        ref_ops += profiles_reference(topo, skel, req, ref)
+    assert ctx.ops == ref_ops
+    for node in ("a0", "a1"):
+        F, (_, children, args) = ctx.profiles[node]
+        ref_F, (_, ref_children, ref_args) = ref[node]
+        assert F.tobytes() == ref_F.tobytes(), node
+        assert children == ref_children
+        assert [list(a) for a in args] == ref_args, node
+    return ctx
+
+
+def test_merges_share_only_equal_windows():
+    """Two aggregations over the same ToRs share the merges up to the one
+    ToR link where a1 keeps less bandwidth: there its window excludes more
+    VM counts, so from there on its profile is its own, and both match the
+    scalar reference."""
+    req = TenantRequest(10, 10.0)
+    # a1 keeps 5 Mbps to t2, where 1..9 VMs would need 10-50: a1 can host
+    # only the 8 VMs t0 and t1 hold
+    ctx = _aggregation_profiles(_two_aggregations((2, 2, 2), (100, 100, 5)),
+                                req)
+    assert ctx.merges == {"run": 4, "shared": 2, "skipped": 0}
+    (F0, (_, _, args0)), (F1, (_, _, args1)) = (ctx.profiles[a]
+                                                for a in ("a0", "a1"))
+    assert args1[:2] == args0[:2] and args1[2] is not args0[2]
+    assert np.isfinite(F0[10]) and np.isinf(F1[9:]).all()
+    # with equal windows the aggregations share every merge and profile
+    ctx = _aggregation_profiles(_two_aggregations((2, 2, 2), (100, 100, 100)),
+                                req)
+    assert ctx.merges == {"run": 3, "shared": 3, "skipped": 0}
+    assert ctx.profiles["a0"][0] is ctx.profiles["a1"][0]
+
+
+def test_a_full_rack_between_others_is_skipped():
+    """A rack with no free slot adds nothing: both aggregations keep their
+    profile over it with an all-zero argmin and no convolution, and the
+    racks around it still merge, shared up to where the windows part."""
+    req = TenantRequest(6, 10.0)
+    ctx = _aggregation_profiles(_two_aggregations((2, 0, 1), (100, 100, 15)),
+                                req)
+    assert ctx.merges == {"run": 3, "shared": 1, "skipped": 2}
+    for node in ("a0", "a1"):
+        args = ctx.profiles[node][1][2]
+        assert not args[1].any() and args[1].dtype == np.int32
+    placement: dict = {}
+    P._reconstruct(ctx, "a0", req.vm_count, placement)
+    assert not {"h2", "h3"} & {h for h, m in placement.items() if m}
+    assert sum(placement.values()) == req.vm_count
+    # a link reserved just past its capacity (within the reservation
+    # tolerance) admits not even zero VMs, so a1 can host nothing at all
+    ctx = _aggregation_profiles(_two_aggregations((2, 0, 1), (100, -5e-8, 100)),
+                                req)
+    assert ctx.merges == {"run": 4, "shared": 1, "skipped": 1}
+    assert np.isinf(ctx.profiles["a1"][0]).all() and ctx.tops["a1"] == -1
+
+
+def test_star_election_reads_column_n_of_the_full_profiles(rng):
+    """The column-N star pass gives, bit for bit, column N of the full star
+    profiles with the same best_h, best_m and cap_low, for any set of rows:
+    ragged stars with full hypervisors, b = 0, and N above every star's sum
+    of caps."""
+    seen = collections.Counter()
+    for case in range(300):
+        topo = ragged_stars(rng) if case % 2 else small_fattree(rng, case)
+        req = random_request(rng, n_hi=40 if case % 7 == 0 else 12)
+        if case % 5 == 0:
+            req = TenantRequest(req.vm_count, 0.0, wcs=req.wcs)
+        ctx = P._EpisodeContext(topo, req)
+        n = req.vm_count
+        F, best_h, best_m, cap_low = P._star_profiles(ctx)
+        tab = T.star_table(topo)
+        stars = len(tab.hyps)
+        rows = rng.permutation(stars)[:int(rng.integers(1, stars + 1))]
+        col = P._star_profiles(ctx, rows, n)
+        assert all(x.shape[1] == 1 for x in col[:3])
+        assert col[0][:, 0].tobytes() == F[rows, n].tobytes()
+        assert col[1][:, 0].tobytes() == best_h[rows, n].tobytes()
+        assert col[2][:, 0].tobytes() == best_m[rows, n].tobytes()
+        assert col[3].tobytes() == cap_low[rows].tobytes()
+        caps = np.minimum(topo._free_arr[tab.hyp_idx[rows]],
+                          req.per_hypervisor_cap)
+        seen["b = 0"] += req.per_vm_guarantee == 0
+        seen["full hypervisor"] += bool((caps[tab.valid[rows]] == 0).any())
+        seen["N above every sum of caps"] += bool(
+            (np.where(tab.valid[rows], caps, 0).sum(axis=1) < n).all())
+        seen["feasible"] += bool(np.isfinite(col[0]).any())
+    for what in ("b = 0", "full hypervisor", "N above every sum of caps",
+                 "feasible"):
+        assert seen[what] >= 30, (what, seen)
 
 
 def test_early_return_layering_is_minimal(rng):
