@@ -31,6 +31,7 @@ from .topology import Topology, link_key
 BYTES_PER_MBPS_SEC = 125_000.0  # 1 Mbps moves 125 kB per second
 LOOPBACK_MBPS = 100_000.0       # flows between co-located VMs
 _TOL = 1e-9
+_LEVEL_SOLVES = 4  # solves per generation of RateSolver's level memo
 _rate = operator.attrgetter("rate")
 
 
@@ -194,7 +195,8 @@ def _weighted_fill(total: float, weights: list, caps: list,
     n = len(weights)
     out = [0.0] * n
     remaining = total
-    for i in sorted(range(n), key=lambda i: caps[i] / weights[i]):
+    keys = [c / w for c, w in zip(caps, weights)]
+    for i in sorted(range(n), key=keys.__getitem__):
         if wsum <= 0 or remaining <= 0:
             break
         give = min(caps[i], remaining * weights[i] / wsum)
@@ -208,15 +210,35 @@ def _lift_levels(total: float, caps) -> list:
     """Equal-weight water level of every entry when it alone is greedy:
     out[i] is the max-min share of `total` for entry i while every other
     entry keeps its cap. A binary search over the other caps, sorted, finds
-    how many of them saturate below the level."""
+    how many of them saturate below the level.
+
+    The search for the largest rank compares only ranks below it, and so
+    does the search for any rank above the highest one that search visits:
+    those ranks follow the same path to the same level, which is computed
+    once. Only the ranks up to that visit search on their own. The rate
+    solver reads the levels of groups of 3 or more flows through its level
+    memo (_LevelMemo), which runs this once per distinct (total, caps) and
+    memo generation."""
     n = len(caps)
     if n == 1:
         return [max(total, 0.0)]
     order = sorted(range(n), key=caps.__getitem__)
     S = [caps[i] for i in order]
     P = list(itertools.accumulate(S, initial=0.0))
-    out = [0.0] * n
-    for rank, idx in enumerate(order):
+    # with an entry of rank above `mid` left out, the mid smallest others
+    # sum to P[mid] and the next is S[mid]
+    lo, hi, top = 0, n - 1, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid > top:
+            top = mid
+        if S[mid] < (total - P[mid]) / (n - mid) - 1e-15:
+            lo = mid + 1
+        else:
+            hi = mid
+    level = (total - P[lo]) / (n - lo)
+    out = [0.0 if level < 0.0 else level] * n  # max(level, 0.0)
+    for rank in range(top + 1):
         # with entry `rank` left out, the k smallest others sum to P[k] for
         # k <= rank and to P[k + 1] - S[rank] above; the k-th is S[k] or S[k + 1]
         s_r = S[rank]
@@ -234,15 +256,16 @@ def _lift_levels(total: float, caps) -> list:
                 hi = mid
         sat = P[lo] if lo <= rank else P[lo + 1] - s_r
         level = (total - sat) / (n - lo)
-        out[idx] = 0.0 if level < 0.0 else level  # max(level, 0.0)
+        out[order[rank]] = 0.0 if level < 0.0 else level
     return out
 
 
 def _by_key(weights: list, caps: list) -> list:
-    """(cap/weight, weight, cap, index) per entry, stably sorted by cap/weight:
-    the order _weighted_fill visits them in."""
-    return sorted(((c / w, w, c, j) for j, (w, c) in enumerate(zip(weights, caps))),
-                  key=operator.itemgetter(0))
+    """(cap/weight, index, weight, cap) per entry, sorted by cap/weight and
+    then by index (a stable sort by cap/weight): the order _weighted_fill
+    visits them in."""
+    return sorted([(c / w, j, w, c)
+                   for j, (w, c) in enumerate(zip(weights, caps))])
 
 
 def _lifted_share(total: float, w0: float, c0: float, wsum: float,
@@ -255,7 +278,7 @@ def _lifted_share(total: float, w0: float, c0: float, wsum: float,
     reaches it at the first other whose key is not below c0 / w0 and stops."""
     k0 = c0 / w0
     rem = total
-    for key, w, c, j in others:
+    for key, j, w, c in others:
         if j == skip:
             continue
         if key >= k0:
@@ -271,58 +294,148 @@ def _lifted_share(total: float, w0: float, c0: float, wsum: float,
     return give if give < c0 else c0
 
 
-def _lift_into(out: list, total: float, capped: tuple, a: int, n: int) -> None:
-    """Append _lift_levels(total, capped[a:a + n]) to `out`."""
-    if n == 1:
-        out.append(0.0 if total < 0.0 else total)
-    elif n == 2:
-        x, y = capped[a], capped[a + 1]
-        s0, s1 = (y, x) if y < x else (x, y)
-        half = total / 2
-        # the smaller cap's level, then the larger's: one saturated other
-        # makes the level total minus that other, read off the prefix sums
-        low = total - ((s0 + s1) - s0) if s1 < half - 1e-15 else half
-        high = total - s0 if s0 < half - 1e-15 else half
-        low = 0.0 if low < 0.0 else low
-        high = 0.0 if high < 0.0 else high
-        out += (high, low) if y < x else (low, high)
-    else:
-        out += _lift_levels(total, capped[a:a + n])
+class _LevelMemo:
+    """The levels of flow groups of 3 or more flows, keyed by (lift, total,
+    caps): _lift_levels(total, caps) with `lift`, else _water_fill(total,
+    caps). It keeps two generations: a key found in the previous one is
+    copied into the current one, and `rotate` drops the previous one.
+    `runs` counts kernel runs and `hits` lookups that found their key. The
+    levels are shared between hits and never mutated.
 
+    No total is -0.0, which would share a key with 0.0: the fills return
+    zeros for a total <= 0 before any lookup, and a lifted total is a
+    _lifted_share (0.0 or a positive share or cap) or a reservation. No cap
+    is -0.0 (see RateSolver._sweep)."""
 
-def _fill_into(out: list, total: float, capped: tuple, a: int, n: int) -> None:
-    """Append _water_fill(total, capped[a:a + n]) to `out`."""
-    if total <= 0:
-        out += [0.0] * n
-    elif n == 1:
-        c = capped[a]
-        out.append(total if total < c else c)
-    elif n == 2:
-        x, y = capped[a], capped[a + 1]
-        half = total / 2
-        if y < x:
-            gy = half if half < y else y
-            rem = total - gy
-            gx = 0.0 if rem <= 0 else (rem if rem < x else x)
+    __slots__ = ("cur", "prev", "runs", "hits")
+
+    def __init__(self):
+        self.cur, self.prev = {}, {}
+        self.runs = self.hits = 0
+
+    def rotate(self) -> None:
+        self.prev, self.cur = self.cur, {}
+
+    def levels(self, lift: bool, total: float, caps: tuple) -> list:
+        key = (lift, total, caps)
+        # a found value is a non-empty list, so never falsy
+        levels = self.cur.get(key) or self.prev.get(key)
+        if levels is None:
+            levels = (_lift_levels if lift else _water_fill)(total, caps)
+            self.runs += 1
         else:
-            gx = half if half < x else x
-            rem = total - gx
-            gy = 0.0 if rem <= 0 else (rem if rem < y else y)
-        out += (gx, gy)
-    else:
-        out += _water_fill(total, capped[a:a + n])
+            self.hits += 1
+        self.cur[key] = levels
+        return levels
 
 
-def _demand(capped: tuple, a: int, n: int) -> float:
-    """math.fsum(capped[a:a + n])."""
-    if n == 1:
-        return capped[a]
-    if n == 2:
-        return capped[a] + capped[a + 1]
-    return math.fsum(capped[a:a + n])
+def _lift_into(out: list, totals: list, spans: list, capped: tuple,
+               memo: _LevelMemo) -> None:
+    """Append _lift_levels(total, capped[a:a + n]) to `out` for every total
+    and its group's span (a, n)."""
+    for total, (a, n) in zip(totals, spans):
+        if n == 1:
+            out.append(0.0 if total < 0.0 else total)
+        elif n == 2:
+            x, y = capped[a], capped[a + 1]
+            s0, s1 = (y, x) if y < x else (x, y)
+            half = total / 2
+            # the smaller cap's level, then the larger's: one saturated
+            # other makes the level total minus that other, read off the
+            # prefix sums
+            low = total - ((s0 + s1) - s0) if s1 < half - 1e-15 else half
+            high = total - s0 if s0 < half - 1e-15 else half
+            low = 0.0 if low < 0.0 else low
+            high = 0.0 if high < 0.0 else high
+            out += (high, low) if y < x else (low, high)
+        else:
+            out += memo.levels(True, total, capped[a:a + n])
 
 
-def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool) -> tuple:
+def _fill_into(out: list, totals: list, spans: list, capped: tuple,
+               memo: _LevelMemo) -> None:
+    """Append _water_fill(total, capped[a:a + n]) to `out` for every total
+    and its group's span (a, n)."""
+    for total, (a, n) in zip(totals, spans):
+        if total <= 0:
+            out += [0.0] * n
+        elif n == 1:
+            c = capped[a]
+            out.append(total if total < c else c)
+        elif n == 2:
+            x, y = capped[a], capped[a + 1]
+            half = total / 2
+            if y < x:
+                gy = half if half < y else y
+                rem = total - gy
+                gx = 0.0 if rem <= 0 else (rem if rem < x else x)
+            else:
+                gx = half if half < x else x
+                rem = total - gx
+                gy = 0.0 if rem <= 0 else (rem if rem < y else y)
+            out += (gx, gy)
+        else:
+            out += memo.levels(False, total, capped[a:a + n])
+
+
+def _group_shares(plan: "_LinkPlan", capped: tuple, lift: bool) -> list:
+    """The share of every group of `plan` (dedicated queues first, in the
+    order of plan.spans), its flows demanding `capped`: its lifted share
+    with `lift`, else its part of the weighted max-min split (see
+    _link_levels). A static group's share is its reservation."""
+    ded, groups = plan.ded, plan.groups
+    if plan.static:
+        return [g for g, _, _, _ in groups]
+    if groups:
+        tds = []
+        for g, _, a, n in groups:
+            d = (capped[a] if n == 1 else capped[a] + capped[a + 1] if n == 2
+                 else math.fsum(capped[a:a + n]))
+            tds.append(g if g < d else d)
+        sdem = math.fsum(tds)
+    if not ded:
+        # the shared queue alone: its weighted share of C is plan.K
+        K = plan.K
+        if not lift:
+            return _weighted_fill(K if K < sdem else sdem, plan.tweights, tds,
+                                  plan.twsum)
+        tsorted = _by_key(plan.tweights, tds)
+        twsum = plan.twsum
+        shares = []
+        for ti, ((g, w, _, _), d) in enumerate(zip(groups, tds)):
+            c0 = sdem - d + g
+            shares.append(_lifted_share(K if K < c0 else c0, w, g, twsum,
+                                        tsorted, ti))
+        return shares
+    qdems = [capped[a] if n == 1 else capped[a] + capped[a + 1] if n == 2
+             else math.fsum(capped[a:a + n]) for _, a, n in ded]
+    if groups:
+        qdems.append(sdem)
+    C, qwsum = plan.C, plan.qwsum
+    if not lift:
+        shares = _weighted_fill(C, plan.qweights, qdems, qwsum)
+        if groups:
+            # the shared queue's share, split over its tenants
+            shares[-1:] = _weighted_fill(shares[-1], plan.tweights, tds,
+                                         plan.twsum)
+        return shares
+    qsorted = _by_key(plan.qweights, qdems)
+    # a greedy member makes the whole queue greedy
+    shares = [_lifted_share(C, w_q, C, qwsum, qsorted, qi)
+              for qi, (w_q, _, _) in enumerate(ded)]
+    if groups:
+        # lifting one flow lifts its tenant's demand to the cap
+        qi, w_q = len(ded), plan.qweights[-1]
+        tsorted = _by_key(plan.tweights, tds)
+        twsum = plan.twsum
+        for ti, ((g, w, _, _), d) in enumerate(zip(groups, tds)):
+            share = _lifted_share(C, w_q, sdem - d + g, qwsum, qsorted, qi)
+            shares.append(_lifted_share(share, w, g, twsum, tsorted, ti))
+    return shares
+
+
+def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool,
+                 memo: _LevelMemo | None = None) -> tuple:
     """One link's kernel: the level of every flow of `plan`, in plan order,
     its flows demanding `capped`. With `lift` a flow's level is its lifted
     grant: the max-min level of its group's lifted share (the dedicated
@@ -331,63 +444,13 @@ def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool) -> tuple:
     Otherwise it is its water-fill level of the weighted max-min split of
     the capacity over the queues and of the shared queue's share over its
     tenants. Shared and static tenants stay capped at their per-link
-    reservation (a policy cap, never lifted). The result is shared between
-    memo hits and never mutated."""
-    put = _lift_into if lift else _fill_into
+    reservation (a policy cap, never lifted). The levels of groups of 3 or
+    more flows come from `memo` (a throwaway one when None). The result is
+    shared between memo hits and never mutated."""
     out: list = []
-    if plan.static:
-        for g, _, a, n in plan.groups:
-            put(out, g, capped, a, n)
-        return tuple(out)
-    ded, groups = plan.ded, plan.groups
-    if groups:
-        tds = []
-        for g, _, a, n in groups:
-            d = _demand(capped, a, n)
-            tds.append(g if g < d else d)
-        sdem = _demand(tds, 0, len(tds))
-    if not ded:
-        # the shared queue alone: its weighted share of C is plan.K
-        K = plan.K
-        if lift:
-            tsorted = _by_key(plan.tweights, tds)
-            twsum = plan.twsum
-            for ti, ((g, w, a, n), d) in enumerate(zip(groups, tds)):
-                c0 = sdem - d + g
-                put(out, _lifted_share(K if K < c0 else c0, w, g, twsum,
-                                       tsorted, ti), capped, a, n)
-            return tuple(out)
-        qs = K if K < sdem else sdem
-        for (_, _, a, n), share in zip(groups, _weighted_fill(
-                qs, plan.tweights, tds, plan.twsum)):
-            put(out, share, capped, a, n)
-        return tuple(out)
-    qdems = [_demand(capped, a, n) for _, a, n in ded]
-    if groups:
-        qdems.append(sdem)
-    C, qwsum = plan.C, plan.qwsum
-    if not lift:
-        qshares = _weighted_fill(C, plan.qweights, qdems, qwsum)
-        for (_, a, n), qs in zip(ded, qshares):
-            put(out, qs, capped, a, n)
-        if groups:
-            for (_, _, a, n), share in zip(groups, _weighted_fill(
-                    qshares[-1], plan.tweights, tds, plan.twsum)):
-                put(out, share, capped, a, n)
-        return tuple(out)
-    qsorted = _by_key(plan.qweights, qdems)
-    for qi, (w_q, a, n) in enumerate(ded):
-        # a greedy member makes the whole queue greedy
-        put(out, _lifted_share(C, w_q, C, qwsum, qsorted, qi), capped, a, n)
-    if groups:
-        # lifting one flow lifts its tenant's demand to the cap
-        qi, w_q = len(ded), plan.qweights[-1]
-        tsorted = _by_key(plan.tweights, tds)
-        twsum = plan.twsum
-        for ti, ((g, w, a, n), d) in enumerate(zip(groups, tds)):
-            share = _lifted_share(C, w_q, sdem - d + g, qwsum, qsorted, qi)
-            put(out, _lifted_share(share, w, g, twsum, tsorted, ti),
-                capped, a, n)
+    (_lift_into if lift else _fill_into)(
+        out, _group_shares(plan, capped, lift), plan.spans, capped,
+        _LevelMemo() if memo is None else memo)
     return tuple(out)
 
 
@@ -404,16 +467,19 @@ class _LinkPlan:
     `groups`, (cap, weight, offset, count) per shared or static group, with
     their weights and the weights' math.fsum (`qweights`/`qwsum` over
     queues, `tweights`/`twsum` over groups), and `K`, the shared queue's
-    weighted share of the capacity when it is the only queue. The signature
-    `sig` is every number the kernel reads, flat: the capacity, the weight
-    sum, then per queue its weight, its tenant weight sum and its group
-    count, each followed by its groups' cap, weight and flow count. `sid`
-    names the signature in the memo; `fids` and `positions` list the flows
-    and their solver slots in plan order."""
+    weighted share of the capacity when it is the only queue, and `spans`,
+    (offset, count) per dedicated queue and then per group, the order the
+    kernel's levels come in (every dedicated queue precedes the shared
+    queue in qid order). The signature `sig` is every number the kernel
+    reads, flat: the capacity, the weight sum, then per queue its weight,
+    its tenant weight sum and its group count, each followed by its groups'
+    cap, weight and flow count. `sid` names the signature in the memo;
+    `fids` and `positions` list the flows and their solver slots in plan
+    order."""
 
     __slots__ = ("C", "static", "qweights", "qwsum", "ded", "groups",
-                 "tweights", "twsum", "K", "sig", "sid", "fids", "positions",
-                 "gather")
+                 "tweights", "twsum", "K", "spans", "sig", "sid", "fids",
+                 "positions", "gather")
 
     def __init__(self, C: float, static: bool, queues: list):
         self.C, self.static = C, static
@@ -439,14 +505,17 @@ class _LinkPlan:
         # on a link without capacity
         self.K = ((C * self.qweights[0] / self.qwsum if C > 0 else 0.0)
                   if len(queues) == 1 and not self.ded else None)
+        self.spans = ([(a, n) for _, a, n in self.ded]
+                      + [(a, n) for _, _, a, n in self.groups])
         self.sig = (C, self.qwsum, *numbers)
         self.sid = 0
         self.fids = self.positions = ()
 
     def place(self, positions: list) -> None:
-        """Set the solver slots of the plan's flows, in plan order, and
-        `gather`, which reads their entries of a per-slot list as a tuple."""
-        self.positions = positions
+        """Set the solver slots of the plan's flows, in plan order, as a
+        tuple, and `gather`, which reads their entries of a per-slot list as
+        a tuple."""
+        self.positions = tuple(positions)
         self.gather = (operator.itemgetter(*positions) if len(positions) > 1
                        else lambda rates, at=positions[0]: (rates[at],))
 
@@ -501,17 +570,31 @@ class RateSolver:
     keeps two generations, this solve's entries and the previous solve's,
     so it never holds more than two solves' results.
 
+    Links with the same signature over the same flow slots, such as a
+    route's hops into and out of a core switch, see the same input in every
+    sweep: each solve groups the plans by (signature id, slots), and a
+    sweep evaluates each group once, by its first plan, counting the others
+    as memo hits. One level down, a kernel run splits each group's share
+    over its flows, and within a run most groups of 3 or more flows see a
+    (total, caps) input seen before; those levels come from a second memo
+    (_LevelMemo), keyed by (lift, total, caps), that rotates every
+    _LEVEL_SOLVES solves, so it never holds more than 2 * _LEVEL_SOLVES
+    solves' levels.
+
     Counters over the solver's life: `solves` (calls to solve), `sweeps`
     (lift sweeps summed over solves), `nonconverged` (solves that stopped
     at the sweep cap with the last relative rate change still >= _TOL),
     `kernel_runs` and `kernel_hits` (per-link kernel evaluations and memo
-    hits; together, planned links times lift and projection sweeps), and
+    hits; together, planned links times lift and projection sweeps),
     `plans_built` and `plans_kept` (per solve, each planned link is either
-    planned anew or carried from the previous solve).
+    planned anew or carried from the previous solve), and `level_runs` and
+    `level_hits` (level memo lookups that ran the group kernel or found its
+    levels).
     """
 
     COUNTERS = ("solves", "sweeps", "nonconverged", "kernel_runs",
-                "kernel_hits", "plans_built", "plans_kept")
+                "kernel_hits", "plans_built", "plans_kept", "level_runs",
+                "level_hits")
 
     def __init__(self, topo: Topology, mode: str = "wfq",
                  weight_mode: str = "normalized"):
@@ -522,6 +605,7 @@ class RateSolver:
         self.solves = self.sweeps = self.nonconverged = 0
         self.kernel_runs = self.kernel_hits = 0
         self.plans_built = self.plans_kept = 0
+        self.level_runs = self.level_hits = 0
         # this solve's and the previous solve's: signature -> id, and
         # (lift, signature id, capped demands) -> levels
         self._sigs: dict = {}
@@ -529,14 +613,17 @@ class RateSolver:
         self._memo: dict = {}
         self._memo_prev: dict = {}
         self._next_sid = itertools.count(1)
+        self._levels = _LevelMemo()
         # routed flows by slot with the (tenant, route) they were planned
         # under, each one's slot by fid, every crossed link's fids by tenant
-        # in fid order, and the plans of those links in dkey order
+        # in fid order, the plans of those links in dkey order, and the
+        # first plan of each (signature id, slots) group
         self._flows: list = []
         self._idents: list = []
         self._slot: dict = {}
         self._members: dict = {}
         self._plans: dict = {}
+        self._distinct: list = []
 
     def rebuild(self, owners_by_link: dict) -> None:
         self.views = {}
@@ -560,9 +647,12 @@ class RateSolver:
 
         A link whose kernel input already occurred in this solve or the
         previous one reuses that result (see the class docstring), so the
-        rates are the same bits as without the memo. The memo rotates at the
-        start of every solve.
+        rates are the same bits as without the memo. The link memo rotates
+        at the start of every solve, the level memo at the start of every
+        _LEVEL_SOLVES-th.
         """
+        if self.solves % _LEVEL_SOLVES == 0:
+            self._levels.rotate()
         self.solves += 1
         self._sigs_prev, self._sigs = self._sigs, {}
         self._memo_prev, self._memo = self._memo, {}
@@ -595,7 +685,8 @@ class RateSolver:
         free their slots (the last slot moving into each freed one), those
         that arrived take new slots, every link on their routes is planned
         anew, and a link no flow crosses any more is dropped. Then every
-        plan registers its signature id for this solve."""
+        plan registers its signature id for this solve, and the plans are
+        grouped by (signature id, slots) for _sweep."""
         flows, idents, slot = self._flows, self._idents, self._slot
         members, plans = self._members, self._plans
         arrived, carried = [], []
@@ -660,6 +751,10 @@ class RateSolver:
             sid = (plan.sid or sigs.get(plan.sig) or sigs_prev.get(plan.sig)
                    or next(self._next_sid))
             sigs[plan.sig] = plan.sid = sid
+        distinct: dict = {}
+        for plan in plans.values():
+            distinct.setdefault((plan.sid, plan.positions), plan)
+        self._distinct = list(distinct.values())
 
     def _plan(self, dkey: tuple, by_tenant: dict) -> _LinkPlan:
         """A new plan of link `dkey` for its fids by tenant (see _LinkPlan)."""
@@ -692,11 +787,12 @@ class RateSolver:
         """New per-slot rates: the minimum over each flow's links of its
         lifted grant (`lift`) or of its capped projection, every flow
         demanding its current rate (see _link_levels), each link's levels
-        taken from the memo when its input repeats."""
+        taken from the memo when its input repeats. A plan of a (signature
+        id, slots) group stands for the whole group."""
         out = [math.inf] * len(rates)
-        memo, memo_prev = self._memo, self._memo_prev
+        memo, memo_prev, levels_memo = self._memo, self._memo_prev, self._levels
         runs = 0
-        for plan in self._plans.values():
+        for plan in self._distinct:
             C = plan.C
             capped = plan.gather(rates)
             # `C if C < r else r` is min(r, C), without the call; after the
@@ -711,7 +807,7 @@ class RateSolver:
             if levels is None:
                 levels = memo_prev.get(key)
                 if levels is None:
-                    levels = _link_levels(plan, capped, lift)
+                    levels = _link_levels(plan, capped, lift, levels_memo)
                     runs += 1
                 memo[key] = levels
             for i, r in zip(plan.positions, levels):
@@ -719,6 +815,7 @@ class RateSolver:
                     out[i] = r
         self.kernel_runs += runs
         self.kernel_hits += len(self._plans) - runs
+        self.level_runs, self.level_hits = levels_memo.runs, levels_memo.hits
         return out
 
 

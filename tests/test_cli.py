@@ -264,13 +264,36 @@ PINNED_BODIES = {
         "flows.jsonl":
             "e4c9dd04adef8138d05ae9538a1371d0077a02d09180c656be5b0f5d37a69256",
     },
+    # the dedicated queues of criterion 1; this run's flows.jsonl is empty
+    ("predictable",): {
+        "utilization.csv":
+            "73c87903d7bdbcadbe3f550bc8fcb23c20b23ba2a6a21aacbee60d8ecfb3fd17",
+        "tenant_throughput.csv":
+            "6b2db4669f759be9ad52af076460cbd56deef260c62170b895a2a674c18ad313",
+        "binding.jsonl":
+            "88992ba8b5a7aced63f193f2e72f37076d4a610d048343795db2585c71b0c2ea",
+        "flows.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    ("unpredictable", "--seed", "2", "--set", "duration_s=2.0",
+     "--set", "weight_mode=quantized"): {  # quantized queue weights
+        "utilization.csv":
+            "9f2e6f0dbbe273a9d4b78b4d3e1164cd3be6e59de4f74085aaeb978a024833e0",
+        "tenant_throughput.csv":
+            "ae0a3d62ea8ace6f5c4208509e5f764e207ca3185d0fe290f2505768da7c2f69",
+        "binding.jsonl":
+            "b3b91f116f682e2d88215ea6582f8f34f334edd3f80b603d7f2c046f49b3345a",
+        "flows.jsonl":
+            "7420f8136de054dabac7322f0ec6f55a3262146bd33120f56d55150266f8aa8c",
+    },
 }
 
 
 def _pin_id(argv):
-    """The scenario name, and the policy when the run overrides it."""
-    return "-".join([argv[0], *(a.removeprefix("policy=") for a in argv
-                                if a.startswith("policy="))])
+    """The scenario name, and the policy or weight mode when the run
+    overrides it."""
+    return "-".join([argv[0], *(a.split("=", 1)[1] for a in argv
+                                if a.startswith(("policy=", "weight_mode=")))])
 
 
 @pytest.mark.parametrize("argv", list(PINNED_BODIES), ids=_pin_id)
@@ -291,6 +314,7 @@ def test_manifest_holds_the_solver_counters_summed_over_simulations(tmp_path):
     assert 0 < counters["solves"] <= counters["sweeps"]
     assert counters["kernel_runs"] > 0 and counters["kernel_hits"] > 0
     assert counters["plans_built"] > 0 and counters["plans_kept"] > 0
+    assert counters["level_runs"] > 0 and counters["level_hits"] > 0
     for name in ("summary.json", "utilization.csv", "tenant_throughput.csv",
                  "binding.jsonl", "flows.jsonl"):
         body = (tmp_path / "u" / name).read_text()

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -323,8 +324,10 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
     and one projection sweep from arbitrary demands, equal bit for bit those
     of a fresh solver (empty memo, every link planned anew) with the same
     views. Re-solving an unchanged flow set is all memo hits, the memo
-    holds at most the kernel inputs of the last two solves, and every
-    planned link's lift and projection sweeps count once as a run or a hit."""
+    holds at most the kernel inputs of the last two solves, the level memo
+    at most the group inputs looked up since the start of the solve
+    2 * _LEVEL_SOLVES - 1 solves back, and every planned link's lift and
+    projection sweeps count once as a run or a hit."""
     def fresh_solver():
         fresh = F.RateSolver(topo, mode=mode)
         fresh.rebuild(owners)
@@ -347,15 +350,21 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
         for j in rng.permutation(len(flows))[:-1]:
             steps.append([f for f in steps[-1] if f is not flows[j]])
         marks = [0]  # kernel evaluations before each solve
+        level_marks = [0] * 2 * F._LEVEL_SOLVES  # group lookups, likewise
 
         def solve(active):
             marks.append(solver.kernel_runs + solver.kernel_hits)
+            level_marks.append(solver.level_runs + solver.level_hits)
             sweeps = solver.sweeps
             solver.solve(active)
             evals = solver.kernel_runs + solver.kernel_hits
             links = len({dk for f in active for dk in f.route})
             assert evals - marks[-1] == links * (solver.sweeps - sweeps + 2)
             assert len(solver._memo) + len(solver._memo_prev) <= evals - marks[-2]
+            levels = solver._levels
+            assert len(levels.cur) + len(levels.prev) <= \
+                solver.level_runs + solver.level_hits \
+                - level_marks[-2 * F._LEVEL_SOLVES]
 
         for step, active in enumerate(steps):
             where = f"case {case} step {step}"
@@ -434,8 +443,11 @@ def test_kernel_matches_reference_bit_for_bit(rng):
     """fluid._link_levels on a _LinkPlan equals oracles.link_levels_reference
     (the kernel as first written) bit for bit, in lift and projection
     sweeps, on dedicated-only, shared-only, mixed and static plans whose
-    demands often tie, are zero or reach the capacity."""
+    demands often tie, are zero or reach the capacity: with a throwaway
+    level memo, and twice through one level memo kept over every case,
+    the second time all hits."""
     kinds = collections.Counter()
+    memo = F._LevelMemo()
     for case in range(1500):
         mode, C, queues = random_kernel_plan(rng)
         plan = F._LinkPlan(C, mode == "static", queues)
@@ -447,16 +459,132 @@ def test_kernel_matches_reference_bit_for_bit(rng):
         pool = [0.0, 50.0, 100.0, C / 3, C, float(rng.uniform(0.0, C))]
         capped = tuple(float(x) for x in rng.choice(pool, n))
         for lift in (True, False):
-            got = F._link_levels(plan, capped, lift)
-            want = oracles.link_levels_reference(mode, C, qwsum, ref_queues,
-                                                 capped, lift)
-            assert [x.hex() for x in got] == [x.hex() for x in want], \
-                f"case {case} lift {lift}: {mode} {C} {queues} {capped}"
+            want = [x.hex() for x in oracles.link_levels_reference(
+                mode, C, qwsum, ref_queues, capped, lift)]
+            for rerun in range(3):
+                runs = memo.runs
+                got = F._link_levels(plan, capped, lift,
+                                     memo if rerun else None)
+                assert [x.hex() for x in got] == want, \
+                    f"case {case} lift {lift} rerun {rerun}: " \
+                    f"{mode} {C} {queues} {capped}"
+            assert memo.runs == runs, f"case {case} lift {lift}"
         kinds[mode, bool(plan.ded), bool(plan.groups)] += 1
         kinds.update(min(n, 3) for _, groups in queues for _, _, n in groups)
     assert min(kinds[k] for k in (1, 2, 3, ("static", False, True),
                                   ("wfq", True, False), ("wfq", False, True),
                                   ("wfq", True, True))) >= 50, kinds
+    # some first lookups find a group of an earlier case
+    assert memo.runs >= 500 and memo.hits > memo.runs, (memo.runs, memo.hits)
+
+
+def searched_ranks(total: float, caps) -> int:
+    """How many ranks, from the smallest cap up, fluid._lift_levels searches
+    on their own: those up to the highest mid that the largest rank's search
+    in oracles._lift_levels visits."""
+    S = sorted(caps)
+    P = list(itertools.accumulate(S, initial=0.0))
+    n, lo, hi, top = len(S), 0, len(S) - 1, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        top = max(top, mid)
+        if S[mid] < (total - P[mid]) / (n - mid) - 1e-15:
+            lo = mid + 1
+        else:
+            hi = mid
+    return top + 1
+
+
+def test_lift_levels_match_reference_bit_for_bit(rng):
+    """fluid._lift_levels, which searches once for every rank above the
+    largest rank's highest visited mid, equals oracles._lift_levels (one
+    search per rank) bit for bit on 3-12 caps that often tie or are zero,
+    with totals below 0, zero, equal to a cap, between caps and up to past
+    their sum."""
+    shared = searched = 0
+    for case in range(1500):
+        n = int(rng.integers(3, 13))
+        pool = [0.0, 0.0, 50.0, 100.0, 100.0, float(rng.uniform(0.0, 400.0))]
+        caps = tuple(float(x) for x in rng.choice(pool, n))
+        total = float(rng.choice([
+            -float(rng.uniform(0.0, 100.0)), 0.0, rng.choice(caps),
+            rng.uniform(min(caps), max(caps)),
+            rng.uniform(0.0, sum(caps) + 100.0)]))
+        got = F._lift_levels(total, caps)
+        want = oracles._lift_levels(total, caps)
+        assert [x.hex() for x in got] == [x.hex() for x in want], \
+            f"case {case}: {total!r} {caps}"
+        k = searched_ranks(total, caps)
+        searched += k
+        shared += n - k
+    assert min(shared, searched) >= 200, (shared, searched)
+
+
+def test_twin_links_run_once_per_sweep():
+    """On a chain h1-s1-s2-h2 of equal capacities (and h3 under s1), the
+    links a flow set crosses in one direction carry the same flows under
+    equal signatures. As flows arrive (h3's flows split the groups) and
+    leave, every sweep reads each (signature, flows) group once, through
+    its first plan, the other links count as memo hits, and the rates equal
+    a fresh solver's bit for bit and WfqOracle's within 1e-6."""
+    topo = T.build_custom(
+        [("h1", "hypervisor", 0, 10), ("h2", "hypervisor", 0, 10),
+         ("h3", "hypervisor", 0, 10), ("s1", "switch", 1, 0),
+         ("s2", "switch", 2, 0)],
+        [("h1", "s1", 1000.0), ("h3", "s1", 1000.0), ("s1", "s2", 1000.0),
+         ("h2", "s2", 1000.0)])
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(3, 100.0), tid, "s2",
+                                  {"h1": 1, "h2": 1, "h3": 1})
+               for tid in ("A", "B")}
+    owners = {key: {"B"} for key in topo.links}
+    ends = [("A", "h1", "h2"), ("B", "h1", "h2"), ("A", "h1", "h2"),
+            ("A", "h2", "h1"), ("B", "h2", "h1"), ("A", "h3", "h2"),
+            ("B", "h1", "h3")]
+    flows = [F.Flow(fid, tid, 0, 1, a, b, 1e9, 0.0,
+                    route=F.tenant_route(tenants[tid], a, b))
+             for fid, (tid, a, b) in enumerate(ends, 1)]
+    steps = [flows[:n] for n in range(1, len(flows) + 1)]
+    steps += [flows[n:] for n in range(1, len(flows))]
+    solver = F.RateSolver(topo)
+    solver.rebuild(owners)
+    for step, active in enumerate(steps):
+        evals, sweeps = solver.kernel_runs + solver.kernel_hits, solver.sweeps
+        solver.solve(active)
+        plans = solver._plans
+        assert solver.kernel_runs + solver.kernel_hits - evals == \
+            len(plans) * (solver.sweeps - sweeps + 2), f"step {step}"
+        groups = {(p.sig, tuple(p.fids)) for p in plans.values()}
+        assert len(solver._distinct) == len(groups), f"step {step}"
+        if step == 4:  # flows 1-5: one group per direction
+            assert (len(plans), len(groups)) == (6, 2)
+        assert [f.rate.hex() for f in active] == \
+            solved_elsewhere(topo, owners, active), f"step {step}"
+        orates = oracle_rates(solver, active)
+        for f in active:
+            ref = orates[f.fid]
+            assert abs(f.rate - ref) <= 1e-6 * max(ref, 1.0), \
+                f"step {step}: flow {f.fid} {f.rate} vs {ref}"
+        # every plan counts its gathers; from distinct demands a sweep of
+        # a fresh memo runs each group's kernel once
+        read = collections.Counter()
+        kept = {dk: plan.gather for dk, plan in plans.items()}
+        for dk, plan in plans.items():
+            plan.gather = (lambda rates, dk=dk, gather=plan.gather:
+                           read.update([dk]) or gather(rates))
+        fresh = F.RateSolver(topo)
+        fresh.rebuild(owners)
+        fresh._update(active)
+        runs, hits = fresh.kernel_runs, fresh.kernel_hits
+        for lift in (True, False):
+            read.clear()
+            demands = [100.0 + 7.0 * s for s in range(len(active))]
+            solver._sweep(demands, lift)
+            assert sorted(read.values()) == [1] * len(groups), f"step {step}"
+            fresh._sweep(demands, lift)
+        for dk, gather in kept.items():
+            plans[dk].gather = gather
+        assert (fresh.kernel_runs - runs, fresh.kernel_hits - hits) == \
+            (2 * len(groups), 2 * (len(fresh._plans) - len(groups)))
 
 
 def solved_elsewhere(topo, owners, flows, mode="wfq") -> list:
