@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 from .tenants import Tenant, payment_factor
 
 
+_DSCP_VALUES = (1 << 64) - 1  # bits 0..63: the 6-bit dscp field
+
+
 @dataclass(frozen=True)
 class TenantScore:
     tenant_id: str
@@ -184,32 +187,29 @@ def link_queue_weights(link, owners) -> dict:
 
 
 def assign_dscp(tenants: dict, dedicated: set, scores: dict | None = None):
-    """Greedy conflict-graph coloring of dedicated tenants in decreasing score
-    order using values 1..63 (0 is reserved for shared tenants). Returns
-    (assignment, unassignable_count); running out of values is data, not a
-    fault. Two dedicated tenants conflict when their routing trees share a
-    link."""
+    """Greedy coloring of dedicated tenants in decreasing score order (the
+    smaller id first on a tie) using values 1..63 (0 is reserved for shared
+    tenants): each takes the least value that no tenant already colored on
+    one of its routing-tree links holds. Each link keeps the set of values
+    held on it as a bit mask (bit v for value v). Returns (assignment,
+    unassignable_count); running out of values is data, not a fault."""
     scores = scores or {}
-    link_members: dict = {}
-    for tid in dedicated:
-        for key in tenants[tid].tr.links:
-            link_members.setdefault(key, []).append(tid)
-    neighbors = {tid: set() for tid in dedicated}
-    for members in link_members.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-    order = sorted(dedicated, key=lambda t: (-scores.get(t, 0.0), t))
+    taken: dict = {}
     assignment: dict = {}
     failed = 0
-    for tid in order:
-        used = {assignment[nb] for nb in neighbors[tid] if nb in assignment}
-        value = next((v for v in range(1, 64) if v not in used), None)
-        if value is None:
+    for tid in sorted(dedicated, key=lambda t: (-scores.get(t, 0.0), t)):
+        links = tenants[tid].tr.links
+        used = 1  # value 0 is never given
+        for key in links:
+            used |= taken.get(key, 0)
+        free = ~used & _DSCP_VALUES
+        if not free:
             failed += 1
-        else:
-            assignment[tid] = value
+            continue
+        bit = free & -free  # the least free value
+        assignment[tid] = bit.bit_length() - 1
+        for key in links:
+            taken[key] = taken.get(key, 0) | bit
     return assignment, failed
 
 

@@ -8,7 +8,7 @@ Verbs:
 
 Every run writes a manifest.json (config echo, seed, version, wall time and,
 for runs that simulate flows, the rate solvers' and event loops' counters;
-for fills, the placement counters)
+for fills, the placement counters; a sweep sums its points' counters)
 plus CSV/JSON artifacts into the output directory; CSV bodies are
 byte-stable for a given seed.
 """
@@ -25,6 +25,7 @@ from importlib import metadata, resources
 from pathlib import Path
 
 from . import scenarios
+from .fluid import add_counters
 from .scenarios import ScenarioError
 
 
@@ -157,8 +158,11 @@ def _grid_points(grid_args: list) -> list:
     return points if grid_args else []
 
 
-def _summary(doc: dict) -> dict:
-    return scenarios.run_scenario(doc)[0]
+def _summary(doc: dict) -> tuple[dict, dict]:
+    """A sweep point's summary and its counters, grouped as `qshare run`
+    writes them."""
+    counters: dict = {}
+    return scenarios.run_scenario(doc, counters)[0], counters
 
 
 def cmd_sweep(args) -> int:
@@ -177,11 +181,13 @@ def cmd_sweep(args) -> int:
         return 0
     t0 = time.monotonic()
     summaries = []
+    counters: dict = {}
     failure = None
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         try:
-            for summary in pool.map(_summary, docs):
+            for summary, point_counters in pool.map(_summary, docs):
                 summaries.append(summary)
+                add_counters(counters, point_counters)
         except Exception as exc:  # partial-results manifest, nonzero exit
             failure = repr(exc)
     keys = sorted({k for p in points[:len(summaries)] for k in p})
@@ -202,6 +208,7 @@ def cmd_sweep(args) -> int:
             "failure": failure,
             "version": _version(),
             "wall_time_s": time.monotonic() - t0,
+            **counters,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if failure:

@@ -42,21 +42,21 @@ def _same_objects(items, carried) -> bool:
             and all(map(operator.is_, items, carried)))
 
 
+def add_counters(total: dict, groups: dict) -> None:
+    """Add each group's counts in `groups` (group -> name -> count) to the
+    same group of `total`."""
+    for group, values in groups.items():
+        sums = total.setdefault(group, {})
+        for name, value in values.items():
+            sums[name] = sums.get(name, 0) + value
+
+
 def dormancy_probability(n_vm_pairs: int) -> float:
     """Probability that n independent VM pairs, each active with probability
     one half, are all dormant at once: 2**-n."""
     if n_vm_pairs < 0:
         raise ValueError("pair count must be non-negative")
     return 0.5 ** n_vm_pairs
-
-
-def idealized_all_dormant_frequency(n_pairs: int, draws: int, rng) -> float:
-    """Observed all-dormant frequency under the idealized equal-probability
-    activity model (each pair flips a fair coin per micro-interval)."""
-    if n_pairs == 0:
-        return 1.0
-    active = rng.integers(0, 2, size=(draws, n_pairs))
-    return float(np.mean(active.sum(axis=1) == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1177,15 +1177,12 @@ class FluidSimulation:
             self._interval_boundary(interval_idx, int_start, t, usage, buckets,
                                     ten_bytes, fcts, rebind=False)
         if self.counters is not None:
-            for group, values in (
-                    ("solver", {name: getattr(self.solver, name)
-                                for name in RateSolver.COUNTERS}),
-                    ("loop", {"steps": self.steps,
-                              "fifo_stops": getattr(self.rate_hook,
-                                                    "fifo_stops", 0)})):
-                sums = self.counters.setdefault(group, {})
-                for name, value in values.items():
-                    sums[name] = sums.get(name, 0) + value
+            add_counters(self.counters, {
+                "solver": {name: getattr(self.solver, name)
+                           for name in RateSolver.COUNTERS},
+                "loop": {"steps": self.steps,
+                         "fifo_stops": getattr(self.rate_hook, "fifo_stops",
+                                               0)}})
         return self.reports
 
     def _handle_event(self, ev, t: float) -> bool:

@@ -15,9 +15,13 @@ enters through the per-link edge costs.
 
 Links and slots do not change within one embed, so each embed computes
 only what its election reads. A star root is elected from count N of its
-closed-form profile, for all star roots of a layer in one array pass; the
-full profiles of all star switches (switches over hypervisors only) come
-from one pass the first time a merge needs one. A merge is a min-plus
+closed-form profile, for all star roots of a layer and all their
+hypervisors in one array pass; the full profiles of all star switches
+(switches over hypervisors only) come from one pass the first time a merge
+needs one. Every link's window of admissible counts comes from one array
+pass per embed, and a switch reads its children through a per-skeleton
+table of their links and star rows, so a child costs a few lookups and a
+star child that can take no VM is never read. A merge is a min-plus
 convolution in array form: each feasible count of the child is added to a
 shifted view of the profile so far, a bounded block of counts at a time,
 over only the counts the two operands can reach. A child that can take no
@@ -27,12 +31,13 @@ windows of admissible counts (aggregations of one pod, cores of one group)
 share each merge, so each distinct merge input is convolved once per embed.
 
 `embed` takes each layer in two array passes. The first screens every
-skeleton of the layer on its usable-slot sum. The second elects every star
+skeleton of the layer on its usable-slot sum. The second costs every star
 root that passes straight from the star arrays: its VMs, c_b and c_q come
-out as they would from the tree built for it, but no tree is built. Any
-other root goes through `evaluate_tr`, which builds its tree. A star that
-wins gets its tree last, from the VMs it was elected with, and the tree
-must cost what it was elected on.
+out as they would from the tree built for it, but no tree is built, and
+only the least-cost star goes on to the election. Any other root goes
+through `evaluate_tr`, which builds its tree. A star that wins gets its
+tree last, from the VMs it was elected with, and the tree must cost what
+it was elected on.
 
 `ops` counts defined work units, not the work performed: what evaluating
 every skeleton with `evaluate_tr` and no sharing would spend,
@@ -47,9 +52,9 @@ each link reserving the cut rule for the VMs below it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,11 +123,12 @@ class _EpisodeContext:
     the merges that led to it: the children merged so far, each with its
     link's window as the number of VM counts the cut rule excludes there.
     Switches with the same children behind the same windows (aggregations
-    of one pod, cores of one group) share one result. The full star rows
-    come from one pass the first time a merge needs one; `stars_used` are
-    the rows whose ops are already counted. `cut` is the cut-rule cost
-    B*min(j, N-j) of each VM count j below a link. `merges` counts the
-    merges run, shared and skipped as the identity."""
+    of one pod, cores of one group) share one result. `stars` are the full
+    star profiles with each row's top, and `windows` each link's window,
+    each from one pass the first time the embed needs one. `stars_used`
+    marks the star rows whose profiles the embed used. `cut` is the
+    cut-rule cost B*min(j, N-j) of each VM count j below a link. `merges`
+    counts the merges run, shared and skipped as the identity."""
 
     def __init__(self, topo: Topology, request: TenantRequest):
         self.topo = topo
@@ -132,17 +138,38 @@ class _EpisodeContext:
         self.ha = request.per_hypervisor_cap
         j = np.arange(self.n + 1)
         self.cut = self.b * np.minimum(j, self.n - j).astype(float)
-        self.cut_sorted = sorted(self.cut.tolist())
+        self.cut_sorted = np.sort(self.cut)
         self.delta0 = np.full(self.n + 1, np.inf)  # no VM, at no cost
         self.delta0[0] = 0.0
         self.zeros = np.zeros(self.n + 1, dtype=np.int32)
         self.profiles: dict[str, tuple] = {}
         self.tops: dict[str, int] = {}
         self.merged: dict[tuple, tuple] = {}
-        self.stars: tuple | None = None
-        self.stars_used: set = set()
-        self.ops = 0
+        self.stars_used = np.zeros(len(star_table(topo).hyps), dtype=bool)
+        self.counted = 0
         self.merges = {"run": 0, "shared": 0, "skipped": 0}
+
+    @property
+    def ops(self) -> int:
+        """The ops counted so far, plus hypervisors x (N+1) for each star
+        row whose profile the embed used."""
+        used = star_table(self.topo).valid[self.stars_used]
+        return self.counted + int(used.sum()) * (self.n + 1)
+
+    @cached_property
+    def stars(self) -> tuple:
+        return _star_profiles(self)
+
+    @cached_property
+    def windows(self) -> tuple:
+        """Per link, in `links` order: the most its residual admits (with
+        the reservation tolerance), and how many VM counts the cut rule
+        excludes below it (as a list)."""
+        residual = self.topo._residual_arr
+        limits = residual + _EPS * np.maximum(residual, 1.0)
+        excluded = self.n + 1 - np.searchsorted(self.cut_sorted, limits,
+                                                side="right")
+        return limits, excluded.tolist()
 
 
 def _leaf_indices(topo: Topology, skel: TRSkeleton) -> np.ndarray:
@@ -151,6 +178,21 @@ def _leaf_indices(topo: Topology, skel: TRSkeleton) -> np.ndarray:
         idx = np.array([topo.hyp_index[h] for h in skel.leaves], dtype=np.int64)
         skel._leaf_idx = idx
     return idx
+
+
+def _child_links(topo: Topology, skel: TRSkeleton) -> dict:
+    """Per switch of `skel` that is not a star, one (child, index of its
+    link in `links` order, its star row or -1) per child in order. Built on
+    first use and cached on the skeleton (it is structural)."""
+    table = getattr(skel, "_child_links", None)
+    if table is None:
+        rows = star_table(topo).row
+        table = skel._child_links = {
+            u: [(c, topo.link_index[link_key(u, c)], rows.get(c, -1))
+                for c in children]
+            for u, children in skel.children.items()
+            if u not in rows and not topo.nodes[u].is_hypervisor()}
+    return table
 
 
 _MINPLUS_ROWS = 32  # rows of H per block: temporaries stay at 32 x (N+1)
@@ -195,44 +237,54 @@ def _minplus(G: np.ndarray, g_top: int, H: np.ndarray) -> tuple:
     return out, arg, int(np.flatnonzero(head < np.inf)[-1])
 
 
-def _star_profiles(ctx: _EpisodeContext, rows=None, first: int = 0) -> tuple:
-    """Closed-form profiles of the star switches in `rows` of `star_table`
-    (every star by default) over the VM counts first..N, one row per star:
-    (F, best_h, best_m, cap_low), computed for all rows at once, one
-    hypervisor slot at a time. An election reads count N alone (first = N).
+def _star_windows(ctx: _EpisodeContext, rows) -> tuple:
+    """The admissible counts of the star rows `rows` of `star_table`, per
+    hypervisor slot: (upper, a, gap, cap_low, rest). `upper` is the slot's
+    usable VM count and `a` the most VMs its NIC link admits on one side of
+    the cut. Where `gap` holds the window is split (m <= a or m >= N - a) and
+    `cap_low` is the lower part's cap; `rest` is what the other slots of the
+    row can take (-1 in padding, which nothing fits)."""
+    topo, n, b = ctx.topo, ctx.n, ctx.b
+    tab = star_table(topo)
+    pad = ~tab.valid[rows]
+    upper = np.maximum(np.minimum(topo._free_arr[tab.hyp_idx[rows]],
+                                  min(ctx.ha, n)), 0)
+    upper[pad] = 0
+    if b > 0:
+        residual = topo._residual_arr[tab.link_idx[rows]]
+        residual[pad] = 0.0
+        a = np.floor(residual / b + _EPS).astype(np.int64)
+    else:
+        a = np.full(pad.shape, n, dtype=np.int64)
+    a = np.minimum(a, n)
+    gap = 2 * a < n
+    cap_low = np.where(gap, np.minimum(upper, a), upper)
+    rest = cap_low.sum(axis=1, keepdims=True) - cap_low
+    rest[pad] = -1
+    return upper, a, gap, cap_low, rest
+
+
+def _star_profiles(ctx: _EpisodeContext) -> tuple:
+    """Closed-form profiles of every star switch of `star_table` over the VM
+    counts 0..N, one row per star: (F, best_h, best_m, cap_low, top), with
+    `top` the list of each row's last finite count. All rows are computed
+    at once, one hypervisor slot at a time.
 
     For j VMs inside a star the internal cost is B*(j - m + min(m, N - m))
     where m is the count on a designated hypervisor; cost is minimized by the
     largest admissible m, trying every hypervisor as the designee (the first
     in children order wins a tie). Padding slots are never feasible. Only
     the counts up to the largest sum of caps can be finite (j - m <= rest
-    gives j <= sum of caps), so only those are computed."""
-    topo, n, b = ctx.topo, ctx.n, ctx.b
-    tab = star_table(topo)
-    if rows is None:
-        rows = slice(None)
-    valid = tab.valid[rows]
-    upper = np.maximum(np.minimum(topo._free_arr[tab.hyp_idx[rows]],
-                                  min(ctx.ha, n)), 0)
-    upper[~valid] = 0
-    if b > 0:
-        residual = topo._residual_arr[tab.link_idx[rows]]
-        residual[~valid] = 0.0
-        a = np.floor(residual / b + _EPS).astype(np.int64)
-    else:
-        a = np.full(valid.shape, n, dtype=np.int64)
-    a = np.minimum(a, n)
-    gap = 2 * a < n  # NIC window is split: m <= a or m >= n - a
-    cap_low = np.where(gap, np.minimum(upper, a), upper)
-    rest = cap_low.sum(axis=1, keepdims=True) - cap_low
-    rest[~valid] = -1  # j - m >= 0 > rest: never feasible
-
-    F = np.full((len(valid), n + 1 - first), np.inf)
+    gives j <= sum of caps), so only those are computed. Zero VMs always
+    fit, so every row has a finite count."""
+    n, b = ctx.n, ctx.b
+    upper, a, gap, cap_low, rest = _star_windows(ctx, slice(None))
+    F = np.full((len(upper), n + 1), np.inf)
     best_h = np.full(F.shape, -1, dtype=np.int32)
     best_m = np.zeros(F.shape, dtype=np.int32)
-    js = np.arange(first, min(n, int(upper.sum(axis=1).max())) + 1)
+    js = np.arange(min(n, int(upper.sum(axis=1).max())) + 1)
     F_js, h_js, m_js = (x[:, :len(js)] for x in (F, best_h, best_m))
-    for i in range(valid.shape[1]):
+    for i in range(upper.shape[1]):
         ai = a[:, i, None]
         hi = np.minimum(upper[:, i, None], js)
         m = np.where(gap[:, i, None] & (hi < n - ai), np.minimum(hi, ai), hi)
@@ -242,33 +294,50 @@ def _star_profiles(ctx: _EpisodeContext, rows=None, first: int = 0) -> tuple:
         F_js[better] = cost[better]
         h_js[better] = i
         m_js[better] = m[better]
+    top = n - (F < np.inf)[:, ::-1].argmax(axis=1)
+    return F, best_h, best_m, cap_low, top.tolist()
+
+
+def _star_column_n(ctx: _EpisodeContext, rows: np.ndarray) -> tuple:
+    """Count N of the profiles of the star rows `rows`, as `_star_profiles`
+    gives it: (F, best_h, best_m, cap_low), one entry per row (best_h -1 and
+    best_m 0 where F is inf). Every (row, slot) is costed at once; the first
+    slot of least cost is the designee, as the slot loop's first strict
+    improvement is."""
+    n = ctx.n
+    upper, a, gap, cap_low, rest = _star_windows(ctx, rows)
+    # at count N a slot's admissible m is capped by `upper` alone
+    m = np.where(gap & (upper < n - a), np.minimum(upper, a), upper)
+    cost = ctx.b * (n - m + np.minimum(m, n - m))
+    cost[n - m > rest] = np.inf
+    h = cost.argmin(axis=1)
+    at = np.arange(len(h))
+    F = cost[at, h]
+    feasible = F < np.inf
+    best_h = np.where(feasible, h, -1).astype(np.int32)
+    best_m = np.where(feasible, m[at, h], 0).astype(np.int32)
     return F, best_h, best_m, cap_low
 
 
-def _count_star_ops(ctx: _EpisodeContext, rows) -> None:
-    """Count each star row's ops the first time the embed uses it."""
-    hyps = star_table(ctx.topo).hyps
-    for r in rows:
-        if r not in ctx.stars_used:
-            ctx.stars_used.add(r)
-            ctx.ops += len(hyps[r]) * (ctx.n + 1)
-
-
-def _star_candidates(ctx: _EpisodeContext, rows: np.ndarray) -> list:
-    """(position in `rows`, c_b, c_q, designee, VMs per hypervisor) of every
-    star whose row can host the N VMs, read off count N of its profile
-    without building a tree. The VMs go where `_reconstruct` puts them:
-    best_m on the designee, then the other hypervisors fill up to cap_low
-    in children order. c_b is the fsum of their links' cut-rule
-    reservations, as `_pruned_tree` sums them, and c_q is 1 + the most
-    tenants on one of those links."""
+def _star_candidates(ctx: _EpisodeContext, rows: np.ndarray, cost) -> tuple:
+    """How many stars of `rows` can host the N VMs, and the one of least
+    `cost`(c_b, c_q), the first in `rows` on a tie: (position in `rows`,
+    cost, c_b, c_q, designee, VMs per hypervisor), or None if none can. All
+    rows are read off count N of their profiles (`_star_column_n`) and
+    costed in one pass, without building a tree. The VMs go where
+    `_reconstruct` puts them: best_m on the designee, then the other
+    hypervisors fill up to cap_low in children order. c_b is the fsum of
+    their links' cut-rule reservations, as `_pruned_tree` sums them, and c_q
+    is 1 + the most tenants on one of those links."""
     if not len(rows):
-        return []
+        return 0, None
     topo, n = ctx.topo, ctx.n
-    _count_star_ops(ctx, rows.tolist())
-    F, best_h, best_m, cap_low = _star_profiles(ctx, rows, n)
-    pos = np.flatnonzero(F[:, 0] < np.inf)
-    F, h, m, caps = F[pos, 0], best_h[pos, 0], best_m[pos, 0], cap_low[pos]
+    ctx.stars_used[rows] = True
+    F, best_h, best_m, cap_low = _star_column_n(ctx, rows)
+    pos = np.flatnonzero(F < np.inf)
+    if not len(pos):
+        return 0, None
+    F, h, m, caps = F[pos], best_h[pos], best_m[pos], cap_low[pos]
     at = np.arange(len(pos))
     caps[at, h] = 0
     before = np.cumsum(caps, axis=1) - caps
@@ -278,18 +347,22 @@ def _star_candidates(ctx: _EpisodeContext, rows: np.ndarray) -> list:
         raise AssertionError("star reconstruction failed")
     c_b = [math.fsum(r) for r in (ctx.b * np.minimum(vms, n - vms)).tolist()]
     tenants = topo._tenant_arr[star_table(topo).link_idx[rows[pos]]]
-    c_q = (np.where(vms > 0, tenants, 0).max(axis=1) + 1).tolist()
+    c_q = np.where(vms > 0, tenants, 0).max(axis=1) + 1
     for cb, f in zip(c_b, F.tolist()):
         if not math.isclose(cb, f, rel_tol=1e-9, abs_tol=1e-6):
             raise AssertionError(f"allocation cost mismatch: {cb} vs {f}")
-    return list(zip(pos.tolist(), c_b, c_q, h.tolist(), vms.tolist()))
+    # the same IEEE operations as one scalar call per star
+    costs = cost(np.array(c_b), c_q)
+    i = int(costs.argmin())
+    return len(pos), (int(pos[i]), float(costs[i]), c_b[i], int(c_q[i]),
+                      int(h[i]), vms[i].tolist())
 
 
 def _reconstruct(ctx: _EpisodeContext, node: str, j: int, placement: dict) -> None:
-    kind = ctx.profiles[node][1][0]
-    recon = ctx.profiles[node][1]
     if j == 0:
         return
+    recon = ctx.profiles[node][1]
+    kind = recon[0]
     if kind == "leaf":
         placement[node] = placement.get(node, 0) + j
     elif kind == "star":
@@ -321,10 +394,19 @@ def _reconstruct(ctx: _EpisodeContext, node: str, j: int, placement: dict) -> No
 
 
 def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
+    """The profile of `node`'s subtree: F[j] is the least reservation that
+    hosts j VMs below it, inf where none can. Profiles go in `ctx.profiles`
+    as they are computed, and a star child that a merge skips gets none: it
+    takes no VM, so `_reconstruct` never reads it.
+
+    A merge reads each child by direct lookups: its link and star row from
+    `_child_links`, its link's window from `ctx.windows` (one array pass
+    over every link per embed) and its largest VM count from `ctx.stars`
+    for a star, else from its profile. Only the children that can take a
+    VM are merged, in children order."""
     if node in ctx.profiles:
         return ctx.profiles[node][0]
     topo, n = ctx.topo, ctx.n
-    children = skel.children[node]
     nd = topo.nodes[node]
     if nd.is_hypervisor():
         cap = max(min(nd.vm_slots_free, ctx.ha, n), 0)
@@ -336,33 +418,36 @@ def _subtree_profile(ctx: _EpisodeContext, skel: TRSkeleton, node: str):
     tab = star_table(topo)
     row = tab.row.get(node)
     if row is not None:
-        _count_star_ops(ctx, (row,))
-        if ctx.stars is None:
-            ctx.stars = _star_profiles(ctx)
-        F, best_h, best_m, cap_low = (x[row] for x in ctx.stars)
+        ctx.stars_used[row] = True
+        F, best_h, best_m, cap_low, top = (x[row] for x in ctx.stars)
         ctx.profiles[node] = (F, ("star", tab.hyps[row], best_h, best_m,
                                   cap_low))
-        ctx.tops[node] = int(np.flatnonzero(F < np.inf)[-1])
+        ctx.tops[node] = top
         return F
+    children = skel.children[node]
+    limits, excluded = ctx.windows
+    ctx.counted += (n + 1) * len(children)
     # G starts as the profile of no child and takes one child at a time;
     # `key` names the merges that made G
     G, top, key = ctx.delta0, 0, ()
     args = []
-    for c in children:
-        Fc = _subtree_profile(ctx, skel, c)
-        residual = float(topo._residual_arr[topo.link_index[link_key(node, c)]])
-        limit = residual + _EPS * max(residual, 1.0)
-        excluded = n + 1 - bisect.bisect_right(ctx.cut_sorted, limit)
-        ctx.ops += n + 1
-        if ctx.tops[c] == 0 and excluded <= n:
+    for c, li, row in _child_links(topo, skel)[node]:
+        if row < 0:
+            _subtree_profile(ctx, skel, c)
+            c_top = ctx.tops[c]
+        else:
+            ctx.stars_used[row] = True
+            c_top = ctx.stars[4][row]
+        if c_top == 0 and excluded[li] <= n:
             # the child takes no VM, at no cost: G stays as it is
             ctx.merges["skipped"] += 1
             args.append(ctx.zeros)
             continue
-        key += ((c, excluded),)
+        Fc = _subtree_profile(ctx, skel, c)
+        key += ((c, excluded[li]),)
         merged = ctx.merged.get(key)
         if merged is None:
-            H = np.where(ctx.cut > limit, np.inf, Fc + ctx.cut)
+            H = np.where(ctx.cut > limits[li], np.inf, Fc + ctx.cut)
             merged = ctx.merged[key] = _minplus(G, top, H)
             ctx.merges["run"] += 1
         else:
@@ -382,7 +467,7 @@ def evaluate_tr(topo: Topology, skel: TRSkeleton, request: TenantRequest,
     n = request.vm_count
     idx = _leaf_indices(topo, skel)
     usable = np.minimum(topo._free_arr[idx], ctx.ha)
-    ctx.ops += len(skel.order)
+    ctx.counted += len(skel.order)
     if int(usable.sum()) < n:
         return TrEvaluation(False, root=skel.root,
                             layer=topo.nodes[skel.root].layer)
@@ -435,19 +520,21 @@ def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = No
     a tie. Returns an embedding-error outcome when the whole topology is
     exhausted.
 
-    One pass screens every skeleton of a layer on its usable-slot sum. A
-    star root that passes is elected from count N of its star profile
-    (`_star_candidates`), any other root through `evaluate_tr`. Only then is
-    a star winner's tree built, by `_pruned_tree` from the VMs it was
-    elected with, and its c_b and c_q must equal those it won on. `ops`
-    counts what evaluating every skeleton on its own would."""
+    One pass screens every skeleton of a layer on its usable-slot sum. The
+    star roots that pass are costed from count N of their star profiles in
+    one pass (`_star_candidates`), and the least of them competes with the
+    other roots, each evaluated through `evaluate_tr`. Only then is a star
+    winner's tree built, by `_pruned_tree` from the VMs it was elected with,
+    and its c_b and c_q must equal those it won on. `ops` counts what
+    evaluating every skeleton on its own would."""
     policy = policy or CostPolicy()
     ctx = _EpisodeContext(topo, request)
     w_b, w_q = policy.weights(topo.load())
     qc = topo.max_queue_count
     denom_b = request.per_vm_guarantee * request.vm_count
 
-    def cost(c_b: float, c_q: int) -> float:
+    def cost(c_b, c_q):
+        """Of one candidate, or elementwise of arrays of them."""
         chat_b = c_b / denom_b if denom_b > 0 else 0.0
         return w_b * chat_b + w_q * (c_q / qc)
 
@@ -458,22 +545,27 @@ def embed(topo: Topology, request: TenantRequest, policy: CostPolicy | None = No
         usable = np.minimum(topo._free_arr[table.leaf_idx], ctx.ha)
         passed = np.add.reduceat(usable, table.starts) >= ctx.n
         scalar = passed & (table.star_row < 0)
-        ctx.ops += int(table.sizes[~scalar].sum())  # evaluate_tr counts the rest
+        # evaluate_tr counts the rest
+        ctx.counted += int(table.sizes[~scalar].sum())
         # ((cost, root), c_b, c_q, skeleton, its evaluation if one was made,
-        # else the star's (row, designee, VMs per hypervisor))
+        # else the star's (row, designee, VMs per hypervisor)); of the stars
+        # only the least, since skeletons are in root order
         cands = []
         stars = np.flatnonzero(passed & ~scalar)
         rows = table.star_row[stars]
-        for k, c_b, c_q, h, vms in _star_candidates(ctx, rows):
+        count, best = _star_candidates(ctx, rows, cost)
+        if best is not None:
+            k, c, c_b, c_q, h, vms = best
             skel = skels[stars[k]]
-            cands.append(((cost(c_b, c_q), skel.root), c_b, c_q, skel, None,
+            cands.append(((c, skel.root), c_b, c_q, skel, None,
                           (int(rows[k]), h, vms)))
         for i in np.flatnonzero(scalar):
             ev = evaluate_tr(topo, skels[i], request, ctx)
             if ev.feasible:
+                count += 1
                 cands.append(((cost(ev.c_b, ev.c_q), ev.root), ev.c_b, ev.c_q,
                               skels[i], ev, None))
-        total_candidates += len(cands)
+        total_candidates += count
         if not cands:
             continue
         _, c_b, c_q, skel, ev, star = min(cands, key=lambda c: c[0])

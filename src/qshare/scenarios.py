@@ -505,10 +505,11 @@ def run_tradeoff(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     summary["aggressive_intervals"] = n_aggr
     summary["qshare_violating_intervals"] = v_q
     rows.append({"case": "asymmetric", "policy": "es_aggressive",
-                 "mean_mbps": repr(float(v_aggr))})
+                 "violating_intervals": v_aggr})
     rows.append({"case": "asymmetric", "policy": "qshare",
-                 "mean_mbps": repr(float(v_q))})
-    return summary, {"tradeoff": (["case", "policy", "mean_mbps"], rows)}
+                 "violating_intervals": v_q})
+    return summary, {"tradeoff": (["case", "policy", "mean_mbps",
+                                   "violating_intervals"], rows)}
 
 
 def run_fct(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:

@@ -686,6 +686,18 @@ def observe_reference(stats, t0, t1, flows, owners, all_unsaturated):
         stats.guarantee_violation_time += dt
 
 
+# -- Monte-Carlo dormancy -----------------------------------------------------
+
+def idealized_all_dormant_frequency(n_pairs: int, draws: int, rng) -> float:
+    """Observed all-dormant frequency under the idealized equal-probability
+    activity model (each pair flips a fair coin per micro-interval): the
+    referee for `fluid.dormancy_probability`."""
+    if n_pairs == 0:
+        return 1.0
+    active = rng.integers(0, 2, size=(draws, n_pairs))
+    return float(np.mean(active.sum(axis=1) == 0))
+
+
 # -- queue allocation pass, direct transcription ------------------------------
 
 def alg2_reference(tr_links, scores, prev_owned, queue_count):
@@ -728,3 +740,34 @@ def alg2_reference(tr_links, scores, prev_owned, queue_count):
             owners[k].add(t)
     ded = {t for t in scores if dedicated(t)}
     return owners, ded
+
+
+# -- dscp values by pairwise conflict-graph coloring --------------------------
+
+def assign_dscp_reference(tenants, dedicated, scores=None):
+    """Greedy conflict-graph coloring of dedicated tenants in decreasing score
+    order (the smaller id first on a tie) using values 1..63. Two dedicated
+    tenants conflict when their routing trees share a link. Returns
+    (assignment, unassignable_count)."""
+    scores = scores or {}
+    link_members: dict = {}
+    for tid in dedicated:
+        for key in tenants[tid].tr.links:
+            link_members.setdefault(key, []).append(tid)
+    neighbors = {tid: set() for tid in dedicated}
+    for members in link_members.values():
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+    order = sorted(dedicated, key=lambda t: (-scores.get(t, 0.0), t))
+    assignment: dict = {}
+    failed = 0
+    for tid in order:
+        used = {assignment[nb] for nb in neighbors[tid] if nb in assignment}
+        value = next((v for v in range(1, 64) if v not in used), None)
+        if value is None:
+            failed += 1
+        else:
+            assignment[tid] = value
+    return assignment, failed

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import random_request, random_tree
-from oracles import WfqOracle, alg2_reference, exhaustive_min_cb
+from oracles import (WfqOracle, alg2_reference, exhaustive_min_cb,
+                     idealized_all_dormant_frequency)
 from qshare import binding as B
 from qshare import fluid as F
 from qshare import largescale as L
@@ -292,7 +293,7 @@ def test_criterion_09_oracle_equivalence():
     mc = np.random.default_rng(99)
     for n in range(1, 11):
         draws = 120_000
-        freq = F.idealized_all_dormant_frequency(n, draws, mc)
+        freq = idealized_all_dormant_frequency(n, draws, mc)
         p = F.dormancy_probability(n)
         sigma = math.sqrt(p * (1 - p) / draws)
         if abs(freq - p) > 3 * sigma + 1e-12:

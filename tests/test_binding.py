@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import alg2_reference
+from oracles import alg2_reference, assign_dscp_reference
 from qshare import binding as B
 from qshare import placement as P
 from qshare import topology as T
@@ -183,6 +183,39 @@ def test_dscp_disjoint_trees_share_and_clique_needs_n():
     clique["c64"] = one_more
     asg, failed = B.assign_dscp(clique, set(clique), {})
     assert failed == 1  # ran out of values: reported, not raised
+
+
+def test_assign_dscp_matches_the_conflict_graph_reference(rng):
+    """assign_dscp, which reads the values taken per link, gives the same
+    assignment and failed count as the pairwise conflict-graph coloring on
+    random instances: tenants with no links, equal scores (the id breaks
+    the tie) and cliques of 64 or more tenants, where values run out."""
+    seen = {"no links": 0, "score tie": 0, "values run out": 0}
+    for case in range(300):
+        links = [f"L{i}" for i in range(int(rng.integers(1, 6)))]
+        size = int(rng.integers(64, 90)) if case % 10 == 0 else int(
+            rng.integers(1, 30))
+        tenants = {}
+        for i in range(size):
+            tid = f"t{i:02d}"
+            if case % 10 == 0:  # every tenant on L0: a clique
+                chosen = ("L0",)
+            else:
+                chosen = tuple(rng.choice(
+                    links, size=int(rng.integers(0, len(links) + 1)),
+                    replace=False))
+            tenants[tid] = _FakeTenant(tid, chosen)
+        scores = {tid: float(rng.integers(0, 4)) for tid in tenants
+                  if rng.random() < 0.8}
+        dedicated = {tid for tid in tenants
+                     if case % 10 == 0 or rng.random() < 0.8}
+        got = B.assign_dscp(tenants, dedicated, scores)
+        assert got == assign_dscp_reference(tenants, dedicated, scores)
+        seen["no links"] += any(not tenants[t].tr.links for t in dedicated)
+        ranks = [scores.get(t, 0.0) for t in dedicated]
+        seen["score tie"] += len(set(ranks)) < len(ranks)
+        seen["values run out"] += got[1] > 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_allocate_queues_matches_reference(rng):

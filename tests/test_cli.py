@@ -251,7 +251,7 @@ PINNED_BODIES = {
     },
     ("tradeoff", "--set", "duration_s=8"): {
         "tradeoff.csv":
-            "81249728606f0700ac1a4ad1375b0b6e1b785d3b700cc437b05f762057222788",
+            "c23935dea637de4f9816e16ecbc40bf1a12dadbfc3043dc3d55be6c4c9b17390",
     },
     ("unpredictable", "--seed", "3", "--set", "duration_s=2.0",
      "--set", "policy=es_conservative"): {
@@ -331,6 +331,31 @@ def test_manifest_holds_the_solver_counters_summed_over_simulations(tmp_path):
                for iv in (0.5, 1.0)]
     assert counters == {name: sum(getattr(s, name) for s in solvers)
                         for name in RateSolver.COUNTERS}
+
+
+@pytest.mark.parametrize("doc, groups", [
+    (tiny_scenario(), {"solver", "loop"}),
+    # 34 tenants of 300 VMs each fill the 16:1 fattree's bandwidth
+    ({"name": "fill", "kind": "scarcity", "oversub": "16:1",
+      "population": {"vm_mean": 1.0, "vm_floor": 300, "guarantees": [1000.0]},
+      "fill": {"reject_streak": 1, "intervals": 1}}, {"placement"}),
+])
+def test_sweep_manifest_sums_the_counters_of_its_points(tmp_path, doc, groups):
+    scn = tmp_path / "doc.json"
+    scn.write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(scn), "--grid", "seed=1,2", "--jobs", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    swept = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    runs = []
+    for seed in ("1", "2"):
+        assert cli.main(["run", str(scn), "--seed", seed,
+                         "--out", str(tmp_path / seed)]) == 0
+        runs.append(json.loads((tmp_path / seed / "manifest.json")
+                               .read_text()))
+    for group in groups:
+        assert all(run[group] for run in runs)
+        assert swept[group] == {name: sum(run[group][name] for run in runs)
+                                for name in runs[0][group]}
 
 
 def test_manifest_holds_the_loop_counters_summed_over_simulations(

@@ -128,7 +128,7 @@ def test_dormancy_probability():
 def test_idealized_dormancy_frequency(rng):
     for n in (1, 3, 6, 10):
         draws = 200_000
-        freq = F.idealized_all_dormant_frequency(n, draws, rng)
+        freq = oracles.idealized_all_dormant_frequency(n, draws, rng)
         p = F.dormancy_probability(n)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(freq - p) <= 3 * sigma + 1e-12

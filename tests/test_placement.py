@@ -339,8 +339,9 @@ def test_a_full_rack_between_others_is_skipped():
 def test_star_election_reads_column_n_of_the_full_profiles(rng):
     """The column-N star pass gives, bit for bit, column N of the full star
     profiles with the same best_h, best_m and cap_low, for any set of rows:
-    ragged stars with full hypervisors, b = 0, and N above every star's sum
-    of caps."""
+    ragged stars with full hypervisors, b = 0, N above every star's sum of
+    caps, and designee ties (two slots of least cost at N, where the first
+    must win)."""
     seen = collections.Counter()
     for case in range(300):
         topo = ragged_stars(rng) if case % 2 else small_fattree(rng, case)
@@ -349,15 +350,14 @@ def test_star_election_reads_column_n_of_the_full_profiles(rng):
             req = TenantRequest(req.vm_count, 0.0, wcs=req.wcs)
         ctx = P._EpisodeContext(topo, req)
         n = req.vm_count
-        F, best_h, best_m, cap_low = P._star_profiles(ctx)
+        F, best_h, best_m, cap_low, _ = P._star_profiles(ctx)
         tab = T.star_table(topo)
         stars = len(tab.hyps)
         rows = rng.permutation(stars)[:int(rng.integers(1, stars + 1))]
-        col = P._star_profiles(ctx, rows, n)
-        assert all(x.shape[1] == 1 for x in col[:3])
-        assert col[0][:, 0].tobytes() == F[rows, n].tobytes()
-        assert col[1][:, 0].tobytes() == best_h[rows, n].tobytes()
-        assert col[2][:, 0].tobytes() == best_m[rows, n].tobytes()
+        col = P._star_column_n(ctx, rows)
+        assert col[0].tobytes() == F[rows, n].tobytes()
+        assert col[1].tobytes() == best_h[rows, n].tobytes()
+        assert col[2].tobytes() == best_m[rows, n].tobytes()
         assert col[3].tobytes() == cap_low[rows].tobytes()
         caps = np.minimum(topo._free_arr[tab.hyp_idx[rows]],
                           req.per_hypervisor_cap)
@@ -366,8 +366,15 @@ def test_star_election_reads_column_n_of_the_full_profiles(rng):
         seen["N above every sum of caps"] += bool(
             (np.where(tab.valid[rows], caps, 0).sum(axis=1) < n).all())
         seen["feasible"] += bool(np.isfinite(col[0]).any())
+        # each slot's cost as the designee at N, to count the ties
+        upper, a, gap, _, rest = P._star_windows(ctx, rows)
+        m = np.where(gap & (upper < n - a), np.minimum(upper, a), upper)
+        cost = np.where(n - m > rest, np.inf, n - m + np.minimum(m, n - m))
+        least = cost.min(axis=1, keepdims=True)
+        seen["designee tie"] += bool(
+            ((cost == least).sum(axis=1)[np.isfinite(least[:, 0])] >= 2).any())
     for what in ("b = 0", "full hypervisor", "N above every sum of caps",
-                 "feasible"):
+                 "feasible", "designee tie"):
         assert seen[what] >= 30, (what, seen)
 
 
