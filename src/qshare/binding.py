@@ -82,13 +82,6 @@ class QueueAllocationState:
         self.dedicated: set = set()
         self.dscp: dict = {}
 
-    def copy(self) -> "QueueAllocationState":
-        st = QueueAllocationState(self.queue_count)
-        st.owners = {k: set(v) for k, v in self.owners.items()}
-        st.dedicated = set(self.dedicated)
-        st.dscp = dict(self.dscp)
-        return st
-
     def dedicated_slots(self) -> int:
         return self.queue_count - 1
 
@@ -111,12 +104,6 @@ class QueueAllocationState:
                 raise AssertionError(f"queue overflow on {key}")
         self.dedicated.add(tenant.id)
 
-    def drop_departed(self, tenants: dict) -> None:
-        for key in list(self.owners):
-            self.owners[key] = {t for t in self.owners[key] if t in tenants}
-        self.dedicated &= set(tenants)
-        self.dscp = {t: v for t, v in self.dscp.items() if t in tenants}
-
 
 def allocate_queues(tenants: dict, scores: dict, prev: QueueAllocationState,
                     rng) -> QueueAllocationState:
@@ -125,39 +112,47 @@ def allocate_queues(tenants: dict, scores: dict, prev: QueueAllocationState,
     tenants are enqueued when every routing-tree link has a spare slot, or
     opportunistically by preempting, on each full link, the strictly
     lower-scored tenant with the smallest score among that link's owners.
-    Preempted tenants serve from shared queues next interval."""
-    state = prev.copy()
-    state.drop_departed(tenants)
-    order = sorted(tenants, key=lambda t: (-scores.get(t, 0.0), rng.random()))
-    for tid in order:
-        tenant = tenants[tid]
-        if state.is_dedicated(tid):
+    Preempted tenants serve from shared queues next interval.
+
+    The new state starts as `prev` with departed tenants filtered out of its
+    owner sets, `dedicated` and `dscp`, in one pass; `prev` is not changed.
+    The tie-break numbers are one draw of len(tenants) numbers, taken in
+    `tenants` order."""
+    state = QueueAllocationState(prev.queue_count)
+    state.owners = {k: {t for t in v if t in tenants}
+                    for k, v in prev.owners.items()}
+    state.dedicated = dedicated = {t for t in prev.dedicated if t in tenants}
+    state.dscp = {t: v for t, v in prev.dscp.items() if t in tenants}
+    owners_by_link = state.owners
+    slots = prev.queue_count - 1
+    draws = rng.random(len(tenants)).tolist()
+    ranked = sorted(zip(tenants, draws),
+                    key=lambda p: (-scores.get(p[0], 0.0), p[1]))
+    for tid, _ in ranked:
+        if tid in dedicated:
             continue
-        plan = {}
-        feasible = True
+        tenant = tenants[tid]
+        mine = scores.get(tid, 0.0)
+        victims = set()
         for key in tenant.tr.links:
-            owners = state.owners_on(key)
-            if tid in owners:
-                plan[key] = None
-                continue
-            if len(owners) < state.dedicated_slots():
-                plan[key] = None
+            owners = owners_by_link.get(key)
+            if owners is None:
+                owners = owners_by_link[key] = set()
+            if tid in owners or len(owners) < slots:
                 continue
             # a link with no dedicated queue at all has no victim either
             victim = min(owners, key=lambda t: (scores.get(t, 0.0), t),
                          default=None)
-            if victim is not None and scores.get(victim, 0.0) < scores.get(tid, 0.0):
-                plan[key] = victim
+            if victim is not None and scores.get(victim, 0.0) < mine:
+                victims.add(victim)
             else:
-                feasible = False
                 break
-        if not feasible:
-            continue
-        for victim in {v for v in plan.values() if v is not None}:
-            state.dequeue(tenants[victim])
-        state.enqueue(tenant)
+        else:
+            for victim in victims:
+                state.dequeue(tenants[victim])
+            state.enqueue(tenant)
     for tid, tenant in tenants.items():
-        tenant.state = "dedicated" if state.is_dedicated(tid) else "shared"
+        tenant.state = "dedicated" if tid in dedicated else "shared"
     return state
 
 

@@ -31,7 +31,9 @@ class PopulationSpec:
 
     def sample(self, rng) -> TenantRequest:
         n = max(self.vm_floor, int(round(rng.exponential(self.vm_mean))))
-        b = float(rng.choice(self.guarantees))
+        # the same draw as rng.choice(self.guarantees), without building an
+        # array of the guarantees on every call
+        b = float(self.guarantees[rng.integers(len(self.guarantees))])
         return TenantRequest(n, b, payment_constant=self.payment_constant)
 
 
@@ -69,7 +71,8 @@ class FillResult:
     report: ScarcityReport
     topo: Topology = None
     # what the embeds did: embeds, accepted, candidates, ops and the DP's
-    # merges_run, merges_shared and merges_skipped, summed over the fill
+    # merges_run, merges_shared and merges_skipped, summed over the embeds
+    # that ran, and the requests refused without one (dominated)
     placement: dict = field(default_factory=dict)
 
 
@@ -97,17 +100,39 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
     """Embed sampled tenants until `reject_streak` consecutive rejections,
     then compute scarcity statistics including the interval-wise opportunistic
     dedication rate under the declared activity model (each tenant high-demand
-    with probability 1 - r_in per interval)."""
+    with probability 1 - r_in per interval).
+
+    A request without `wcs` is refused without an embed when it asks for at
+    least the VMs and at least the per-VM guarantee of a request without
+    `wcs` refused since the last accept. A refusal commits nothing, so the
+    topology is the same, and placement is monotone: removing one VM from a
+    feasible placement raises no link's cut reservation B*min(j, N-j), and a
+    lower B scales every reservation down, while both window tests (a merge's
+    cut against the link's residual, a star's floor(residual / b)) only get
+    easier with fewer VMs or a lower B. So if (N, B) could be placed, every
+    (N0 <= N, B0 <= B) could too. A fault-domain cap floor((1-wcs)*N) grows
+    with N, so a larger request with `wcs` may fit where a smaller one does
+    not; those always run the embed and are never recorded. The draws, the
+    tenant ids, `attempted` and `rejected` are those of embedding every
+    request; `placement` counts `embeds + dominated == attempted`."""
     policy = policy or CostPolicy.stress()
     rng = np.random.default_rng(seed)
     tenants: dict = {}
     streak = 0
     attempted = rejected = 0
-    counts = dict.fromkeys(("embeds", "accepted", "candidates", "ops",
-                            "merges_run", "merges_shared", "merges_skipped"), 0)
+    counts = dict.fromkeys(("embeds", "dominated", "accepted", "candidates",
+                            "ops", "merges_run", "merges_shared",
+                            "merges_skipped"), 0)
+    refused: list = []  # (N, B) refused since the last accept, wcs unset
     while streak < reject_streak and attempted < max_attempts:
         req = spec.sample(rng)
         attempted += 1
+        n, b = req.vm_count, req.per_vm_guarantee
+        if req.wcs is None and any(n >= n0 and b >= b0 for n0, b0 in refused):
+            counts["dominated"] += 1
+            rejected += 1
+            streak += 1
+            continue
         out = embed(topo, req, policy, tenant_id=f"t{attempted:05d}")
         counts["embeds"] += 1
         counts["accepted"] += out.feasible
@@ -118,9 +143,12 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
         if out.feasible:
             tenants[out.tenant.id] = out.tenant
             streak = 0
+            refused.clear()
         else:
             rejected += 1
             streak += 1
+            if req.wcs is None:
+                refused.append((n, b))
     report = port_statistics(topo, tenants)
     r_ni, dscp_used = interval_dedication(
         topo, tenants, r_in=r_in, intervals=intervals, seed=seed,

@@ -6,8 +6,9 @@ allocation DP's star and min-plus kernels, a per-skeleton loop for the
 tenant election, clip-loop redistribution plus
 Jacobi iteration for the WFQ fixed point, all-flow scans for FIFO scaling,
 an endhost policy and link checks that re-derive everything on every call,
-per-flow, per-hop sample accounting, and a direct transcription of the
-queue-allocation pass.
+per-flow, per-hop sample accounting, a direct transcription of the
+queue-allocation pass, the copying queue-allocation pass that draws one
+tie-break number per tenant, and a fill that embeds every request.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import operator
 import numpy as np
 
 from qshare import baselines as BL
+from qshare import binding as BD
+from qshare import largescale as L
 from qshare import placement as P
 from qshare.tenants import Tenant, TenantRouting, cut_reservation
 from qshare.topology import trs_at_layer
@@ -740,6 +743,88 @@ def alg2_reference(tr_links, scores, prev_owned, queue_count):
             owners[k].add(t)
     ded = {t for t in scores if dedicated(t)}
     return owners, ded
+
+
+# -- queue allocation pass on a whole copy of the previous state --------------
+
+def allocate_queues_reference(tenants, scores, prev, rng):
+    """The binding pass on a whole copy of `prev`, with departed tenants
+    dropped from the copy afterwards and one `rng.random()` per tenant as the
+    sort key's tie-break; same contract as `binding.allocate_queues`."""
+    state = BD.QueueAllocationState(prev.queue_count)
+    state.owners = {k: set(v) for k, v in prev.owners.items()}
+    state.dedicated = set(prev.dedicated)
+    state.dscp = dict(prev.dscp)
+    for key in list(state.owners):
+        state.owners[key] = {t for t in state.owners[key] if t in tenants}
+    state.dedicated &= set(tenants)
+    state.dscp = {t: v for t, v in state.dscp.items() if t in tenants}
+    order = sorted(tenants, key=lambda t: (-scores.get(t, 0.0), rng.random()))
+    for tid in order:
+        tenant = tenants[tid]
+        if state.is_dedicated(tid):
+            continue
+        plan = {}
+        feasible = True
+        for key in tenant.tr.links:
+            owners = state.owners_on(key)
+            if tid in owners:
+                plan[key] = None
+                continue
+            if len(owners) < state.dedicated_slots():
+                plan[key] = None
+                continue
+            victim = min(owners, key=lambda t: (scores.get(t, 0.0), t),
+                         default=None)
+            if victim is not None and scores.get(victim, 0.0) < scores.get(tid, 0.0):
+                plan[key] = victim
+            else:
+                feasible = False
+                break
+        if not feasible:
+            continue
+        for victim in {v for v in plan.values() if v is not None}:
+            state.dequeue(tenants[victim])
+        state.enqueue(tenant)
+    for tid, tenant in tenants.items():
+        tenant.state = "dedicated" if state.is_dedicated(tid) else "shared"
+    return state
+
+
+# -- fill to capacity, one embed per request ----------------------------------
+
+def fill_reference(topo, spec, policy=None, *, seed=0, reject_streak=50,
+                   max_attempts=100_000, r_in=0.5, intervals=20):
+    """`largescale.fill_to_capacity` with an embed for every request, however
+    many requests it dominates that were refused before."""
+    policy = policy or P.CostPolicy.stress()
+    rng = np.random.default_rng(seed)
+    tenants: dict = {}
+    streak = 0
+    attempted = rejected = 0
+    counts = dict.fromkeys(("embeds", "accepted", "candidates", "ops",
+                            "merges_run", "merges_shared", "merges_skipped"), 0)
+    while streak < reject_streak and attempted < max_attempts:
+        req = spec.sample(rng)
+        attempted += 1
+        out = P.embed(topo, req, policy, tenant_id=f"t{attempted:05d}")
+        counts["embeds"] += 1
+        counts["accepted"] += out.feasible
+        counts["candidates"] += out.candidates
+        counts["ops"] += out.ops
+        for name, value in out.merges.items():
+            counts[f"merges_{name}"] += value
+        if out.feasible:
+            tenants[out.tenant.id] = out.tenant
+            streak = 0
+        else:
+            rejected += 1
+            streak += 1
+    report = L.port_statistics(topo, tenants)
+    report.r_ni, report.dscp_values_used = L.interval_dedication(
+        topo, tenants, r_in=r_in, intervals=intervals, seed=seed,
+        queue_count=topo.max_queue_count)
+    return L.FillResult(tenants, attempted, rejected, report, topo, counts)
 
 
 # -- dscp values by pairwise conflict-graph coloring --------------------------

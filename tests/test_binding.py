@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import alg2_reference, assign_dscp_reference
+from oracles import (alg2_reference, allocate_queues_reference,
+                     assign_dscp_reference)
 from qshare import binding as B
 from qshare import placement as P
 from qshare import topology as T
@@ -244,6 +245,59 @@ def test_allocate_queues_matches_reference(rng):
         assert st.dedicated == ref_ded
         for k in set(ref_owners) | set(st.owners):
             assert st.owners.get(k, set()) == ref_owners.get(k, set())
+
+
+def test_allocate_queues_matches_the_copying_reference(rng):
+    """The one-pass allocation equals the pass on a whole copy of `prev`
+    with one tie-break draw per tenant: owners (empty sets included),
+    `dedicated`, dscp, every tenant's state and the generator's next draw.
+    Cases cover departed tenants in `prev`, score ties and one queue per
+    link; `prev` itself is left as it was."""
+    seen = {"departed": 0, "score tie": 0, "one queue": 0, "preempted": 0}
+    for case in range(400):
+        qc = int(rng.integers(1, 5))
+        links = [f"L{i}" for i in range(int(rng.integers(1, 5)))]
+        everyone = {}
+        for i in range(int(rng.integers(1, 10))):
+            tid = f"t{i}"
+            chosen = tuple(rng.choice(links,
+                                      size=int(rng.integers(0, len(links) + 1)),
+                                      replace=False))
+            everyone[tid] = _FakeTenant(tid, chosen)
+        prev = B.QueueAllocationState(qc)
+        for tid, tenant in everyone.items():
+            if rng.random() < 0.5 and all(
+                    len(prev.owners_on(k)) < qc - 1 for k in tenant.tr.links):
+                prev.enqueue(tenant)
+                prev.dscp[tid] = int(rng.integers(1, 64))
+        tenants = {tid: t for tid, t in everyone.items() if rng.random() < 0.8}
+        scores = {tid: float(rng.integers(0, 3)) if case % 2 else
+                  float(rng.random()) for tid in tenants if rng.random() < 0.9}
+        before = ({k: set(v) for k, v in prev.owners.items()},
+                  set(prev.dedicated), dict(prev.dscp))
+        seed = int(rng.integers(0, 2**32))
+        ref_rng = np.random.default_rng(seed)
+        ref = allocate_queues_reference(tenants, scores, prev, ref_rng)
+        ref_states = {tid: t.state for tid, t in tenants.items()}
+        for t in tenants.values():
+            t.state = "shared"
+        got_rng = np.random.default_rng(seed)
+        got = B.allocate_queues(tenants, scores, prev, got_rng)
+        assert got.queue_count == ref.queue_count
+        assert got.owners == ref.owners
+        assert list(got.owners) == list(ref.owners)
+        assert got.dedicated == ref.dedicated
+        assert got.dscp == ref.dscp
+        assert {tid: t.state for tid, t in tenants.items()} == ref_states
+        assert got_rng.random() == ref_rng.random()
+        assert (prev.owners, prev.dedicated, prev.dscp) == before
+        seen["departed"] += any(t not in tenants for t in prev.dedicated)
+        ranks = [scores.get(t, 0.0) for t in tenants]
+        seen["score tie"] += len(set(ranks)) < len(ranks)
+        seen["one queue"] += qc == 1
+        seen["preempted"] += bool(prev.dedicated & set(tenants)
+                                  - got.dedicated)
+    assert min(seen.values()) >= 20, seen
 
 
 class _FakeTenant:

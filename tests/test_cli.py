@@ -286,6 +286,13 @@ PINNED_BODIES = {
         "flows.jsonl":
             "7420f8136de054dabac7322f0ec6f55a3262146bd33120f56d55150266f8aa8c",
     },
+    # a bundled k = 16 fill: placement, dominance skips and reservations
+    ("queue-scarcity", "--set", "oversub=16:1"): {
+        "scarcity.csv":
+            "c28eb4f4bb47e9e7035874c6ae83642ef9ec59b6d0de3ed2f3aa481f3ead9f66",
+        "embedding.jsonl":
+            "ec18453fa763699f8d1f4cb9cb7b5014ef89fc52b2596cc547d71bc0fa24b71e",
+    },
 }
 
 
@@ -388,14 +395,20 @@ def test_manifest_holds_the_loop_counters_summed_over_simulations(
     ("throughput-gain", ("gains.csv", "utilization_cdf.csv", "summary.json"))])
 def test_manifest_holds_the_fill_placement_counters(tmp_path, monkeypatch,
                                                     scenario, bodies):
-    outcomes = []
+    outcomes, fills = [], []
     embed, fattree_like = largescale.embed, scenarios.fattree_like
+    fill_to_capacity = largescale.fill_to_capacity
 
     def recorded(*args, **kwargs):
         outcomes.append(embed(*args, **kwargs))
         return outcomes[-1]
 
+    def recorded_fill(*args, **kwargs):
+        fills.append(fill_to_capacity(*args, **kwargs))
+        return fills[-1]
+
     monkeypatch.setattr(largescale, "embed", recorded)
+    monkeypatch.setattr(largescale, "fill_to_capacity", recorded_fill)
     # a k = 4 fattree instead of the bundled k = 16 keeps the fill small
     monkeypatch.setattr(scenarios, "fattree_like",
                         lambda *a, **kw: fattree_like(*a, k=4, **kw))
@@ -403,14 +416,18 @@ def test_manifest_holds_the_fill_placement_counters(tmp_path, monkeypatch,
                      "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     placement = manifest["placement"]
+    [fill] = fills
+    # the requests an earlier refusal ruled out were refused without an embed
     assert placement == {
         "embeds": len(outcomes),
+        "dominated": fill.attempted - len(outcomes),
         "accepted": sum(o.feasible for o in outcomes),
         "candidates": sum(o.candidates for o in outcomes),
         "ops": sum(o.ops for o in outcomes),
         **{f"merges_{name}": sum(o.merges[name] for o in outcomes)
            for name in ("run", "shared", "skipped")}}
-    assert placement["accepted"] >= 10
+    assert placement["accepted"] >= 10 and placement["dominated"] > 0
+    assert fill.attempted - fill.rejected == placement["accepted"]
     assert min(placement[f"merges_{name}"]
                for name in ("run", "shared", "skipped")) > 0
     for name in bodies:

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from conftest import random_tree
+from oracles import fill_reference
 from qshare import largescale as L
 from qshare import placement as P
 from qshare import topology as T
@@ -25,6 +29,136 @@ def test_population_sampling_is_deterministic():
     assert a == b
     assert all(r.vm_count >= 2 for r in a)
     assert all(r.per_vm_guarantee in (10, 50, 100, 200, 300) for r in a)
+
+
+@pytest.mark.parametrize("guarantees", [(10.0, 50.0, 100.0, 200.0, 300.0),
+                                        [1.0, 2.0, 5.0, 10.0]])
+def test_population_sampling_draws_as_rng_choice(guarantees):
+    """An indexed draw of the guarantees gives the same values as
+    `rng.choice` over them and leaves the generator in the same place."""
+    spec = L.PopulationSpec(vm_mean=20.0, guarantees=guarantees)
+    got_rng, old_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(10_000):
+        req = spec.sample(got_rng)
+        n = max(spec.vm_floor, int(round(old_rng.exponential(spec.vm_mean))))
+        b = float(old_rng.choice(spec.guarantees))
+        assert (req.vm_count, req.per_vm_guarantee) == (n, b)
+    assert got_rng.random() == old_rng.random()
+
+
+class _SomeWcs:
+    """Population whose requests set wcs 0.5 with probability one third."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def sample(self, rng):
+        req = self.spec.sample(rng)
+        return replace(req, wcs=0.5) if rng.random() < 1 / 3 else req
+
+
+class _Scripted:
+    def __init__(self, requests):
+        self.requests = iter(requests)
+
+    def sample(self, rng):
+        return next(self.requests)
+
+
+def _fill_view(fill):
+    return ({tid: (sorted(t.vm_placement.items()), sorted(t.tr.reserved.items()),
+                   t.tr.root, t.tr.cost_b, t.tr.cost_q)
+             for tid, t in fill.tenants.items()},
+            fill.report.as_row(), fill.attempted, fill.rejected,
+            fill.placement["accepted"], fill.placement["candidates"])
+
+
+@pytest.mark.parametrize("k, oversub", [(4, "1:1"), (4, "4:1"), (8, "16:1")])
+def test_fill_matches_the_embed_every_request_reference(k, oversub):
+    """Skipping the embed of dominated requests changes no tenant, placement,
+    reservation, report, count or candidate total; every request is either
+    embedded or dominated. (At k = 4 a 16:1 ratio would disable every core,
+    so 16:1 runs at k = 8.)"""
+    base = L.PopulationSpec(vm_mean=8.0)
+    dominated = {False: 0, True: 0}
+    for seed in range(3):
+        for streak in (1, 5, 30):
+            for wcs in (False, True):
+                spec = _SomeWcs(base) if wcs else base
+
+                def topo():
+                    return T.fattree_like(oversub, k=k, vm_slots=12,
+                                          nic_mbps=1000.0, port_mbps=2000.0,
+                                          seed=seed)
+                args = dict(seed=seed, reject_streak=streak, intervals=3)
+                got = L.fill_to_capacity(topo(), spec, **args)
+                ref = fill_reference(topo(), spec, **args)
+                assert _fill_view(got) == _fill_view(ref)
+                counts = got.placement
+                assert counts["embeds"] + counts["dominated"] == got.attempted
+                assert ref.placement["embeds"] == got.attempted
+                dominated[wcs] += counts["dominated"]
+    assert min(dominated.values()) >= 10, dominated
+
+
+def test_a_refused_request_rules_out_every_larger_one(rng):
+    """On random fill states of random trees and k = 4 fattrees: when embed
+    refuses (N0, B0), it refuses every sampled request with N >= N0 and
+    B >= B0 (wcs unset) too; a refusal commits nothing."""
+    dominated = {"random tree": 0, "fattree": 0}
+    for case in range(120):
+        kind = "random tree" if case % 2 else "fattree"
+        if kind == "random tree":
+            topo = random_tree(rng, max_hyps=5, slot_hi=8, cap_hi=40)
+            n_hi, b_hi = 12, 12.0
+        else:
+            topo = T.fattree_like("4:1", k=4, vm_slots=int(rng.integers(2, 8)),
+                                  nic_mbps=100.0, port_mbps=200.0,
+                                  seed=int(rng.integers(0, 100)))
+            n_hi, b_hi = 40, 60.0
+
+        def request(n_lo=2, b_lo=0.0):
+            return TenantRequest(int(rng.integers(n_lo, n_hi + 1)),
+                                 float(rng.uniform(b_lo, b_hi)))
+        for i in range(int(rng.integers(0, 12))):  # a random fill state
+            P.embed(topo, request(), P.CostPolicy.stress(), tenant_id=f"f{i}")
+        for j in range(4):
+            free = topo._free_arr.copy()
+            small = request()
+            if P.embed(topo, small, P.CostPolicy.stress(), f"p{j}").feasible:
+                continue
+            assert np.array_equal(topo._free_arr, free)
+            for _ in range(3):
+                big = request(small.vm_count, small.per_vm_guarantee)
+                out = P.embed(topo, big, P.CostPolicy.stress(), "refused")
+                assert not out.feasible, (small, big)
+                dominated[kind] += 1
+    assert min(dominated.values()) >= 30, dominated
+
+
+def test_a_request_with_wcs_stays_out_of_the_dominance_rule():
+    """At wcs 0.5, 9 VMs need three hypervisors (at most 4 on each) but 10
+    fit on two (5 on each): a larger request can be placed where a smaller
+    one cannot, so the fill embeds it rather than refusing it unseen."""
+    def two_hypervisors(slots=5):
+        return T.build_custom(
+            [("h1", "hypervisor", 0, slots), ("h2", "hypervisor", 0, slots),
+             ("s1", "switch", 1, 0)],
+            [("h1", "s1", 1000.0), ("h2", "s1", 1000.0)])
+    nine, ten = TenantRequest(9, 1.0, wcs=0.5), TenantRequest(10, 1.0, wcs=0.5)
+    assert not P.embed(two_hypervisors(), nine).feasible
+    assert P.embed(two_hypervisors(), ten).feasible
+    fill = L.fill_to_capacity(two_hypervisors(), _Scripted([nine, ten]),
+                              reject_streak=2, max_attempts=2, intervals=1)
+    assert list(fill.tenants) == ["t00002"]
+    assert fill.placement["embeds"] == 2 and fill.placement["dominated"] == 0
+    # without wcs, 10 VMs after a refused 9 are refused unseen
+    plain = TenantRequest(9, 1.0), TenantRequest(10, 1.0)
+    fill = L.fill_to_capacity(two_hypervisors(4), _Scripted(plain),
+                              reject_streak=2,
+                              max_attempts=2, intervals=1)
+    assert not fill.tenants and fill.rejected == 2
+    assert fill.placement["dominated"] == 1
 
 
 def test_fill_single_tenant_everything_dedicated():
