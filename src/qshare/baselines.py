@@ -13,9 +13,10 @@ probe hurts other tenants' guarantees.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .fluid import LOOPBACK_MBPS, _rate, _same_objects
+from .fluid import LOOPBACK_MBPS, FlowChange, _rate
 
 _TOL = 1e-9
 
@@ -68,7 +69,7 @@ def _overloads(on_link: dict, capacities: dict) -> dict:
     order."""
     out = {}
     for dkey, cap in capacities.items():
-        total = sum(f.rate for f in on_link.get(dkey, ()))
+        total = sum(f.rate for f in on_link.get(dkey, {}).values())
         if total > cap * (1 + 1e-9):
             out[dkey] = total / cap
     return out
@@ -84,17 +85,18 @@ def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
     scales the most overloaded link, the first in `capacities` order on a
     tie. Returns False when `max_rounds` rounds left some link over.
 
-    `on_link` maps each link to the flows crossing it in flow order and
-    `offered` each link of `capacities` to its offered load, summed in that
-    order; both are derived from `flows` when not given. When no link is
-    offered above capacity, nothing is scaled."""
+    `on_link` maps each link to the flows crossing it in flow order (a dict
+    of them under unique keys, such as their fids) and `offered` each link
+    of `capacities` to its offered load, summed in that order; both are
+    derived from `flows` when not given. When no link is offered above
+    capacity, nothing is scaled."""
     if on_link is None:
         on_link = {}
         for f in flows:
             for dkey in f.route:
-                on_link.setdefault(dkey, []).append(f)
+                on_link.setdefault(dkey, {})[id(f)] = f
     if offered is None:
-        offered = {dkey: sum(f.rate for f in on_link.get(dkey, ()))
+        offered = {dkey: sum(f.rate for f in on_link.get(dkey, {}).values())
                    for dkey in capacities}
     if not any(offered[dkey] > cap * (1 + 1e-9)
                for dkey, cap in capacities.items()):
@@ -102,11 +104,11 @@ def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
     if goodput_exponent > 1.0:
         shrunk = False  # offered loads hold until some link is scaled
         for dkey, cap in capacities.items():
-            load = (sum(f.rate for f in on_link.get(dkey, ())) if shrunk
-                    else offered[dkey])
+            load = (sum(f.rate for f in on_link.get(dkey, {}).values())
+                    if shrunk else offered[dkey])
             if load > cap * (1 + 1e-9):
                 shrink = (cap / load) ** goodput_exponent
-                for f in on_link[dkey]:
+                for f in on_link[dkey].values():
                     f.rate *= shrink
                 shrunk = True
     for _ in range(max_rounds):
@@ -114,7 +116,7 @@ def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
         if not over:
             return True
         dkey = max(over, key=over.get)
-        for f in on_link[dkey]:
+        for f in on_link[dkey].values():
             f.rate /= over[dkey]
     return not _overloads(on_link, capacities)
 
@@ -123,21 +125,25 @@ class EndhostRatePolicy:
     """Rate hook for the fluid engine: per-pair limiters driven by probe-
     quantum congestion feedback, enforced on FIFO links.
 
-    Everything that depends only on the flow set is carried between calls
-    and rebuilt when a flow starts or ends (the flows passed differ by
-    identity from the last call's). `compute` carries the routed flows,
-    their pair keys, each link's flows in flow order and the links'
-    capacities in first-touch order, so a call reads the limiters, sums
-    each link's offered load once and scales. `on_quantum` carries the
-    beliefs, the sorted active pairs with each one's route and guarantee,
-    and prunes idle limiters only when the limiters hold some other pair,
-    so a quantum runs only `ra_update` per pair.
+    What depends only on the flow set is carried between calls: the loopback
+    flows, each active pair's routed flows and each crossed link's flows, by
+    fid, with the links and their capacities in first-touch order (the order
+    in which a pass over the flows in fid order touches them, which
+    fifo_scale breaks ties in). Only a link whose first flow leaves while
+    another stays can move, so the order is rebuilt only then. Whichever of
+    `compute` and `on_quantum` runs first after a simulation step applies
+    that step's record (`sim.change`, a fluid.FlowChange) in the size of the
+    change; a call whose `sim` holds no record rebuilds the state from the
+    flows it is given. So `compute` reads each pair's limiter once, sums
+    each link's offered load once and scales. A quantum after a pair started
+    or stopped re-learns the beliefs and each active pair's route and
+    guarantee, and drops the idle pairs' limiters; any other quantum runs
+    only `ra_update` per pair.
 
     `fifo_stops` counts the compute calls whose FIFO scaling stopped at its
     round cap with some link still over capacity."""
 
     def __init__(self, topo, tenants: dict, cfg: RAConfig):
-        self.topo = topo
         self.tenants = tenants
         self.cfg = cfg
         self.capacities = {dkey: link.capacity
@@ -148,19 +154,8 @@ class EndhostRatePolicy:
         self.holds: dict = {}
         self.beliefs: dict = {tid: {} for tid in tenants}
         self.congested_links: set = set()
-        # compute's flow set and what it derives from it
-        self._flows: list | None = None
-        self._loopback: list = []
-        self._routed: list = []
-        self._keys: list = []
-        self._on_link: dict = {}
-        self._caps: dict = {}
-        # on_quantum's flow set, its active pair keys, and each active
-        # pair's (key, route, guarantee) in key order; the flow set's
-        # beliefs are `beliefs`
-        self._quantum_flows: list | None = None
-        self._active: set = set()
-        self._pairs: list = []
+        self._step = None  # the simulation step whose record was applied
+        self._follow(None, ())
 
     def _pair_guarantee(self, f) -> float:
         """Believed pairs split each endpoint's hose guarantee; a pair the
@@ -177,67 +172,84 @@ class EndhostRatePolicy:
         g_dst = b / len(gd) if gd and f.src_vm in gd else seed
         return min(g_src, g_dst)
 
-    def _carry_flows(self, flows: list) -> None:
-        self._flows = list(flows)
-        self._loopback = [f for f in flows if not f.route]
-        self._routed = [f for f in flows if f.route]
-        self._keys = [(f.tenant, f.src_vm, f.dst_vm) for f in self._routed]
-        on_link: dict = {}  # first-touch order, each link's flows in order
-        for f in self._routed:
-            for dkey in f.route:
-                on_link.setdefault(dkey, []).append(f)
-        self._on_link = on_link
-        self._caps = {dkey: self.capacities[dkey] for dkey in on_link}
+    def _follow(self, sim, flows) -> None:
+        """Bring the flow-set state up to `flows`: apply the record of
+        `sim`'s last step unless it was applied already, or, when `sim`
+        holds none, rebuild the state from `flows`. A rebuild counts as a
+        change of pairs, so the next quantum re-learns the beliefs."""
+        change = getattr(sim, "change", None)
+        if change is None:
+            self._loopback: dict = {}  # None -> the loopback flows by fid
+            self._pairs: dict = {}  # pair key -> its routed flows by fid
+            self._on_link: dict = {}  # link -> its flows by fid
+            self._caps: dict = {}  # link -> capacity, in _on_link order
+            self._moved = True  # whether a pair started or stopped
+            change = FlowChange((), flows)
+        elif sim.steps == self._step or not any(change):
+            return  # applied already, or an empty record
+        self._step = getattr(sim, "steps", None)
+        change.regroup(self._loopback, lambda f: () if f.route else (None,))
+        self._moved |= change.regroup(self._pairs, lambda f: (
+            ((f.tenant, f.src_vm, f.dst_vm),) if f.route else ()))
+        # links stay in the order a pass over the flows touches them: a new
+        # link comes last, and only a link whose first flow leaves while
+        # another stays can move
+        on_link = self._on_link
+        resort = any(len(on) > 1 and next(iter(on)) == f.fid
+                     for f in change.left for on in map(on_link.get, f.route))
+        if change.regroup(on_link, operator.attrgetter("route")) or resort:
+            if resort:
+                self._on_link = on_link = {dkey: on_link[dkey] for dkey in
+                                           dict.fromkeys(dkey for f in flows
+                                                         for dkey in f.route)}
+            self._caps = {dkey: self.capacities[dkey] for dkey in on_link}
 
     def compute(self, sim, flows: list, t: float) -> None:
-        if not _same_objects(flows, self._flows):
-            self._carry_flows(flows)
-        for f in self._loopback:
+        self._follow(sim, flows)
+        for f in self._loopback.get(None, {}).values():
             f.rate = LOOPBACK_MBPS
         limiters = self.limiters
-        for f, key in zip(self._routed, self._keys):
+        for key, pair in self._pairs.items():
             rate = limiters.get(key)
             if rate is None:
-                rate = limiters[key] = self._pair_guarantee(f)
+                rate = limiters[key] = self._pair_guarantee(
+                    next(iter(pair.values())))
                 self.holds[key] = 0
-            f.rate = rate
-        caps = self._caps
-        offered = {dkey: sum(map(_rate, on))
-                   for dkey, on in self._on_link.items()}
+            for f in pair.values():
+                f.rate = rate
+        on_link, caps = self._on_link, self._caps
+        offered = {dkey: sum(map(_rate, on.values()))
+                   for dkey, on in on_link.items()}
         # congestion observed on offered load, before FIFO scaling
         threshold = 1.0 - (self.cfg.headroom if self.cfg.mode == "conservative" else 0.0)
         self.congested_links = {dkey for dkey, load in offered.items()
                                 if load > caps[dkey] * threshold + _TOL}
-        if not fifo_scale(self._routed, caps,
+        if not fifo_scale(flows, caps,
                           goodput_exponent=self.cfg.overload_goodput_exponent,
-                          on_link=self._on_link, offered=offered):
+                          on_link=on_link, offered=offered):
             self.fifo_stops += 1
 
-    def _carry_pairs(self, flows) -> None:
-        self._quantum_flows = list(flows)
-        active_pairs = {(f.tenant, f.src_vm, f.dst_vm): f
-                        for f in flows if f.route}
-        beliefs: dict = {tid: {} for tid in self.tenants}
-        for (tid, src, dst) in active_pairs:
-            beliefs[tid].setdefault(("src", src), set()).add(dst)
-            beliefs[tid].setdefault(("dst", dst), set()).add(src)
-        self.beliefs = beliefs
-        self._active = set(active_pairs)
-        self._pairs = [(key, f.route, self._pair_guarantee(f))
-                       for key, f in sorted(active_pairs.items())]
-
     def on_quantum(self, sim, t: float) -> None:
-        if not _same_objects(sim.flows.values(), self._quantum_flows):
-            self._carry_pairs(sim.flows.values())
-        limiters, holds = self.limiters, self.holds
-        # rate-allocation state decays with the pair: an idle pair's limiter
-        # is dropped, so traffic-matrix changes pay the re-learning lag
-        if not limiters.keys() <= self._active:
-            for key in [k for k in limiters if k not in self._active]:
+        self._follow(sim, sim.flows.values())
+        pairs, limiters, holds = self._pairs, self.limiters, self.holds
+        if self._moved:
+            self._moved = False
+            self.beliefs = beliefs = {tid: {} for tid in self.tenants}
+            for tid, src, dst in pairs:
+                beliefs[tid].setdefault(("src", src), set()).add(dst)
+                beliefs[tid].setdefault(("dst", dst), set()).add(src)
+            self._guarantees = {}  # pair key -> (route, guarantee)
+            for key, pair in pairs.items():
+                f = next(iter(pair.values()))
+                self._guarantees[key] = f.route, self._pair_guarantee(f)
+            # rate-allocation state decays with the pair: an idle pair's
+            # limiter is dropped, so traffic-matrix changes pay the
+            # re-learning lag
+            for key in [k for k in limiters if k not in pairs]:
                 del limiters[key]
                 holds.pop(key, None)
         congested_links, cfg = self.congested_links, self.cfg
-        for key, route, g in self._pairs:
+        for key, (route, g) in self._guarantees.items():
             limiters[key], holds[key] = ra_update(
                 limiters.get(key, g), g, not congested_links.isdisjoint(route),
                 holds.get(key, 0), cfg)

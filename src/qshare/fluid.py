@@ -22,6 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +36,35 @@ _LEVEL_SOLVES = 4  # solves per generation of RateSolver's level memo
 _rate = operator.attrgetter("rate")
 
 
-def _same_objects(items, carried) -> bool:
-    """Whether `items` are the objects in `carried`, in the same order
-    (never when `carried` is None)."""
-    return (carried is not None and len(items) == len(carried)
-            and all(map(operator.is_, items, carried)))
+class FlowChange(NamedTuple):
+    """What one step of the event loop did to the active flows: the flows
+    that left and the flows appended, each in fid order. Fids only grow, so
+    every appended flow has a larger fid than every flow still active. A
+    consumer called without a record derives it: the rate solver from its
+    slots, the others by dropping what they carried and taking every flow
+    they are given as new."""
+
+    left: list
+    added: list
+
+    def regroup(self, groups: dict, keys) -> bool:
+        """Apply the change to `groups`, key -> the flows of that key by fid
+        (so in fid order): every flow leaves or joins the group of each key
+        in keys(flow), and a group left empty is dropped. Returns whether a
+        group was created or dropped."""
+        reshaped = False
+        for f in self.left:
+            for key in keys(f):
+                group = groups[key]
+                del group[f.fid]
+                if not group:
+                    del groups[key]
+                    reshaped = True
+        for f in self.added:
+            for key in keys(f):
+                reshaped |= key not in groups
+                groups.setdefault(key, {})[f.fid] = f
+        return reshaped
 
 
 def add_counters(total: dict, groups: dict) -> None:
@@ -554,11 +579,14 @@ class RateSolver:
     _LinkPlan: the link's flows grouped by queue and tenant) from one solve
     to the next. Every routed flow holds a dense slot, the index of its rate
     in the flat rate list; when a flow leaves, the last slot moves into its
-    place. A solve re-plans only the links on the routes of flows that
-    arrived or left, and a moved flow's links only get their slot list
-    renewed. A flow is carried when its (fid, tenant, route) is unchanged;
-    a reused fid with another tenant or route leaves and arrives.
-    `rebuild` drops every plan, since the plans read the queue views.
+    place. A solve takes the record of the flows that left and the flows
+    appended since the last one (a FlowChange, as the event loop keeps it
+    per step), re-plans only the links on their routes, and renews only the
+    slot lists of a moved flow's links. A solve without a record derives it
+    from the slots: a flow is carried when a slot holds its (fid, tenant,
+    route), so a reused fid with another tenant or route leaves and
+    arrives. `rebuild` drops every plan, since the plans read the queue
+    views.
 
     One link's work in a sweep (its kernel, _link_levels) is a pure function
     of the sweep kind, the link's plan numbers and its capped demands, and
@@ -614,12 +642,10 @@ class RateSolver:
         self._memo_prev: dict = {}
         self._next_sid = itertools.count(1)
         self._levels = _LevelMemo()
-        # routed flows by slot with the (tenant, route) they were planned
-        # under, each one's slot by fid, every crossed link's fids by tenant
-        # in fid order, the plans of those links in dkey order, and the
-        # first plan of each (signature id, slots) group
+        # routed flows by slot, each one's slot by fid, every crossed link's
+        # fids by tenant in fid order, the plans of those links in dkey
+        # order, and the first plan of each (signature id, slots) group
         self._flows: list = []
-        self._idents: list = []
         self._slot: dict = {}
         self._members: dict = {}
         self._plans: dict = {}
@@ -632,8 +658,11 @@ class RateSolver:
             self.views[ukey] = LinkQueueView(ukey, link, owners, self.weight_mode)
         self._plans = {}
 
-    def solve(self, flows: list) -> None:
-        """Set flow.rate for every flow in place.
+    def solve(self, flows: list, change: FlowChange | None = None) -> None:
+        """Set flow.rate for every flow in place. `change` records the
+        flows that left and the flows appended since the last solve (the
+        event loop's record); without one it is derived from the slots
+        (see _update).
 
         Iterative water-filling toward the hierarchical max-min fixed point,
         over the carried link plans (see the class docstring and _update).
@@ -656,16 +685,13 @@ class RateSolver:
         self.solves += 1
         self._sigs_prev, self._sigs = self._sigs, {}
         self._memo_prev, self._memo = self._memo, {}
-        routed = []
-        for f in flows:
-            if f.route:
-                routed.append(f)
-            else:
+        for f in flows if change is None else change.added:
+            if not f.route:
                 f.rate = LOOPBACK_MBPS
-        self._update(routed)
-        if not routed:
+        self._update(flows, change)
+        if not self._flows:
             return
-        rates = [math.inf] * len(routed)
+        rates = [math.inf] * len(self._flows)
         for sweep in range(1, max(10 * len(self._plans), 8) + 1):
             new = self._sweep(rates, lift=True)
             settled = _settled(new, rates)
@@ -680,50 +706,58 @@ class RateSolver:
         for f, r in zip(self._flows, rates):
             f.rate = r
 
-    def _update(self, routed: list) -> None:
-        """Bring the slots and plans up to `routed`: the flows that left
-        free their slots (the last slot moving into each freed one), those
-        that arrived take new slots, every link on their routes is planned
-        anew, and a link no flow crosses any more is dropped. Then every
-        plan registers its signature id for this solve, and the plans are
-        grouped by (signature id, slots) for _sweep."""
-        flows, idents, slot = self._flows, self._idents, self._slot
+    def _update(self, flows: list, change: FlowChange | None = None) -> None:
+        """Bring the slots and plans up to the routed flows of `flows`
+        through `change`: the routed flows that left free their slots (the
+        last slot moving into each freed one), those appended take new
+        slots, every link on their routes is planned anew, and a link no
+        flow crosses any more is dropped. Then every plan registers its
+        signature id for this solve, and the plans are grouped by (signature
+        id, slots) for _sweep.
+
+        Without a record, it is derived from the slots: a flow whose (fid,
+        tenant, route) a slot holds is carried and replaces the slotted
+        object, every other routed flow is appended in the order given, and
+        the flows of the slots not carried left."""
+        slotted, slot = self._flows, self._slot
         members, plans = self._members, self._plans
-        arrived, carried = [], []
-        for f in routed:
-            s = slot.get(f.fid)
-            if s is not None and idents[s] == (f.tenant, f.route):
-                flows[s] = f
-                carried.append(s)
-            else:
-                arrived.append(f)
+        if change is None:
+            carried, added = set(), []
+            for f in flows:
+                s = slot.get(f.fid)
+                if s is not None and (slotted[s].tenant, slotted[s].route) == (
+                        f.tenant, f.route):
+                    slotted[s] = f
+                    carried.add(s)
+                elif f.route:
+                    added.append(f)
+            change = FlowChange([f for s, f in enumerate(slotted)
+                                 if s not in carried], added)
         touched, moved = set(), set()
-        if len(carried) < len(flows):
-            # from the last slot down, so that the slot moved into a freed
-            # one never belongs to a flow that left
-            for s in sorted(set(range(len(flows))).difference(carried),
-                            reverse=True):
-                tenant, route = idents[s]
-                fid = flows[s].fid
-                for dkey in route:
-                    by_tenant = members[dkey]
-                    by_tenant[tenant].remove(fid)
-                    if not by_tenant[tenant]:
-                        del by_tenant[tenant]
-                        if not by_tenant:
-                            del members[dkey]
-                touched.update(route)
-                del slot[fid]
-                last = flows.pop()
-                ident = idents.pop()
-                if s < len(flows):
-                    flows[s], idents[s] = last, ident
-                    slot[last.fid] = s
-                    moved.update(ident[1])
-        for f in arrived:
-            slot[f.fid] = len(flows)
-            flows.append(f)
-            idents.append((f.tenant, f.route))
+        # from the last slot down, so that the slot moved into a freed one
+        # never belongs to a flow that left
+        for s in sorted([slot[f.fid] for f in change.left if f.route],
+                        reverse=True):
+            gone = slotted[s]
+            for dkey in gone.route:
+                by_tenant = members[dkey]
+                by_tenant[gone.tenant].remove(gone.fid)
+                if not by_tenant[gone.tenant]:
+                    del by_tenant[gone.tenant]
+                    if not by_tenant:
+                        del members[dkey]
+            touched.update(gone.route)
+            del slot[gone.fid]
+            last = slotted.pop()
+            if s < len(slotted):
+                slotted[s] = last
+                slot[last.fid] = s
+                moved.update(last.route)
+        for f in change.added:
+            if not f.route:
+                continue
+            slot[f.fid] = len(slotted)
+            slotted.append(f)
             for dkey in f.route:
                 fids = members.setdefault(dkey, {}).setdefault(f.tenant, [])
                 if fids and fids[-1] > f.fid:
@@ -952,10 +986,11 @@ class SegmentStats:
     seconds over the violating tenants (tenant-seconds).
 
     What depends only on the flow set is carried from one segment to the
-    next and rebuilt when the flows passed differ by identity from the last
-    segment's: the flows crossing the link and, per tenant with a positive
-    entitlement, its crossing flows and the rate below which it is short.
-    Rates are still added in flow order every segment.
+    next and brought up to date from the record of the flows that left and
+    the flows appended since the last segment (a FlowChange): the flows
+    crossing the link and each crossing tenant's flows, in fid order, and,
+    per tenant with a positive entitlement, the rate below which it is
+    short. Rates are still added in flow order every segment.
     """
 
     dkey: tuple
@@ -971,47 +1006,46 @@ class SegmentStats:
     violating_tenants: set = field(default_factory=set)
 
     def __post_init__(self):
-        self._flows: list = []
-        self._crossing: list = []
-        self._entitled: dict = {}  # tenant -> (srcs, dsts, entitlement)
-        self._short: list = []  # (tenant, its crossing flows, threshold)
+        # dkey -> the flows crossing the link, and each crossing tenant ->
+        # its crossing flows, by fid
+        self._groups: dict = {}
+        # tenant -> rate below which it is short (0.0: never short)
+        self._short: dict = {}
 
     def entitlement(self, tenant: str, srcs: set, dsts: set) -> float:
         out = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in srcs)
         inn = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in dsts)
         return min(self.guarantees.get(tenant, 0.0), out, inn)
 
-    def _carry(self, flows: list) -> None:
-        """Carry `flows`: a tenant whose engaged hypervisors are those of
-        the last carry keeps its entitlement."""
-        self._flows = list(flows)
-        self._crossing = [f for f in flows if self.dkey in f.route]
-        per_tenant: dict = {}
-        for f in self._crossing:
-            per_tenant.setdefault(f.tenant, []).append(f)
-        last, self._entitled, self._short = self._entitled, {}, []
-        for tenant, crossing in per_tenant.items():
-            srcs = {f.src_hyp for f in crossing}
-            dsts = {f.dst_hyp for f in crossing}
-            kept = last.get(tenant)
-            entitled = (kept[2] if kept and kept[:2] == (srcs, dsts)
-                        else self.entitlement(tenant, srcs, dsts))
-            self._entitled[tenant] = (srcs, dsts, entitled)
-            if entitled > 0:
-                self._short.append((tenant, crossing, entitled * (1.0 - 1e-6)))
+    def _carry(self, change: FlowChange) -> None:
+        """Apply `change`; a tenant whose crossing flows changed gets its
+        entitlement anew."""
+        def keys(f):
+            return (self.dkey, f.tenant) if self.dkey in f.route else ()
+        change.regroup(self._groups, keys)
+        for tenant in {f.tenant for f in (*change.left, *change.added)
+                       if keys(f)}:
+            crossing = self._groups.get(tenant, {}).values()
+            self._short[tenant] = self.entitlement(
+                tenant, {f.src_hyp for f in crossing},
+                {f.dst_hyp for f in crossing}) * (1.0 - 1e-6)
 
     def observe(self, t0: float, t1: float, flows: list, owners: set,
-                all_unsaturated) -> None:
+                all_unsaturated, change: FlowChange | None = None) -> None:
         """Account the segment [t0, t1) at constant rates: only the flows
-        in `flows` that cross `dkey` count, and `owners` are the tenants
-        with a dedicated queue."""
+        that cross `dkey` count, and `owners` are the tenants with a
+        dedicated queue. `change` records how the flows changed since the
+        last call; without one, the flows in `flows` are taken afresh."""
+        if change is None:
+            self.__post_init__()
+            change = FlowChange((), flows)
+        if any(change):
+            self._carry(change)
         dt = t1 - t0
         if dt <= 0:
             return
         self.time_total += dt
-        if not _same_objects(flows, self._flows):
-            self._carry(flows)
-        crossing = self._crossing
+        crossing = self._groups.get(self.dkey, {}).values()
         if not crossing:
             return
         self.time_active += dt
@@ -1024,8 +1058,9 @@ class SegmentStats:
                     self.conservation_violation_time += dt
                     break
         violated = False
-        for tenant, tenant_flows, short in self._short:
-            if sum(map(_rate, tenant_flows)) < short:
+        for tenant, short in self._short.items():
+            if short > 0 and sum(map(
+                    _rate, self._groups[tenant].values())) < short:
                 self.guarantee_violation_tenant_time += dt
                 self.violating_tenants.add(tenant)
                 violated = True
@@ -1041,11 +1076,16 @@ class FluidSimulation:
     series cover it alone. Binding reads per-hypervisor usage, which every
     flow feeds.
 
-    `self.flows` holds the active flows in fid order (fids only grow). The
-    loop carries what depends only on that flow set and the interval's
-    accumulators, and rebuilds it when a flow starts or ends or an interval
-    begins: each flow's (in, out) usage cells in the interval's `usage`
-    dict, and the flows crossing the monitor with their sample buckets.
+    `self.flows` holds the active flows in fid order (fids only grow).
+    Every step records in `change` (a FlowChange) the flows that ended and
+    the flows that started, and hands that record to the rate solver, to
+    `stats` and to the rate hook (which reads `change` and `steps`), so
+    each updates what it carries in the size of the change. The loop itself
+    carries each flow's (in, out) usage cells in the interval's `usage`
+    dict and the monitor-crossing flows' sample buckets: a flow that ends
+    drops its cells at once, a new one gets its cells when a step first
+    moves it, and an interval boundary rebuilds them all, in fid order, in
+    the new interval's accumulators.
 
     When `run` returns, it adds to `counters`, when given, the rate
     solver's counters (see RateSolver.COUNTERS) under "solver", and under
@@ -1085,15 +1125,7 @@ class FluidSimulation:
         self._fid = 0
         self.steps = 0
         self.reports: list = []
-        # the flows and interval accumulators _advance last carried, each
-        # flow with its usage cells, and the monitor-crossing flows alone
-        # and with their (monitor, tenant) sample buckets
-        self._stepped: list | None = None
-        self._accumulators: tuple | None = None
-        self._cell_of: dict = {}  # fid -> cells, for these accumulators
-        self._cells: list = []
-        self._crossing: list = []
-        self._crossing_buckets: list = []
+        self.change: FlowChange | None = None  # the last step's record
         link = topo.links[link_key(*monitor)]
         nic_g = {}
         for tid, t in tenants.items():
@@ -1127,10 +1159,21 @@ class FluidSimulation:
         buckets: dict = {}
         ten_bytes: dict = {}
         fcts: list = []
+        # fid -> (flow, src cell, dst cell) and, for the flows crossing the
+        # monitor, fid -> (flow, monitor bucket, tenant bucket), in fid
+        # order, for this interval's accumulators; the flows not yet moved
+        # get theirs in _advance
+        self._cells, self._crossing = {}, {}
+        self._uncelled = list(self.flows.values())
         dirty = True
+        observed = False  # whether `stats` saw the last step's record
         while t < horizon - _TOL:
             if dirty:
-                self._resolve(t)
+                flows = list(self.flows.values())
+                if self.rate_hook is not None:
+                    self.rate_hook.compute(self, flows, t)
+                else:
+                    self.solver.solve(flows, self.change)
                 dirty = False
             t_next = min(int_start + self.interval, next_quantum, horizon)
             if events:
@@ -1145,21 +1188,33 @@ class FluidSimulation:
             crossing, done = self._advance(t, t_next, usage, buckets,
                                            ten_bytes)
             if t >= measure_from - _TOL:
+                # the first measured segment takes the flows afresh
                 self.stats.observe(t, t_next, crossing,
                                    self.controller.state.dedicated,
-                                   self._all_unsaturated)
+                                   self._all_unsaturated,
+                                   change=self.change if observed else None)
+                observed = True
             t = t_next
             for f in done:
                 del self.flows[f.fid]
+                self._cells.pop(f.fid, None)
+                self._crossing.pop(f.fid, None)
                 fcts.append((f.fid, f.tenant, f.size, f.start, t - f.start, f.client))
                 nxt = self.generator.after_completion(f.client, t)
                 seq += 1
                 heapq.heappush(events, (nxt, seq, ("request", f.client)))
-                dirty = True
+            added = []
             while events and events[0][0] <= t + _TOL:
-                _, _, ev = heapq.heappop(events)
-                if self._handle_event(ev, t):
-                    dirty = True
+                # a client's activation or request starts its next flow
+                _, _, (_, client) = heapq.heappop(events)
+                flow = self.generator.next_flow(self, client, t)
+                if flow is not None:
+                    self.flows[flow.fid] = flow
+                    added.append(flow)
+            if done or added:
+                dirty = True
+            self.change = FlowChange(done, added)
+            self._uncelled += added
             if t >= next_quantum - _TOL:
                 if self.rate_hook is not None:
                     self.rate_hook.on_quantum(self, t)
@@ -1171,6 +1226,8 @@ class FluidSimulation:
                                         buckets, ten_bytes, fcts)
                 int_start = t
                 usage, buckets, ten_bytes, fcts = {}, {}, {}, []
+                self._cells, self._crossing = {}, {}
+                self._uncelled = list(self.flows.values())
                 dirty = True
         if usage or buckets or fcts or self.flows:
             interval_idx += 1
@@ -1185,67 +1242,33 @@ class FluidSimulation:
                                                0)}})
         return self.reports
 
-    def _handle_event(self, ev, t: float) -> bool:
-        kind = ev[0]
-        if kind in ("activate", "request"):
-            idx = ev[1]
-            flow = self.generator.next_flow(self, idx, t)
-            if flow is not None:
-                flow.client = idx
-                self.flows[flow.fid] = flow
-                return True
-        return False
-
-    def _resolve(self, t: float) -> None:
-        flows = list(self.flows.values())
-        if self.rate_hook is not None:
-            self.rate_hook.compute(self, flows, t)
-        else:
-            self.solver.solve(flows)
-
-    def _carry(self, accumulators: tuple) -> None:
-        """Carry the current flow set into the interval's `accumulators`
-        (usage, buckets, ten_bytes). A flow keeps its cells while the
-        accumulators stay; a new flow's missing entries are created in flow
-        order, as a per-flow pass would create them."""
-        usage, buckets, ten_bytes = accumulators
-        if not _same_objects(accumulators, self._accumulators):
-            self._accumulators, self._cell_of = accumulators, {}
-        cell_of = self._cell_of
-        self._stepped = list(self.flows.values())
-        self._cells = []
-        for f in self._stepped:
-            cells = cell_of.get(f.fid)
-            if cells is None or cells[0] is not f:
-                u = usage.setdefault(f.tenant, {})
-                src = u.setdefault(f.src_hyp, [0.0, 0.0])
-                dst = u.setdefault(f.dst_hyp, [0.0, 0.0])
-                if self.monitor in f.route:
-                    cells = (f, src, dst, buckets.setdefault(self.monitor, {}),
-                             ten_bytes.setdefault(f.tenant, {}))
-                else:
-                    cells = (f, src, dst, None, None)
-                cell_of[f.fid] = cells
-            self._cells.append(cells)
-        self._crossing_buckets = [c for c in self._cells if c[3] is not None]
-        self._crossing = [c[0] for c in self._crossing_buckets]
-
     def _advance(self, t0: float, t1: float, usage, buckets,
                  ten_bytes) -> tuple:
         """Move every flow on by its rate over [t0, t1), adding its bytes to
         `usage` and, when it crosses the monitored link, to the monitor's and
-        its tenant's sample buckets. Returns the flows crossing the monitor
-        and the flows now complete, each in flow order."""
+        its tenant's sample buckets. The flows that have no cells yet get
+        them first, in fid order, as a per-flow pass would create them.
+        Returns the flows crossing the monitor and the flows now complete,
+        each in flow order."""
+        flows = self.flows
         dt = t1 - t0
         if dt <= 0:
-            return [], [f for f in self.flows.values()
-                        if f.rate > 0 and f.remaining <= 1e-6]
-        accumulators = (usage, buckets, ten_bytes)
-        if not (_same_objects(self.flows.values(), self._stepped)
-                and _same_objects(accumulators, self._accumulators)):
-            self._carry(accumulators)
+            return ([f for f in flows.values() if self.monitor in f.route],
+                    [f for f in flows.values()
+                     if f.rate > 0 and f.remaining <= 1e-6])
+        for f in self._uncelled:
+            if f.fid in flows:  # not ended before it moved
+                u = usage.setdefault(f.tenant, {})
+                src = u.setdefault(f.src_hyp, [0.0, 0.0])
+                dst = u.setdefault(f.dst_hyp, [0.0, 0.0])
+                self._cells[f.fid] = (f, src, dst)
+                if self.monitor in f.route:
+                    self._crossing[f.fid] = (
+                        f, buckets.setdefault(self.monitor, {}),
+                        ten_bytes.setdefault(f.tenant, {}))
+        self._uncelled = []
         done = []
-        for f, src, dst, _, _ in self._cells:
+        for f, src, dst in self._cells.values():
             rate = f.rate
             moved = rate * BYTES_PER_MBPS_SEC * dt
             left = f.remaining - moved
@@ -1254,14 +1277,15 @@ class FluidSimulation:
             dst[0] += moved
             if left <= 1e-6 and rate > 0:
                 done.append(f)
-        if self._crossing:
+        crossing = self._crossing.values()
+        if crossing:
             spans = _spans(t0, t1, self.sample)
-            for f, _, _, monitor_bucket, tenant_bucket in self._crossing_buckets:
+            for f, monitor_bucket, tenant_bucket in crossing:
                 per_s = f.rate * BYTES_PER_MBPS_SEC
                 for bucket in (monitor_bucket, tenant_bucket):
                     for i, width in spans:
                         bucket[i] = bucket.get(i, 0.0) + per_s * width
-        return self._crossing, done
+        return [f for f, _, _ in crossing], done
 
     def _all_unsaturated(self, flow, excluding) -> bool:
         for dkey in flow.route:

@@ -104,15 +104,20 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
 
     A request without `wcs` is refused without an embed when it asks for at
     least the VMs and at least the per-VM guarantee of a request without
-    `wcs` refused since the last accept. A refusal commits nothing, so the
-    topology is the same, and placement is monotone: removing one VM from a
-    feasible placement raises no link's cut reservation B*min(j, N-j), and a
-    lower B scales every reservation down, while both window tests (a merge's
-    cut against the link's residual, a star's floor(residual / b)) only get
-    easier with fewer VMs or a lower B. So if (N, B) could be placed, every
-    (N0 <= N, B0 <= B) could too. A fault-domain cap floor((1-wcs)*N) grows
-    with N, so a larger request with `wcs` may fit where a smaller one does
-    not; those always run the embed and are never recorded. The draws, the
+    `wcs` refused earlier in the fill. Placement is monotone in the request:
+    removing one VM from a feasible placement raises no link's cut
+    reservation B*min(j, N-j), and a lower B scales every reservation down,
+    while both window tests (a merge's cut against the link's residual, a
+    star's floor(residual / b)) only get easier with fewer VMs or a lower B.
+    So if (N, B) could be placed, every (N0 <= N, B0 <= B) could too. It is
+    monotone in the topology as well: a refusal commits nothing, and an
+    accept only takes VM slots and residual bandwidth, so every window test
+    of every skeleton only gets harder, and a request refused once stays
+    refused for the rest of the fill. `refused` is kept as its minimal
+    frontier: a refusal drops the entries it dominates. A fault-domain cap
+    floor((1-wcs)*N) grows with N, so a larger request with `wcs` may fit
+    where a smaller one does not; those always run the embed and are never
+    recorded. The draws, the
     tenant ids, `attempted` and `rejected` are those of embedding every
     request; `placement` counts `embeds + dominated == attempted`."""
     policy = policy or CostPolicy.stress()
@@ -123,7 +128,7 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
     counts = dict.fromkeys(("embeds", "dominated", "accepted", "candidates",
                             "ops", "merges_run", "merges_shared",
                             "merges_skipped"), 0)
-    refused: list = []  # (N, B) refused since the last accept, wcs unset
+    refused: list = []  # (N, B) refused, wcs unset, none dominating another
     while streak < reject_streak and attempted < max_attempts:
         req = spec.sample(rng)
         attempted += 1
@@ -143,11 +148,11 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
         if out.feasible:
             tenants[out.tenant.id] = out.tenant
             streak = 0
-            refused.clear()
         else:
             rejected += 1
             streak += 1
             if req.wcs is None:
+                refused = [(n0, b0) for n0, b0 in refused if n0 < n or b0 < b]
                 refused.append((n, b))
     report = port_statistics(topo, tenants)
     r_ni, dscp_used = interval_dedication(

@@ -8,11 +8,13 @@ import pytest
 
 import oracles
 from qshare import baselines as BL
+from qshare import cli
 from qshare import fluid as F
 from qshare import placement as P
 from qshare import scenarios as S
 from qshare import topology as T
 from qshare.tenants import TenantRequest
+from test_fluid import _segment_fields
 
 
 def test_raconfig_modes():
@@ -291,3 +293,89 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
         assert got == want, f"step {step}: {action}"
         seen[action] += 1
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("mode", ["aggressive", "conservative"])
+def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
+    """Steps as the event loop takes them: flows end in any order and start
+    in fid order, the step's record goes on the simulation, then maybe a
+    quantum and, after any change, a compute. The policy applying each
+    record once, in whichever call comes first, agrees bit for bit with the
+    reference re-deriving everything after every call."""
+    topo = T.build_testbed(nic_mbps=40.0, core_mbps=60.0)
+    hyps = topo.hypervisors()
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 2.0), tid, "a000",
+                                  {h: 1 for h in hyps})
+               for tid in ("t0", "t1")}
+    tenants["t2"] = P.embed_fixed(topo, TenantRequest(10, 2.0), "t2", "a000",
+                                  {h: 2 for h in hyps[:5]})
+    cfg = BL.RAConfig(mode=mode)
+    policy = BL.EndhostRatePolicy(topo, tenants, cfg)
+    ref_policy = oracles.EndhostReference(topo, tenants, cfg)
+    sim = types.SimpleNamespace(flows={}, change=None, steps=0)
+    ref_sim = types.SimpleNamespace(flows={})
+    seen = collections.Counter()
+    fid = 0
+    for step in range(400):
+        gone = [g for g in sim.flows if rng.random() < 0.15]
+        left = [sim.flows.pop(g) for g in gone]
+        for g in gone:
+            del ref_sim.flows[g]
+        added = []
+        for _ in range(int(rng.integers(0, 4))):
+            fid += 1
+            tid = f"t{int(rng.integers(0, 3))}"
+            vms = F._expand_vms(tenants[tid])
+            src, dst = (int(v) for v in rng.choice(len(vms), size=2,
+                                                   replace=False))
+            if rng.random() < 0.3 and sim.flows:  # another flow of a pair
+                other = list(sim.flows.values())[-1]
+                tid, src, dst = other.tenant, other.src_vm, other.dst_vm
+                vms = F._expand_vms(tenants[tid])
+            route = F.tenant_route(tenants[tid], vms[src], vms[dst])
+            for flows in (sim.flows, ref_sim.flows):
+                flows[fid] = F.Flow(fid, tid, src, dst, vms[src], vms[dst],
+                                    1e9, 0.0, route=route)
+            added.append(sim.flows[fid])
+        if policy.limiters and rng.random() < 0.3:  # a limiter jolt
+            key = sorted(policy.limiters)[int(rng.integers(
+                0, len(policy.limiters)))]
+            policy.limiters[key] = ref_policy.limiters[key] = float(
+                rng.uniform(1.0, 80.0))
+        sim.steps += 1
+        sim.change = F.FlowChange(left, added)
+        quantum = rng.random() < 0.3
+        if quantum:
+            policy.on_quantum(sim, step * 0.001)
+            ref_policy.on_quantum(ref_sim, step * 0.001)
+            seen["quantum with change"] += bool(left or added)
+        if left or added or quantum:
+            policy.compute(sim, list(sim.flows.values()), step * 0.001)
+            ref_policy.compute(ref_sim, list(ref_sim.flows.values()),
+                               step * 0.001)
+            seen["congested"] += bool(ref_policy.congested_links)
+        assert _endhost_state(policy, list(sim.flows.values())) == \
+            _endhost_state(ref_policy, list(ref_sim.flows.values())), \
+            f"step {step}"
+        seen["departures"] += len(left)
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("policy", ["es_aggressive", "es_conservative"])
+def test_endhost_hook_driven_by_the_loop_matches_the_reference(monkeypatch,
+                                                                policy):
+    """The bundled unpredictable run with the endhost policy as the rate
+    hook, which follows the loop's per-step flow-set record, and with the
+    reference that re-derives everything on every call: the reports, the
+    completed flows and the segment stats agree bit for bit."""
+    doc = dict(cli.load_scenario("unpredictable"), seed=3, duration_s=1.0,
+               control_interval_s=0.5, policy=policy)
+    run = S.build_wcbg(doc)
+    monkeypatch.setattr(S, "EndhostRatePolicy", oracles.EndhostReference)
+    ref = S.build_wcbg(doc)
+    assert isinstance(ref.sim.rate_hook, oracles.EndhostReference)
+    assert sum(len(rep.fcts) for rep in run.reports) > 50
+    assert repr(run.reports) == repr(ref.reports)
+    assert _segment_fields(run.sim.stats) == _segment_fields(ref.sim.stats)
+    assert run.sim.stats.time_active > 0
+    assert run.sim.rate_hook.fifo_stops == ref.sim.rate_hook.fifo_stops

@@ -286,6 +286,11 @@ PINNED_BODIES = {
         "flows.jsonl":
             "7420f8136de054dabac7322f0ec6f55a3262146bd33120f56d55150266f8aa8c",
     },
+    # the benchmark's fixed fct-shuffle execution, every endhost hook path
+    ("shuffle-fct", "--seed", "1"): {
+        "fct.csv":
+            "efabcfad1179f8878a3235ea272487202e2a3fda94843fab5c4cc5788ac7552b",
+    },
     # a bundled k = 16 fill: placement, dominance skips and reservations
     ("queue-scarcity", "--set", "oversub=16:1"): {
         "scarcity.csv":
@@ -298,7 +303,9 @@ PINNED_BODIES = {
 
 def _pin_id(argv):
     """The scenario name, and the policy or weight mode when the run
-    overrides it."""
+    overrides it, or the seed when the run sets no key."""
+    if "--set" not in argv and "--seed" in argv:
+        return f"{argv[0]}-seed{argv[argv.index('--seed') + 1]}"
     return "-".join([argv[0], *(a.split("=", 1)[1] for a in argv
                                 if a.startswith(("policy=", "weight_mode=")))])
 

@@ -773,6 +773,27 @@ def test_observe_matches_the_rederiving_reference(rng):
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("policy", ["qshare", "es_aggressive"])
+def test_segment_stats_after_warmup_match_the_rederiving_reference(
+        monkeypatch, policy):
+    """A bundled run with a warm-up interval, whose first measured segment
+    follows steps that `observe` never saw: its stats equal, bit for bit,
+    those of the same run observed by the reference that re-derives every
+    segment."""
+    doc = dict(cli.load_scenario("unpredictable"), seed=2, duration_s=1.5,
+               control_interval_s=0.5, policy=policy)
+    assert doc["warmup_intervals"] == 1
+    run = S.build_wcbg(doc)
+    monkeypatch.setattr(
+        F.SegmentStats, "observe",
+        lambda stats, *args, change=None: oracles.observe_reference(stats,
+                                                                    *args))
+    ref = S.build_wcbg(doc)
+    assert run.sim.stats.time_active > 0
+    assert run.sim.stats.violating_tenants
+    assert _segment_fields(run.sim.stats) == _segment_fields(ref.sim.stats)
+
+
 def test_capacity_respected_and_flows_conserved(rng):
     for _ in range(100):
         topo, tenants, owners, flows = random_wfq_case(rng)

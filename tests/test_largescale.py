@@ -104,8 +104,11 @@ def test_fill_matches_the_embed_every_request_reference(k, oversub):
 def test_a_refused_request_rules_out_every_larger_one(rng):
     """On random fill states of random trees and k = 4 fattrees: when embed
     refuses (N0, B0), it refuses every sampled request with N >= N0 and
-    B >= B0 (wcs unset) too; a refusal commits nothing."""
-    dominated = {"random tree": 0, "fattree": 0}
+    B >= B0 (wcs unset) too, both at once and after more tenants were
+    accepted; a refusal commits nothing."""
+    stress = P.CostPolicy.stress()
+    dominated = {(kind, later): 0 for kind in ("random tree", "fattree")
+                 for later in (False, True)}
     for case in range(120):
         kind = "random tree" if case % 2 else "fattree"
         if kind == "random tree":
@@ -121,18 +124,25 @@ def test_a_refused_request_rules_out_every_larger_one(rng):
             return TenantRequest(int(rng.integers(n_lo, n_hi + 1)),
                                  float(rng.uniform(b_lo, b_hi)))
         for i in range(int(rng.integers(0, 12))):  # a random fill state
-            P.embed(topo, request(), P.CostPolicy.stress(), tenant_id=f"f{i}")
+            P.embed(topo, request(), stress, tenant_id=f"f{i}")
         for j in range(4):
             free = topo._free_arr.copy()
             small = request()
-            if P.embed(topo, small, P.CostPolicy.stress(), f"p{j}").feasible:
+            if P.embed(topo, small, stress, f"p{j}").feasible:
                 continue
             assert np.array_equal(topo._free_arr, free)
-            for _ in range(3):
-                big = request(small.vm_count, small.per_vm_guarantee)
-                out = P.embed(topo, big, P.CostPolicy.stress(), "refused")
-                assert not out.feasible, (small, big)
-                dominated[kind] += 1
+            for later in (False, True):
+                if later:  # accept more tenants after the refusal
+                    accepted = [P.embed(topo, request(), stress,
+                                        f"a{j}.{i}").feasible
+                                for i in range(int(rng.integers(1, 8)))]
+                    if not any(accepted):
+                        break
+                for _ in range(3):
+                    big = request(small.vm_count, small.per_vm_guarantee)
+                    out = P.embed(topo, big, stress, "refused")
+                    assert not out.feasible, (small, big, later)
+                    dominated[kind, later] += 1
     assert min(dominated.values()) >= 30, dominated
 
 
