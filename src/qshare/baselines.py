@@ -13,10 +13,9 @@ probe hurts other tenants' guarantees.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .fluid import LOOPBACK_MBPS, FlowChange, _rate
+from .fluid import LOOPBACK_MBPS, FlowChange, _rate, _route
 
 _TOL = 1e-9
 
@@ -129,16 +128,15 @@ class EndhostRatePolicy:
     flows, each active pair's routed flows and each crossed link's flows, by
     fid, with the links and their capacities in first-touch order (the order
     in which a pass over the flows in fid order touches them, which
-    fifo_scale breaks ties in). Only a link whose first flow leaves while
-    another stays can move, so the order is rebuilt only then. Whichever of
-    `compute` and `on_quantum` runs first after a simulation step applies
-    that step's record (`sim.change`, a fluid.FlowChange) in the size of the
-    change; a call whose `sim` holds no record rebuilds the state from the
-    flows it is given. So `compute` reads each pair's limiter once, sums
-    each link's offered load once and scales. A quantum after a pair started
-    or stopped re-learns the beliefs and each active pair's route and
-    guarantee, and drops the idle pairs' limiters; any other quantum runs
-    only `ra_update` per pair.
+    fifo_scale breaks ties in). `follow` applies each simulation step's
+    record (a fluid.FlowChange), which the event loop pushes once per step,
+    in the size of the change. Only a link whose first flow leaves while
+    another stays can move, so the order is rebuilt only then. So `compute`
+    reads each pair's limiter once, sums each link's offered load once and
+    scales the flows followed so far. A quantum after a pair started or
+    stopped (or the first one) re-learns the beliefs and each active pair's
+    route and guarantee, and drops the idle pairs' limiters; any other
+    quantum runs only `ra_update` per pair.
 
     `fifo_stops` counts the compute calls whose FIFO scaling stopped at its
     round cap with some link still over capacity."""
@@ -154,8 +152,11 @@ class EndhostRatePolicy:
         self.holds: dict = {}
         self.beliefs: dict = {tid: {} for tid in tenants}
         self.congested_links: set = set()
-        self._step = None  # the simulation step whose record was applied
-        self._follow(None, ())
+        self._loopback: dict = {}  # None -> the loopback flows by fid
+        self._pairs: dict = {}  # pair key -> its routed flows by fid
+        self._on_link: dict = {}  # link -> its flows by fid
+        self._caps: dict = {}  # link -> capacity, in _on_link order
+        self._moved = True  # whether a pair started or stopped
 
     def _pair_guarantee(self, f) -> float:
         """Believed pairs split each endpoint's hose guarantee; a pair the
@@ -172,22 +173,11 @@ class EndhostRatePolicy:
         g_dst = b / len(gd) if gd and f.src_vm in gd else seed
         return min(g_src, g_dst)
 
-    def _follow(self, sim, flows) -> None:
-        """Bring the flow-set state up to `flows`: apply the record of
-        `sim`'s last step unless it was applied already, or, when `sim`
-        holds none, rebuild the state from `flows`. A rebuild counts as a
-        change of pairs, so the next quantum re-learns the beliefs."""
-        change = getattr(sim, "change", None)
-        if change is None:
-            self._loopback: dict = {}  # None -> the loopback flows by fid
-            self._pairs: dict = {}  # pair key -> its routed flows by fid
-            self._on_link: dict = {}  # link -> its flows by fid
-            self._caps: dict = {}  # link -> capacity, in _on_link order
-            self._moved = True  # whether a pair started or stopped
-            change = FlowChange((), flows)
-        elif sim.steps == self._step or not any(change):
-            return  # applied already, or an empty record
-        self._step = getattr(sim, "steps", None)
+    def follow(self, change: FlowChange, flows) -> None:
+        """Apply one step's record; `flows` are the active flows after it,
+        in fid order."""
+        if not any(change):
+            return
         change.regroup(self._loopback, lambda f: () if f.route else (None,))
         self._moved |= change.regroup(self._pairs, lambda f: (
             ((f.tenant, f.src_vm, f.dst_vm),) if f.route else ()))
@@ -197,7 +187,7 @@ class EndhostRatePolicy:
         on_link = self._on_link
         resort = any(len(on) > 1 and next(iter(on)) == f.fid
                      for f in change.left for on in map(on_link.get, f.route))
-        if change.regroup(on_link, operator.attrgetter("route")) or resort:
+        if change.regroup(on_link, _route) or resort:
             if resort:
                 self._on_link = on_link = {dkey: on_link[dkey] for dkey in
                                            dict.fromkeys(dkey for f in flows
@@ -205,7 +195,6 @@ class EndhostRatePolicy:
             self._caps = {dkey: self.capacities[dkey] for dkey in on_link}
 
     def compute(self, sim, flows: list, t: float) -> None:
-        self._follow(sim, flows)
         for f in self._loopback.get(None, {}).values():
             f.rate = LOOPBACK_MBPS
         limiters = self.limiters
@@ -230,7 +219,6 @@ class EndhostRatePolicy:
             self.fifo_stops += 1
 
     def on_quantum(self, sim, t: float) -> None:
-        self._follow(sim, sim.flows.values())
         pairs, limiters, holds = self._pairs, self.limiters, self.holds
         if self._moved:
             self._moved = False

@@ -73,14 +73,13 @@ class QueueAllocationState:
     owners[link] is the set of tenants holding a dedicated queue slot on that
     link (at most queue_count - 1 of them; one queue per link is always the
     shared queue). `dedicated` holds tenants that own a queue on every link of
-    their routing tree. dscp values live here too: 0 for shared tenants.
+    their routing tree.
     """
 
     def __init__(self, queue_count: int = 8):
         self.queue_count = queue_count
         self.owners: dict = {}
         self.dedicated: set = set()
-        self.dscp: dict = {}
 
     def dedicated_slots(self) -> int:
         return self.queue_count - 1
@@ -115,14 +114,13 @@ def allocate_queues(tenants: dict, scores: dict, prev: QueueAllocationState,
     Preempted tenants serve from shared queues next interval.
 
     The new state starts as `prev` with departed tenants filtered out of its
-    owner sets, `dedicated` and `dscp`, in one pass; `prev` is not changed.
+    owner sets and `dedicated`, in one pass; `prev` is not changed.
     The tie-break numbers are one draw of len(tenants) numbers, taken in
     `tenants` order."""
     state = QueueAllocationState(prev.queue_count)
     state.owners = {k: {t for t in v if t in tenants}
                     for k, v in prev.owners.items()}
     state.dedicated = dedicated = {t for t in prev.dedicated if t in tenants}
-    state.dscp = {t: v for t, v in prev.dscp.items() if t in tenants}
     owners_by_link = state.owners
     slots = prev.queue_count - 1
     draws = rng.random(len(tenants)).tolist()
@@ -156,15 +154,12 @@ def allocate_queues(tenants: dict, scores: dict, prev: QueueAllocationState,
     return state
 
 
-def queue_weights(link_key, link, state: QueueAllocationState) -> dict:
-    """Per-queue weights on one link: normalized weight is the queue's share
-    of the link's total reserved bandwidth; hardware weight is the normalized
-    weight scaled to 1..15 (round half up, clamped). Queue ids are
-    ("dedicated", tenant_id) and ("shared",)."""
-    return link_queue_weights(link, state.owners.get(link_key, set()))
-
-
 def link_queue_weights(link, owners) -> dict:
+    """Per-queue weights on one link whose dedicated queues `owners` hold:
+    normalized weight is the queue's share of the link's total reserved
+    bandwidth; hardware weight is the normalized weight scaled to 1..15
+    (round half up, clamped). Queue ids are ("dedicated", tenant_id) and
+    ("shared",)."""
     owners = set(owners) & set(link.reservations)
     shared = [t for t in link.reservations if t not in owners]
     entries = {("dedicated", t): link.reservations[t] for t in sorted(owners)}
@@ -211,7 +206,7 @@ def assign_dscp(tenants: dict, dedicated: set, scores: dict | None = None):
 @dataclass
 class BindingController:
     """Interval-boundary driver: scores from measurements, queue allocation,
-    dscp assignment, and per-tenant state/dscp bookkeeping."""
+    dscp assignment, and per-tenant state/dscp bookkeeping (`tenant.dscp`)."""
 
     queue_count: int = 8
     state: QueueAllocationState = field(default=None)
@@ -232,7 +227,6 @@ class BindingController:
         assignment, _failed = assign_dscp(
             tenants, self.state.dedicated,
             {t: s.score for t, s in results.items()})
-        self.state.dscp = assignment
         for tid, tenant in tenants.items():
             tenant.dscp = assignment.get(tid, 0)
         return results

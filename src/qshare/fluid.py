@@ -14,7 +14,6 @@ measurements and reassigns queues.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import heapq
 import itertools
@@ -34,15 +33,17 @@ LOOPBACK_MBPS = 100_000.0       # flows between co-located VMs
 _TOL = 1e-9
 _LEVEL_SOLVES = 4  # solves per generation of RateSolver's level memo
 _rate = operator.attrgetter("rate")
+_route = operator.attrgetter("route")
 
 
 class FlowChange(NamedTuple):
     """What one step of the event loop did to the active flows: the flows
     that left and the flows appended, each in fid order. Fids only grow, so
-    every appended flow has a larger fid than every flow still active. A
-    consumer called without a record derives it: the rate solver from its
-    slots, the others by dropping what they carried and taking every flow
-    they are given as new."""
+    every appended flow has a larger fid than every flow still active. The
+    loop pushes each step's record once, right after the step, to the
+    consumers that carry flow-set state: the per-segment checks and the rate
+    hook through their `follow`, and the rate solver through the next
+    `solve` (a step that changed the flows always brings one)."""
 
     left: list
     added: list
@@ -582,10 +583,9 @@ class RateSolver:
     place. A solve takes the record of the flows that left and the flows
     appended since the last one (a FlowChange, as the event loop keeps it
     per step), re-plans only the links on their routes, and renews only the
-    slot lists of a moved flow's links. A solve without a record derives it
-    from the slots: a flow is carried when a slot holds its (fid, tenant,
-    route), so a reused fid with another tenant or route leaves and
-    arrives. `rebuild` drops every plan, since the plans read the queue
+    slot lists of a moved flow's links. A solve without a record starts
+    over: it drops every slot and plan and takes every routed flow as
+    arriving. `rebuild` drops every plan, since the plans read the queue
     views.
 
     One link's work in a sweep (its kernel, _link_levels) is a pure function
@@ -643,8 +643,8 @@ class RateSolver:
         self._next_sid = itertools.count(1)
         self._levels = _LevelMemo()
         # routed flows by slot, each one's slot by fid, every crossed link's
-        # fids by tenant in fid order, the plans of those links in dkey
-        # order, and the first plan of each (signature id, slots) group
+        # flows by fid, the plans of those links in dkey order, and the
+        # first plan of each (signature id, slots) group
         self._flows: list = []
         self._slot: dict = {}
         self._members: dict = {}
@@ -661,8 +661,8 @@ class RateSolver:
     def solve(self, flows: list, change: FlowChange | None = None) -> None:
         """Set flow.rate for every flow in place. `change` records the
         flows that left and the flows appended since the last solve (the
-        event loop's record); without one it is derived from the slots
-        (see _update).
+        event loop's record); without one the solver starts over from
+        `flows` (see _update).
 
         Iterative water-filling toward the hierarchical max-min fixed point,
         over the carried link plans (see the class docstring and _update).
@@ -715,37 +715,19 @@ class RateSolver:
         signature id for this solve, and the plans are grouped by (signature
         id, slots) for _sweep.
 
-        Without a record, it is derived from the slots: a flow whose (fid,
-        tenant, route) a slot holds is carried and replaces the slotted
-        object, every other routed flow is appended in the order given, and
-        the flows of the slots not carried left."""
+        Without a record, every slot and plan is dropped and every routed
+        flow of `flows` arrives, in the order given."""
+        if change is None:
+            self._flows, self._slot, self._members, self._plans = [], {}, {}, {}
+            change = FlowChange((), flows)
         slotted, slot = self._flows, self._slot
         members, plans = self._members, self._plans
-        if change is None:
-            carried, added = set(), []
-            for f in flows:
-                s = slot.get(f.fid)
-                if s is not None and (slotted[s].tenant, slotted[s].route) == (
-                        f.tenant, f.route):
-                    slotted[s] = f
-                    carried.add(s)
-                elif f.route:
-                    added.append(f)
-            change = FlowChange([f for s, f in enumerate(slotted)
-                                 if s not in carried], added)
         touched, moved = set(), set()
         # from the last slot down, so that the slot moved into a freed one
         # never belongs to a flow that left
         for s in sorted([slot[f.fid] for f in change.left if f.route],
                         reverse=True):
             gone = slotted[s]
-            for dkey in gone.route:
-                by_tenant = members[dkey]
-                by_tenant[gone.tenant].remove(gone.fid)
-                if not by_tenant[gone.tenant]:
-                    del by_tenant[gone.tenant]
-                    if not by_tenant:
-                        del members[dkey]
             touched.update(gone.route)
             del slot[gone.fid]
             last = slotted.pop()
@@ -754,23 +736,17 @@ class RateSolver:
                 slot[last.fid] = s
                 moved.update(last.route)
         for f in change.added:
-            if not f.route:
-                continue
-            slot[f.fid] = len(slotted)
-            slotted.append(f)
-            for dkey in f.route:
-                fids = members.setdefault(dkey, {}).setdefault(f.tenant, [])
-                if fids and fids[-1] > f.fid:
-                    bisect.insort(fids, f.fid)
-                else:
-                    fids.append(f.fid)
-            touched.update(f.route)
+            if f.route:
+                slot[f.fid] = len(slotted)
+                slotted.append(f)
+                touched.update(f.route)
+        change.regroup(members, _route)
         for dkey in touched:
             plans.pop(dkey, None)
         kept = len(plans)
         if kept < len(members):
-            plans.update((dkey, self._plan(dkey, by_tenant))
-                         for dkey, by_tenant in members.items()
+            plans.update((dkey, self._plan(dkey, on_link))
+                         for dkey, on_link in members.items()
                          if dkey not in plans)
             self._plans = plans = dict(sorted(plans.items()))
         for dkey in moved.difference(touched):
@@ -790,8 +766,11 @@ class RateSolver:
             distinct.setdefault((plan.sid, plan.positions), plan)
         self._distinct = list(distinct.values())
 
-    def _plan(self, dkey: tuple, by_tenant: dict) -> _LinkPlan:
-        """A new plan of link `dkey` for its fids by tenant (see _LinkPlan)."""
+    def _plan(self, dkey: tuple, on_link: dict) -> _LinkPlan:
+        """A new plan of link `dkey` for its flows by fid (see _LinkPlan)."""
+        by_tenant: dict = {}
+        for f in on_link.values():
+            by_tenant.setdefault(f.tenant, []).append(f.fid)
         view = self.views[link_key(*dkey)]
         res, qweights = view.reservations, view.qweights
         static = self.mode == "static"
@@ -986,11 +965,12 @@ class SegmentStats:
     seconds over the violating tenants (tenant-seconds).
 
     What depends only on the flow set is carried from one segment to the
-    next and brought up to date from the record of the flows that left and
-    the flows appended since the last segment (a FlowChange): the flows
-    crossing the link and each crossing tenant's flows, in fid order, and,
-    per tenant with a positive entitlement, the rate below which it is
-    short. Rates are still added in flow order every segment.
+    next: the flows crossing the link and each crossing tenant's flows, in
+    fid order, and, per tenant with a positive entitlement, the rate below
+    which it is short. `follow` brings it up to date from each step's record
+    of the flows that left and the flows appended (a FlowChange), warm-up
+    steps included, so `observe` only reads rates, still added in flow order
+    every segment.
     """
 
     dkey: tuple
@@ -1017,9 +997,12 @@ class SegmentStats:
         inn = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in dsts)
         return min(self.guarantees.get(tenant, 0.0), out, inn)
 
-    def _carry(self, change: FlowChange) -> None:
-        """Apply `change`; a tenant whose crossing flows changed gets its
-        entitlement anew."""
+    def follow(self, change: FlowChange) -> None:
+        """Apply one step's record; a tenant whose crossing flows changed
+        gets its entitlement anew."""
+        if not any(change):
+            return
+
         def keys(f):
             return (self.dkey, f.tenant) if self.dkey in f.route else ()
         change.regroup(self._groups, keys)
@@ -1030,17 +1013,11 @@ class SegmentStats:
                 tenant, {f.src_hyp for f in crossing},
                 {f.dst_hyp for f in crossing}) * (1.0 - 1e-6)
 
-    def observe(self, t0: float, t1: float, flows: list, owners: set,
-                all_unsaturated, change: FlowChange | None = None) -> None:
-        """Account the segment [t0, t1) at constant rates: only the flows
-        that cross `dkey` count, and `owners` are the tenants with a
-        dedicated queue. `change` records how the flows changed since the
-        last call; without one, the flows in `flows` are taken afresh."""
-        if change is None:
-            self.__post_init__()
-            change = FlowChange((), flows)
-        if any(change):
-            self._carry(change)
+    def observe(self, t0: float, t1: float, owners: set,
+                all_unsaturated) -> None:
+        """Account the segment [t0, t1) at constant rates over the flows
+        followed so far: only the flows that cross `dkey` count, and
+        `owners` are the tenants with a dedicated queue."""
         dt = t1 - t0
         if dt <= 0:
             return
@@ -1077,15 +1054,18 @@ class FluidSimulation:
     flow feeds.
 
     `self.flows` holds the active flows in fid order (fids only grow).
-    Every step records in `change` (a FlowChange) the flows that ended and
-    the flows that started, and hands that record to the rate solver, to
-    `stats` and to the rate hook (which reads `change` and `steps`), so
-    each updates what it carries in the size of the change. The loop itself
-    carries each flow's (in, out) usage cells in the interval's `usage`
-    dict and the monitor-crossing flows' sample buckets: a flow that ends
-    drops its cells at once, a new one gets its cells when a step first
-    moves it, and an interval boundary rebuilds them all, in fid order, in
-    the new interval's accumulators.
+    Every step records the flows that ended and the flows that started (a
+    FlowChange) and pushes that record once, right after the step and
+    warm-up steps included, to `stats.follow` and the rate hook's
+    `follow(change, flows)`, and hands it to the next rate solve, so each
+    updates what it carries in the size of the change. The first solve of
+    a run gets no record and starts over. A rate hook also sets the probe
+    quantum: every `cfg.probe_period` seconds the loop calls its
+    `on_quantum`. The loop itself carries each flow's (in, out) usage cells
+    in the interval's `usage` dict and the monitor-crossing flows' sample
+    buckets: a flow that ends drops its cells at once, a new one gets its
+    cells when a step first moves it, and an interval boundary rebuilds
+    them all, in fid order, in the new interval's accumulators.
 
     When `run` returns, it adds to `counters`, when given, the rate
     solver's counters (see RateSolver.COUNTERS) under "solver", and under
@@ -1097,8 +1077,7 @@ class FluidSimulation:
                  weight_mode: str = "normalized", seed: int = 0,
                  monitor: tuple, sample: float = 0.1,
                  initial_dedicated: list | None = None,
-                 rate_hook=None, quantum: float | None = None,
-                 counters: dict | None = None):
+                 rate_hook=None, counters: dict | None = None):
         self.topo = topo
         self.tenants = tenants
         self.generator = generator
@@ -1107,7 +1086,6 @@ class FluidSimulation:
         self.seed = seed
         self.sample = sample
         self.rate_hook = rate_hook
-        self.quantum = quantum
         self.counters = counters
         self.rng = np.random.default_rng([seed, 0xB1ED])
         self.vm_map = {tid: _expand_vms(t) for tid, t in tenants.items()}
@@ -1125,7 +1103,6 @@ class FluidSimulation:
         self._fid = 0
         self.steps = 0
         self.reports: list = []
-        self.change: FlowChange | None = None  # the last step's record
         link = topo.links[link_key(*monitor)]
         nic_g = {}
         for tid, t in tenants.items():
@@ -1154,7 +1131,9 @@ class FluidSimulation:
         horizon = measure_from + duration
         interval_idx = 0
         int_start = 0.0
-        next_quantum = self.quantum if self.quantum is not None else math.inf
+        hook = self.rate_hook
+        quantum = math.inf if hook is None else hook.cfg.probe_period
+        next_quantum = quantum
         usage: dict = {}
         buckets: dict = {}
         ten_bytes: dict = {}
@@ -1166,14 +1145,14 @@ class FluidSimulation:
         self._cells, self._crossing = {}, {}
         self._uncelled = list(self.flows.values())
         dirty = True
-        observed = False  # whether `stats` saw the last step's record
+        change = None  # the last step's record; none before the first
         while t < horizon - _TOL:
             if dirty:
                 flows = list(self.flows.values())
-                if self.rate_hook is not None:
-                    self.rate_hook.compute(self, flows, t)
+                if hook is not None:
+                    hook.compute(self, flows, t)
                 else:
-                    self.solver.solve(flows, self.change)
+                    self.solver.solve(flows, change)
                 dirty = False
             t_next = min(int_start + self.interval, next_quantum, horizon)
             if events:
@@ -1185,15 +1164,10 @@ class FluidSimulation:
                         t_next = t_done
             t_next = max(t_next, t)
             self.steps += 1
-            crossing, done = self._advance(t, t_next, usage, buckets,
-                                           ten_bytes)
+            done = self._advance(t, t_next, usage, buckets, ten_bytes)
             if t >= measure_from - _TOL:
-                # the first measured segment takes the flows afresh
-                self.stats.observe(t, t_next, crossing,
-                                   self.controller.state.dedicated,
-                                   self._all_unsaturated,
-                                   change=self.change if observed else None)
-                observed = True
+                self.stats.observe(t, t_next, self.controller.state.dedicated,
+                                   self._all_unsaturated)
             t = t_next
             for f in done:
                 del self.flows[f.fid]
@@ -1213,12 +1187,14 @@ class FluidSimulation:
                     added.append(flow)
             if done or added:
                 dirty = True
-            self.change = FlowChange(done, added)
+            change = FlowChange(done, added)
+            self.stats.follow(change)
+            if hook is not None:
+                hook.follow(change, self.flows.values())
             self._uncelled += added
             if t >= next_quantum - _TOL:
-                if self.rate_hook is not None:
-                    self.rate_hook.on_quantum(self, t)
-                next_quantum += self.quantum
+                hook.on_quantum(self, t)
+                next_quantum += quantum
                 dirty = True
             if t >= int_start + self.interval - _TOL and t < horizon - _TOL:
                 interval_idx += 1
@@ -1248,14 +1224,12 @@ class FluidSimulation:
         `usage` and, when it crosses the monitored link, to the monitor's and
         its tenant's sample buckets. The flows that have no cells yet get
         them first, in fid order, as a per-flow pass would create them.
-        Returns the flows crossing the monitor and the flows now complete,
-        each in flow order."""
+        Returns the flows now complete, in flow order."""
         flows = self.flows
         dt = t1 - t0
         if dt <= 0:
-            return ([f for f in flows.values() if self.monitor in f.route],
-                    [f for f in flows.values()
-                     if f.rate > 0 and f.remaining <= 1e-6])
+            return [f for f in flows.values()
+                    if f.rate > 0 and f.remaining <= 1e-6]
         for f in self._uncelled:
             if f.fid in flows:  # not ended before it moved
                 u = usage.setdefault(f.tenant, {})
@@ -1285,7 +1259,7 @@ class FluidSimulation:
                 for bucket in (monitor_bucket, tenant_bucket):
                     for i, width in spans:
                         bucket[i] = bucket.get(i, 0.0) + per_s * width
-        return [f for f, _, _ in crossing], done
+        return done
 
     def _all_unsaturated(self, flow, excluding) -> bool:
         for dkey in flow.route:

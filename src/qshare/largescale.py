@@ -76,14 +76,16 @@ class FillResult:
     placement: dict = field(default_factory=dict)
 
 
-def port_statistics(topo: Topology, tenants: dict,
-                    queue_count: int = 8) -> ScarcityReport:
+def port_statistics(topo: Topology, tenants: dict) -> ScarcityReport:
+    """Tenants per link, and R_ND: the % of tenants none of whose
+    routing-tree links carries more tenants than it has dedicated queues
+    (the topology's queues per link, less the shared queue)."""
     counts = [l.tenant_count() for l in topo.links.values()]
     n = len(counts)
     under = sum(1 for c in counts if c < 9) / n * 100
     mid = sum(1 for c in counts if 9 <= c <= 12) / n * 100
     over = sum(1 for c in counts if c > 12) / n * 100
-    slots = queue_count - 1
+    slots = topo.max_queue_count - 1
     nd = 0
     for t in tenants.values():
         if all(topo.links[k].tenant_count() <= slots for k in t.tr.links):
@@ -156,25 +158,23 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
                 refused.append((n, b))
     report = port_statistics(topo, tenants)
     r_ni, dscp_used = interval_dedication(
-        topo, tenants, r_in=r_in, intervals=intervals, seed=seed,
-        queue_count=topo.max_queue_count)
+        topo, tenants, r_in=r_in, intervals=intervals, seed=seed)
     report.r_ni = r_ni
     report.dscp_values_used = dscp_used
     return FillResult(tenants, attempted, rejected, report, topo, counts)
 
 
 def interval_dedication(topo: Topology, tenants: dict, *, r_in: float = 0.5,
-                        intervals: int = 20, seed: int = 0,
-                        queue_count: int = 8):
-    """Simulate interval-wise binding under random per-interval activity.
-    Returns (mean % of tenants holding dedicated queues per interval, max dscp
-    value used)."""
+                        intervals: int = 20, seed: int = 0):
+    """Simulate interval-wise binding, with the topology's queues per link,
+    under random per-interval activity. Returns (mean % of tenants holding
+    dedicated queues per interval, max dscp value used)."""
     if not tenants:
         return 100.0, 0
     rng = np.random.default_rng([seed, 0xD5C9])
     ids = sorted(tenants)
     pays = {tid: payment_factor(tenants[tid].request) for tid in ids}
-    state = QueueAllocationState(queue_count)
+    state = QueueAllocationState(topo.max_queue_count)
     fractions = []
     dscp_used = 0
     for _ in range(intervals):
@@ -204,12 +204,13 @@ class GainReport:
 
 
 def throughput_gain(topo: Topology, tenants: dict, r_in: float, *,
-                    seed: int = 0, queue_count: int = 8) -> GainReport:
+                    seed: int = 0) -> GainReport:
     """Mark floor(r_in * tenants) tenants low-demand; compute per-tenant
-    worst-link gains for high-demand dedicated tenants (shared and low-demand
-    tenants have gain 1) and the link utilization both for the work-conserving
-    policy (gain spread proportionally to per-link reservations) and for
-    static reservation (high-demand tenants use exactly their guarantees).
+    worst-link gains for high-demand tenants dedicated under the topology's
+    queues per link (shared and low-demand tenants have gain 1) and the
+    link utilization both for the work-conserving policy (gain spread
+    proportionally to per-link reservations) and for static reservation
+    (high-demand tenants use exactly their guarantees).
 
     Tenants with zero network guarantee everywhere are excluded from gain
     statistics: gain over a zero guarantee is undefined.
@@ -222,8 +223,8 @@ def throughput_gain(topo: Topology, tenants: dict, r_in: float, *,
                          replace=False)) if ids else set()
     scores = {tid: (0.0 if tid in low else payment_factor(tenants[tid].request))
               for tid in ids}
-    state = allocate_queues(tenants, scores, QueueAllocationState(queue_count),
-                            rng)
+    state = allocate_queues(tenants, scores,
+                            QueueAllocationState(topo.max_queue_count), rng)
     high_res: dict = {}
     for tid in ids:
         if tid in low:

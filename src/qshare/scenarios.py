@@ -302,11 +302,9 @@ def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
         dormancy=dem["dormancy_s"], size_scale=dem["size_scale"],
         seed=cfg["seed"], clients=clients)
     hook = None
-    quantum = None
     if policy.startswith("es_"):
         ra = RAConfig(mode=policy.removeprefix("es_"), **cfg["ra"])
         hook = EndhostRatePolicy(topo, tenants, ra)
-        quantum = ra.probe_period
     return fluid.FluidSimulation(
         topo, tenants, gen,
         interval=cfg["control_interval_s"],
@@ -315,7 +313,7 @@ def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
         seed=cfg["seed"], monitor=monitor,
         sample=cfg["sample_s"],
         initial_dedicated=dem["initial_dedicated"],
-        rate_hook=hook, quantum=quantum, counters=counters)
+        rate_hook=hook, counters=counters)
 
 
 def run_wcbg(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:

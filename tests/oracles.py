@@ -754,11 +754,9 @@ def allocate_queues_reference(tenants, scores, prev, rng):
     state = BD.QueueAllocationState(prev.queue_count)
     state.owners = {k: set(v) for k, v in prev.owners.items()}
     state.dedicated = set(prev.dedicated)
-    state.dscp = dict(prev.dscp)
     for key in list(state.owners):
         state.owners[key] = {t for t in state.owners[key] if t in tenants}
     state.dedicated &= set(tenants)
-    state.dscp = {t: v for t, v in state.dscp.items() if t in tenants}
     order = sorted(tenants, key=lambda t: (-scores.get(t, 0.0), rng.random()))
     for tid in order:
         tenant = tenants[tid]
@@ -822,8 +820,7 @@ def fill_reference(topo, spec, policy=None, *, seed=0, reject_streak=50,
             streak += 1
     report = L.port_statistics(topo, tenants)
     report.r_ni, report.dscp_values_used = L.interval_dedication(
-        topo, tenants, r_in=r_in, intervals=intervals, seed=seed,
-        queue_count=topo.max_queue_count)
+        topo, tenants, r_in=r_in, intervals=intervals, seed=seed)
     return L.FillResult(tenants, attempted, rejected, report, topo, counts)
 
 

@@ -548,7 +548,7 @@ def prop_weight_normalization(rng):
     key = ("a000", "t000")
     pool = [t for t in tenants if key in tenants[t].tr.links]
     st.owners[key] = set(pool[: int(rng.integers(0, min(len(pool), 7) + 1))])
-    w = B.queue_weights(key, topo.links[key], st)
+    w = B.link_queue_weights(topo.links[key], st.owners[key])
     if w:
         assert abs(math.fsum(v[0] for v in w.values()) - 1.0) <= 1e-9
         assert all(1 <= v[1] <= 15 for v in w.values())

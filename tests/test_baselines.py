@@ -146,6 +146,8 @@ def test_compute_matches_the_scanning_reference(rng, monkeypatch, mode):
                               for _ in range(2))
         policy.limiters, ref_policy.limiters = dict(limiters), dict(limiters)
         ref = copy.deepcopy(flows)
+        policy.follow(F.FlowChange([], flows), flows)
+        ref_policy.follow(F.FlowChange([], ref), ref)
         policy.compute(None, flows, 0.0)
         offered = copy.deepcopy(ref)
         for f in offered:
@@ -177,10 +179,12 @@ def test_fifo_stops_count_the_calls_left_over_capacity(monkeypatch):
     flows = [pair(1, 0, 1, 1500.0), pair(2, 5, 6, 1200.0)]
     monkeypatch.setattr(BL, "fifo_scale",
                         functools.partial(BL.fifo_scale, max_rounds=1))
+    policy.follow(F.FlowChange([], flows), flows)
     policy.compute(None, flows, 0.0)
     # the one round scaled the worse link only
     assert [f.rate for f in flows] == [1000.0, 1200.0]
     assert policy.fifo_stops == 1
+    policy.follow(F.FlowChange(flows[1:], []), flows[:1])
     policy.compute(None, flows[:1], 0.0)
     assert flows[0].rate == 1000.0 and policy.fifo_stops == 1
 
@@ -233,10 +237,11 @@ def _endhost_state(policy, flows):
 @pytest.mark.parametrize("exponent", [1.0, 2.0])
 @pytest.mark.parametrize("mode", ["aggressive", "conservative"])
 def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
-    """Random arrivals, departures, quanta and limiter jolts, with compute
-    called through a simulation's flows or directly on a sublist with no
-    simulation; after every call the carried policy and the reference that
-    re-derives everything agree bit for bit."""
+    """Random arrivals, departures (one at a time or a batch in one
+    record, followed by a compute), quanta, limiter jolts and computes,
+    each arrival and departure followed as its own record; after every call
+    the carried policy and the reference that re-derives everything agree
+    bit for bit."""
     topo = T.build_testbed(nic_mbps=40.0, core_mbps=60.0)
     hyps = topo.hypervisors()
     tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 2.0), tid, "a000",
@@ -252,7 +257,7 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
     seen = collections.Counter()
     fid = 0
     for step in range(600):
-        action = rng.choice(["arrive", "depart", "jolt", "compute", "direct",
+        action = rng.choice(["arrive", "depart", "jolt", "compute", "batch",
                              "quantum"], p=[.2, .15, .1, .25, .1, .2])
         if action == "arrive":
             fid += 1
@@ -262,26 +267,30 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
                                                    replace=False))
             route = F.tenant_route(tenants[tid], vms[src], vms[dst])
             seen["loopback"] += not route
-            for sim in sims:
+            for policy, sim in zip(policies, sims):
                 sim.flows[fid] = F.Flow(fid, tid, src, dst, vms[src],
                                         vms[dst], 1e9, 0.0, route=route)
+                policy.follow(F.FlowChange([], [sim.flows[fid]]),
+                              sim.flows.values())
         elif action == "depart" and sims[0].flows:
             gone = list(sims[0].flows)[int(rng.integers(0, len(sims[0].flows)))]
-            for sim in sims:
-                del sim.flows[gone]
+            for policy, sim in zip(policies, sims):
+                policy.follow(F.FlowChange([sim.flows.pop(gone)], []),
+                              sim.flows.values())
         elif action == "jolt" and policies[0].limiters:
             keys = sorted(policies[0].limiters)
             key = keys[int(rng.integers(0, len(keys)))]
             rate = float(rng.uniform(1.0, 80.0))
             for policy in policies:
                 policy.limiters[key] = rate
-        elif action in ("compute", "direct"):
-            keep = rng.random(len(sims[0].flows)) < (
-                0.7 if action == "direct" else 1.0)
+        elif action in ("compute", "batch"):
+            gone = [g for g in sims[0].flows
+                    if action == "batch" and rng.random() < 0.3]
+            seen["batch of 2+"] += len(gone) > 1
             for policy, sim in zip(policies, sims):
-                flows = [f for f, k in zip(sim.flows.values(), keep) if k]
-                policy.compute(sim if action == "compute" else None, flows,
-                               step * 0.001)
+                policy.follow(F.FlowChange([sim.flows.pop(g) for g in gone],
+                                           []), sim.flows.values())
+                policy.compute(sim, list(sim.flows.values()), step * 0.001)
             seen["congested"] += bool(policies[1].congested_links)
         elif action == "quantum":
             before = len(policies[1].limiters)
@@ -298,10 +307,10 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
 @pytest.mark.parametrize("mode", ["aggressive", "conservative"])
 def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
     """Steps as the event loop takes them: flows end in any order and start
-    in fid order, the step's record goes on the simulation, then maybe a
-    quantum and, after any change, a compute. The policy applying each
-    record once, in whichever call comes first, agrees bit for bit with the
-    reference re-deriving everything after every call."""
+    in fid order, the policy follows the step's record, then maybe a
+    quantum and, after any change, a compute. A quantum comes first, before
+    any flow exists. The policy agrees bit for bit with the reference
+    re-deriving everything after every call."""
     topo = T.build_testbed(nic_mbps=40.0, core_mbps=60.0)
     hyps = topo.hypervisors()
     tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 2.0), tid, "a000",
@@ -312,8 +321,11 @@ def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
     cfg = BL.RAConfig(mode=mode)
     policy = BL.EndhostRatePolicy(topo, tenants, cfg)
     ref_policy = oracles.EndhostReference(topo, tenants, cfg)
-    sim = types.SimpleNamespace(flows={}, change=None, steps=0)
+    sim = types.SimpleNamespace(flows={})
     ref_sim = types.SimpleNamespace(flows={})
+    policy.on_quantum(sim, 0.0)
+    ref_policy.on_quantum(ref_sim, 0.0)
+    assert _endhost_state(policy, []) == _endhost_state(ref_policy, [])
     seen = collections.Counter()
     fid = 0
     for step in range(400):
@@ -342,8 +354,7 @@ def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
                 0, len(policy.limiters)))]
             policy.limiters[key] = ref_policy.limiters[key] = float(
                 rng.uniform(1.0, 80.0))
-        sim.steps += 1
-        sim.change = F.FlowChange(left, added)
+        policy.follow(F.FlowChange(left, added), sim.flows.values())
         quantum = rng.random() < 0.3
         if quantum:
             policy.on_quantum(sim, step * 0.001)

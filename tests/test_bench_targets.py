@@ -43,8 +43,9 @@ def test_compute_calls_fifo_scale_by_its_module_name(monkeypatch):
                         route=fluid.tenant_route(t, vms[0], vms[5]))]
     calls = collections.Counter()
     _count_calls(monkeypatch, baselines, "fifo_scale", calls)
-    baselines.EndhostRatePolicy(topo, {"t": t}, baselines.RAConfig()).compute(
-        None, flows, 0.0)
+    policy = baselines.EndhostRatePolicy(topo, {"t": t}, baselines.RAConfig())
+    policy.follow(fluid.FlowChange([], flows), flows)
+    policy.compute(None, flows, 0.0)
     assert calls == {"fifo_scale": 1}
 
 

@@ -121,7 +121,7 @@ def test_queue_weights_example():
                       {"h1": 5, "h2": 5})  # 300 Mbps each on both links
     st = B.QueueAllocationState(8)
     st.owners[("h1", "s1")] = {"A"}
-    w = B.queue_weights(("h1", "s1"), topo.links[("h1", "s1")], st)
+    w = B.link_queue_weights(topo.links[("h1", "s1")], st.owners[("h1", "s1")])
     assert math.isclose(w[("dedicated", "A")][0], 1 / 3)
     assert math.isclose(w[("shared",)][0], 2 / 3)
     assert (w[("dedicated", "A")][1], w[("shared",)][1]) == (5, 10)
@@ -136,13 +136,13 @@ def test_queue_weights_sole_occupant_and_equal_tenants():
                          {"h1": 2, "h2": 2})
     st = B.QueueAllocationState(16)
     st.owners[("h1", "s1")] = {"solo"}
-    w = B.queue_weights(("h1", "s1"), topo.links[("h1", "s1")], st)
+    w = B.link_queue_weights(topo.links[("h1", "s1")], st.owners[("h1", "s1")])
     assert w[("dedicated", "solo")] == (1.0, 15)
     for i in range(10):
         P.embed_fixed(topo, TenantRequest(10, 94.0 / 5), f"e{i}", "s1",
                       {"h1": 5, "h2": 5})
     st.owners[("h1", "s1")] = {f"e{i}" for i in range(10)} | {"solo"}
-    w = B.queue_weights(("h1", "s1"), topo.links[("h1", "s1")], st)
+    w = B.link_queue_weights(topo.links[("h1", "s1")], st.owners[("h1", "s1")])
     equal = {qid: round(v[0], 9) for qid, v in w.items() if qid[1].startswith("e")}
     assert len(set(equal.values())) == 1
 
@@ -155,7 +155,7 @@ def test_queue_weights_zero_reserved_degenerates_to_equal():
     P.embed_fixed(topo, TenantRequest(4, 0.0), "z", "s1", {"h1": 2, "h2": 2})
     st = B.QueueAllocationState(8)
     st.owners[("h1", "s1")] = {"z"}
-    w = B.queue_weights(("h1", "s1"), topo.links[("h1", "s1")], st)
+    w = B.link_queue_weights(topo.links[("h1", "s1")], st.owners[("h1", "s1")])
     assert w[("dedicated", "z")][0] == 1.0
 
 
@@ -250,7 +250,7 @@ def test_allocate_queues_matches_reference(rng):
 def test_allocate_queues_matches_the_copying_reference(rng):
     """The one-pass allocation equals the pass on a whole copy of `prev`
     with one tie-break draw per tenant: owners (empty sets included),
-    `dedicated`, dscp, every tenant's state and the generator's next draw.
+    `dedicated`, every tenant's state and the generator's next draw.
     Cases cover departed tenants in `prev`, score ties and one queue per
     link; `prev` itself is left as it was."""
     seen = {"departed": 0, "score tie": 0, "one queue": 0, "preempted": 0}
@@ -269,12 +269,11 @@ def test_allocate_queues_matches_the_copying_reference(rng):
             if rng.random() < 0.5 and all(
                     len(prev.owners_on(k)) < qc - 1 for k in tenant.tr.links):
                 prev.enqueue(tenant)
-                prev.dscp[tid] = int(rng.integers(1, 64))
         tenants = {tid: t for tid, t in everyone.items() if rng.random() < 0.8}
         scores = {tid: float(rng.integers(0, 3)) if case % 2 else
                   float(rng.random()) for tid in tenants if rng.random() < 0.9}
         before = ({k: set(v) for k, v in prev.owners.items()},
-                  set(prev.dedicated), dict(prev.dscp))
+                  set(prev.dedicated))
         seed = int(rng.integers(0, 2**32))
         ref_rng = np.random.default_rng(seed)
         ref = allocate_queues_reference(tenants, scores, prev, ref_rng)
@@ -287,10 +286,9 @@ def test_allocate_queues_matches_the_copying_reference(rng):
         assert got.owners == ref.owners
         assert list(got.owners) == list(ref.owners)
         assert got.dedicated == ref.dedicated
-        assert got.dscp == ref.dscp
         assert {tid: t.state for tid, t in tenants.items()} == ref_states
         assert got_rng.random() == ref_rng.random()
-        assert (prev.owners, prev.dedicated, prev.dscp) == before
+        assert (prev.owners, prev.dedicated) == before
         seen["departed"] += any(t not in tenants for t in prev.dedicated)
         ranks = [scores.get(t, 0.0) for t in tenants]
         seen["score tie"] += len(set(ranks)) < len(ranks)

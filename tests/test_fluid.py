@@ -100,7 +100,7 @@ def test_mid_step_completion_splits_segments():
     # shared tenant: both flows split the 50 Mbps reservation cap
     assert math.isclose(f1.rate, 25.0) and math.isclose(f2.rate, 25.0)
     f1.remaining = 0.0
-    solver.solve([f2])
+    solver.solve([f2], F.FlowChange([f1], []))
     assert math.isclose(f2.rate, 50.0)  # cap redistributes within the tenant
 
 
@@ -318,12 +318,14 @@ def sweep_by_fid(solver, demands: dict, lift: bool) -> dict:
 
 @pytest.mark.parametrize("mode", ["wfq", "static"])
 def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
-    """One solver takes a sequence of solves: flows arrive one at a time and
-    then leave one at a time, with a rebuild to other owners halfway, so
-    its plans are carried across solves. Every solve's rates, and one lift
-    and one projection sweep from arbitrary demands, equal bit for bit those
-    of a fresh solver (empty memo, every link planned anew) with the same
-    views. Re-solving an unchanged flow set is all memo hits, the memo
+    """One solver takes a sequence of solves, each with the record of its
+    step: flows arrive one at a time, in random order and numbered as they
+    arrive, and then leave one at a time, with a rebuild to other owners
+    halfway, so its plans are carried across solves. Every solve's rates,
+    and one lift and one projection sweep from arbitrary demands, equal bit
+    for bit those of a fresh solver (empty memo, every link planned anew)
+    with the same views. Re-solving an unchanged flow set (an empty record)
+    is all memo hits, the memo
     holds at most the kernel inputs of the last two solves, the level memo
     at most the group inputs looked up since the start of the solve
     2 * _LEVEL_SOLVES - 1 solves back, and every planned link's lift and
@@ -346,17 +348,21 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
         later = {key: {tids[int(rng.integers(0, len(tids)))]}
                  for key in topo.links}
         arrive = [flows[j] for j in rng.permutation(len(flows))]
-        steps = [arrive[:n] for n in range(1, len(arrive) + 1)]
+        for fid, f in enumerate(arrive, 1):
+            f.fid = fid  # fids grow with arrival, as in the event loop
+        steps = [(arrive[:n], F.FlowChange([], [f]))
+                 for n, f in enumerate(arrive, 1)]
         for j in rng.permutation(len(flows))[:-1]:
-            steps.append([f for f in steps[-1] if f is not flows[j]])
+            steps.append(([f for f in steps[-1][0] if f is not flows[j]],
+                          F.FlowChange([flows[j]], [])))
         marks = [0]  # kernel evaluations before each solve
         level_marks = [0] * 2 * F._LEVEL_SOLVES  # group lookups, likewise
 
-        def solve(active):
+        def solve(active, change):
             marks.append(solver.kernel_runs + solver.kernel_hits)
             level_marks.append(solver.level_runs + solver.level_hits)
             sweeps = solver.sweeps
-            solver.solve(active)
+            solver.solve(active, change)
             evals = solver.kernel_runs + solver.kernel_hits
             links = len({dk for f in active for dk in f.route})
             assert evals - marks[-1] == links * (solver.sweeps - sweeps + 2)
@@ -366,18 +372,18 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
                 solver.level_runs + solver.level_hits \
                 - level_marks[-2 * F._LEVEL_SOLVES]
 
-        for step, active in enumerate(steps):
+        for step, (active, change) in enumerate(steps):
             where = f"case {case} step {step}"
             if step == len(steps) // 2:
                 owners = later
                 solver.rebuild(owners)
-            solve(active)
+            solve(active, change)
             copies = [dataclasses.replace(f) for f in active]
             fresh_solver().solve(copies)
             assert hexes(f.rate for f in active) == \
                 hexes(f.rate for f in copies), where
             runs = solver.kernel_runs
-            solve(active)
+            solve(active, F.FlowChange([], []))
             assert solver.kernel_runs == runs, where
             routed = [f for f in active if f.route]
             # few distinct values, so that links of equal structure often
@@ -543,13 +549,15 @@ def test_twin_links_run_once_per_sweep():
     flows = [F.Flow(fid, tid, 0, 1, a, b, 1e9, 0.0,
                     route=F.tenant_route(tenants[tid], a, b))
              for fid, (tid, a, b) in enumerate(ends, 1)]
-    steps = [flows[:n] for n in range(1, len(flows) + 1)]
-    steps += [flows[n:] for n in range(1, len(flows))]
+    steps = [(flows[:n], F.FlowChange([], [f]))
+             for n, f in enumerate(flows, 1)]
+    steps += [(flows[n:], F.FlowChange([flows[n - 1]], []))
+              for n in range(1, len(flows))]
     solver = F.RateSolver(topo)
     solver.rebuild(owners)
-    for step, active in enumerate(steps):
+    for step, (active, change) in enumerate(steps):
         evals, sweeps = solver.kernel_runs + solver.kernel_hits, solver.sweeps
-        solver.solve(active)
+        solver.solve(active, change)
         plans = solver._plans
         assert solver.kernel_runs + solver.kernel_hits - evals == \
             len(plans) * (solver.sweeps - sweeps + 2), f"step {step}"
@@ -608,7 +616,7 @@ def test_departure_replans_only_the_links_on_its_route(rng):
         gone = flows[int(rng.integers(0, len(flows)))]
         rest = [f for f in flows if f is not gone]
         built, kept = solver.plans_built, solver.plans_kept
-        solver.solve(rest)
+        solver.solve(rest, F.FlowChange([gone], []))
         crossed = {dk for f in rest for dk in f.route}
         assert list(solver._plans) == sorted(crossed), f"case {case}"
         for dk, plan in solver._plans.items():
@@ -631,7 +639,7 @@ def test_rebuild_replans_every_link():
     before = dict(solver._plans)
     built, kept = solver.plans_built, solver.plans_kept
     solver.rebuild(owners)
-    solver.solve(flows)
+    solver.solve(flows, F.FlowChange([], []))
     assert solver.plans_built - built == len(before)
     assert solver.plans_kept == kept
     assert not any(solver._plans[dk] is plan for dk, plan in before.items())
@@ -643,13 +651,47 @@ def test_empty_solve_then_flows_again(rng):
     solver = F.RateSolver(topo)
     solver.rebuild(owners)
     want = solved_elsewhere(topo, owners, flows)
+    solver.solve([])
     for _ in range(2):
-        solver.solve([])
-        assert (solver._plans, solver._flows, solver._slot) == ({}, [], {})
-        solver.solve(flows)
+        solver.solve(flows, F.FlowChange([], flows))
         assert [f.rate.hex() for f in flows] == want
+        solver.solve([], F.FlowChange(flows, []))
+        assert (solver._plans, solver._flows, solver._slot,
+                solver._members) == ({}, [], {}, {})
     links = len({dk for f in flows for dk in f.route})
     assert (solver.plans_built, solver.plans_kept) == (2 * links, 0)
+
+
+def test_a_solve_without_a_record_starts_over(rng):
+    """After solves driven by records (arrivals in two records, then a
+    batch of departures), a solve without a record of another subset of
+    the flows drops every slot and plan, plans every crossed link anew and
+    gives a fresh solver's rates bit for bit."""
+    for case in range(20):
+        topo, tenants, owners, flows = large_shared_case(rng)
+        if len(flows) < 4:
+            continue
+        solver = F.RateSolver(topo)
+        solver.rebuild(owners)
+        half = len(flows) // 2
+        solver.solve(flows[:half], F.FlowChange([], flows[:half]))
+        solver.solve(flows, F.FlowChange([], flows[half:]))
+        keep = rng.random(len(flows)) < 0.6
+        solver.solve([f for f, k in zip(flows, keep) if k], F.FlowChange(
+            [f for f, k in zip(flows, keep) if not k], []))
+        before = dict(solver._plans)
+        built, kept = solver.plans_built, solver.plans_kept
+        others = [f for f in flows if rng.random() < 0.6] or flows[:1]
+        solver.solve(others)
+        crossed = {dk for f in others for dk in f.route}
+        assert list(solver._plans) == sorted(crossed), f"case {case}"
+        assert not any(plan is before.get(dk)
+                       for dk, plan in solver._plans.items()), f"case {case}"
+        assert (solver.plans_built - built, solver.plans_kept - kept) == \
+            (len(crossed), 0), f"case {case}"
+        assert solver._flows == others, f"case {case}"
+        assert [f.rate.hex() for f in others] == \
+            solved_elsewhere(topo, owners, others), f"case {case}"
 
 
 def test_reused_fid_with_another_tenant_or_route_is_planned_anew():
@@ -695,20 +737,19 @@ def test_violation_time_counts_wall_and_tenant_seconds():
         dkey, 1000.0, {"A": 100.0, "B": 100.0},
         {(t, h): 100.0 for t in "AB" for h in ("h1", "h2")})
 
-    def flows(rate_a, rate_b):
-        out = []
-        for fid, (tid, rate) in enumerate((("A", rate_a), ("B", rate_b))):
-            out.append(F.Flow(fid, tid, 0, 1, "h1", "h2", 1e9, 0.0,
-                              rate=rate, route=(dkey, ("s1", "h2"))))
-        return out
+    a, b = (F.Flow(fid, tid, 0, 1, "h1", "h2", 1e9, 0.0, rate=rate,
+                   route=(dkey, ("s1", "h2")))
+            for fid, (tid, rate) in enumerate((("A", 10.0), ("B", 20.0))))
 
     def unsaturated(f, excluding):
         return False
 
-    stats.observe(0.0, 2.0, flows(10.0, 20.0), set(), unsaturated)
+    stats.follow(F.FlowChange([], [a, b]))
+    stats.observe(0.0, 2.0, set(), unsaturated)
     assert stats.guarantee_violation_time == 2.0  # both below 100 at once
     assert stats.guarantee_violation_tenant_time == 4.0
-    stats.observe(2.0, 3.0, flows(10.0, 100.0), set(), unsaturated)
+    b.rate = 100.0
+    stats.observe(2.0, 3.0, set(), unsaturated)
     assert stats.guarantee_violation_time == 3.0
     assert stats.guarantee_violation_tenant_time == 5.0
     assert stats.violating_tenants == {"A", "B"}
@@ -725,9 +766,11 @@ def _segment_fields(stats):
 
 def test_observe_matches_the_rederiving_reference(rng):
     """Random arrivals, departures, rate changes and owner sets, and
-    segments of zero or negative length; after every segment the carried
-    observe and the reference that re-derives each segment agree on every
-    field, bit for bit."""
+    segments of zero or negative length. Before each segment the stats
+    follow the record of the flows that left and arrived since the last
+    one (departures in any order, arrivals in fid order); after every
+    segment the carried observe and the reference that re-derives each
+    segment from the flows agree on every field, bit for bit."""
     dkey = ("h1", "s1")
     hyps = ("h1", "h2", "h3")
     nic = {(t, h): float(rng.integers(0, 4)) * 40.0 for t in "ABC" for h in hyps}
@@ -735,6 +778,8 @@ def test_observe_matches_the_rederiving_reference(rng):
     stats, ref = (F.SegmentStats(dkey, 400.0, dict(guarantees), dict(nic))
                   for _ in range(2))
     flows: list = []
+    left: list = []
+    added: list = []
     seen = collections.Counter()
     t = 0.0
     for step in range(1500):
@@ -747,8 +792,13 @@ def test_observe_matches_the_rederiving_reference(rng):
             flows.append(F.Flow(step, str(rng.choice(list("ABC"))), 0, 1, src,
                                 dst, 1e9, 0.0, rate=float(rng.uniform(0, 150)),
                                 route=route))
+            added.append(flows[-1])
         elif action == "depart" and flows:
-            del flows[int(rng.integers(0, len(flows)))]
+            gone = flows.pop(int(rng.integers(0, len(flows))))
+            if gone in added:  # arrived since the last record
+                added.remove(gone)
+            else:
+                left.append(gone)
         elif action == "rates":
             for f in flows:
                 if rng.random() < 0.5:
@@ -761,9 +811,12 @@ def test_observe_matches_the_rederiving_reference(rng):
             def all_unsaturated(f, excluding):
                 return f.fid % 3 != cut and excluding == dkey
 
-            for s, observe in ((stats, F.SegmentStats.observe),
-                               (ref, oracles.observe_reference)):
-                observe(s, t, t + dt, list(flows), owners, all_unsaturated)
+            seen["multi-flow record"] += len(left) + len(added) > 1
+            stats.follow(F.FlowChange(left, added))
+            left, added = [], []
+            stats.observe(t, t + dt, owners, all_unsaturated)
+            oracles.observe_reference(ref, t, t + dt, list(flows), owners,
+                                      all_unsaturated)
             t += max(dt, 0.0)
             seen["busy"] += stats.busy_time > 0
             seen["short"] += bool(stats.violating_tenants)
@@ -777,17 +830,21 @@ def test_observe_matches_the_rederiving_reference(rng):
 def test_segment_stats_after_warmup_match_the_rederiving_reference(
         monkeypatch, policy):
     """A bundled run with a warm-up interval, whose first measured segment
-    follows steps that `observe` never saw: its stats equal, bit for bit,
-    those of the same run observed by the reference that re-derives every
-    segment."""
+    follows steps that `observe` never saw (only `follow` did): its stats
+    equal, bit for bit, those of the same run observed by the reference
+    that re-derives every segment from the simulation's active flows."""
     doc = dict(cli.load_scenario("unpredictable"), seed=2, duration_s=1.5,
                control_interval_s=0.5, policy=policy)
     assert doc["warmup_intervals"] == 1
     run = S.build_wcbg(doc)
-    monkeypatch.setattr(
-        F.SegmentStats, "observe",
-        lambda stats, *args, change=None: oracles.observe_reference(stats,
-                                                                    *args))
+
+    def observe(stats, t0, t1, owners, all_unsaturated):
+        # all_unsaturated is a method of the simulation, which holds the flows
+        flows = list(all_unsaturated.__self__.flows.values())
+        oracles.observe_reference(stats, t0, t1, flows, owners,
+                                  all_unsaturated)
+
+    monkeypatch.setattr(F.SegmentStats, "observe", observe)
     ref = S.build_wcbg(doc)
     assert run.sim.stats.time_active > 0
     assert run.sim.stats.violating_tenants
@@ -838,8 +895,10 @@ def test_monitored_series_match_the_per_hop_reference(monkeypatch, policy):
     doc = dict(cli.load_scenario("unpredictable"), seed=4, duration_s=1.0,
                control_interval_s=0.4, warmup_intervals=0, policy=policy)
     run = S.build_wcbg(doc)
+    # the reference also returns the crossing flows, which the loop no
+    # longer reads
     monkeypatch.setattr(F.FluidSimulation, "_advance",
-                        oracles.advance_reference)
+                        lambda *args: oracles.advance_reference(*args)[1])
     ref = S.build_wcbg(doc)
     monitor = run.sim.monitor
     assert len(run.reports) == len(ref.reports) > 1

@@ -251,3 +251,25 @@ def test_fill_stops_on_rejection_streak():
     result = L.fill_to_capacity(topo, spec, seed=0, reject_streak=5)
     assert result.rejected >= 5
     assert not result.tenants or result.report.tenants > 0
+
+
+def test_scarcity_and_gains_use_the_topologys_queue_count():
+    """At 4 queues per link a link has 3 dedicated queues: R_ND counts the
+    tenants none of whose links carries more than 3 tenants, and of 4
+    high-demand tenants on one link only 3 are dedicated and gain."""
+    topo = T.fattree_like("4:1", k=8, seed=3, queue_count=4)
+    fill = L.fill_to_capacity(topo, L.PopulationSpec(vm_mean=12.0), seed=3,
+                              reject_streak=20)
+    fits = [all(topo.links[k].tenant_count() <= 3 for k in t.tr.links)
+            for t in fill.tenants.values()]
+    assert 0 < sum(fits) < len(fits)
+    assert math.isclose(fill.report.r_nd, sum(fits) / len(fits) * 100)
+
+    topo = T.build_custom(
+        [("h1", "hypervisor", 0, 10), ("h2", "hypervisor", 0, 10),
+         ("s1", "switch", 1, 0)],
+        [("h1", "s1", 1000.0), ("h2", "s1", 1000.0)], queue_count=4)
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(2, 10.0), tid, "s1",
+                                  {"h1": 1, "h2": 1}) for tid in "ABCD"}
+    rep = L.throughput_gain(topo, tenants, 0.0, seed=0)
+    assert sorted(g > 1.0 for g in rep.gains.values()) == [False] + [True] * 3
