@@ -13,11 +13,13 @@ probe hurts other tenants' guarantees.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .fluid import LOOPBACK_MBPS, FlowChange, _rate, _route
+from .fluid import LOOPBACK_MBPS, FlowChange, _rate
 
 _TOL = 1e-9
+_route = operator.attrgetter("route")
 
 
 @dataclass
@@ -133,10 +135,16 @@ class EndhostRatePolicy:
     in the size of the change. Only a link whose first flow leaves while
     another stays can move, so the order is rebuilt only then. So `compute`
     reads each pair's limiter once, sums each link's offered load once and
-    scales the flows followed so far. A quantum after a pair started or
-    stopped (or the first one) re-learns the beliefs and each active pair's
-    route and guarantee, and drops the idle pairs' limiters; any other
-    quantum runs only `ra_update` per pair.
+    scales the flows followed so far.
+
+    The beliefs and each believed pair's route and guarantee are carried
+    from one quantum to the next as well. A pair's guarantee reads only its
+    tenant's belief at its source VM and at its destination VM, so a
+    quantum after some pairs started or stopped updates the beliefs from
+    those pairs alone, re-derives the guarantees of the pairs of their
+    tenant that share a source or a destination VM with one of them, and
+    drops the limiters of the pairs that stopped; every quantum then runs
+    `ra_update` per believed pair.
 
     `fifo_stops` counts the compute calls whose FIFO scaling stopped at its
     round cap with some link still over capacity."""
@@ -156,7 +164,9 @@ class EndhostRatePolicy:
         self._pairs: dict = {}  # pair key -> its routed flows by fid
         self._on_link: dict = {}  # link -> its flows by fid
         self._caps: dict = {}  # link -> capacity, in _on_link order
-        self._moved = True  # whether a pair started or stopped
+        self._guarantees: dict = {}  # believed pair -> (route, guarantee)
+        # the pairs that started or stopped since the last quantum
+        self._changed: dict = {}
 
     def _pair_guarantee(self, f) -> float:
         """Believed pairs split each endpoint's hose guarantee; a pair the
@@ -179,8 +189,9 @@ class EndhostRatePolicy:
         if not any(change):
             return
         change.regroup(self._loopback, lambda f: () if f.route else (None,))
-        self._moved |= change.regroup(self._pairs, lambda f: (
-            ((f.tenant, f.src_vm, f.dst_vm),) if f.route else ()))
+        self._changed.update(dict.fromkeys(change.regroup(
+            self._pairs, lambda f: (
+                ((f.tenant, f.src_vm, f.dst_vm),) if f.route else ()))))
         # links stay in the order a pass over the flows touches them: a new
         # link comes last, and only a link whose first flow leaves while
         # another stays can move
@@ -220,24 +231,41 @@ class EndhostRatePolicy:
 
     def on_quantum(self, sim, t: float) -> None:
         pairs, limiters, holds = self._pairs, self.limiters, self.holds
-        if self._moved:
-            self._moved = False
-            self.beliefs = beliefs = {tid: {} for tid in self.tenants}
-            for tid, src, dst in pairs:
-                beliefs[tid].setdefault(("src", src), set()).add(dst)
-                beliefs[tid].setdefault(("dst", dst), set()).add(src)
-            self._guarantees = {}  # pair key -> (route, guarantee)
-            for key, pair in pairs.items():
-                f = next(iter(pair.values()))
-                self._guarantees[key] = f.route, self._pair_guarantee(f)
-            # rate-allocation state decays with the pair: an idle pair's
-            # limiter is dropped, so traffic-matrix changes pay the
-            # re-learning lag
-            for key in [k for k in limiters if k not in pairs]:
-                del limiters[key]
-                holds.pop(key, None)
+        guarantees = self._guarantees
+        if self._changed:
+            beliefs, stale = self.beliefs, []
+            for key in self._changed:
+                tid, src, dst = key
+                active = key in pairs
+                if not active:
+                    # rate-allocation state decays with the pair: an idle
+                    # pair's limiter is dropped, so traffic-matrix changes
+                    # pay the re-learning lag
+                    limiters.pop(key, None)
+                    holds.pop(key, None)
+                if active == (key in guarantees):
+                    continue  # stopped and started again, or the reverse
+                guarantees.pop(key, None)
+                stale.append(key)
+                for end, peer in ((("src", src), dst), (("dst", dst), src)):
+                    ends = beliefs[tid].setdefault(end, set())
+                    (ends.add if active else ends.discard)(peer)
+                    if not ends:
+                        del beliefs[tid][end]
+            self._changed = {}
+            # the believed pairs that share an endpoint with a changed one
+            redo: dict = {}
+            for tid, src, dst in stale:
+                belief = beliefs[tid]
+                redo.update(dict.fromkeys(
+                    (tid, src, d) for d in belief.get(("src", src), ())))
+                redo.update(dict.fromkeys(
+                    (tid, s, dst) for s in belief.get(("dst", dst), ())))
+            for key in redo:
+                f = next(iter(pairs[key].values()))
+                guarantees[key] = f.route, self._pair_guarantee(f)
         congested_links, cfg = self.congested_links, self.cfg
-        for key, (route, g) in self._guarantees.items():
+        for key, (route, g) in guarantees.items():
             limiters[key], holds[key] = ra_update(
                 limiters.get(key, g), g, not congested_links.isdisjoint(route),
                 holds.get(key, 0), cfg)

@@ -7,10 +7,10 @@ Verbs:
   list-scenarios  show the bundled scenarios
 
 Every run writes a manifest.json (config echo, seed, version, wall time and,
-for runs that simulate flows, the rate solvers' and event loops' counters;
-for fills, the placement counters; a sweep sums its points' counters)
-plus CSV/JSON artifacts into the output directory; CSV bodies are
-byte-stable for a given seed.
+for runs that simulate flows, the rate solvers' and event loops' counters
+and the loops' wall seconds per phase; for fills, the placement counters;
+a sweep sums its points' counters) plus CSV/JSON artifacts into the output
+directory; CSV bodies are byte-stable for a given seed.
 """
 
 from __future__ import annotations
@@ -101,10 +101,11 @@ def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
                     wall: float, counters: dict | None = None) -> None:
     """Artifacts whose name carries a .jsonl suffix are written as JSON lines;
     everything else as CSV. Wall time, version and the `counters` (the
-    `solver` and `loop` groups summed over the run's simulations, when
-    given; see fluid.FluidSimulation) live in the manifest only, so
-    CSV/JSONL bodies are byte-stable per seed. A fill's `placement` group
-    comes the same way (see largescale.FillResult)."""
+    `solver` and `loop` groups and the `phase_s` wall seconds, summed over
+    the run's simulations, when given; see fluid.FluidSimulation) live in
+    the manifest only, so CSV/JSONL bodies are byte-stable per seed. A
+    fill's `placement` group comes the same way (see
+    largescale.FillResult)."""
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, (fields, rows) in artifacts.items():

@@ -19,6 +19,7 @@ import heapq
 import itertools
 import math
 import operator
+import time
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
@@ -31,9 +32,8 @@ from .topology import Topology, link_key
 BYTES_PER_MBPS_SEC = 125_000.0  # 1 Mbps moves 125 kB per second
 LOOPBACK_MBPS = 100_000.0       # flows between co-located VMs
 _TOL = 1e-9
-_LEVEL_SOLVES = 4  # solves per generation of RateSolver's level memo
+_LEVEL_SOLVES = 4  # solves per generation of RateSolver's memos
 _rate = operator.attrgetter("rate")
-_route = operator.attrgetter("route")
 
 
 class FlowChange(NamedTuple):
@@ -48,23 +48,26 @@ class FlowChange(NamedTuple):
     left: list
     added: list
 
-    def regroup(self, groups: dict, keys) -> bool:
+    def regroup(self, groups: dict, keys) -> list:
         """Apply the change to `groups`, key -> the flows of that key by fid
         (so in fid order): every flow leaves or joins the group of each key
-        in keys(flow), and a group left empty is dropped. Returns whether a
-        group was created or dropped."""
-        reshaped = False
+        in keys(flow), and a group left empty is dropped. Returns the keys
+        of the groups dropped or created, in that order."""
+        reshaped = []
         for f in self.left:
             for key in keys(f):
                 group = groups[key]
                 del group[f.fid]
                 if not group:
                     del groups[key]
-                    reshaped = True
+                    reshaped.append(key)
         for f in self.added:
             for key in keys(f):
-                reshaped |= key not in groups
-                groups.setdefault(key, {})[f.fid] = f
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = {}
+                    reshaped.append(key)
+                group[f.fid] = f
         return reshaped
 
 
@@ -243,7 +246,7 @@ def _lift_levels(total: float, caps) -> list:
     those ranks follow the same path to the same level, which is computed
     once. Only the ranks up to that visit search on their own. The rate
     solver reads the levels of groups of 3 or more flows through its level
-    memo (_LevelMemo), which runs this once per distinct (total, caps) and
+    memo (a _Memo), which runs this once per distinct (total, caps) and
     memo generation."""
     n = len(caps)
     if n == 1:
@@ -320,14 +323,19 @@ def _lifted_share(total: float, w0: float, c0: float, wsum: float,
     return give if give < c0 else c0
 
 
-class _LevelMemo:
-    """The levels of flow groups of 3 or more flows, keyed by (lift, total,
-    caps): _lift_levels(total, caps) with `lift`, else _water_fill(total,
-    caps). It keeps two generations: a key found in the previous one is
-    copied into the current one, and `rotate` drops the previous one.
-    `runs` counts kernel runs and `hits` lookups that found their key. The
-    levels are shared between hits and never mutated.
+class _Memo:
+    """A memo of two generations: a key found in the previous generation is
+    copied into the current one, and `rotate` drops the previous one, so it
+    holds only what was looked up in the last two generations. `runs`
+    counts the values `get` made and `hits` the lookups that found their
+    key. No value is falsy, and values are shared between hits and never
+    mutated.
 
+    The rate solver keeps three, rotated together every _LEVEL_SOLVES
+    solves: the levels of flow groups of 3 or more flows, keyed by (lift,
+    total, caps) (see _lift_into and _fill_into), the kernel results of
+    links, keyed by (lift, signature id, capped demands) (see
+    RateSolver._sweep), and the signature ids of plans, keyed by signature.
     No total is -0.0, which would share a key with 0.0: the fills return
     zeros for a total <= 0 before any lookup, and a lifted total is a
     _lifted_share (0.0 or a positive share or cap) or a reservation. No cap
@@ -342,21 +350,21 @@ class _LevelMemo:
     def rotate(self) -> None:
         self.prev, self.cur = self.cur, {}
 
-    def levels(self, lift: bool, total: float, caps: tuple) -> list:
-        key = (lift, total, caps)
-        # a found value is a non-empty list, so never falsy
-        levels = self.cur.get(key) or self.prev.get(key)
-        if levels is None:
-            levels = (_lift_levels if lift else _water_fill)(total, caps)
+    def get(self, key, make, *args):
+        """The value of `key`, made by make(*args) when neither generation
+        holds it."""
+        value = self.cur.get(key) or self.prev.get(key)
+        if value is None:
+            value = make(*args)
             self.runs += 1
         else:
             self.hits += 1
-        self.cur[key] = levels
-        return levels
+        self.cur[key] = value
+        return value
 
 
 def _lift_into(out: list, totals: list, spans: list, capped: tuple,
-               memo: _LevelMemo) -> None:
+               memo: _Memo) -> None:
     """Append _lift_levels(total, capped[a:a + n]) to `out` for every total
     and its group's span (a, n)."""
     for total, (a, n) in zip(totals, spans):
@@ -375,11 +383,12 @@ def _lift_into(out: list, totals: list, spans: list, capped: tuple,
             high = 0.0 if high < 0.0 else high
             out += (high, low) if y < x else (low, high)
         else:
-            out += memo.levels(True, total, capped[a:a + n])
+            caps = capped[a:a + n]
+            out += memo.get((True, total, caps), _lift_levels, total, caps)
 
 
 def _fill_into(out: list, totals: list, spans: list, capped: tuple,
-               memo: _LevelMemo) -> None:
+               memo: _Memo) -> None:
     """Append _water_fill(total, capped[a:a + n]) to `out` for every total
     and its group's span (a, n)."""
     for total, (a, n) in zip(totals, spans):
@@ -401,7 +410,8 @@ def _fill_into(out: list, totals: list, spans: list, capped: tuple,
                 gy = 0.0 if rem <= 0 else (rem if rem < y else y)
             out += (gx, gy)
         else:
-            out += memo.levels(False, total, capped[a:a + n])
+            caps = capped[a:a + n]
+            out += memo.get((False, total, caps), _water_fill, total, caps)
 
 
 def _group_shares(plan: "_LinkPlan", capped: tuple, lift: bool) -> list:
@@ -461,7 +471,7 @@ def _group_shares(plan: "_LinkPlan", capped: tuple, lift: bool) -> list:
 
 
 def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool,
-                 memo: _LevelMemo | None = None) -> tuple:
+                 memo: _Memo | None = None) -> tuple:
     """One link's kernel: the level of every flow of `plan`, in plan order,
     its flows demanding `capped`. With `lift` a flow's level is its lifted
     grant: the max-min level of its group's lifted share (the dedicated
@@ -476,7 +486,7 @@ def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool,
     out: list = []
     (_lift_into if lift else _fill_into)(
         out, _group_shares(plan, capped, lift), plan.spans, capped,
-        _LevelMemo() if memo is None else memo)
+        _Memo() if memo is None else memo)
     return tuple(out)
 
 
@@ -499,13 +509,16 @@ class _LinkPlan:
     queue in qid order). The signature `sig` is every number the kernel
     reads, flat: the capacity, the weight sum, then per queue its weight,
     its tenant weight sum and its group count, each followed by its groups'
-    cap, weight and flow count. `sid` names the signature in the memo;
-    `fids` and `positions` list the flows and their solver slots in plan
-    order."""
+    cap, weight and flow count. `sid` names the signature in the memo: the
+    solver gives it once, when it builds the plan. `fids` and `positions`
+    list the flows and their solver slots in plan order. `first` holds the
+    levels of the first lift sweep once a sweep has read them: that sweep
+    starts from infinite rates, so every flow demands the capacity, and its
+    levels depend on the plan's numbers alone."""
 
     __slots__ = ("C", "static", "qweights", "qwsum", "ded", "groups",
                  "tweights", "twsum", "K", "spans", "sig", "sid", "fids",
-                 "positions", "gather")
+                 "positions", "gather", "first")
 
     def __init__(self, C: float, static: bool, queues: list):
         self.C, self.static = C, static
@@ -536,6 +549,7 @@ class _LinkPlan:
         self.sig = (C, self.qwsum, *numbers)
         self.sid = 0
         self.fids = self.positions = ()
+        self.first = None
 
     def place(self, positions: list) -> None:
         """Set the solver slots of the plan's flows, in plan order, as a
@@ -576,27 +590,28 @@ class RateSolver:
     mode "static": every tenant hard-capped at its per-link reservation, no
     redistribution of unused capacity.
 
-    The solver keeps one plan per directed link that some flow crosses (a
-    _LinkPlan: the link's flows grouped by queue and tenant) from one solve
-    to the next. Every routed flow holds a dense slot, the index of its rate
-    in the flat rate list; when a flow leaves, the last slot moves into its
-    place. A solve takes the record of the flows that left and the flows
-    appended since the last one (a FlowChange, as the event loop keeps it
-    per step), re-plans only the links on their routes, and renews only the
-    slot lists of a moved flow's links. A solve without a record starts
-    over: it drops every slot and plan and takes every routed flow as
-    arriving. `rebuild` drops every plan, since the plans read the queue
-    views.
+    The solver keeps, from one solve to the next, every crossed directed
+    link's flows grouped by tenant and one plan per such link (a _LinkPlan:
+    the link's flows grouped by queue and tenant). Every routed flow holds a
+    dense slot, the index of its rate in the flat rate list; when a flow
+    leaves, the last slot moves into its place. A solve takes the record of
+    the flows that left and the flows appended since the last one (a
+    FlowChange, as the event loop keeps it per step), updates the tenant
+    groups of the links on their routes, re-plans only those links from
+    their groups, and renews only the slot lists of a moved flow's links. A
+    solve without a record starts over: it drops every slot, group and plan
+    and takes every routed flow as arriving. `rebuild` drops every plan,
+    since the plans read the queue views.
 
     One link's work in a sweep (its kernel, _link_levels) is a pure function
     of the sweep kind, the link's plan numbers and its capped demands, and
-    between two solves most links see the same inputs again. The solver
-    therefore memoises kernel results keyed by (lift, signature id, capped
-    demands), where the signature id names the plan's numbers (see
-    _LinkPlan). Every plan registers its signature each solve, so equal
-    signatures get the same id in this solve and the previous one. The memo
-    keeps two generations, this solve's entries and the previous solve's,
-    so it never holds more than two solves' results.
+    from one solve to the next most links see the same inputs again. The
+    solver therefore memoises kernel results keyed by (lift, signature id,
+    capped demands), where the signature id names the plan's numbers (see
+    _LinkPlan). A plan gets its id once, when it is built, from a map of
+    signature to id; equal signatures among the live plans share one id.
+    The first lift sweep reads no memo: its levels depend on the plan's
+    numbers alone, and the plan keeps them.
 
     Links with the same signature over the same flow slots, such as a
     route's hops into and out of a core switch, see the same input in every
@@ -604,10 +619,13 @@ class RateSolver:
     sweep evaluates each group once, by its first plan, counting the others
     as memo hits. One level down, a kernel run splits each group's share
     over its flows, and within a run most groups of 3 or more flows see a
-    (total, caps) input seen before; those levels come from a second memo
-    (_LevelMemo), keyed by (lift, total, caps), that rotates every
-    _LEVEL_SOLVES solves, so it never holds more than 2 * _LEVEL_SOLVES
-    solves' levels.
+    (total, caps) input seen before; those levels come from a second memo,
+    keyed by (lift, total, caps). The level memo, the link memo and the
+    signature map are _Memo generations that rotate together every
+    _LEVEL_SOLVES solves, so each holds at most the lookups of the last
+    2 * _LEVEL_SOLVES solves, the map also the live plans' signatures: a
+    rotation keeps them, so that a live plan's id stays the one its
+    signature maps to.
 
     Counters over the solver's life: `solves` (calls to solve), `sweeps`
     (lift sweeps summed over solves), `nonconverged` (solves that stopped
@@ -634,20 +652,16 @@ class RateSolver:
         self.kernel_runs = self.kernel_hits = 0
         self.plans_built = self.plans_kept = 0
         self.level_runs = self.level_hits = 0
-        # this solve's and the previous solve's: signature -> id, and
-        # (lift, signature id, capped demands) -> levels
-        self._sigs: dict = {}
-        self._sigs_prev: dict = {}
-        self._memo: dict = {}
-        self._memo_prev: dict = {}
+        # signature -> id, (lift, signature id, capped demands) -> levels,
+        # and (lift, total, caps) -> levels
+        self._sids, self._memo, self._levels = _Memo(), _Memo(), _Memo()
         self._next_sid = itertools.count(1)
-        self._levels = _LevelMemo()
         # routed flows by slot, each one's slot by fid, every crossed link's
-        # flows by fid, the plans of those links in dkey order, and the
-        # first plan of each (signature id, slots) group
+        # flows by tenant and fid, the plans of those links in dkey order,
+        # and the first plan of each (signature id, slots) group
         self._flows: list = []
         self._slot: dict = {}
-        self._members: dict = {}
+        self._tenants: dict = {}
         self._plans: dict = {}
         self._distinct: list = []
 
@@ -674,25 +688,26 @@ class RateSolver:
         weighted fill per entry. Two final capped passes project the result
         onto link capacities.
 
-        A link whose kernel input already occurred in this solve or the
-        previous one reuses that result (see the class docstring), so the
-        rates are the same bits as without the memo. The link memo rotates
-        at the start of every solve, the level memo at the start of every
-        _LEVEL_SOLVES-th.
+        A link whose kernel input already occurred in the memo's two
+        generations reuses that result (see the class docstring), so the
+        rates are the same bits as without the memo. The memos rotate at
+        the start of every _LEVEL_SOLVES-th solve.
         """
         if self.solves % _LEVEL_SOLVES == 0:
-            self._levels.rotate()
+            for memo in (self._sids, self._memo, self._levels):
+                memo.rotate()
+            self._sids.cur.update((plan.sig, plan.sid)
+                                  for plan in self._plans.values())
         self.solves += 1
-        self._sigs_prev, self._sigs = self._sigs, {}
-        self._memo_prev, self._memo = self._memo, {}
         for f in flows if change is None else change.added:
             if not f.route:
                 f.rate = LOOPBACK_MBPS
         self._update(flows, change)
         if not self._flows:
             return
-        rates = [math.inf] * len(self._flows)
-        for sweep in range(1, max(10 * len(self._plans), 8) + 1):
+        # the first sweep never settles: every rate before it is infinite
+        rates = self._first_sweep()
+        for sweep in range(2, max(10 * len(self._plans), 8) + 1):
             new = self._sweep(rates, lift=True)
             settled = _settled(new, rates)
             rates = new
@@ -707,21 +722,21 @@ class RateSolver:
             f.rate = r
 
     def _update(self, flows: list, change: FlowChange | None = None) -> None:
-        """Bring the slots and plans up to the routed flows of `flows`
-        through `change`: the routed flows that left free their slots (the
-        last slot moving into each freed one), those appended take new
-        slots, every link on their routes is planned anew, and a link no
-        flow crosses any more is dropped. Then every plan registers its
-        signature id for this solve, and the plans are grouped by (signature
-        id, slots) for _sweep.
+        """Bring the slots, tenant groups and plans up to the routed flows
+        of `flows` through `change`: the routed flows that left free their
+        slots (the last slot moving into each freed one), those appended
+        take new slots, both update the tenant groups of the links on their
+        routes, every such link is planned anew from its groups, and a link
+        no flow crosses any more is dropped. Then the plans are grouped by
+        (signature id, slots) for the sweeps.
 
-        Without a record, every slot and plan is dropped and every routed
-        flow of `flows` arrives, in the order given."""
+        Without a record, every slot, group and plan is dropped and every
+        routed flow of `flows` arrives, in the order given."""
         if change is None:
-            self._flows, self._slot, self._members, self._plans = [], {}, {}, {}
+            self._flows, self._slot, self._tenants, self._plans = [], {}, {}, {}
             change = FlowChange((), flows)
         slotted, slot = self._flows, self._slot
-        members, plans = self._members, self._plans
+        tenants, plans = self._tenants, self._plans
         touched, moved = set(), set()
         # from the last slot down, so that the slot moved into a freed one
         # never belongs to a flow that left
@@ -730,6 +745,14 @@ class RateSolver:
             gone = slotted[s]
             touched.update(gone.route)
             del slot[gone.fid]
+            for dkey in gone.route:
+                on_link = tenants[dkey]
+                group = on_link[gone.tenant]
+                del group[gone.fid]
+                if not group:
+                    del on_link[gone.tenant]
+                    if not on_link:
+                        del tenants[dkey]
             last = slotted.pop()
             if s < len(slotted):
                 slotted[s] = last
@@ -740,13 +763,15 @@ class RateSolver:
                 slot[f.fid] = len(slotted)
                 slotted.append(f)
                 touched.update(f.route)
-        change.regroup(members, _route)
+                for dkey in f.route:
+                    tenants.setdefault(dkey, {}).setdefault(
+                        f.tenant, {})[f.fid] = f
         for dkey in touched:
             plans.pop(dkey, None)
         kept = len(plans)
-        if kept < len(members):
-            plans.update((dkey, self._plan(dkey, on_link))
-                         for dkey, on_link in members.items()
+        if kept < len(tenants):
+            plans.update((dkey, self._plan(dkey, by_tenant))
+                         for dkey, by_tenant in tenants.items()
                          if dkey not in plans)
             self._plans = plans = dict(sorted(plans.items()))
         for dkey in moved.difference(touched):
@@ -755,22 +780,14 @@ class RateSolver:
                 plan.place([slot[fid] for fid in plan.fids])
         self.plans_kept += kept
         self.plans_built += len(plans) - kept
-        sigs, sigs_prev = self._sigs, self._sigs_prev
-        for plan in plans.values():
-            # ids start at 1, so a found id is never falsy
-            sid = (plan.sid or sigs.get(plan.sig) or sigs_prev.get(plan.sig)
-                   or next(self._next_sid))
-            sigs[plan.sig] = plan.sid = sid
         distinct: dict = {}
         for plan in plans.values():
             distinct.setdefault((plan.sid, plan.positions), plan)
         self._distinct = list(distinct.values())
 
-    def _plan(self, dkey: tuple, on_link: dict) -> _LinkPlan:
-        """A new plan of link `dkey` for its flows by fid (see _LinkPlan)."""
-        by_tenant: dict = {}
-        for f in on_link.values():
-            by_tenant.setdefault(f.tenant, []).append(f.fid)
+    def _plan(self, dkey: tuple, by_tenant: dict) -> _LinkPlan:
+        """A new plan of link `dkey` for its flows by tenant and fid (see
+        _LinkPlan), with its signature id."""
         view = self.views[link_key(*dkey)]
         res, qweights = view.reservations, view.qweights
         static = self.mode == "static"
@@ -792,9 +809,32 @@ class RateSolver:
             qid = ("static",) if static else ("shared",)
             queues.append((max(qweights.get(qid, 0.0), 1e-12), groups))
         plan = _LinkPlan(view.capacity, static, queues)
+        # ids start at 1, so a found id is never falsy
+        plan.sid = self._sids.get(plan.sig, next, self._next_sid)
         plan.fids = fids
         plan.place([self._slot[fid] for fid in fids])
         return plan
+
+    def _first_sweep(self) -> list:
+        """The first lift sweep, from infinite rates: every flow demands its
+        link's capacity, so each plan's levels are those it keeps (`first`),
+        taken from the link memo the first time a sweep reads them. A plan
+        of a (signature id, slots) group stands for the whole group."""
+        out = [math.inf] * len(self._flows)
+        memo = self._memo
+        runs = memo.runs
+        for plan in self._distinct:
+            levels = plan.first
+            if levels is None:
+                capped = (plan.C,) * len(plan.positions)
+                levels = plan.first = memo.get(
+                    (True, plan.sid, capped), _link_levels, plan, capped,
+                    True, self._levels)
+            for i, r in zip(plan.positions, levels):
+                if r < out[i]:
+                    out[i] = r
+        self._count(memo.runs - runs)
+        return out
 
     def _sweep(self, rates: list, lift: bool) -> list:
         """New per-slot rates: the minimum over each flow's links of its
@@ -803,7 +843,8 @@ class RateSolver:
         taken from the memo when its input repeats. A plan of a (signature
         id, slots) group stands for the whole group."""
         out = [math.inf] * len(rates)
-        memo, memo_prev, levels_memo = self._memo, self._memo_prev, self._levels
+        memo, levels_memo = self._memo, self._levels
+        cur, prev = memo.cur, memo.prev
         runs = 0
         for plan in self._distinct:
             C = plan.C
@@ -816,20 +857,24 @@ class RateSolver:
             if max(capped) > C:
                 capped = tuple([C if C < r else r for r in capped])
             key = (lift, plan.sid, capped)
-            levels = memo.get(key)
+            levels = cur.get(key)
             if levels is None:
-                levels = memo_prev.get(key)
+                levels = prev.get(key)
                 if levels is None:
                     levels = _link_levels(plan, capped, lift, levels_memo)
                     runs += 1
-                memo[key] = levels
+                cur[key] = levels
             for i, r in zip(plan.positions, levels):
                 if r < out[i]:
                     out[i] = r
+        self._count(runs)
+        return out
+
+    def _count(self, runs: int) -> None:
+        """Count one sweep's kernel runs and memo hits over every plan."""
         self.kernel_runs += runs
         self.kernel_hits += len(self._plans) - runs
-        self.level_runs, self.level_hits = levels_memo.runs, levels_memo.hits
-        return out
+        self.level_runs, self.level_hits = self._levels.runs, self._levels.hits
 
 
 # ---------------------------------------------------------------------------
@@ -1068,9 +1113,14 @@ class FluidSimulation:
     them all, in fid order, in the new interval's accumulators.
 
     When `run` returns, it adds to `counters`, when given, the rate
-    solver's counters (see RateSolver.COUNTERS) under "solver", and under
+    solver's counters (see RateSolver.COUNTERS) under "solver", under
     "loop" its `steps` (loop iterations) and the rate hook's `fifo_stops`
-    (0 without a hook)."""
+    (0 without a hook), and under "phase_s" the wall seconds of its phases
+    (see PHASES): the solves or the hook's `compute` calls, `_advance`,
+    `stats.observe` with the record's `follow` calls, the hook's
+    `on_quantum` calls, and the interval boundaries."""
+
+    PHASES = ("solve", "advance", "observe", "quantum", "boundary")
 
     def __init__(self, topo: Topology, tenants: dict, generator: DemandGenerator,
                  *, interval: float = 4.0, policy: str = "qshare",
@@ -1133,6 +1183,8 @@ class FluidSimulation:
         int_start = 0.0
         hook = self.rate_hook
         quantum = math.inf if hook is None else hook.cfg.probe_period
+        clock = time.perf_counter
+        spent = dict.fromkeys(self.PHASES, 0.0)
         next_quantum = quantum
         usage: dict = {}
         buckets: dict = {}
@@ -1148,12 +1200,14 @@ class FluidSimulation:
         change = None  # the last step's record; none before the first
         while t < horizon - _TOL:
             if dirty:
+                w0 = clock()
                 flows = list(self.flows.values())
                 if hook is not None:
                     hook.compute(self, flows, t)
                 else:
                     self.solver.solve(flows, change)
                 dirty = False
+                spent["solve"] += clock() - w0
             t_next = min(int_start + self.interval, next_quantum, horizon)
             if events:
                 t_next = min(t_next, events[0][0])
@@ -1164,10 +1218,14 @@ class FluidSimulation:
                         t_next = t_done
             t_next = max(t_next, t)
             self.steps += 1
+            w0 = clock()
             done = self._advance(t, t_next, usage, buckets, ten_bytes)
+            w1 = clock()
             if t >= measure_from - _TOL:
                 self.stats.observe(t, t_next, self.controller.state.dedicated,
                                    self._all_unsaturated)
+            spent["advance"] += w1 - w0
+            spent["observe"] += clock() - w1
             t = t_next
             for f in done:
                 del self.flows[f.fid]
@@ -1188,15 +1246,20 @@ class FluidSimulation:
             if done or added:
                 dirty = True
             change = FlowChange(done, added)
+            w0 = clock()
             self.stats.follow(change)
             if hook is not None:
                 hook.follow(change, self.flows.values())
+            spent["observe"] += clock() - w0
             self._uncelled += added
             if t >= next_quantum - _TOL:
+                w0 = clock()
                 hook.on_quantum(self, t)
+                spent["quantum"] += clock() - w0
                 next_quantum += quantum
                 dirty = True
             if t >= int_start + self.interval - _TOL and t < horizon - _TOL:
+                w0 = clock()
                 interval_idx += 1
                 self._interval_boundary(interval_idx, int_start, t, usage,
                                         buckets, ten_bytes, fcts)
@@ -1205,17 +1268,21 @@ class FluidSimulation:
                 self._cells, self._crossing = {}, {}
                 self._uncelled = list(self.flows.values())
                 dirty = True
+                spent["boundary"] += clock() - w0
         if usage or buckets or fcts or self.flows:
+            w0 = clock()
             interval_idx += 1
             self._interval_boundary(interval_idx, int_start, t, usage, buckets,
                                     ten_bytes, fcts, rebind=False)
+            spent["boundary"] += clock() - w0
         if self.counters is not None:
             add_counters(self.counters, {
                 "solver": {name: getattr(self.solver, name)
                            for name in RateSolver.COUNTERS},
                 "loop": {"steps": self.steps,
                          "fifo_stops": getattr(self.rate_hook, "fifo_stops",
-                                               0)}})
+                                               0)},
+                "phase_s": spent})
         return self.reports
 
     def _advance(self, t0: float, t1: float, usage, buckets,

@@ -372,6 +372,75 @@ def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
     assert min(seen.values()) > 20, seen
 
 
+def test_a_quantum_rederives_only_the_guarantees_a_changed_pair_touches():
+    """A pair that starts beside unchanged pairs sharing its source VM and
+    its destination VM, and another pair that stops, in one step's record:
+    the next quantum re-derives the guarantees of the new pair and of the
+    pairs of its tenant that share one of its VMs, and no other (not those
+    of another tenant on the same VM numbers), drops the stopped pair's
+    limiter, and agrees bit for bit with the reference that re-derives
+    everything."""
+    topo = T.build_testbed(nic_mbps=40.0, core_mbps=60.0)
+    hyps = topo.hypervisors()
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 2.0), tid, "a000",
+                                  {h: 1 for h in hyps})
+               for tid in ("t0", "t1")}
+    cfg = BL.RAConfig(mode="conservative")
+    policy = BL.EndhostRatePolicy(topo, tenants, cfg)
+    ref_policy = oracles.EndhostReference(topo, tenants, cfg)
+    derived = []
+    pair_guarantee = policy._pair_guarantee
+
+    def counted(f):
+        derived.append((f.tenant, f.src_vm, f.dst_vm))
+        return pair_guarantee(f)
+
+    policy._pair_guarantee = counted
+    sims = [types.SimpleNamespace(flows={}) for _ in range(2)]
+
+    def step(left, added, t, quantum=True):
+        for p, sim in zip((policy, ref_policy), sims):
+            gone = [sim.flows.pop(fid) for fid in left]
+            new = []
+            for fid, (tid, src, dst) in added:
+                vms = F._expand_vms(tenants[tid])
+                sim.flows[fid] = F.Flow(
+                    fid, tid, src, dst, vms[src], vms[dst], 1e9, 0.0,
+                    route=F.tenant_route(tenants[tid], vms[src], vms[dst]))
+                new.append(sim.flows[fid])
+            p.follow(F.FlowChange(gone, new), sim.flows.values())
+            p.compute(sim, list(sim.flows.values()), t)
+        derived.clear()
+        if quantum:
+            for p, sim in zip((policy, ref_policy), sims):
+                p.on_quantum(sim, t)
+                p.compute(sim, list(sim.flows.values()), t)
+        assert _endhost_state(policy, list(sims[0].flows.values())) == \
+            _endhost_state(ref_policy, list(sims[1].flows.values()))
+        return sorted(derived)
+
+    pairs = [("t0", 0, 1), ("t0", 0, 2), ("t0", 3, 4), ("t0", 5, 6),
+             ("t0", 7, 8), ("t1", 0, 4), ("t1", 3, 4)]
+    assert step([], list(enumerate(pairs, 1)), 0.0) == sorted(pairs)
+    assert step([], [], 0.015) == []
+    assert ("t0", 5, 6) in policy.limiters
+    # ("t0", 0, 4) starts: it shares VM 0 with the first two pairs as a
+    # source and VM 4 with ("t0", 3, 4) as a destination; ("t0", 5, 6) stops
+    assert step([4], [(8, ("t0", 0, 4))], 0.03) == [
+        ("t0", 0, 1), ("t0", 0, 2), ("t0", 0, 4), ("t0", 3, 4)]
+    assert ("t0", 5, 6) not in policy.limiters
+    # a pair that stops leaves the guarantees of the pairs sharing its VMs
+    # to be re-derived; one that starts and stops between quanta changes
+    # nothing but its limiter
+    assert step([1], [], 0.045) == [("t0", 0, 2), ("t0", 0, 4)]
+    assert step([8], [(9, ("t0", 7, 9))], 0.06) == [
+        ("t0", 0, 2), ("t0", 3, 4), ("t0", 7, 8), ("t0", 7, 9)]
+    step([], [(10, ("t0", 2, 3))], 0.07, quantum=False)
+    assert ("t0", 2, 3) in policy.limiters
+    assert step([10], [], 0.075) == []
+    assert ("t0", 2, 3) not in policy.limiters
+
+
 @pytest.mark.parametrize("policy", ["es_aggressive", "es_conservative"])
 def test_endhost_hook_driven_by_the_loop_matches_the_reference(monkeypatch,
                                                                 policy):

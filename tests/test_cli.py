@@ -392,9 +392,16 @@ def test_manifest_holds_the_loop_counters_summed_over_simulations(
         "steps": sum(s.steps for s in sims),
         "fifo_stops": sims[1].rate_hook.fifo_stops}
     assert set(manifest["solver"]) == set(RateSolver.COUNTERS)
+    # wall seconds per loop phase, summed over the simulations, within the
+    # run's wall time; the hook's quanta and the interval boundaries ran
+    phases = manifest["phase_s"]
+    assert list(phases) == sorted(FluidSimulation.PHASES)
+    assert all(phases[name] > 0 for name in phases), phases
+    assert sum(phases.values()) <= manifest["wall_time_s"]
     for name in ("fct.csv", "summary.json"):
         body = (tmp_path / name).read_text()
         assert "steps" not in body and "fifo_stops" not in body, name
+        assert not any(phase in body for phase in phases), name
 
 
 @pytest.mark.parametrize("scenario, bodies", [

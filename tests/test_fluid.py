@@ -320,16 +320,18 @@ def sweep_by_fid(solver, demands: dict, lift: bool) -> dict:
 def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
     """One solver takes a sequence of solves, each with the record of its
     step: flows arrive one at a time, in random order and numbered as they
-    arrive, and then leave one at a time, with a rebuild to other owners
-    halfway, so its plans are carried across solves. Every solve's rates,
-    and one lift and one projection sweep from arbitrary demands, equal bit
-    for bit those of a fresh solver (empty memo, every link planned anew)
-    with the same views. Re-solving an unchanged flow set (an empty record)
-    is all memo hits, the memo
-    holds at most the kernel inputs of the last two solves, the level memo
-    at most the group inputs looked up since the start of the solve
-    2 * _LEVEL_SOLVES - 1 solves back, and every planned link's lift and
-    projection sweeps count once as a run or a hit."""
+    arrive, then leave one at a time, and then arrive again as new flows
+    and leave again, with a rebuild to other owners halfway, so its plans
+    are carried across solves, its memos rotate several times and link
+    signatures recur two or more solves apart. Every solve's rates, and
+    one lift and one projection sweep from arbitrary demands, equal bit for
+    bit those of a fresh solver (empty memos, every link planned anew) with
+    the same views. Re-solving an unchanged flow set (an empty record) is
+    all memo hits; the link memo and the level memo each hold at most the
+    inputs looked up since the start of the solve 2 * _LEVEL_SOLVES - 1
+    solves back; a recurring signature gets the id it had; and every
+    planned link's lift and projection sweeps count once as a run or a
+    hit."""
     def fresh_solver():
         fresh = F.RateSolver(topo, mode=mode)
         fresh.rebuild(owners)
@@ -338,6 +340,7 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
     def hexes(rates):
         return [r.hex() for r in rates]
 
+    recurred = 0  # plans built with the id of a signature two solves back
     for case in range(12):
         maker = random_wfq_case if case % 2 else large_shared_case
         topo, tenants, owners, flows = maker(rng)
@@ -347,30 +350,46 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
         tids = sorted(tenants)
         later = {key: {tids[int(rng.integers(0, len(tids)))]}
                  for key in topo.links}
-        arrive = [flows[j] for j in rng.permutation(len(flows))]
-        for fid, f in enumerate(arrive, 1):
-            f.fid = fid  # fids grow with arrival, as in the event loop
-        steps = [(arrive[:n], F.FlowChange([], [f]))
-                 for n, f in enumerate(arrive, 1)]
-        for j in rng.permutation(len(flows))[:-1]:
-            steps.append(([f for f in steps[-1][0] if f is not flows[j]],
-                          F.FlowChange([flows[j]], [])))
-        marks = [0]  # kernel evaluations before each solve
-        level_marks = [0] * 2 * F._LEVEL_SOLVES  # group lookups, likewise
+        steps, active = [], []
+        for _ in range(2):
+            arrive = [dataclasses.replace(flows[j])
+                      for j in rng.permutation(len(flows))]
+            for f in arrive:
+                # fids grow with arrival, as in the event loop
+                f.fid = len(steps) + 1
+                active = active + [f]
+                steps.append((active, F.FlowChange([], [f])))
+            for gone in [active[j] for j in
+                         rng.permutation(len(active))[:len(flows) - 1]]:
+                active = [f for f in active if f is not gone]
+                steps.append((active, F.FlowChange([gone], [])))
+        # kernel evaluations and group lookups before each solve
+        marks = [0] * 2 * F._LEVEL_SOLVES
+        level_marks = [0] * 2 * F._LEVEL_SOLVES
+        seen = {}  # signature -> (its id, the solve it last appeared in)
 
         def solve(active, change):
+            nonlocal recurred
             marks.append(solver.kernel_runs + solver.kernel_hits)
             level_marks.append(solver.level_runs + solver.level_hits)
             sweeps = solver.sweeps
+            built = set(map(id, solver._plans.values()))
             solver.solve(active, change)
             evals = solver.kernel_runs + solver.kernel_hits
             links = len({dk for f in active for dk in f.route})
             assert evals - marks[-1] == links * (solver.sweeps - sweeps + 2)
-            assert len(solver._memo) + len(solver._memo_prev) <= evals - marks[-2]
-            levels = solver._levels
-            assert len(levels.cur) + len(levels.prev) <= \
-                solver.level_runs + solver.level_hits \
-                - level_marks[-2 * F._LEVEL_SOLVES]
+            for memo, count, at in (
+                    (solver._memo, evals, marks),
+                    (solver._levels, solver.level_runs + solver.level_hits,
+                     level_marks)):
+                assert len(memo.cur) + len(memo.prev) <= \
+                    count - at[-2 * F._LEVEL_SOLVES]
+            for plan in solver._plans.values():
+                sid, last = seen.get(plan.sig, (plan.sid, solver.solves))
+                assert plan.sid == sid or last < solver.solves - 1
+                recurred += (plan.sid == sid and id(plan) not in built
+                             and last <= solver.solves - 2)
+                seen[plan.sig] = plan.sid, solver.solves
 
         for step, (active, change) in enumerate(steps):
             where = f"case {case} step {step}"
@@ -395,6 +414,7 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
                 fresh._update(routed)
                 assert sweep_by_fid(solver, demands, lift) == \
                     sweep_by_fid(fresh, demands, lift), f"{where} lift {lift}"
+    assert recurred > 0
 
 
 def test_memo_keeps_links_apart_that_differ_only_in_capacity():
@@ -453,7 +473,7 @@ def test_kernel_matches_reference_bit_for_bit(rng):
     level memo, and twice through one level memo kept over every case,
     the second time all hits."""
     kinds = collections.Counter()
-    memo = F._LevelMemo()
+    memo = F._Memo()
     for case in range(1500):
         mode, C, queues = random_kernel_plan(rng)
         plan = F._LinkPlan(C, mode == "static", queues)
@@ -657,7 +677,7 @@ def test_empty_solve_then_flows_again(rng):
         assert [f.rate.hex() for f in flows] == want
         solver.solve([], F.FlowChange(flows, []))
         assert (solver._plans, solver._flows, solver._slot,
-                solver._members) == ({}, [], {}, {})
+                solver._tenants) == ({}, [], {}, {})
     links = len({dk for f in flows for dk in f.route})
     assert (solver.plans_built, solver.plans_kept) == (2 * links, 0)
 
