@@ -13,13 +13,11 @@ probe hurts other tenants' guarantees.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .fluid import LOOPBACK_MBPS, FlowChange, _rate
+from .fluid import LOOPBACK_MBPS, FlowChange, FlowIndex, _rate
 
 _TOL = 1e-9
-_route = operator.attrgetter("route")
 
 
 @dataclass
@@ -76,9 +74,8 @@ def _overloads(on_link: dict, capacities: dict) -> dict:
     return out
 
 
-def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
-               goodput_exponent: float = 1.0, on_link: dict | None = None,
-               offered: dict | None = None) -> bool:
+def fifo_scale(on_link: dict, capacities: dict, offered: dict,
+               max_rounds: int = 50, goodput_exponent: float = 1.0) -> bool:
     """Scale flow rates down per overloaded link until no link exceeds
     capacity. With goodput_exponent 1 this is proportional FIFO sharing of
     the offered load; above 1 the delivered goodput additionally collapses
@@ -86,19 +83,10 @@ def fifo_scale(flows: list, capacities: dict, max_rounds: int = 50,
     scales the most overloaded link, the first in `capacities` order on a
     tie. Returns False when `max_rounds` rounds left some link over.
 
-    `on_link` maps each link to the flows crossing it in flow order (a dict
-    of them under unique keys, such as their fids) and `offered` each link
-    of `capacities` to its offered load, summed in that order; both are
-    derived from `flows` when not given. When no link is offered above
+    `on_link` maps each link to the flows crossing it by fid (a
+    fluid.FlowIndex's `links`) and `offered` each link of `capacities` to
+    its offered load, summed in fid order. When no link is offered above
     capacity, nothing is scaled."""
-    if on_link is None:
-        on_link = {}
-        for f in flows:
-            for dkey in f.route:
-                on_link.setdefault(dkey, {})[id(f)] = f
-    if offered is None:
-        offered = {dkey: sum(f.rate for f in on_link.get(dkey, {}).values())
-                   for dkey in capacities}
     if not any(offered[dkey] > cap * (1 + 1e-9)
                for dkey, cap in capacities.items()):
         return True
@@ -126,16 +114,18 @@ class EndhostRatePolicy:
     """Rate hook for the fluid engine: per-pair limiters driven by probe-
     quantum congestion feedback, enforced on FIFO links.
 
-    What depends only on the flow set is carried between calls: the loopback
-    flows, each active pair's routed flows and each crossed link's flows, by
-    fid, with the links and their capacities in first-touch order (the order
-    in which a pass over the flows in fid order touches them, which
-    fifo_scale breaks ties in). `follow` applies each simulation step's
-    record (a fluid.FlowChange), which the event loop pushes once per step,
-    in the size of the change. Only a link whose first flow leaves while
-    another stays can move, so the order is rebuilt only then. So `compute`
-    reads each pair's limiter once, sums each link's offered load once and
-    scales the flows followed so far.
+    Each crossed link's flows, by fid, are the simulation's flow index's
+    (a fluid.FlowIndex), which the hook only reads. What else depends only
+    on the flow set is carried between calls: the loopback flows and each
+    active pair's routed flows, by fid, and the crossed links with their
+    capacities in first-touch order (the order in which a pass over the
+    flows in fid order touches them, which fifo_scale breaks ties in).
+    `follow` applies each simulation step's record (a fluid.FlowChange),
+    which the event loop pushes once per step that changed the flows, after
+    applying it to the index, in the size of the change. Only a link whose
+    first flow leaves while another stays can move, so the order is rebuilt
+    only then. So `compute` reads each pair's limiter once, sums each link's
+    offered load once and scales the flows followed so far.
 
     The beliefs and each believed pair's route and guarantee are carried
     from one quantum to the next as well. A pair's guarantee reads only its
@@ -162,8 +152,8 @@ class EndhostRatePolicy:
         self.congested_links: set = set()
         self._loopback: dict = {}  # None -> the loopback flows by fid
         self._pairs: dict = {}  # pair key -> its routed flows by fid
-        self._on_link: dict = {}  # link -> its flows by fid
-        self._caps: dict = {}  # link -> capacity, in _on_link order
+        self._on_link: dict = {}  # the index's links -> their flows by fid
+        self._caps: dict = {}  # link -> capacity, in first-touch order
         self._guarantees: dict = {}  # believed pair -> (route, guarantee)
         # the pairs that started or stopped since the last quantum
         self._changed: dict = {}
@@ -183,27 +173,27 @@ class EndhostRatePolicy:
         g_dst = b / len(gd) if gd and f.src_vm in gd else seed
         return min(g_src, g_dst)
 
-    def follow(self, change: FlowChange, flows) -> None:
-        """Apply one step's record; `flows` are the active flows after it,
-        in fid order."""
-        if not any(change):
-            return
+    def follow(self, change: FlowChange, index: FlowIndex) -> None:
+        """Apply one step's record; `index` is the simulation's flow index,
+        the record already applied to it."""
         change.regroup(self._loopback, lambda f: () if f.route else (None,))
         self._changed.update(dict.fromkeys(change.regroup(
             self._pairs, lambda f: (
                 ((f.tenant, f.src_vm, f.dst_vm),) if f.route else ()))))
+        self._on_link = links = index.links
         # links stay in the order a pass over the flows touches them: a new
-        # link comes last, and only a link whose first flow leaves while
+        # link comes last, and only a link whose first flow left while
         # another stays can move
-        on_link = self._on_link
-        resort = any(len(on) > 1 and next(iter(on)) == f.fid
-                     for f in change.left for on in map(on_link.get, f.route))
-        if change.regroup(on_link, _route) or resort:
-            if resort:
-                self._on_link = on_link = {dkey: on_link[dkey] for dkey in
-                                           dict.fromkeys(dkey for f in flows
-                                                         for dkey in f.route)}
-            self._caps = {dkey: self.capacities[dkey] for dkey in on_link}
+        if any(dkey in links and next(iter(links[dkey])) > f.fid
+               for f in change.left for dkey in f.route):
+            self._caps = {dkey: self.capacities[dkey] for dkey in sorted(
+                links, key=lambda dkey: next((f.fid, f.route.index(dkey))
+                                             for f in links[dkey].values()))}
+            return
+        for dkey in {d for f in change.left for d in f.route} - links.keys():
+            del self._caps[dkey]
+        self._caps.update((dkey, self.capacities[dkey])
+                          for f in change.added for dkey in f.route)
 
     def compute(self, sim, flows: list, t: float) -> None:
         for f in self._loopback.get(None, {}).values():
@@ -224,9 +214,8 @@ class EndhostRatePolicy:
         threshold = 1.0 - (self.cfg.headroom if self.cfg.mode == "conservative" else 0.0)
         self.congested_links = {dkey for dkey, load in offered.items()
                                 if load > caps[dkey] * threshold + _TOL}
-        if not fifo_scale(flows, caps,
-                          goodput_exponent=self.cfg.overload_goodput_exponent,
-                          on_link=on_link, offered=offered):
+        if not fifo_scale(on_link, caps, offered,
+                          goodput_exponent=self.cfg.overload_goodput_exponent):
             self.fifo_stops += 1
 
     def on_quantum(self, sim, t: float) -> None:

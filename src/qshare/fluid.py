@@ -34,16 +34,18 @@ LOOPBACK_MBPS = 100_000.0       # flows between co-located VMs
 _TOL = 1e-9
 _LEVEL_SOLVES = 4  # solves per generation of RateSolver's memos
 _rate = operator.attrgetter("rate")
+_route = operator.attrgetter("route")
 
 
 class FlowChange(NamedTuple):
     """What one step of the event loop did to the active flows: the flows
     that left and the flows appended, each in fid order. Fids only grow, so
     every appended flow has a larger fid than every flow still active. The
-    loop pushes each step's record once, right after the step, to the
-    consumers that carry flow-set state: the per-segment checks and the rate
-    hook through their `follow`, and the rate solver through the next
-    `solve` (a step that changed the flows always brings one)."""
+    loop applies the record of each step that changed the flows once, right
+    after the step, to the flow index it owns (a FlowIndex), and then
+    pushes it to the consumers that carry flow-set state of their own: the
+    per-segment checks and the rate hook through their `follow`, and the
+    rate solver through the next `solve`."""
 
     left: list
     added: list
@@ -69,6 +71,42 @@ class FlowChange(NamedTuple):
                     reshaped.append(key)
                 group[f.fid] = f
         return reshaped
+
+
+@dataclass
+class FlowIndex:
+    """The active routed flows grouped by link, every group in fid order:
+    `links` maps each crossed directed link to its flows by fid, and
+    `tenants` maps it to each tenant with a flow there, and that to the
+    tenant's flows on the link by fid.
+
+    A FluidSimulation owns one and applies to it, once and right after the
+    step, the record of each step that changed the flows (`apply`). Its
+    rate solver, its per-segment checks, its event loop and its rate hook
+    only read it. A RateSolver made without one keeps its own and applies
+    the records its solves bring."""
+
+    links: dict = field(default_factory=dict)
+    tenants: dict = field(default_factory=dict)
+
+    def apply(self, change: FlowChange) -> None:
+        """Apply one step's record: every flow leaves or joins the groups
+        of the links on its route, and a group left empty is dropped (see
+        FlowChange.regroup)."""
+        tenants = self.tenants
+        for f in change.left:
+            for dkey in f.route:
+                on_link = tenants[dkey]
+                del on_link[f.tenant][f.fid]
+                if not on_link[f.tenant]:
+                    del on_link[f.tenant]
+        # a link's tenant groups go with its last flow
+        for dkey in change.regroup(self.links, _route):
+            if dkey not in self.links:
+                del tenants[dkey]
+        for f in change.added:
+            for dkey in f.route:
+                tenants.setdefault(dkey, {}).setdefault(f.tenant, {})[f.fid] = f
 
 
 def add_counters(total: dict, groups: dict) -> None:
@@ -590,18 +628,21 @@ class RateSolver:
     mode "static": every tenant hard-capped at its per-link reservation, no
     redistribution of unused capacity.
 
-    The solver keeps, from one solve to the next, every crossed directed
-    link's flows grouped by tenant and one plan per such link (a _LinkPlan:
-    the link's flows grouped by queue and tenant). Every routed flow holds a
-    dense slot, the index of its rate in the flat rate list; when a flow
-    leaves, the last slot moves into its place. A solve takes the record of
-    the flows that left and the flows appended since the last one (a
-    FlowChange, as the event loop keeps it per step), updates the tenant
-    groups of the links on their routes, re-plans only those links from
-    their groups, and renews only the slot lists of a moved flow's links. A
-    solve without a record starts over: it drops every slot, group and plan
-    and takes every routed flow as arriving. `rebuild` drops every plan,
-    since the plans read the queue views.
+    The solver reads every crossed directed link's flows grouped by tenant
+    from a FlowIndex: the simulation's, which the simulation brings up to
+    date before the solve, or, for a solver made without one, its own,
+    which each solve brings up to date from its record. It keeps, from one
+    solve to the next, one plan per such link (a _LinkPlan: the link's
+    flows grouped by queue and tenant). Every routed flow holds a dense
+    slot, the index of its rate in the flat rate list; when a flow leaves,
+    the last slot moves into its place. A solve takes the record of the
+    flows that left and the flows appended since the last one (a
+    FlowChange, as the event loop keeps it per step), re-plans only the
+    links on their routes from the index's groups, and renews only the slot
+    lists of a moved flow's links. A solve without a record starts over: it
+    drops every slot and plan (and its own index) and takes every routed
+    flow as arriving. `rebuild` drops every plan, since the plans read the
+    queue views.
 
     One link's work in a sweep (its kernel, _link_levels) is a pure function
     of the sweep kind, the link's plan numbers and its capped demands, and
@@ -643,7 +684,8 @@ class RateSolver:
                 "level_hits")
 
     def __init__(self, topo: Topology, mode: str = "wfq",
-                 weight_mode: str = "normalized"):
+                 weight_mode: str = "normalized",
+                 index: FlowIndex | None = None):
         self.topo = topo
         self.mode = mode
         self.weight_mode = weight_mode
@@ -656,12 +698,12 @@ class RateSolver:
         # and (lift, total, caps) -> levels
         self._sids, self._memo, self._levels = _Memo(), _Memo(), _Memo()
         self._next_sid = itertools.count(1)
-        # routed flows by slot, each one's slot by fid, every crossed link's
-        # flows by tenant and fid, the plans of those links in dkey order,
-        # and the first plan of each (signature id, slots) group
+        self.index, self._own_index = index or FlowIndex(), index is None
+        # routed flows by slot, each one's slot by fid, the plans of the
+        # crossed links in dkey order, and the first plan of each
+        # (signature id, slots) group
         self._flows: list = []
         self._slot: dict = {}
-        self._tenants: dict = {}
         self._plans: dict = {}
         self._distinct: list = []
 
@@ -722,21 +764,25 @@ class RateSolver:
             f.rate = r
 
     def _update(self, flows: list, change: FlowChange | None = None) -> None:
-        """Bring the slots, tenant groups and plans up to the routed flows
-        of `flows` through `change`: the routed flows that left free their
-        slots (the last slot moving into each freed one), those appended
-        take new slots, both update the tenant groups of the links on their
-        routes, every such link is planned anew from its groups, and a link
-        no flow crosses any more is dropped. Then the plans are grouped by
-        (signature id, slots) for the sweeps.
+        """Bring the slots and plans up to the routed flows of `flows`
+        through `change`: the routed flows that left free their slots (the
+        last slot moving into each freed one), those appended take new
+        slots, every link on their routes is planned anew from the index's
+        tenant groups, and a link no flow crosses any more is dropped. Then
+        the plans are grouped by (signature id, slots) for the sweeps.
 
-        Without a record, every slot, group and plan is dropped and every
-        routed flow of `flows` arrives, in the order given."""
+        Without a record, every slot and plan (and the solver's own index)
+        is dropped and every routed flow of `flows` arrives, in the order
+        given."""
         if change is None:
-            self._flows, self._slot, self._tenants, self._plans = [], {}, {}, {}
+            self._flows, self._slot, self._plans = [], {}, {}
             change = FlowChange((), flows)
+            if self._own_index:
+                self.index = FlowIndex()
+        if self._own_index:
+            self.index.apply(change)
         slotted, slot = self._flows, self._slot
-        tenants, plans = self._tenants, self._plans
+        tenants, plans = self.index.tenants, self._plans
         touched, moved = set(), set()
         # from the last slot down, so that the slot moved into a freed one
         # never belongs to a flow that left
@@ -745,14 +791,6 @@ class RateSolver:
             gone = slotted[s]
             touched.update(gone.route)
             del slot[gone.fid]
-            for dkey in gone.route:
-                on_link = tenants[dkey]
-                group = on_link[gone.tenant]
-                del group[gone.fid]
-                if not group:
-                    del on_link[gone.tenant]
-                    if not on_link:
-                        del tenants[dkey]
             last = slotted.pop()
             if s < len(slotted):
                 slotted[s] = last
@@ -763,9 +801,6 @@ class RateSolver:
                 slot[f.fid] = len(slotted)
                 slotted.append(f)
                 touched.update(f.route)
-                for dkey in f.route:
-                    tenants.setdefault(dkey, {}).setdefault(
-                        f.tenant, {})[f.fid] = f
         for dkey in touched:
             plans.pop(dkey, None)
         kept = len(plans)
@@ -1009,31 +1044,36 @@ class SegmentStats:
     got less than its entitlement; guarantee_violation_tenant_time sums those
     seconds over the violating tenants (tenant-seconds).
 
-    What depends only on the flow set is carried from one segment to the
-    next: the flows crossing the link and each crossing tenant's flows, in
-    fid order, and, per tenant with a positive entitlement, the rate below
-    which it is short. `follow` brings it up to date from each step's record
-    of the flows that left and the flows appended (a FlowChange), warm-up
-    steps included, so `observe` only reads rates, still added in flow order
-    every segment.
+    below_full_time counts the seconds in which flows crossed the link and
+    it was below full (under 1 - 1e-6 of its capacity): the seconds in which
+    the work-conservation check ran. conservation_violation_time counts
+    those of them in which some flow of a tenant with a dedicated queue
+    crossed it with every other link of its route below full.
+
+    The flows crossing the link, and each crossing tenant's, come from
+    `index`, the simulation's FlowIndex, which the stats only read. Per
+    tenant with a positive entitlement, the rate below which it is short is
+    carried from one segment to the next: `follow` renews it from each
+    step's record of the flows that left and the flows appended (a
+    FlowChange), warm-up steps included, once the record is in the index.
+    So `observe` only reads rates, still added in flow order every segment.
     """
 
     dkey: tuple
     capacity: float
     guarantees: dict
     nic_guarantees: dict
+    index: FlowIndex = field(repr=False)
     time_active: float = 0.0
     time_total: float = 0.0
     busy_time: float = 0.0
+    below_full_time: float = 0.0
     guarantee_violation_time: float = 0.0
     guarantee_violation_tenant_time: float = 0.0
     conservation_violation_time: float = 0.0
     violating_tenants: set = field(default_factory=set)
 
     def __post_init__(self):
-        # dkey -> the flows crossing the link, and each crossing tenant ->
-        # its crossing flows, by fid
-        self._groups: dict = {}
         # tenant -> rate below which it is short (0.0: never short)
         self._short: dict = {}
 
@@ -1043,31 +1083,26 @@ class SegmentStats:
         return min(self.guarantees.get(tenant, 0.0), out, inn)
 
     def follow(self, change: FlowChange) -> None:
-        """Apply one step's record; a tenant whose crossing flows changed
-        gets its entitlement anew."""
-        if not any(change):
-            return
-
-        def keys(f):
-            return (self.dkey, f.tenant) if self.dkey in f.route else ()
-        change.regroup(self._groups, keys)
+        """Follow one step's record, already applied to the index: a tenant
+        whose crossing flows changed gets its entitlement anew."""
+        on_link = self.index.tenants.get(self.dkey, {})
         for tenant in {f.tenant for f in (*change.left, *change.added)
-                       if keys(f)}:
-            crossing = self._groups.get(tenant, {}).values()
+                       if self.dkey in f.route}:
+            crossing = on_link.get(tenant, {}).values()
             self._short[tenant] = self.entitlement(
                 tenant, {f.src_hyp for f in crossing},
                 {f.dst_hyp for f in crossing}) * (1.0 - 1e-6)
 
     def observe(self, t0: float, t1: float, owners: set,
                 all_unsaturated) -> None:
-        """Account the segment [t0, t1) at constant rates over the flows
-        followed so far: only the flows that cross `dkey` count, and
-        `owners` are the tenants with a dedicated queue."""
+        """Account the segment [t0, t1) at constant rates over the index's
+        flows: only the flows that cross `dkey` count, and `owners` are the
+        tenants with a dedicated queue."""
         dt = t1 - t0
         if dt <= 0:
             return
         self.time_total += dt
-        crossing = self._groups.get(self.dkey, {}).values()
+        crossing = self.index.links.get(self.dkey, {}).values()
         if not crossing:
             return
         self.time_active += dt
@@ -1075,14 +1110,15 @@ class SegmentStats:
         if util >= 1.0 - 1e-6:
             self.busy_time += dt
         else:
+            self.below_full_time += dt
             for f in crossing:
                 if f.tenant in owners and all_unsaturated(f, self.dkey):
                     self.conservation_violation_time += dt
                     break
+        on_link = self.index.tenants[self.dkey]
         violated = False
         for tenant, short in self._short.items():
-            if short > 0 and sum(map(
-                    _rate, self._groups[tenant].values())) < short:
+            if short > 0 and sum(map(_rate, on_link[tenant].values())) < short:
                 self.guarantee_violation_tenant_time += dt
                 self.violating_tenants.add(tenant)
                 violated = True
@@ -1098,19 +1134,23 @@ class FluidSimulation:
     series cover it alone. Binding reads per-hypervisor usage, which every
     flow feeds.
 
-    `self.flows` holds the active flows in fid order (fids only grow).
-    Every step records the flows that ended and the flows that started (a
-    FlowChange) and pushes that record once, right after the step and
-    warm-up steps included, to `stats.follow` and the rate hook's
-    `follow(change, flows)`, and hands it to the next rate solve, so each
-    updates what it carries in the size of the change. The first solve of
-    a run gets no record and starts over. A rate hook also sets the probe
-    quantum: every `cfg.probe_period` seconds the loop calls its
-    `on_quantum`. The loop itself carries each flow's (in, out) usage cells
-    in the interval's `usage` dict and the monitor-crossing flows' sample
-    buckets: a flow that ends drops its cells at once, a new one gets its
-    cells when a step first moves it, and an interval boundary rebuilds
-    them all, in fid order, in the new interval's accumulators.
+    `self.flows` holds the active flows in fid order (fids only grow), and
+    `self.index` (a FlowIndex) the routed ones grouped by link and by link
+    and tenant. The simulation owns the index: every step records the
+    flows that ended and the flows that started (a FlowChange), and right
+    after a step that changed the flows, warm-up steps included, the loop
+    applies that record to the index once, then pushes it to
+    `stats.follow` and the rate hook's `follow(change, index)`, and hands
+    it to the next rate solve. The
+    solver, the stats, the hook and the loop read their link groups from
+    the index and update only what they carry of their own in the size of
+    the change. The first solve of a run gets no record and starts over. A
+    rate hook also sets the probe quantum: every `cfg.probe_period` seconds
+    the loop calls its `on_quantum`. The loop itself carries each flow's
+    (in, out) usage cells in the interval's `usage` dict: a flow that ends
+    drops its cells at once, a new one gets its cells when a step first
+    moves it, and an interval boundary rebuilds them all, in fid order, in
+    the new interval's accumulators.
 
     When `run` returns, it adds to `counters`, when given, the rate
     solver's counters (see RateSolver.COUNTERS) under "solver", under
@@ -1140,8 +1180,9 @@ class FluidSimulation:
         self.rng = np.random.default_rng([seed, 0xB1ED])
         self.vm_map = {tid: _expand_vms(t) for tid, t in tenants.items()}
         self.controller = BindingController(queue_count=topo.max_queue_count)
+        self.index = FlowIndex()
         self.solver = RateSolver(topo, mode="static" if policy == "static" else "wfq",
-                                 weight_mode=weight_mode)
+                                 weight_mode=weight_mode, index=self.index)
         if initial_dedicated:
             for tid in initial_dedicated:
                 self.controller.state.enqueue(tenants[tid])
@@ -1161,7 +1202,8 @@ class FluidSimulation:
                 nic_g[(tid, hyp)] = t.request.per_vm_guarantee * min(m, n - m)
         self.stats = SegmentStats(
             monitor, link.capacity,
-            {tid: link.reservations.get(tid, 0.0) for tid in tenants}, nic_g)
+            {tid: link.reservations.get(tid, 0.0) for tid in tenants}, nic_g,
+            self.index)
 
     def next_fid(self) -> int:
         self._fid += 1
@@ -1190,11 +1232,10 @@ class FluidSimulation:
         buckets: dict = {}
         ten_bytes: dict = {}
         fcts: list = []
-        # fid -> (flow, src cell, dst cell) and, for the flows crossing the
-        # monitor, fid -> (flow, monitor bucket, tenant bucket), in fid
-        # order, for this interval's accumulators; the flows not yet moved
-        # get theirs in _advance
-        self._cells, self._crossing = {}, {}
+        # fid -> (flow, src cell, dst cell), in fid order, for this
+        # interval's accumulators; the flows not yet moved get theirs in
+        # _advance
+        self._cells = {}
         self._uncelled = list(self.flows.values())
         dirty = True
         change = None  # the last step's record; none before the first
@@ -1230,7 +1271,6 @@ class FluidSimulation:
             for f in done:
                 del self.flows[f.fid]
                 self._cells.pop(f.fid, None)
-                self._crossing.pop(f.fid, None)
                 fcts.append((f.fid, f.tenant, f.size, f.start, t - f.start, f.client))
                 nxt = self.generator.after_completion(f.client, t)
                 seq += 1
@@ -1243,14 +1283,15 @@ class FluidSimulation:
                 if flow is not None:
                     self.flows[flow.fid] = flow
                     added.append(flow)
+            change = FlowChange(done, added)
             if done or added:
                 dirty = True
-            change = FlowChange(done, added)
-            w0 = clock()
-            self.stats.follow(change)
-            if hook is not None:
-                hook.follow(change, self.flows.values())
-            spent["observe"] += clock() - w0
+                w0 = clock()
+                self.index.apply(change)
+                self.stats.follow(change)
+                if hook is not None:
+                    hook.follow(change, self.index)
+                spent["observe"] += clock() - w0
             self._uncelled += added
             if t >= next_quantum - _TOL:
                 w0 = clock()
@@ -1265,7 +1306,7 @@ class FluidSimulation:
                                         buckets, ten_bytes, fcts)
                 int_start = t
                 usage, buckets, ten_bytes, fcts = {}, {}, {}, []
-                self._cells, self._crossing = {}, {}
+                self._cells = {}
                 self._uncelled = list(self.flows.values())
                 dirty = True
                 spent["boundary"] += clock() - w0
@@ -1288,10 +1329,11 @@ class FluidSimulation:
     def _advance(self, t0: float, t1: float, usage, buckets,
                  ten_bytes) -> tuple:
         """Move every flow on by its rate over [t0, t1), adding its bytes to
-        `usage` and, when it crosses the monitored link, to the monitor's and
-        its tenant's sample buckets. The flows that have no cells yet get
-        them first, in fid order, as a per-flow pass would create them.
-        Returns the flows now complete, in flow order."""
+        `usage` and, when it crosses the monitored link (the index's group
+        of the monitor, in fid order), to the monitor's and its tenant's
+        sample buckets. The flows that have no cells yet get them first, in
+        fid order, as a per-flow pass would create them. Returns the flows
+        now complete, in flow order."""
         flows = self.flows
         dt = t1 - t0
         if dt <= 0:
@@ -1304,9 +1346,7 @@ class FluidSimulation:
                 dst = u.setdefault(f.dst_hyp, [0.0, 0.0])
                 self._cells[f.fid] = (f, src, dst)
                 if self.monitor in f.route:
-                    self._crossing[f.fid] = (
-                        f, buckets.setdefault(self.monitor, {}),
-                        ten_bytes.setdefault(f.tenant, {}))
+                    ten_bytes.setdefault(f.tenant, {})
         self._uncelled = []
         done = []
         for f, src, dst in self._cells.values():
@@ -1318,24 +1358,25 @@ class FluidSimulation:
             dst[0] += moved
             if left <= 1e-6 and rate > 0:
                 done.append(f)
-        crossing = self._crossing.values()
+        crossing = self.index.links.get(self.monitor)
         if crossing:
             spans = _spans(t0, t1, self.sample)
-            for f, monitor_bucket, tenant_bucket in crossing:
+            monitor_bucket = buckets.setdefault(self.monitor, {})
+            for f in crossing.values():
                 per_s = f.rate * BYTES_PER_MBPS_SEC
-                for bucket in (monitor_bucket, tenant_bucket):
+                for bucket in (monitor_bucket, ten_bytes[f.tenant]):
                     for i, width in spans:
                         bucket[i] = bucket.get(i, 0.0) + per_s * width
         return done
 
     def _all_unsaturated(self, flow, excluding) -> bool:
-        for dkey in flow.route:
-            if dkey == excluding:
-                continue
-            total = sum(f.rate for f in self.flows.values() if dkey in f.route)
-            if total >= self.topo.links[link_key(*dkey)].capacity * (1 - 1e-6):
-                return False
-        return True
+        """Whether every link of `flow`'s route but `excluding` carries
+        less than 1 - 1e-6 of its capacity, its flows' rates summed in fid
+        order."""
+        links, groups = self.topo.links, self.index.links
+        return all(dkey == excluding or sum(map(_rate, groups[dkey].values()))
+                   < links[link_key(*dkey)].capacity * (1 - 1e-6)
+                   for dkey in flow.route)
 
     def _interval_boundary(self, idx, start, end, usage, buckets, ten_bytes,
                            fcts, rebind: bool = True) -> None:

@@ -6,7 +6,9 @@ allocation DP's star and min-plus kernels, a per-skeleton loop for the
 tenant election, clip-loop redistribution plus
 Jacobi iteration for the WFQ fixed point, all-flow scans for FIFO scaling,
 an endhost policy and link checks that re-derive everything on every call,
-per-flow, per-hop sample accounting, a direct transcription of the
+all-flow scans for the links a flow crosses, progressive filling over
+per-tenant virtual links for static reservation, per-flow, per-hop sample
+accounting, a direct transcription of the
 queue-allocation pass, the copying queue-allocation pass that draws one
 tie-break number per tenant, and a fill that embeds every request.
 """
@@ -24,7 +26,7 @@ from qshare import binding as BD
 from qshare import largescale as L
 from qshare import placement as P
 from qshare.tenants import Tenant, TenantRouting, cut_reservation
-from qshare.topology import trs_at_layer
+from qshare.topology import link_key, trs_at_layer
 
 
 # -- minimum-reservation allocation by enumeration ---------------------------
@@ -510,10 +512,9 @@ def link_levels_reference(mode: str, C: float, qwsum: float, queues: list,
 
 
 def fifo_scale_reference(flows, capacities, max_rounds=50,
-                         goodput_exponent=1.0, on_link=None, offered=None):
+                         goodput_exponent=1.0):
     """baselines.fifo_scale with a scan of every flow per link and round;
-    returns whether no link is left over capacity. The link index and
-    offered loads that `compute` passes are ignored."""
+    returns whether no link is left over capacity."""
     def load_on(dkey):
         return sum(f.rate for f in flows if dkey in f.route)
 
@@ -673,6 +674,7 @@ def observe_reference(stats, t0, t1, flows, owners, all_unsaturated):
     if util >= 1.0 - 1e-6:
         stats.busy_time += dt
     else:
+        stats.below_full_time += dt
         for f in flows:
             if stats.dkey in f.route and f.tenant in owners:
                 if all_unsaturated(f, stats.dkey):
@@ -687,6 +689,52 @@ def observe_reference(stats, t0, t1, flows, owners, all_unsaturated):
             violated = True
     if violated:
         stats.guarantee_violation_time += dt
+
+
+def static_maxmin_reference(topo, flows) -> dict:
+    """fid -> rate of every routed flow under static reservation: max-min
+    fairness over virtual links, one per (directed link, tenant) that a
+    flow crosses, its capacity the tenant's reservation on the link (0
+    without one), by progressive filling (Bertsekas & Gallager, Data
+    Networks, section 6.5). Every unfrozen flow's rate rises together; when
+    a virtual link fills, its unfrozen flows freeze at the level reached."""
+    capacity, members = {}, {}
+    for f in flows:
+        for dkey in f.route:
+            virtual = (dkey, f.tenant)
+            capacity[virtual] = topo.links[link_key(*dkey)].reservations.get(
+                f.tenant, 0.0)
+            members.setdefault(virtual, []).append(f.fid)
+    rates = {f.fid: 0.0 for f in flows if f.route}
+    frozen: set = set()
+    while len(frozen) < len(rates):
+        # the level at which each virtual link with an unfrozen flow fills
+        fills = {}
+        for virtual, fids in members.items():
+            free = [fid for fid in fids if fid not in frozen]
+            if free:
+                used = math.fsum(rates[fid] for fid in fids if fid in frozen)
+                fills[virtual] = max(capacity[virtual] - used, 0.0) / len(free)
+        level = min(fills.values())
+        for virtual, fill in fills.items():
+            if fill == level:
+                for fid in members[virtual]:
+                    if fid not in frozen:
+                        rates[fid] = level
+                        frozen.add(fid)
+    return rates
+
+
+def all_unsaturated_reference(sim, flow, excluding) -> bool:
+    """FluidSimulation._all_unsaturated scanning every active flow of `sim`
+    for each link of `flow`'s route but `excluding`."""
+    for dkey in flow.route:
+        if dkey == excluding:
+            continue
+        total = sum(f.rate for f in sim.flows.values() if dkey in f.route)
+        if total >= sim.topo.links[link_key(*dkey)].capacity * (1 - 1e-6):
+            return False
+    return True
 
 
 # -- Monte-Carlo dormancy -----------------------------------------------------

@@ -17,6 +17,23 @@ from qshare.tenants import TenantRequest
 from test_fluid import _segment_fields
 
 
+def follow(policy, index, change):
+    """Apply `change` to `index`, then let `policy` follow it, as the event
+    loop does."""
+    index.apply(change)
+    policy.follow(change, index)
+
+
+def fifo_scale(flows, caps, *args):
+    """baselines.fifo_scale over `flows`, grouped by a flow index, with
+    each link's offered load summed in fid order."""
+    index = F.FlowIndex()
+    index.apply(F.FlowChange([], flows))
+    offered = {dk: sum(f.rate for f in index.links.get(dk, {}).values())
+               for dk in caps}
+    return BL.fifo_scale(index.links, caps, offered, *args)
+
+
 def test_raconfig_modes():
     cons = BL.RAConfig(mode="conservative")
     assert cons.headroom > 0 and cons.hold_increase > 0 and cons.rate_caution < 1
@@ -75,13 +92,13 @@ def test_aggressive_converges_to_capacity_in_bounded_quanta():
 
 def test_fifo_scale_respects_capacity_and_collapses_goodput():
     def mk():
-        return [type("F", (), {"rate": 600.0, "route": (("a", "b"),)})(),
-                type("F", (), {"rate": 600.0, "route": (("a", "b"),)})()]
+        return [F.Flow(fid, "t", 0, 1, "a", "b", 1e9, 0.0, rate=600.0,
+                       route=(("a", "b"),)) for fid in (1, 2)]
     flows = mk()
-    BL.fifo_scale(flows, {("a", "b"): 1000.0}, goodput_exponent=1.0)
+    fifo_scale(flows, {("a", "b"): 1000.0}, 50, 1.0)
     assert math.isclose(sum(f.rate for f in flows), 1000.0)
     flows = mk()
-    BL.fifo_scale(flows, {("a", "b"): 1000.0}, goodput_exponent=2.0)
+    fifo_scale(flows, {("a", "b"): 1000.0}, 50, 2.0)
     assert math.isclose(sum(f.rate for f in flows), 1000.0 * (1000.0 / 1200.0))
 
 
@@ -109,7 +126,7 @@ def test_fifo_scale_matches_the_scanning_reference(rng):
         exponent = float(rng.choice([1.0, 2.0]))
         rounds = int(rng.choice([1, 2, 50]))
         ref = copy.deepcopy(flows)
-        met = BL.fifo_scale(flows, caps, rounds, exponent)
+        met = fifo_scale(flows, caps, rounds, exponent)
         assert met == oracles.fifo_scale_reference(ref, caps, rounds, exponent)
         assert [f.rate for f in flows] == [f.rate for f in ref], f"case {case}"
         outcomes.add(met)
@@ -146,14 +163,16 @@ def test_compute_matches_the_scanning_reference(rng, monkeypatch, mode):
                               for _ in range(2))
         policy.limiters, ref_policy.limiters = dict(limiters), dict(limiters)
         ref = copy.deepcopy(flows)
-        policy.follow(F.FlowChange([], flows), flows)
-        ref_policy.follow(F.FlowChange([], ref), ref)
+        follow(policy, F.FlowIndex(), F.FlowChange([], flows))
+        follow(ref_policy, F.FlowIndex(), F.FlowChange([], ref))
         policy.compute(None, flows, 0.0)
         offered = copy.deepcopy(ref)
         for f in offered:
             f.rate = limiters[(f.tenant, f.src_vm, f.dst_vm)]
         with monkeypatch.context() as m:
-            m.setattr(BL, "fifo_scale", oracles.fifo_scale_reference)
+            # the scanning reference scales the flows, not the link groups
+            m.setattr(BL, "fifo_scale", lambda on_link, caps, offered, **kw:
+                      oracles.fifo_scale_reference(ref, caps, **kw))
             ref_policy.compute(None, ref, 0.0)
         assert [f.rate for f in flows] == [f.rate for f in ref], f"case {case}"
         caps = {dkey: topo.links[T.link_key(*dkey)].capacity
@@ -179,12 +198,13 @@ def test_fifo_stops_count_the_calls_left_over_capacity(monkeypatch):
     flows = [pair(1, 0, 1, 1500.0), pair(2, 5, 6, 1200.0)]
     monkeypatch.setattr(BL, "fifo_scale",
                         functools.partial(BL.fifo_scale, max_rounds=1))
-    policy.follow(F.FlowChange([], flows), flows)
+    index = F.FlowIndex()
+    follow(policy, index, F.FlowChange([], flows))
     policy.compute(None, flows, 0.0)
     # the one round scaled the worse link only
     assert [f.rate for f in flows] == [1000.0, 1200.0]
     assert policy.fifo_stops == 1
-    policy.follow(F.FlowChange(flows[1:], []), flows[:1])
+    follow(policy, index, F.FlowChange(flows[1:], []))
     policy.compute(None, flows[:1], 0.0)
     assert flows[0].rate == 1000.0 and policy.fifo_stops == 1
 
@@ -253,7 +273,8 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
     cfg = BL.RAConfig(mode=mode, overload_goodput_exponent=exponent)
     policies = (BL.EndhostRatePolicy(topo, tenants, cfg),
                 oracles.EndhostReference(topo, tenants, cfg))
-    sims = [types.SimpleNamespace(flows={}) for _ in policies]
+    sims = [types.SimpleNamespace(flows={}, index=F.FlowIndex())
+            for _ in policies]
     seen = collections.Counter()
     fid = 0
     for step in range(600):
@@ -270,13 +291,12 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
             for policy, sim in zip(policies, sims):
                 sim.flows[fid] = F.Flow(fid, tid, src, dst, vms[src],
                                         vms[dst], 1e9, 0.0, route=route)
-                policy.follow(F.FlowChange([], [sim.flows[fid]]),
-                              sim.flows.values())
+                follow(policy, sim.index, F.FlowChange([], [sim.flows[fid]]))
         elif action == "depart" and sims[0].flows:
             gone = list(sims[0].flows)[int(rng.integers(0, len(sims[0].flows)))]
             for policy, sim in zip(policies, sims):
-                policy.follow(F.FlowChange([sim.flows.pop(gone)], []),
-                              sim.flows.values())
+                follow(policy, sim.index,
+                       F.FlowChange([sim.flows.pop(gone)], []))
         elif action == "jolt" and policies[0].limiters:
             keys = sorted(policies[0].limiters)
             key = keys[int(rng.integers(0, len(keys)))]
@@ -288,8 +308,8 @@ def test_endhost_policy_matches_the_rederiving_reference(rng, mode, exponent):
                     if action == "batch" and rng.random() < 0.3]
             seen["batch of 2+"] += len(gone) > 1
             for policy, sim in zip(policies, sims):
-                policy.follow(F.FlowChange([sim.flows.pop(g) for g in gone],
-                                           []), sim.flows.values())
+                follow(policy, sim.index,
+                       F.FlowChange([sim.flows.pop(g) for g in gone], []))
                 policy.compute(sim, list(sim.flows.values()), step * 0.001)
             seen["congested"] += bool(policies[1].congested_links)
         elif action == "quantum":
@@ -321,7 +341,7 @@ def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
     cfg = BL.RAConfig(mode=mode)
     policy = BL.EndhostRatePolicy(topo, tenants, cfg)
     ref_policy = oracles.EndhostReference(topo, tenants, cfg)
-    sim = types.SimpleNamespace(flows={})
+    sim = types.SimpleNamespace(flows={}, index=F.FlowIndex())
     ref_sim = types.SimpleNamespace(flows={})
     policy.on_quantum(sim, 0.0)
     ref_policy.on_quantum(ref_sim, 0.0)
@@ -354,7 +374,7 @@ def test_endhost_policy_following_step_records_matches_the_reference(rng, mode):
                 0, len(policy.limiters)))]
             policy.limiters[key] = ref_policy.limiters[key] = float(
                 rng.uniform(1.0, 80.0))
-        policy.follow(F.FlowChange(left, added), sim.flows.values())
+        follow(policy, sim.index, F.FlowChange(left, added))
         quantum = rng.random() < 0.3
         if quantum:
             policy.on_quantum(sim, step * 0.001)
@@ -396,7 +416,8 @@ def test_a_quantum_rederives_only_the_guarantees_a_changed_pair_touches():
         return pair_guarantee(f)
 
     policy._pair_guarantee = counted
-    sims = [types.SimpleNamespace(flows={}) for _ in range(2)]
+    sims = [types.SimpleNamespace(flows={}, index=F.FlowIndex())
+            for _ in range(2)]
 
     def step(left, added, t, quantum=True):
         for p, sim in zip((policy, ref_policy), sims):
@@ -408,7 +429,7 @@ def test_a_quantum_rederives_only_the_guarantees_a_changed_pair_touches():
                     fid, tid, src, dst, vms[src], vms[dst], 1e9, 0.0,
                     route=F.tenant_route(tenants[tid], vms[src], vms[dst]))
                 new.append(sim.flows[fid])
-            p.follow(F.FlowChange(gone, new), sim.flows.values())
+            follow(p, sim.index, F.FlowChange(gone, new))
             p.compute(sim, list(sim.flows.values()), t)
         derived.clear()
         if quantum:

@@ -44,7 +44,10 @@ def test_compute_calls_fifo_scale_by_its_module_name(monkeypatch):
     calls = collections.Counter()
     _count_calls(monkeypatch, baselines, "fifo_scale", calls)
     policy = baselines.EndhostRatePolicy(topo, {"t": t}, baselines.RAConfig())
-    policy.follow(fluid.FlowChange([], flows), flows)
+    change = fluid.FlowChange([], flows)
+    index = fluid.FlowIndex()
+    index.apply(change)
+    policy.follow(change, index)
     policy.compute(None, flows, 0.0)
     assert calls == {"fifo_scale": 1}
 

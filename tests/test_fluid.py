@@ -281,6 +281,76 @@ def test_static_mode_caps_tenants_and_bottlenecks_every_flow(rng):
                 for dk in f.route), f"case {case}: flow {f.fid} not bottlenecked"
 
 
+def test_static_mode_matches_progressive_filling(rng):
+    """Static mode is max-min fairness over virtual links, one per (link,
+    tenant) with the tenant's reservation as its capacity: every routed
+    flow's rate is that of progressive filling within 1e-9 relative, and
+    every flow crosses a full virtual link on which no flow of its tenant
+    gets more."""
+    seen = collections.Counter()
+    for case in range(200):
+        maker = random_wfq_case if case % 2 else large_shared_case
+        topo, tenants, _, flows = maker(rng)
+        solver = F.RateSolver(topo, mode="static")
+        solver.rebuild({})
+        solver.solve(flows)
+        want = oracles.static_maxmin_reference(topo, flows)
+        routed = [f for f in flows if f.route]
+        for f in routed:
+            assert abs(f.rate - want[f.fid]) <= 1e-9 * want[f.fid], \
+                f"case {case}: flow {f.fid} {f.rate!r} vs {want[f.fid]!r}"
+        virtual: dict = {}
+        for f in routed:
+            for dk in f.route:
+                virtual.setdefault((dk, f.tenant), []).append(f.rate)
+
+        def bottleneck(f, dk):
+            rates = virtual[dk, f.tenant]
+            cap = topo.links[T.link_key(*dk)].reservations.get(f.tenant, 0.0)
+            return (math.fsum(rates) >= cap * (1 - 1e-9)
+                    and f.rate >= max(rates) * (1 - 1e-9))
+
+        for f in routed:
+            assert any(bottleneck(f, dk) for dk in f.route), \
+                f"case {case}: flow {f.fid} has no bottleneck"
+        seen["flows"] += len(routed)
+        seen["shared virtual links"] += sum(len(r) > 1
+                                            for r in virtual.values())
+    assert min(seen.values()) > 100, seen
+
+
+def test_static_rates_fall_short_of_the_hose_bound():
+    """10 VMs striped over the testbed at B = 18.8 and flows a -> x, a -> y
+    and b -> x from rack 0 to rack 1: under static reservation the three
+    flows share the 18.8 reservations of a's and x's server links, 9.4
+    each, 28.2 in all, while the hose bound on the core link reads 37.6
+    (two sources and two destinations of 18.8 each)."""
+    topo = T.build_testbed()
+    request = TenantRequest(10, 18.8)
+    t = P.embed_fixed(topo, request, "t", "a000",
+                      {h: 1 for h in topo.hypervisors()})
+    vms = F._expand_vms(t)
+    flows = [F.Flow(fid, "t", src, dst, vms[src], vms[dst], 1e9, 0.0,
+                    route=F.tenant_route(t, vms[src], vms[dst]))
+             for fid, (src, dst) in enumerate(((0, 5), (0, 6), (1, 5)), 1)]
+    core = ("a000", "t001")
+    assert all(core in f.route for f in flows)
+    solver = F.RateSolver(topo, mode="static")
+    solver.rebuild({})
+    solver.solve(flows)
+    assert [f.rate for f in flows] == pytest.approx([9.4] * 3, rel=1e-12)
+    assert math.fsum(f.rate for f in flows) == pytest.approx(28.2, rel=1e-12)
+    assert oracles.static_maxmin_reference(topo, flows) == \
+        pytest.approx({1: 9.4, 2: 9.4, 3: 9.4}, rel=1e-12)
+    link = topo.links[T.link_key(*core)]
+    stats = F.SegmentStats(
+        core, link.capacity, {"t": link.reservations["t"]},
+        {("t", h): request.per_vm_guarantee * min(m, 10 - m)
+         for h, m in t.vm_placement.items()}, F.FlowIndex())
+    assert stats.entitlement("t", {vms[0], vms[1]}, {vms[5], vms[6]}) == \
+        pytest.approx(37.6, rel=1e-12)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known fault: with two dedicated queues on shared links the per-sweep "
     "lifted grants can settle into a 2-cycle, in RateSolver and in "
@@ -676,10 +746,52 @@ def test_empty_solve_then_flows_again(rng):
         solver.solve(flows, F.FlowChange([], flows))
         assert [f.rate.hex() for f in flows] == want
         solver.solve([], F.FlowChange(flows, []))
-        assert (solver._plans, solver._flows, solver._slot,
-                solver._tenants) == ({}, [], {}, {})
+        assert (solver._plans, solver._flows, solver._slot, solver.index) == \
+            ({}, [], {}, F.FlowIndex())
     links = len({dk for f in flows for dk in f.route})
     assert (solver.plans_built, solver.plans_kept) == (2 * links, 0)
+
+
+def test_flow_index_matches_a_grouping_from_scratch(rng):
+    """Random records, as the event loop makes them (arrivals with growing
+    fids, some of them loopback flows, and random departures, alone or in
+    batches): after each one, the index holds exactly the groups of the
+    active routed flows, by link and by link and tenant, each group's flows
+    in fid order."""
+    seen = collections.Counter()
+    for case in range(20):
+        topo, tenants, _, pool = large_shared_case(rng)
+        index, active, fid = F.FlowIndex(), {}, 0
+        for step in range(60):
+            left = [active.pop(g) for g in list(active)
+                    if rng.random() < 0.2]
+            added = []
+            for _ in range(int(rng.integers(0, 4))):
+                fid += 1
+                f = dataclasses.replace(pool[int(rng.integers(0, len(pool)))],
+                                        fid=fid)
+                if rng.random() < 0.1:
+                    f.route = ()
+                active[fid] = f
+                added.append(f)
+            index.apply(F.FlowChange(left, added))
+            links, by_tenant = {}, {}
+            for f in active.values():
+                for dk in f.route:
+                    links.setdefault(dk, {})[f.fid] = f
+                    by_tenant.setdefault(dk, {}).setdefault(
+                        f.tenant, {})[f.fid] = f
+            where = f"case {case} step {step}"
+            assert index.links == links and index.tenants == by_tenant, where
+            for dk, group in links.items():
+                assert list(index.links[dk]) == list(group), where
+                for tid, flows in by_tenant[dk].items():
+                    assert list(index.tenants[dk][tid]) == list(flows), where
+            seen["emptied"] += any(dk not in index.links for f in left
+                                   for dk in f.route)
+            seen["loopback"] += any(not f.route for f in added)
+            seen["batch"] += len(left) > 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_a_solve_without_a_record_starts_over(rng):
@@ -753,9 +865,10 @@ def test_segment_stats_skip_the_warmup_interval():
 
 def test_violation_time_counts_wall_and_tenant_seconds():
     dkey = ("h1", "s1")
+    index = F.FlowIndex()
     stats = F.SegmentStats(
         dkey, 1000.0, {"A": 100.0, "B": 100.0},
-        {(t, h): 100.0 for t in "AB" for h in ("h1", "h2")})
+        {(t, h): 100.0 for t in "AB" for h in ("h1", "h2")}, index)
 
     a, b = (F.Flow(fid, tid, 0, 1, "h1", "h2", 1e9, 0.0, rate=rate,
                    route=(dkey, ("s1", "h2")))
@@ -764,6 +877,7 @@ def test_violation_time_counts_wall_and_tenant_seconds():
     def unsaturated(f, excluding):
         return False
 
+    index.apply(F.FlowChange([], [a, b]))
     stats.follow(F.FlowChange([], [a, b]))
     stats.observe(0.0, 2.0, set(), unsaturated)
     assert stats.guarantee_violation_time == 2.0  # both below 100 at once
@@ -790,13 +904,16 @@ def test_observe_matches_the_rederiving_reference(rng):
     follow the record of the flows that left and arrived since the last
     one (departures in any order, arrivals in fid order); after every
     segment the carried observe and the reference that re-derives each
-    segment from the flows agree on every field, bit for bit."""
+    segment from the flows agree on every field, bit for bit. The stats
+    read the flow index the records are applied to; the reference never
+    reads it."""
     dkey = ("h1", "s1")
     hyps = ("h1", "h2", "h3")
     nic = {(t, h): float(rng.integers(0, 4)) * 40.0 for t in "ABC" for h in hyps}
     guarantees = {"A": 100.0, "B": 60.0, "C": 0.0}
-    stats, ref = (F.SegmentStats(dkey, 400.0, dict(guarantees), dict(nic))
-                  for _ in range(2))
+    index = F.FlowIndex()
+    stats, ref = (F.SegmentStats(dkey, 400.0, dict(guarantees), dict(nic),
+                                 index) for _ in range(2))
     flows: list = []
     left: list = []
     added: list = []
@@ -832,6 +949,7 @@ def test_observe_matches_the_rederiving_reference(rng):
                 return f.fid % 3 != cut and excluding == dkey
 
             seen["multi-flow record"] += len(left) + len(added) > 1
+            index.apply(F.FlowChange(left, added))
             stats.follow(F.FlowChange(left, added))
             left, added = [], []
             stats.observe(t, t + dt, owners, all_unsaturated)
@@ -839,6 +957,7 @@ def test_observe_matches_the_rederiving_reference(rng):
                                       all_unsaturated)
             t += max(dt, 0.0)
             seen["busy"] += stats.busy_time > 0
+            seen["below full"] += stats.below_full_time > 0
             seen["short"] += bool(stats.violating_tenants)
             seen["unsaturated"] += stats.conservation_violation_time > 0
         assert _segment_fields(stats) == _segment_fields(ref), f"step {step}"
@@ -869,6 +988,65 @@ def test_segment_stats_after_warmup_match_the_rederiving_reference(
     assert run.sim.stats.time_active > 0
     assert run.sim.stats.violating_tenants
     assert _segment_fields(run.sim.stats) == _segment_fields(ref.sim.stats)
+
+
+def test_conservation_check_matches_the_scanning_reference(rng):
+    """Segments on a 3 Gbps core link over 1 Gbps server links, flows of a
+    tenant with a dedicated queue and of a shared one arriving, leaving and
+    taking random rates: the core is often below full, so observe runs the
+    work-conservation check, and the simulation's index-backed
+    _all_unsaturated finds the flows' server links full in some segments
+    and not in others. After every segment the stats equal, bit for bit,
+    those the reference gets by re-deriving the segment and scanning every
+    active flow for each link."""
+    topo = T.build_testbed(core_mbps=3000.0)
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(10, 50.0), tid, "a000",
+                                  {h: 1 for h in topo.hypervisors()})
+               for tid in ("A", "B")}
+    gen = F.DemandGenerator("predictable", ("fixed", 1e6), clients=[])
+    sim = F.FluidSimulation(topo, tenants, gen, monitor=("a000", "t000"),
+                            initial_dedicated=["A"])
+    stats, owners = sim.stats, sim.controller.state.dedicated
+    assert owners == {"A"}
+    ref = F.SegmentStats(stats.dkey, stats.capacity, stats.guarantees,
+                         stats.nic_guarantees, sim.index)
+    answers = collections.Counter()
+
+    def all_unsaturated(f, excluding):
+        answer = sim._all_unsaturated(f, excluding)
+        answers[answer] += 1
+        return answer
+
+    t = 0.0
+    for step in range(300):
+        left = [sim.flows.pop(g) for g in list(sim.flows)
+                if rng.random() < 0.2]
+        added = []
+        for _ in range(int(rng.integers(0, 3))):
+            tid = "AB"[int(rng.integers(0, 2))]
+            vms = F._expand_vms(tenants[tid])
+            src, dst = int(rng.integers(5, 10)), int(rng.integers(0, 5))
+            f = F.Flow(sim.next_fid(), tid, src, dst, vms[src], vms[dst], 1e9,
+                       t, route=F.tenant_route(tenants[tid], vms[src],
+                                               vms[dst]))
+            sim.flows[f.fid] = f
+            added.append(f)
+        change = F.FlowChange(left, added)
+        sim.index.apply(change)
+        stats.follow(change)
+        for f in sim.flows.values():
+            f.rate = float(rng.choice([0.0, 250.0, 500.0, 1000.0]))
+        dt = float(rng.uniform(0.001, 0.1))
+        stats.observe(t, t + dt, owners, all_unsaturated)
+        oracles.observe_reference(
+            ref, t, t + dt, list(sim.flows.values()), owners,
+            lambda f, excluding: oracles.all_unsaturated_reference(
+                sim, f, excluding))
+        t += dt
+        assert _segment_fields(stats) == _segment_fields(ref), f"step {step}"
+    assert answers[True] > 20 and answers[False] > 20, answers
+    assert 0 < stats.conservation_violation_time < stats.below_full_time \
+        < stats.time_active
 
 
 def test_capacity_respected_and_flows_conserved(rng):
