@@ -152,7 +152,7 @@ class EndhostRatePolicy:
         self.congested_links: set = set()
         self._loopback: dict = {}  # None -> the loopback flows by fid
         self._pairs: dict = {}  # pair key -> its routed flows by fid
-        self._on_link: dict = {}  # the index's links -> their flows by fid
+        self._index = FlowIndex()  # the simulation's, once followed
         self._caps: dict = {}  # link -> capacity, in first-touch order
         self._guarantees: dict = {}  # believed pair -> (route, guarantee)
         # the pairs that started or stopped since the last quantum
@@ -180,7 +180,8 @@ class EndhostRatePolicy:
         self._changed.update(dict.fromkeys(change.regroup(
             self._pairs, lambda f: (
                 ((f.tenant, f.src_vm, f.dst_vm),) if f.route else ()))))
-        self._on_link = links = index.links
+        self._index = index
+        links = index.links
         # links stay in the order a pass over the flows touches them: a new
         # link comes last, and only a link whose first flow left while
         # another stays can move
@@ -207,7 +208,7 @@ class EndhostRatePolicy:
                 self.holds[key] = 0
             for f in pair.values():
                 f.rate = rate
-        on_link, caps = self._on_link, self._caps
+        on_link, caps = self._index.links, self._caps
         offered = {dkey: sum(map(_rate, on.values()))
                    for dkey, on in on_link.items()}
         # congestion observed on offered load, before FIFO scaling

@@ -220,6 +220,29 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("policy", ["qshare", "es_conservative"])
+def test_summary_reports_the_seconds_the_monitored_link_was_below_full(
+        tmp_path, monkeypatch, policy):
+    sims = []
+    run = FluidSimulation.run
+
+    def recorded(self, *args, **kwargs):
+        sims.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FluidSimulation, "run", recorded)
+    scn = tmp_path / "tiny.json"
+    scn.write_text(json.dumps(tiny_scenario(policy=policy)))
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    [sim] = sims
+    assert summary["below_full_time_s"] == sim.stats.below_full_time
+    assert 0.0 <= summary["below_full_time_s"] <= summary["active_time_s"]
+    if policy == "es_conservative":
+        # the headroom keeps the link below full while flows cross it
+        assert summary["below_full_time_s"] > 0.0
+
+
 def test_run_is_byte_reproducible(tmp_path):
     scn = tmp_path / "tiny.json"
     scn.write_text(json.dumps(tiny_scenario()))

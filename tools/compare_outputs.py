@@ -30,7 +30,6 @@ import subprocess
 import sys
 import tempfile
 import tokenize
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # (run name, `qshare run` arguments)
@@ -135,21 +134,16 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path,
                         help="directory for the runs (default: a new "
                              "temporary directory)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="runs at a time (default 2)")
     args = parser.parse_args(argv)
     work = args.work or Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    jobs = [(side, name, cmd) for name, cmd in RUNS for side in sides]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        errors = list(pool.map(
-            lambda job: run_one(sides[job[0]], work / job[0] / job[1], job[2]),
-            jobs))
     failed = False
-    for (side, name, _), error in zip(jobs, errors):
-        if error:
-            print(f"{name} ({side}) failed: {error}")
-            failed = True
+    for name, cmd in RUNS:
+        for side, root in sides.items():
+            error = run_one(root, work / side / name, cmd)
+            if error:
+                print(f"{name} ({side}) failed: {error}")
+                failed = True
     for name, _ in RUNS:
         dirs = [work / side / name for side in sides]
         if not all(d.is_dir() for d in dirs):
