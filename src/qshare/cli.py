@@ -101,8 +101,9 @@ def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
                     wall: float, counters: dict | None = None) -> None:
     """Artifacts whose name carries a .jsonl suffix are written as JSON lines;
     everything else as CSV. Wall time, version and the `counters` (the
-    `solver` and `loop` groups and the `phase_s` wall seconds, summed over
-    the run's simulations, when given; see fluid.FluidSimulation) live in
+    `solver` and `loop` groups, the `phase_s` wall seconds and, for a wcbg
+    run, the `stats` group, summed over the run's simulations, when given;
+    see fluid.FluidSimulation) live in
     the manifest only, so CSV/JSONL bodies are byte-stable per seed. A
     fill's `placement` group comes the same way (see
     largescale.FillResult)."""

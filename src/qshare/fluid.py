@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import NamedTuple
 
@@ -1029,69 +1029,79 @@ class IntervalReport:
     scores: dict
 
 
+def _below_full(group: dict, capacity: float) -> bool:
+    """Whether the flows of `group` (by fid) carry less than 1 - 1e-6 of
+    `capacity`, their rates summed in fid order."""
+    return sum(map(_rate, group.values())) < capacity * (1 - 1e-6)
+
+
 @dataclass
 class SegmentStats:
-    """Online acceptance checks on one monitored directed link, evaluated per
-    piecewise-constant rate segment.
+    """Online acceptance checks on one monitored directed link of `topo`,
+    evaluated per piecewise-constant rate segment.
 
-    A tenant's entitled bandwidth on the link during a segment is the hose
-    bound: min(reservation on the link, sum of its hose guarantees at the
-    engaged source hypervisors, same at the engaged destinations). A tenant
-    engaging every hypervisor it occupies is entitled to its full link
-    reservation.
-
-    guarantee_violation_time counts wall seconds in which at least one tenant
-    got less than its entitlement; guarantee_violation_tenant_time sums those
-    seconds over the violating tenants (tenant-seconds).
+    A crossing tenant's entitlement on the link is what static reservation
+    gives it there: its summed rate on the link when `solver`, a static-mode
+    RateSolver, solves copies of the tenant's active flows. Static mode caps
+    every tenant at its own reservation on every link, so the tenant's own
+    flows decide it. below_static_time counts the wall seconds in which at
+    least one crossing tenant got less than 1 - 1e-6 of its entitlement;
+    below_static_tenant_time sums those seconds over the tenants short
+    (tenant-seconds), and below_static_tenants names them.
 
     below_full_time counts the seconds in which flows crossed the link and
     it was below full (under 1 - 1e-6 of its capacity): the seconds in which
     the work-conservation check ran. conservation_violation_time counts
     those of them in which some flow of a tenant with a dedicated queue
-    crossed it with every other link of its route below full.
+    crossed it with every link of its route below full.
 
     The flows crossing the link, and each crossing tenant's, come from
-    `index`, the simulation's FlowIndex, which the stats only read. Per
-    tenant with a positive entitlement, the rate below which it is short is
-    carried from one segment to the next: `follow` renews it from each
-    step's record of the flows that left and the flows appended (a
-    FlowChange), warm-up steps included, once the record is in the index.
-    So `observe` only reads rates, still added in flow order every segment.
+    `index`, the simulation's FlowIndex, which the stats only read. `follow`
+    keeps every tenant's active flows from each step's record of the flows
+    that left and the flows appended (a FlowChange), warm-up steps
+    included, and drops the entitlement of each tenant whose flows changed.
+    `observe` solves a tenant's entitlement only when its rate on the link
+    is below its reservation there (in `link.reservations`), since a static
+    rate never exceeds the reservation, and keeps it until the tenant's
+    flows change.
     """
 
     dkey: tuple
-    capacity: float
-    guarantees: dict
-    nic_guarantees: dict
+    topo: Topology = field(repr=False)
     index: FlowIndex = field(repr=False)
     time_active: float = 0.0
     time_total: float = 0.0
     busy_time: float = 0.0
     below_full_time: float = 0.0
-    guarantee_violation_time: float = 0.0
-    guarantee_violation_tenant_time: float = 0.0
+    below_static_time: float = 0.0
+    below_static_tenant_time: float = 0.0
     conservation_violation_time: float = 0.0
-    violating_tenants: set = field(default_factory=set)
+    below_static_tenants: set = field(default_factory=set)
 
     def __post_init__(self):
-        # tenant -> rate below which it is short (0.0: never short)
-        self._short: dict = {}
-
-    def entitlement(self, tenant: str, srcs: set, dsts: set) -> float:
-        out = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in srcs)
-        inn = math.fsum(self.nic_guarantees.get((tenant, h), 0.0) for h in dsts)
-        return min(self.guarantees.get(tenant, 0.0), out, inn)
+        self.link = self.topo.links[link_key(*self.dkey)]
+        self.solver = RateSolver(self.topo, mode="static")
+        self.solver.rebuild({})
+        # tenant -> its active flows by fid, and tenant -> its entitlement
+        # until its flows change
+        self._flows, self._entitled = {}, {}
 
     def follow(self, change: FlowChange) -> None:
-        """Follow one step's record, already applied to the index: a tenant
-        whose crossing flows changed gets its entitlement anew."""
-        on_link = self.index.tenants.get(self.dkey, {})
-        for tenant in {f.tenant for f in (*change.left, *change.added)
-                       if self.dkey in f.route}:
-            crossing = on_link.get(tenant, {}).values()
-            self._short[tenant] = self.entitlement(
-                tenant, {f.src_hyp for f in crossing},
-                {f.dst_hyp for f in crossing}) * (1.0 - 1e-6)
+        """Follow one step's record: regroup the tenants' flows and drop
+        the entitlement of every tenant whose flows changed."""
+        change.regroup(self._flows, lambda f: (f.tenant,))
+        for f in (*change.left, *change.added):
+            self._entitled.pop(f.tenant, None)
+
+    def entitlement(self, tenant: str) -> float:
+        """`tenant`'s summed rate on the link, which it crosses, under
+        static reservation of its active flows, solved on copies of them
+        (the solver's own index then groups the copies by link)."""
+        if tenant not in self._entitled:
+            self.solver.solve(list(map(replace, self._flows[tenant].values())))
+            crossing = self.solver.index.links[self.dkey].values()
+            self._entitled[tenant] = sum(map(_rate, crossing))
+        return self._entitled[tenant]
 
     def observe(self, t0: float, t1: float, owners: set,
                 all_unsaturated) -> None:
@@ -1102,37 +1112,39 @@ class SegmentStats:
         if dt <= 0:
             return
         self.time_total += dt
-        crossing = self.index.links.get(self.dkey, {}).values()
+        crossing = self.index.links.get(self.dkey)
         if not crossing:
             return
         self.time_active += dt
-        util = sum(map(_rate, crossing)) / self.capacity
-        if util >= 1.0 - 1e-6:
-            self.busy_time += dt
-        else:
+        if _below_full(crossing, self.link.capacity):
             self.below_full_time += dt
-            for f in crossing:
-                if f.tenant in owners and all_unsaturated(f, self.dkey):
+            for f in crossing.values():
+                if f.tenant in owners and all_unsaturated(f):
                     self.conservation_violation_time += dt
                     break
-        on_link = self.index.tenants[self.dkey]
-        violated = False
-        for tenant, short in self._short.items():
-            if short > 0 and sum(map(_rate, on_link[tenant].values())) < short:
-                self.guarantee_violation_tenant_time += dt
-                self.violating_tenants.add(tenant)
-                violated = True
-        if violated:
-            self.guarantee_violation_time += dt
+        else:
+            self.busy_time += dt
+        short = False
+        for tenant, flows in self.index.tenants[self.dkey].items():
+            rate = sum(map(_rate, flows.values()))
+            if (rate < self.link.reservations.get(tenant, 0.0)
+                    and rate < self.entitlement(tenant) * (1.0 - 1e-6)):
+                self.below_static_tenant_time += dt
+                self.below_static_tenants.add(tenant)
+                short = True
+        if short:
+            self.below_static_time += dt
 
 
 class FluidSimulation:
     """Event-driven control loop over an embedded tenant set.
 
-    `monitor` is the one directed link the run measures: `stats` checks it
-    per segment, and the reports' `link_util` and `tenant_throughput_mbps`
-    series cover it alone. Binding reads per-hypervisor usage, which every
-    flow feeds.
+    `monitor` is the one directed link the run measures: the reports'
+    `link_util` and `tenant_throughput_mbps` series cover it alone, and
+    with `stats` the simulation keeps `self.stats`, a SegmentStats that
+    checks it per segment (else `self.stats` is None and the loop skips
+    the checks). Binding reads per-hypervisor usage, which every flow
+    feeds.
 
     `self.flows` holds the active flows in fid order (fids only grow), and
     `self.index` (a FlowIndex) the routed ones grouped by link and by link
@@ -1141,31 +1153,33 @@ class FluidSimulation:
     after a step that changed the flows, warm-up steps included, the loop
     applies that record to the index once, then pushes it to
     `stats.follow` and the rate hook's `follow(change, index)`, and hands
-    it to the next rate solve. The
-    solver, the stats, the hook and the loop read their link groups from
-    the index and update only what they carry of their own in the size of
-    the change. The first solve of a run gets no record and starts over. A
-    rate hook also sets the probe quantum: every `cfg.probe_period` seconds
-    the loop calls its `on_quantum`. The loop itself carries each flow's
-    (in, out) usage cells in the interval's `usage` dict: a flow that ends
-    drops its cells at once, a new one gets its cells when a step first
-    moves it, and an interval boundary rebuilds them all, in fid order, in
-    the new interval's accumulators.
+    it to the next rate solve. The solver, the stats, the hook and the
+    loop read their link groups from the index and update only what they
+    carry of their own in the size of the change. The first solve of a run
+    gets no record and starts over. A rate hook also sets the probe
+    quantum: every `cfg.probe_period` seconds the loop calls its
+    `on_quantum`. The loop itself carries each flow's (in, out) usage
+    cells in the interval's `usage` dict: a flow that ends drops its cells
+    at once, a new one gets its cells when a step first moves it, and an
+    interval boundary rebuilds them all, in fid order, in the new
+    interval's accumulators.
 
     When `run` returns, it adds to `counters`, when given, the rate
     solver's counters (see RateSolver.COUNTERS) under "solver", under
     "loop" its `steps` (loop iterations) and the rate hook's `fifo_stops`
-    (0 without a hook), and under "phase_s" the wall seconds of its phases
+    (0 without a hook), under "phase_s" the wall seconds of its phases
     (see PHASES): the solves or the hook's `compute` calls, `_advance`,
     `stats.observe` with the record's `follow` calls, the hook's
-    `on_quantum` calls, and the interval boundaries."""
+    `on_quantum` calls, and the interval boundaries, and, with `stats`,
+    under "stats" the static solves of the stats' entitlements
+    (`static_solves`)."""
 
     PHASES = ("solve", "advance", "observe", "quantum", "boundary")
 
     def __init__(self, topo: Topology, tenants: dict, generator: DemandGenerator,
                  *, interval: float = 4.0, policy: str = "qshare",
                  weight_mode: str = "normalized", seed: int = 0,
-                 monitor: tuple, sample: float = 0.1,
+                 monitor: tuple, sample: float = 0.1, stats: bool = False,
                  initial_dedicated: list | None = None,
                  rate_hook=None, counters: dict | None = None):
         self.topo = topo
@@ -1194,16 +1208,7 @@ class FluidSimulation:
         self._fid = 0
         self.steps = 0
         self.reports: list = []
-        link = topo.links[link_key(*monitor)]
-        nic_g = {}
-        for tid, t in tenants.items():
-            n = t.request.vm_count
-            for hyp, m in t.vm_placement.items():
-                nic_g[(tid, hyp)] = t.request.per_vm_guarantee * min(m, n - m)
-        self.stats = SegmentStats(
-            monitor, link.capacity,
-            {tid: link.reservations.get(tid, 0.0) for tid in tenants}, nic_g,
-            self.index)
+        self.stats = SegmentStats(monitor, topo, self.index) if stats else None
 
     def next_fid(self) -> int:
         self._fid += 1
@@ -1223,7 +1228,7 @@ class FluidSimulation:
         horizon = measure_from + duration
         interval_idx = 0
         int_start = 0.0
-        hook = self.rate_hook
+        hook, stats = self.rate_hook, self.stats
         quantum = math.inf if hook is None else hook.cfg.probe_period
         clock = time.perf_counter
         spent = dict.fromkeys(self.PHASES, 0.0)
@@ -1262,9 +1267,9 @@ class FluidSimulation:
             w0 = clock()
             done = self._advance(t, t_next, usage, buckets, ten_bytes)
             w1 = clock()
-            if t >= measure_from - _TOL:
-                self.stats.observe(t, t_next, self.controller.state.dedicated,
-                                   self._all_unsaturated)
+            if stats is not None and t >= measure_from - _TOL:
+                stats.observe(t, t_next, self.controller.state.dedicated,
+                              self._all_unsaturated)
             spent["advance"] += w1 - w0
             spent["observe"] += clock() - w1
             t = t_next
@@ -1288,7 +1293,8 @@ class FluidSimulation:
                 dirty = True
                 w0 = clock()
                 self.index.apply(change)
-                self.stats.follow(change)
+                if stats is not None:
+                    stats.follow(change)
                 if hook is not None:
                     hook.follow(change, self.index)
                 spent["observe"] += clock() - w0
@@ -1317,13 +1323,16 @@ class FluidSimulation:
                                     ten_bytes, fcts, rebind=False)
             spent["boundary"] += clock() - w0
         if self.counters is not None:
-            add_counters(self.counters, {
+            groups = {
                 "solver": {name: getattr(self.solver, name)
                            for name in RateSolver.COUNTERS},
                 "loop": {"steps": self.steps,
                          "fifo_stops": getattr(self.rate_hook, "fifo_stops",
                                                0)},
-                "phase_s": spent})
+                "phase_s": spent}
+            if stats is not None:
+                groups["stats"] = {"static_solves": stats.solver.solves}
+            add_counters(self.counters, groups)
         return self.reports
 
     def _advance(self, t0: float, t1: float, usage, buckets,
@@ -1369,13 +1378,11 @@ class FluidSimulation:
                         bucket[i] = bucket.get(i, 0.0) + per_s * width
         return done
 
-    def _all_unsaturated(self, flow, excluding) -> bool:
-        """Whether every link of `flow`'s route but `excluding` carries
-        less than 1 - 1e-6 of its capacity, its flows' rates summed in fid
-        order."""
+    def _all_unsaturated(self, flow) -> bool:
+        """Whether every link of `flow`'s route is below full (see
+        _below_full)."""
         links, groups = self.topo.links, self.index.links
-        return all(dkey == excluding or sum(map(_rate, groups[dkey].values()))
-                   < links[link_key(*dkey)].capacity * (1 - 1e-6)
+        return all(_below_full(groups[dkey], links[link_key(*dkey)].capacity)
                    for dkey in flow.route)
 
     def _interval_boundary(self, idx, start, end, usage, buckets, ten_bytes,

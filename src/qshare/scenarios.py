@@ -206,7 +206,8 @@ class WcbgRun:
         return float(np.mean(series)) if series else 0.0
 
 
-def build_wcbg(doc: dict, counters: dict | None = None) -> WcbgRun:
+def build_wcbg(doc: dict, counters: dict | None = None, *,
+               stats: bool = False) -> WcbgRun:
     cfg = resolve(doc)
     ten = cfg["tenants"]
     vms = ten["vms_per_tenant"]
@@ -214,7 +215,8 @@ def build_wcbg(doc: dict, counters: dict | None = None) -> WcbgRun:
     half = vms // 2
     b = ten["core_guarantee_mbps"] / max(min(half, vms - half), 1)
     sim = _simulation(cfg, {f"t{i + 1:02d}": TenantRequest(vms, b)
-                            for i in range(ten["count"])}, counters=counters)
+                            for i in range(ten["count"])},
+                      counters=counters, stats=stats)
     warmup = cfg["warmup_intervals"]
     reports = sim.run(cfg["duration_s"], warmup_intervals=warmup)
     return WcbgRun(sim, reports, warmup)
@@ -228,13 +230,15 @@ def _wcbg(cfg: dict, **keys) -> dict:
 
 
 def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
-                counters: dict | None = None) -> fluid.FluidSimulation:
+                counters: dict | None = None, *,
+                stats: bool = False) -> fluid.FluidSimulation:
     """The fluid simulation that the resolved wcbg document `cfg` describes
     for `requests` (id -> TenantRequest), each striped round-robin over all
     servers under the top switch, monitoring the core link toward rack 0.
     `shape` overrides the `demand` block per tenant (id -> field -> value).
     The simulation adds its solver and loop counters to `counters` when
-    given (see FluidSimulation)."""
+    given, and keeps the segment checks only with `stats` (see
+    FluidSimulation)."""
     top = cfg["topology"]
     topo = build_testbed(**{"queue_count" if k == "queues_per_link" else k: v
                             for k, v in top.items()})
@@ -313,16 +317,17 @@ def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
         seed=cfg["seed"], monitor=monitor,
         sample=cfg["sample_s"],
         initial_dedicated=dem["initial_dedicated"],
-        rate_hook=hook, counters=counters)
+        rate_hook=hook, counters=counters, stats=stats)
 
 
 def run_wcbg(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
-    run = build_wcbg(doc, counters)
+    run = build_wcbg(doc, counters, stats=True)
     stats = run.sim.stats
     summary = {
         "mean_core_utilization": run.mean_core_utilization(),
-        "guarantee_violation_time_s": stats.guarantee_violation_time,
-        "guarantee_violation_tenant_s": stats.guarantee_violation_tenant_time,
+        "below_static_time_s": stats.below_static_time,
+        "below_static_tenant_s": stats.below_static_tenant_time,
+        "below_static_tenants": sorted(stats.below_static_tenants),
         "conservation_violation_time_s": stats.conservation_violation_time,
         "below_full_time_s": stats.below_full_time,
         "active_time_s": stats.time_active,
@@ -468,7 +473,7 @@ def run_tradeoff(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
                  demand={"size_scale": cfg["size_scale"]})
     cons = build_wcbg(half, counters)
     qsh = build_wcbg(dict(half, policy="qshare", warmup_intervals=1), counters)
-    cap = cons.sim.stats.capacity
+    cap = cons.sim.topo.links[link_key(*cons.sim.monitor)].capacity
     reserved = 500.0
     cons_util = cons.mean_core_utilization() * cap
     q_util = qsh.mean_core_utilization() * cap

@@ -650,8 +650,10 @@ def advance_reference(sim, t0, t1, usage, buckets, ten_bytes):
 
 def observe_reference(stats, t0, t1, flows, owners, all_unsaturated):
     """SegmentStats.observe re-deriving each segment from `flows`: the flows
-    crossing the link, each tenant's rate and engaged hypervisors, and its
-    hose entitlement."""
+    crossing the link, each crossing tenant's rate there and, for every
+    one of them, its entitlement, the summed rate on the link of its flows
+    under static reservation by progressive filling
+    (static_maxmin_reference)."""
     dt = t1 - t0
     if dt <= 0:
         return
@@ -660,35 +662,32 @@ def observe_reference(stats, t0, t1, flows, owners, all_unsaturated):
     total = 0.0
     for f in flows:
         if stats.dkey in f.route:
-            entry = per_tenant.get(f.tenant)
-            if entry is None:
-                entry = per_tenant[f.tenant] = [0.0, set(), set()]
-            entry[0] += f.rate
-            entry[1].add(f.src_hyp)
-            entry[2].add(f.dst_hyp)
+            per_tenant[f.tenant] = per_tenant.get(f.tenant, 0.0) + f.rate
             total += f.rate
     if not per_tenant:
         return
     stats.time_active += dt
-    util = total / stats.capacity
-    if util >= 1.0 - 1e-6:
+    if total >= stats.link.capacity * (1 - 1e-6):
         stats.busy_time += dt
     else:
         stats.below_full_time += dt
         for f in flows:
             if stats.dkey in f.route and f.tenant in owners:
-                if all_unsaturated(f, stats.dkey):
+                if all_unsaturated(f):
                     stats.conservation_violation_time += dt
                     break
-    violated = False
-    for tenant, (rate, srcs, dsts) in per_tenant.items():
-        entitled = stats.entitlement(tenant, srcs, dsts)
-        if entitled > 0 and rate < entitled * (1.0 - 1e-6):
-            stats.guarantee_violation_tenant_time += dt
-            stats.violating_tenants.add(tenant)
-            violated = True
-    if violated:
-        stats.guarantee_violation_time += dt
+    short = False
+    for tenant, rate in per_tenant.items():
+        mine = [f for f in flows if f.tenant == tenant]
+        static = static_maxmin_reference(stats.topo, mine)
+        entitled = math.fsum(static[f.fid] for f in mine
+                             if stats.dkey in f.route)
+        if rate < entitled * (1.0 - 1e-6):
+            stats.below_static_tenant_time += dt
+            stats.below_static_tenants.add(tenant)
+            short = True
+    if short:
+        stats.below_static_time += dt
 
 
 def static_maxmin_reference(topo, flows) -> dict:
@@ -725,12 +724,10 @@ def static_maxmin_reference(topo, flows) -> dict:
     return rates
 
 
-def all_unsaturated_reference(sim, flow, excluding) -> bool:
+def all_unsaturated_reference(sim, flow) -> bool:
     """FluidSimulation._all_unsaturated scanning every active flow of `sim`
-    for each link of `flow`'s route but `excluding`."""
+    for each link of `flow`'s route."""
     for dkey in flow.route:
-        if dkey == excluding:
-            continue
         total = sum(f.rate for f in sim.flows.values() if dkey in f.route)
         if total >= sim.topo.links[link_key(*dkey)].capacity * (1 - 1e-6):
             return False

@@ -45,15 +45,15 @@ def bundled(name):
 
 def test_criterion_01_perfect_work_conservation():
     t0 = time.monotonic()
-    run = S.build_wcbg(bundled("predictable"))
+    run = S.build_wcbg(bundled("predictable"), stats=True)
     wall = time.monotonic() - t0
     stats = run.sim.stats
-    ok = (stats.guarantee_violation_time == 0.0
+    ok = (stats.below_static_time == 0.0
           and stats.conservation_violation_time == 0.0
           and stats.busy_time >= stats.time_active - 1e-9
           and wall < 10.0)
     assert report(1, ok,
-                  f"guarantee violations {stats.guarantee_violation_time:.3g}s, "
+                  f"below static {stats.below_static_time:.3g}s, "
                   f"conservation violations {stats.conservation_violation_time:.3g}s, "
                   f"busy {stats.busy_time:.1f}/{stats.time_active:.1f}s, "
                   f"wall {wall:.1f}s < 10s")

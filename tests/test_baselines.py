@@ -471,9 +471,9 @@ def test_endhost_hook_driven_by_the_loop_matches_the_reference(monkeypatch,
     completed flows and the segment stats agree bit for bit."""
     doc = dict(cli.load_scenario("unpredictable"), seed=3, duration_s=1.0,
                control_interval_s=0.5, policy=policy)
-    run = S.build_wcbg(doc)
+    run = S.build_wcbg(doc, stats=True)
     monkeypatch.setattr(S, "EndhostRatePolicy", oracles.EndhostReference)
-    ref = S.build_wcbg(doc)
+    ref = S.build_wcbg(doc, stats=True)
     assert isinstance(ref.sim.rate_hook, oracles.EndhostReference)
     assert sum(len(rep.fcts) for rep in run.reports) > 50
     assert repr(run.reports) == repr(ref.reports)

@@ -63,7 +63,7 @@ def test_an_endhost_run_reaches_every_traced_loop_boundary(monkeypatch):
     doc = dict(cli.load_scenario("unpredictable"), seed=1, duration_s=0.2,
                control_interval_s=0.1, warmup_intervals=0,
                policy="es_aggressive")
-    run = scenarios.build_wcbg(doc)
+    run = scenarios.build_wcbg(doc, stats=True)
     assert set(calls) == {"fifo_scale", "compute", "on_quantum", "observe",
                           "rebuild"}
     assert calls["fifo_scale"] == calls["compute"]

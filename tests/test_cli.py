@@ -237,6 +237,10 @@ def test_summary_reports_the_seconds_the_monitored_link_was_below_full(
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     [sim] = sims
     assert summary["below_full_time_s"] == sim.stats.below_full_time
+    # the entitlements' static solves are counted apart from the solver's
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stats"] == {"static_solves": sim.stats.solver.solves}
+    assert manifest["solver"]["solves"] == sim.solver.solves
     assert 0.0 <= summary["below_full_time_s"] <= summary["active_time_s"]
     if policy == "es_conservative":
         # the headroom keeps the link below full while flows cross it
@@ -371,7 +375,7 @@ def test_manifest_holds_the_solver_counters_summed_over_simulations(tmp_path):
 
 
 @pytest.mark.parametrize("doc, groups", [
-    (tiny_scenario(), {"solver", "loop"}),
+    (tiny_scenario(), {"solver", "loop", "stats"}),
     # 34 tenants of 300 VMs each fill the 16:1 fattree's bandwidth
     ({"name": "fill", "kind": "scarcity", "oversub": "16:1",
       "population": {"vm_mean": 1.0, "vm_floor": 300, "guarantees": [1000.0]},
@@ -408,9 +412,11 @@ def test_manifest_holds_the_loop_counters_summed_over_simulations(
     assert cli.main(["run", "shuffle-fct", "--set", "loads=[0.5]",
                      "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # one simulation per policy, one of them driven by the endhost hook
+    # one simulation per policy, one of them driven by the endhost hook;
+    # an fct run reports no segment checks, so none keeps them
     assert [s.policy for s in sims] == ["qshare", "es_aggressive", "static"]
-    assert all(s.steps > 0 for s in sims)
+    assert all(s.steps > 0 and s.stats is None for s in sims)
+    assert "stats" not in manifest
     assert manifest["loop"] == {
         "steps": sum(s.steps for s in sims),
         "fifo_stops": sims[1].rate_hook.fifo_stops}
