@@ -14,6 +14,7 @@ measurements and reassigns queues.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import itertools
@@ -453,19 +454,18 @@ def _fill_into(out: list, totals: list, spans: list, capped: tuple,
 
 
 def _group_shares(plan: "_LinkPlan", capped: tuple, lift: bool) -> list:
-    """The share of every group of `plan` (dedicated queues first, in the
+    """The share of every row of `plan` (dedicated queues first, in the
     order of plan.spans), its flows demanding `capped`: its lifted share
     with `lift`, else its part of the weighted max-min split (see
     _link_levels). A static group's share is its reservation."""
     ded, groups = plan.ded, plan.groups
     if plan.static:
-        return [g for g, _, _, _ in groups]
+        return [g for g, _ in groups]
+    nd = len(ded)
+    dems = [capped[a] if n == 1 else capped[a] + capped[a + 1] if n == 2
+            else math.fsum(capped[a:a + n]) for a, n in plan.spans]
     if groups:
-        tds = []
-        for g, _, a, n in groups:
-            d = (capped[a] if n == 1 else capped[a] + capped[a + 1] if n == 2
-                 else math.fsum(capped[a:a + n]))
-            tds.append(g if g < d else d)
+        tds = [g if g < d else d for (g, _), d in zip(groups, dems[nd:])]
         sdem = math.fsum(tds)
     if not ded:
         # the shared queue alone: its weighted share of C is plan.K
@@ -476,13 +476,12 @@ def _group_shares(plan: "_LinkPlan", capped: tuple, lift: bool) -> list:
         tsorted = _by_key(plan.tweights, tds)
         twsum = plan.twsum
         shares = []
-        for ti, ((g, w, _, _), d) in enumerate(zip(groups, tds)):
+        for ti, ((g, w), d) in enumerate(zip(groups, tds)):
             c0 = sdem - d + g
             shares.append(_lifted_share(K if K < c0 else c0, w, g, twsum,
                                         tsorted, ti))
         return shares
-    qdems = [capped[a] if n == 1 else capped[a] + capped[a + 1] if n == 2
-             else math.fsum(capped[a:a + n]) for _, a, n in ded]
+    qdems = dems[:nd]
     if groups:
         qdems.append(sdem)
     C, qwsum = plan.C, plan.qwsum
@@ -496,14 +495,14 @@ def _group_shares(plan: "_LinkPlan", capped: tuple, lift: bool) -> list:
     qsorted = _by_key(plan.qweights, qdems)
     # a greedy member makes the whole queue greedy
     shares = [_lifted_share(C, w_q, C, qwsum, qsorted, qi)
-              for qi, (w_q, _, _) in enumerate(ded)]
+              for qi, (w_q, _) in enumerate(ded)]
     if groups:
         # lifting one flow lifts its tenant's demand to the cap
-        qi, w_q = len(ded), plan.qweights[-1]
+        w_q = plan.qweights[-1]
         tsorted = _by_key(plan.tweights, tds)
         twsum = plan.twsum
-        for ti, ((g, w, _, _), d) in enumerate(zip(groups, tds)):
-            share = _lifted_share(C, w_q, sdem - d + g, qwsum, qsorted, qi)
+        for ti, ((g, w), d) in enumerate(zip(groups, tds)):
+            share = _lifted_share(C, w_q, sdem - d + g, qwsum, qsorted, nd)
             shares.append(_lifted_share(share, w, g, twsum, tsorted, ti))
     return shares
 
@@ -529,73 +528,136 @@ def _link_levels(plan: "_LinkPlan", capped: tuple, lift: bool,
 
 
 class _LinkPlan:
-    """One directed link's flows under the current queue views, as the
-    kernel reads them. `queues` gives (weight, groups) per queue in qid
-    order, a group being (cap, weight, flow count) for one tenant, its flows
-    in fid order: a dedicated queue holds its owner's flows uncapped (cap
-    None), the shared queue one group per tenant in tenant order, capped at
-    the tenant's reservation. Static mode puts every tenant, capped at its
-    reservation, in one queue.
+    """One directed link's flows under its queue view (a LinkQueueView), as
+    the kernel reads them: one row per tenant with flows on the link, its
+    flows in fid order. The rows of the tenants that own a dedicated queue
+    come first, each its own queue, then the rows of the shared queue, each
+    kind in tenant order; static mode puts every tenant in the one static
+    queue. A shared or static tenant is capped at its reservation.
 
-    The kernel reads `ded`, (weight, offset, count) per dedicated queue,
-    `groups`, (cap, weight, offset, count) per shared or static group, with
-    their weights and the weights' math.fsum (`qweights`/`qwsum` over
-    queues, `tweights`/`twsum` over groups), and `K`, the shared queue's
-    weighted share of the capacity when it is the only queue, and `spans`,
-    (offset, count) per dedicated queue and then per group, the order the
-    kernel's levels come in (every dedicated queue precedes the shared
-    queue in qid order). The signature `sig` is every number the kernel
-    reads, flat: the capacity, the weight sum, then per queue its weight,
-    its tenant weight sum and its group count, each followed by its groups'
-    cap, weight and flow count. `sid` names the signature in the memo: the
-    solver gives it once, when it builds the plan. `fids` and `positions`
-    list the flows and their solver slots in plan order. `first` holds the
-    levels of the first lift sweep once a sweep has read them: that sweep
-    starts from infinite rates, so every flow demands the capacity, and its
-    levels depend on the plan's numbers alone."""
+    The kernel reads `spans`, (offset, count) per row; `ded`, (queue weight,
+    reservation weight) per dedicated row; `groups`, (cap, weight) per
+    shared or static row, both its reservation (the weight floored at
+    1e-12); the weights of the queues (`qweights`, the shared or static
+    queue's last) and of the groups (`tweights`), with their math.fsum
+    (`qwsum`, `twsum`); and `K`, the shared queue's weighted share of the
+    capacity when it is the only queue. The signature `sig` is every number
+    the kernel reads, flat: the capacity, the weight sum, then per queue its
+    weight, its tenant weight sum and its group count, each followed by its
+    groups' cap (None in a dedicated queue), weight and flow count. `sid`
+    names the signature in the solver's memo. `positions` lists the flows'
+    solver slots in plan order, and `gather` reads their entries of a
+    per-slot list as a tuple. `first` holds the levels of the first lift
+    sweep once a sweep has read them: that sweep starts from infinite
+    rates, so every flow demands the capacity, and its levels depend on the
+    plan's numbers alone. `key` is the plan's (signature id, slots) group
+    in the solver, None before it joins one.
 
-    __slots__ = ("C", "static", "qweights", "qwsum", "ded", "groups",
-                 "tweights", "twsum", "K", "spans", "sig", "sid", "fids",
-                 "positions", "gather", "first")
+    A plan follows its link's flows row by row (`set`), at a cost in
+    proportion to the rows that changed: a tenant's new flows replace its
+    row's slots, shift the offsets of the rows after it, and change its
+    count in the signature. Only a tenant that joins or leaves the link
+    adds or drops a row, and then `derive` re-derives the weights and the
+    signature. A link's first plan is the empty plan that each of its
+    tenants joins."""
 
-    def __init__(self, C: float, static: bool, queues: list):
-        self.C, self.static = C, static
-        self.ded, self.groups, self.tweights = [], [], []
-        self.qweights = [w_q for w_q, _ in queues]
-        self.qwsum = math.fsum(self.qweights)
-        self.twsum = 0.0
-        numbers, at = [], 0
-        for w_q, groups in queues:
-            twsum = math.fsum(w for _, w, _ in groups)
-            numbers += (w_q, twsum, len(groups))
-            for g, w, n in groups:
-                numbers += (g, w, n)
-                if g is None:
-                    self.ded.append((w_q, at, n))
-                else:
-                    self.groups.append((g, w, at, n))
-                    self.tweights.append(w)
-                at += n
-            if groups[0][0] is not None:
-                self.twsum = twsum
+    __slots__ = ("dkey", "view", "C", "static", "wshared", "tenants", "ded",
+                 "groups", "qweights", "qwsum", "tweights", "twsum", "K",
+                 "spans", "sig", "sid", "positions", "gather",
+                 "first", "key")
+
+    def __init__(self, dkey: tuple, view: "LinkQueueView", static: bool):
+        self.dkey, self.view, self.static = dkey, view, static
+        self.C = view.capacity
+        qid = ("static",) if static else ("shared",)
+        self.wshared = max(view.qweights.get(qid, 0.0), 1e-12)
+        self.tenants, self.ded, self.groups, self.spans = [], [], [], []
+        self.positions = []
+        self.sig = self.first = self.key = None
+        self.sid = 0
+
+    def set(self, tenant: str, flows, slot: dict) -> None:
+        """Give `tenant`'s row the flows `flows` (their fids in fid order;
+        none once it has left the link), each at its slot in `slot`. A
+        tenant new to the plan joins with its queue and reservation under
+        the view. A tenant that joins or leaves clears `sig` until
+        `derive`."""
+        tenants, spans = self.tenants, self.spans
+        nd = len(self.ded)
+        if tenant in tenants:
+            r = tenants.index(tenant)
+            a, n = spans[r]
+        else:
+            view = self.view
+            res = view.reservations.get(tenant, 0.0)
+            if not self.static and tenant in view.owners:
+                r = bisect.bisect(tenants, tenant, 0, nd)
+                self.ded.insert(r, (max(view.qweights.get(
+                    ("dedicated", tenant), 0.0), 1e-12), max(res, 1e-12)))
+                nd += 1
+            else:
+                r = bisect.bisect(tenants, tenant, nd)
+                self.groups.insert(r - nd, (res, max(res, 1e-12)))
+            a, n = spans[r][0] if r < len(spans) else len(self.positions), 0
+            tenants.insert(r, tenant)
+            spans.insert(r, (a, 0))
+            self.sig = None
+        m = len(flows)
+        self.positions[a:a + n] = map(slot.__getitem__, flows)
+        if m == n:
+            return
+        shift = m - n
+        for i in range(r + 1, len(spans)):
+            b, k = spans[i]
+            spans[i] = (b + shift, k)
+        if not m:
+            del tenants[r], spans[r]
+            if r < nd:
+                del self.ded[r]
+            else:
+                del self.groups[r - nd]
+            self.sig = None
+            return
+        spans[r] = (a, m)
+        if self.sig is not None:
+            # the row's count: six numbers per dedicated queue and three
+            # per shared group follow the capacity and the weight sum, and
+            # the shared queue's own three precede its groups
+            sig = list(self.sig)
+            sig[6 * r + 7 if r < nd else 3 * (r + nd) + 7] = m
+            self.sig = tuple(sig)
+
+    def derive(self) -> None:
+        """Re-derive the weights, their sums, K and the signature from the
+        rows."""
+        ded, groups, C = self.ded, self.groups, self.C
+        self.tweights = [w for _, w in groups]
+        self.twsum = math.fsum(self.tweights)
+        self.qweights = [w_q for w_q, _ in ded]
+        if groups:
+            self.qweights.append(self.wshared)
+        self.qwsum = qwsum = math.fsum(self.qweights)
         # what _lifted_share and _weighted_fill give the lone queue: 0.0
         # on a link without capacity
-        self.K = ((C * self.qweights[0] / self.qwsum if C > 0 else 0.0)
-                  if len(queues) == 1 and not self.ded else None)
-        self.spans = ([(a, n) for _, a, n in self.ded]
-                      + [(a, n) for _, _, a, n in self.groups])
-        self.sig = (C, self.qwsum, *numbers)
-        self.sid = 0
-        self.fids = self.positions = ()
-        self.first = None
+        self.K = (None if ded else
+                  C * self.qweights[0] / qwsum if C > 0 else 0.0)
+        sig = [C, qwsum]
+        for (w_q, w), (_, n) in zip(ded, self.spans):
+            sig += (w_q, w, 1, None, w, n)
+        if groups:
+            sig += (self.wshared, self.twsum, len(groups))
+            for (g, w), (_, n) in zip(groups, self.spans[len(ded):]):
+                sig += (g, w, n)
+        self.sig = tuple(sig)
 
-    def place(self, positions: list) -> None:
-        """Set the solver slots of the plan's flows, in plan order, as a
-        tuple, and `gather`, which reads their entries of a per-slot list as
-        a tuple."""
-        self.positions = tuple(positions)
-        self.gather = (operator.itemgetter(*positions) if len(positions) > 1
-                       else lambda rates, at=positions[0]: (rates[at],))
+    def place(self) -> None:
+        """Set `gather` from the plan's solver slots."""
+        at = self.positions
+        self.gather = (operator.itemgetter(*at) if len(at) > 1
+                       else lambda rates, at=at[0]: (rates[at],))
+
+
+_dkey = operator.attrgetter("dkey")
 
 
 def _settled(new: list, old: list) -> bool:
@@ -637,31 +699,37 @@ class RateSolver:
     slot, the index of its rate in the flat rate list; when a flow leaves,
     the last slot moves into its place. A solve takes the record of the
     flows that left and the flows appended since the last one (a
-    FlowChange, as the event loop keeps it per step), re-plans only the
-    links on their routes from the index's groups, and renews only the slot
-    lists of a moved flow's links. A solve without a record starts over: it
-    drops every slot and plan (and its own index) and takes every routed
-    flow as arriving. `rebuild` drops every plan, since the plans read the
-    queue views.
+    FlowChange, as the event loop keeps it per step) and carries each plan
+    through it: on every link of their routes only the rows of their
+    tenants are set anew from the index's groups (see _LinkPlan.set), a
+    link's first plan is an empty plan that its tenants join, and a link no
+    flow crosses any more is dropped. A flow that moved to another slot
+    renews its slots on the links of its route, and nothing else there. A
+    solve without a record starts over: it drops every slot and plan (and
+    its own index) and takes every routed flow as arriving. `rebuild` drops
+    every plan, since the plans read the queue views, and the next solve
+    plans every link anew.
 
     One link's work in a sweep (its kernel, _link_levels) is a pure function
     of the sweep kind, the link's plan numbers and its capped demands, and
     from one solve to the next most links see the same inputs again. The
     solver therefore memoises kernel results keyed by (lift, signature id,
     capped demands), where the signature id names the plan's numbers (see
-    _LinkPlan). A plan gets its id once, when it is built, from a map of
-    signature to id; equal signatures among the live plans share one id.
-    The first lift sweep reads no memo: its levels depend on the plan's
-    numbers alone, and the plan keeps them.
+    _LinkPlan). A plan gets its id from a map of signature to id whenever
+    its signature changes; equal signatures among the live plans share one
+    id. The first lift sweep reads no memo: its levels depend on the plan's
+    numbers alone, and the plan keeps them until the next record that
+    changes its link's flows.
 
     Links with the same signature over the same flow slots, such as a
     route's hops into and out of a core switch, see the same input in every
-    sweep: each solve groups the plans by (signature id, slots), and a
-    sweep evaluates each group once, by its first plan, counting the others
-    as memo hits. One level down, a kernel run splits each group's share
-    over its flows, and within a run most groups of 3 or more flows see a
-    (total, caps) input seen before; those levels come from a second memo,
-    keyed by (lift, total, caps). The level memo, the link memo and the
+    sweep: the solver keeps the plans grouped by (signature id, slots),
+    moving only the plans a solve changed, and a sweep evaluates each group
+    once, by its plan first in dkey order, counting the others as memo
+    hits. One level down, a kernel run splits each group's share over its
+    flows, and within a run most groups of 3 or more flows see a (total,
+    caps) input seen before; those levels come from a second memo, keyed
+    by (lift, total, caps). The level memo, the link memo and the
     signature map are _Memo generations that rotate together every
     _LEVEL_SOLVES solves, so each holds at most the lookups of the last
     2 * _LEVEL_SOLVES solves, the map also the live plans' signatures: a
@@ -673,10 +741,11 @@ class RateSolver:
     at the sweep cap with the last relative rate change still >= _TOL),
     `kernel_runs` and `kernel_hits` (per-link kernel evaluations and memo
     hits; together, planned links times lift and projection sweeps),
-    `plans_built` and `plans_kept` (per solve, each planned link is either
-    planned anew or carried from the previous solve), and `level_runs` and
-    `level_hits` (level memo lookups that ran the group kernel or found its
-    levels).
+    `plans_built` and `plans_kept` (per solve, each planned link's plan is
+    either set from the record, on a link its flows cross, a new link
+    included, or on every link after a rebuild or a start over, or else
+    carried, its slots renewed at most), and `level_runs` and `level_hits`
+    (level memo lookups that ran the group kernel or found its levels).
     """
 
     COUNTERS = ("solves", "sweeps", "nonconverged", "kernel_runs",
@@ -700,19 +769,19 @@ class RateSolver:
         self._next_sid = itertools.count(1)
         self.index, self._own_index = index or FlowIndex(), index is None
         # routed flows by slot, each one's slot by fid, the plans of the
-        # crossed links in dkey order, and the first plan of each
-        # (signature id, slots) group
+        # crossed links in dkey order, and the plans of each (signature id,
+        # slots) group in dkey order
         self._flows: list = []
         self._slot: dict = {}
         self._plans: dict = {}
-        self._distinct: list = []
+        self._distinct: dict = {}
 
     def rebuild(self, owners_by_link: dict) -> None:
         self.views = {}
         for ukey, link in self.topo.links.items():
             owners = owners_by_link.get(ukey, set())
             self.views[ukey] = LinkQueueView(ukey, link, owners, self.weight_mode)
-        self._plans = {}
+        self._plans, self._distinct = {}, {}
 
     def solve(self, flows: list, change: FlowChange | None = None) -> None:
         """Set flow.rate for every flow in place. `change` records the
@@ -766,99 +835,120 @@ class RateSolver:
     def _update(self, flows: list, change: FlowChange | None = None) -> None:
         """Bring the slots and plans up to the routed flows of `flows`
         through `change`: the routed flows that left free their slots (the
-        last slot moving into each freed one), those appended take new
-        slots, every link on their routes is planned anew from the index's
-        tenant groups, and a link no flow crosses any more is dropped. Then
-        the plans are grouped by (signature id, slots) for the sweeps.
+        last slot moving into each freed one) and those appended take new
+        slots. On every link of their routes the rows of their tenants are
+        set anew (a new link's plan joins them to an empty plan, new plans
+        going in place in dkey order), and a link no flow crosses any more
+        is dropped; on the other links of a moved flow only its tenant's
+        slots are renewed. With no plan left (after `rebuild`), every link
+        is planned anew. Only the plans set or renewed move to their new
+        (signature id, slots) group.
 
         Without a record, every slot and plan (and the solver's own index)
         is dropped and every routed flow of `flows` arrives, in the order
         given."""
         if change is None:
-            self._flows, self._slot, self._plans = [], {}, {}
+            self._flows, self._slot = [], {}
+            self._plans, self._distinct = {}, {}
             change = FlowChange((), flows)
             if self._own_index:
                 self.index = FlowIndex()
         if self._own_index:
             self.index.apply(change)
         slotted, slot = self._flows, self._slot
-        tenants, plans = self.index.tenants, self._plans
-        touched, moved = set(), set()
+        index, plans = self.index.tenants, self._plans
+        # link -> the tenants of the flows that left or arrived there, and
+        # link -> the tenants of the flows that moved slot
+        touched, moved = {}, {}
         # from the last slot down, so that the slot moved into a freed one
         # never belongs to a flow that left
         for s in sorted([slot[f.fid] for f in change.left if f.route],
                         reverse=True):
             gone = slotted[s]
-            touched.update(gone.route)
+            for dkey in gone.route:
+                touched.setdefault(dkey, set()).add(gone.tenant)
             del slot[gone.fid]
             last = slotted.pop()
             if s < len(slotted):
                 slotted[s] = last
                 slot[last.fid] = s
-                moved.update(last.route)
+                for dkey in last.route:
+                    moved.setdefault(dkey, set()).add(last.tenant)
         for f in change.added:
             if f.route:
                 slot[f.fid] = len(slotted)
                 slotted.append(f)
-                touched.update(f.route)
-        for dkey in touched:
-            plans.pop(dkey, None)
-        kept = len(plans)
-        if kept < len(tenants):
-            plans.update((dkey, self._plan(dkey, by_tenant))
-                         for dkey, by_tenant in tenants.items()
-                         if dkey not in plans)
-            self._plans = plans = dict(sorted(plans.items()))
-        for dkey in moved.difference(touched):
+                for dkey in f.route:
+                    touched.setdefault(dkey, set()).add(f.tenant)
+        if not plans:
+            touched = {dkey: by_tenant.keys()
+                       for dkey, by_tenant in index.items()}
+        born, built = [], 0
+        for dkey, tenants in touched.items():
             plan = plans.get(dkey)
-            if plan is not None:
-                plan.place([slot[fid] for fid in plan.fids])
-        self.plans_kept += kept
-        self.plans_built += len(plans) - kept
-        distinct: dict = {}
-        for plan in plans.values():
-            distinct.setdefault((plan.sid, plan.positions), plan)
-        self._distinct = list(distinct.values())
-
-    def _plan(self, dkey: tuple, by_tenant: dict) -> _LinkPlan:
-        """A new plan of link `dkey` for its flows by tenant and fid (see
-        _LinkPlan), with its signature id."""
-        view = self.views[link_key(*dkey)]
-        res, qweights = view.reservations, view.qweights
-        static = self.mode == "static"
-        queues, shared, fids = [], [], []
-        for t in sorted(by_tenant):
-            if static or t not in view.owners:
-                shared.append(t)
+            if dkey not in index:
+                if plan is not None:
+                    del plans[dkey]
+                    self._regroup(plan, None)
                 continue
-            queues.append((max(qweights.get(("dedicated", t), 0.0), 1e-12),
-                           [(None, max(res.get(t, 0.0), 1e-12),
-                             len(by_tenant[t]))]))
-            fids += by_tenant[t]
-        if shared:
-            groups = []
-            for t in shared:
-                g = res.get(t, 0.0)
-                groups.append((g, max(g, 1e-12), len(by_tenant[t])))
-                fids += by_tenant[t]
-            qid = ("static",) if static else ("shared",)
-            queues.append((max(qweights.get(qid, 0.0), 1e-12), groups))
-        plan = _LinkPlan(view.capacity, static, queues)
-        # ids start at 1, so a found id is never falsy
-        plan.sid = self._sids.get(plan.sig, next, self._next_sid)
-        plan.fids = fids
-        plan.place([self._slot[fid] for fid in fids])
-        return plan
+            if plan is None:
+                plan = _LinkPlan(dkey, self.views[link_key(*dkey)],
+                                 self.mode == "static")
+                born.append(plan)
+            self._plan(plan, index[dkey], {*tenants, *moved.pop(dkey, ())})
+            plan.first = None
+            built += 1
+        if born:
+            # new links go in place: the plans after the first of them move
+            # behind it, in dkey order with the others
+            first = min(born, key=_dkey).dkey
+            born += map(plans.pop, [dkey for dkey in plans if dkey > first])
+            plans.update((p.dkey, p) for p in sorted(born, key=_dkey))
+        for dkey, tenants in moved.items():
+            self._plan(plans[dkey], index[dkey], tenants)
+        self.plans_built += built
+        self.plans_kept += len(plans) - built
+
+    def _plan(self, plan: _LinkPlan, by_tenant: dict, tenants) -> None:
+        """Set the rows of `tenants` in `plan` from the link's flows by
+        tenant and fid (see _LinkPlan.set), re-derive its numbers if a row
+        came or went, give it the id of a changed signature, and move it to
+        its (signature id, slots) group."""
+        sig = plan.sig
+        for t in tenants:
+            plan.set(t, by_tenant.get(t, ()), self._slot)
+        if plan.sig is None:
+            plan.derive()
+        if plan.sig is not sig:
+            # ids start at 1, so a found id is never falsy
+            plan.sid = self._sids.get(plan.sig, next, self._next_sid)
+        plan.place()
+        self._regroup(plan, (plan.sid, tuple(plan.positions)))
+
+    def _regroup(self, plan: _LinkPlan, key) -> None:
+        """Move `plan` out of its (signature id, slots) group and into the
+        group `key` (into none when None), in dkey order."""
+        distinct = self._distinct
+        if plan.key is not None:
+            group = distinct[plan.key]
+            group.remove(plan)
+            if not group:
+                del distinct[plan.key]
+        plan.key = key
+        if key is not None:
+            bisect.insort(distinct.setdefault(key, []), plan, key=_dkey)
 
     def _first_sweep(self) -> list:
         """The first lift sweep, from infinite rates: every flow demands its
         link's capacity, so each plan's levels are those it keeps (`first`),
-        taken from the link memo the first time a sweep reads them. A plan
-        of a (signature id, slots) group stands for the whole group."""
+        taken from the link memo the first time a sweep reads them. The plan
+        first in dkey order of a (signature id, slots) group stands for the
+        whole group."""
         out = [math.inf] * len(self._flows)
         memo = self._memo
         runs = memo.runs
-        for plan in self._distinct:
+        for group in self._distinct.values():
+            plan = group[0]
             levels = plan.first
             if levels is None:
                 capped = (plan.C,) * len(plan.positions)
@@ -875,13 +965,15 @@ class RateSolver:
         """New per-slot rates: the minimum over each flow's links of its
         lifted grant (`lift`) or of its capped projection, every flow
         demanding its current rate (see _link_levels), each link's levels
-        taken from the memo when its input repeats. A plan of a (signature
-        id, slots) group stands for the whole group."""
+        taken from the memo when its input repeats. The plan first
+        in dkey order of a (signature id, slots) group stands for the whole
+        group."""
         out = [math.inf] * len(rates)
         memo, levels_memo = self._memo, self._levels
         cur, prev = memo.cur, memo.prev
         runs = 0
-        for plan in self._distinct:
+        for group in self._distinct.values():
+            plan = group[0]
             C = plan.C
             capped = plan.gather(rates)
             # `C if C < r else r` is min(r, C), without the call; after the
@@ -943,6 +1035,11 @@ class DemandGenerator:
 
     Every client draws from its own seeded stream, so a client's i-th request
     has the same size and peer under any rate policy.
+
+    A generator serves one run, in which neither a client's peers nor a
+    tenant's routing tree change: it keeps each client's peer VMs from its
+    first request, and the route of each (tenant, src hypervisor, dst
+    hypervisor) from the first flow between them.
     """
 
     mode: str
@@ -956,6 +1053,8 @@ class DemandGenerator:
         self._rngs = [np.random.default_rng([self.seed, 0xC11E, i])
                       for i in range(len(self.clients))]
         self._cursor = [0] * len(self.clients)
+        self._peers: list = [None] * len(self.clients)
+        self._routes: dict = {}
 
     def start_events(self) -> list:
         return [(c.start, ("activate", i))
@@ -966,12 +1065,12 @@ class DemandGenerator:
         c = self.clients[idx]
         if now >= c.stop:
             return None
-        tenant = sim.tenants[c.tenant]
         vms = sim.vm_map[c.tenant]
-        if c.peer_vms is not None:
-            peers = [v for v in c.peer_vms if v != c.vm]
-        else:
-            peers = [v for v in range(len(vms)) if v != c.vm]
+        peers = self._peers[idx]
+        if peers is None:
+            peers = self._peers[idx] = [
+                v for v in (range(len(vms)) if c.peer_vms is None
+                            else c.peer_vms) if v != c.vm]
         if not peers:
             return None
         rng = self._rngs[idx]
@@ -986,13 +1085,15 @@ class DemandGenerator:
             src = peers[int(rng.integers(0, len(peers)))]
         size = sample_flow_size(c.flow_sizes or self.flow_sizes, rng)
         scale = c.size_scale if c.size_scale is not None else self.size_scale
+        src_hyp, dst_hyp = vms[src], vms[c.vm]
+        route = self._routes.get((c.tenant, src_hyp, dst_hyp))
+        if route is None:
+            route = self._routes[c.tenant, src_hyp, dst_hyp] = tenant_route(
+                sim.tenants[c.tenant], src_hyp, dst_hyp)
         return Flow(
             fid=sim.next_fid(), tenant=c.tenant,
-            src_vm=src, dst_vm=c.vm,
-            src_hyp=vms[src], dst_hyp=vms[c.vm],
-            size=size * scale, start=now,
-            route=tenant_route(tenant, vms[src], vms[c.vm]),
-            client=idx,
+            src_vm=src, dst_vm=c.vm, src_hyp=src_hyp, dst_hyp=dst_hyp,
+            size=size * scale, start=now, route=route, client=idx,
         )
 
     def after_completion(self, idx: int, now: float) -> float:

@@ -6,7 +6,8 @@ allocation DP's star and min-plus kernels, a per-skeleton loop for the
 tenant election, clip-loop redistribution plus
 Jacobi iteration for the WFQ fixed point, all-flow scans for FIFO scaling,
 an endhost policy and link checks that re-derive everything on every call,
-all-flow scans for the links a flow crosses, progressive filling over
+all-flow scans for the links a flow crosses, demand that derives every
+peer list and route per request, progressive filling over
 per-tenant virtual links for static reservation, per-flow, per-hop sample
 accounting, a direct transcription of the
 queue-allocation pass, the copying queue-allocation pass that draws one
@@ -511,6 +512,62 @@ def link_levels_reference(mode: str, C: float, qwsum: float, queues: list,
     return tuple(out)
 
 
+def link_plan_reference(view, static: bool, by_tenant: dict,
+                        slot: dict) -> dict:
+    """Every field of a fluid._LinkPlan the kernel and the sweeps read, built
+    from scratch from one link's flows by tenant and fid, as the rate solver
+    first planned each link: a dedicated queue per owning tenant in tenant
+    order, then the shared (or static) queue with one group per other
+    tenant in tenant order; per queue its weight, its tenant weight sum and
+    its groups as (cap, weight, flow count), a dedicated group's cap being
+    None. `view` is the link's LinkQueueView and `slot` each flow's solver
+    slot by fid."""
+    res, qweights = view.reservations, view.qweights
+    queues, shared, fids = [], [], []
+    for t in sorted(by_tenant):
+        if static or t not in view.owners:
+            shared.append(t)
+            continue
+        queues.append((max(qweights.get(("dedicated", t), 0.0), 1e-12),
+                       [(None, max(res.get(t, 0.0), 1e-12),
+                         len(by_tenant[t]))]))
+        fids += by_tenant[t]
+    if shared:
+        groups = []
+        for t in shared:
+            g = res.get(t, 0.0)
+            groups.append((g, max(g, 1e-12), len(by_tenant[t])))
+            fids += by_tenant[t]
+        qid = ("static",) if static else ("shared",)
+        queues.append((max(qweights.get(qid, 0.0), 1e-12), groups))
+    C = view.capacity
+    qw = [w_q for w_q, _ in queues]
+    qwsum = math.fsum(qw)
+    plan = {"C": C, "static": static, "ded": [], "groups": [],
+            "qweights": qw, "qwsum": qwsum, "tweights": [], "twsum": 0.0,
+            "spans": [], "fids": fids,
+            "positions": [slot[fid] for fid in fids]}
+    numbers, at = [], 0
+    for w_q, groups in queues:
+        twsum = math.fsum(w for _, w, _ in groups)
+        numbers += (w_q, twsum, len(groups))
+        for g, w, n in groups:
+            numbers += (g, w, n)
+            if g is None:
+                plan["ded"].append((w_q, w))
+            else:
+                plan["groups"].append((g, w))
+                plan["tweights"].append(w)
+            plan["spans"].append((at, n))
+            at += n
+        if groups[0][0] is not None:
+            plan["twsum"] = twsum
+    plan["K"] = ((C * qw[0] / qwsum if C > 0 else 0.0)
+                 if len(queues) == 1 and not plan["ded"] else None)
+    plan["sig"] = (C, qwsum, *numbers)
+    return plan
+
+
 def fifo_scale_reference(flows, capacities, max_rounds=50,
                          goodput_exponent=1.0):
     """baselines.fifo_scale with a scan of every flow per link and round;
@@ -722,6 +779,39 @@ def static_maxmin_reference(topo, flows) -> dict:
                         rates[fid] = level
                         frozen.add(fid)
     return rates
+
+
+def next_flow_reference(gen, sim, idx: int, now: float):
+    """fluid.DemandGenerator.next_flow as first written: the client's peers
+    and the flow's route (fluid.tenant_route) derived anew on every
+    request, from the generator's own streams and cursors."""
+    from qshare.fluid import Flow, sample_flow_size, tenant_route
+    c = gen.clients[idx]
+    if now >= c.stop:
+        return None
+    tenant = sim.tenants[c.tenant]
+    vms = sim.vm_map[c.tenant]
+    if c.peer_vms is not None:
+        peers = [v for v in c.peer_vms if v != c.vm]
+    else:
+        peers = [v for v in range(len(vms)) if v != c.vm]
+    if not peers:
+        return None
+    rng = gen._rngs[idx]
+    mode = c.mode or gen.mode
+    if mode == "shuffle":
+        if gen._cursor[idx] == 0:
+            gen._cursor[idx] = c.vm
+        src = peers[gen._cursor[idx] % len(peers)]
+        gen._cursor[idx] += 1
+    else:
+        src = peers[int(rng.integers(0, len(peers)))]
+    size = sample_flow_size(c.flow_sizes or gen.flow_sizes, rng)
+    scale = c.size_scale if c.size_scale is not None else gen.size_scale
+    return Flow(fid=sim.next_fid(), tenant=c.tenant, src_vm=src, dst_vm=c.vm,
+                src_hyp=vms[src], dst_hyp=vms[c.vm], size=size * scale,
+                start=now, route=tenant_route(tenant, vms[src], vms[c.vm]),
+                client=idx)
 
 
 def all_unsaturated_reference(sim, flow) -> bool:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -425,6 +426,11 @@ def sweep_by_fid(solver, demands: dict, lift: bool) -> dict:
     return {f.fid: r.hex() for f, r in zip(solver._flows, rates)}
 
 
+def plan_fids(solver, plan) -> list:
+    """The fids of the flows at `plan`'s slots, in plan order."""
+    return [solver._flows[s].fid for s in plan.positions]
+
+
 @pytest.mark.parametrize("mode", ["wfq", "static"])
 def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
     """One solver takes a sequence of solves, each with the record of its
@@ -449,7 +455,7 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
     def hexes(rates):
         return [r.hex() for r in rates]
 
-    recurred = 0  # plans built with the id of a signature two solves back
+    recurred = 0  # plans given the id of a signature two solves back
     for case in range(12):
         maker = random_wfq_case if case % 2 else large_shared_case
         topo, tenants, owners, flows = maker(rng)
@@ -482,7 +488,7 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
             marks.append(solver.kernel_runs + solver.kernel_hits)
             level_marks.append(solver.level_runs + solver.level_hits)
             sweeps = solver.sweeps
-            built = set(map(id, solver._plans.values()))
+            signed = {dk: plan.sig for dk, plan in solver._plans.items()}
             solver.solve(active, change)
             evals = solver.kernel_runs + solver.kernel_hits
             links = len({dk for f in active for dk in f.route})
@@ -496,7 +502,8 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
             for plan in solver._plans.values():
                 sid, last = seen.get(plan.sig, (plan.sid, solver.solves))
                 assert plan.sid == sid or last < solver.solves - 1
-                recurred += (plan.sid == sid and id(plan) not in built
+                recurred += (plan.sid == sid
+                             and signed.get(plan.dkey) != plan.sig
                              and last <= solver.solves - 2)
                 seen[plan.sig] = plan.sid, solver.solves
 
@@ -574,6 +581,38 @@ def random_kernel_plan(rng):
     return "wfq", C, queues
 
 
+def kernel_plan(mode: str, C: float, queues: list, rng) -> F._LinkPlan:
+    """The _LinkPlan of `queues` (as random_kernel_plan draws them): every
+    group is a tenant that joins an empty plan, in random order, under a
+    view that gives its queue and group the drawn weights, and its flows
+    hold the slots of their places in plan order."""
+    view = types.SimpleNamespace(capacity=C, owners=set(), reservations={},
+                                 qweights={})
+    counts = {}
+    for q, (w_q, groups) in enumerate(queues):
+        for j, (g, w, n) in enumerate(groups):
+            tid = f"t{q}{j}"
+            counts[tid] = n
+            if g is None:
+                view.owners.add(tid)
+                view.qweights["dedicated", tid] = w_q
+                view.reservations[tid] = w
+            else:
+                view.reservations[tid] = g
+                view.qweights[("static",) if mode == "static"
+                              else ("shared",)] = w_q
+    plan = F._LinkPlan(None, view, mode == "static")
+    fids = itertools.count()
+    flows = {tid: dict.fromkeys(itertools.islice(fids, n))
+             for tid, n in counts.items()}
+    slot = {fid: fid for fid in range(sum(counts.values()))}
+    for tid in rng.permutation(sorted(counts)).tolist():
+        plan.set(tid, flows[tid], slot)
+    plan.derive()
+    assert plan.positions == list(range(len(slot)))
+    return plan
+
+
 def test_kernel_matches_reference_bit_for_bit(rng):
     """fluid._link_levels on a _LinkPlan equals oracles.link_levels_reference
     (the kernel as first written) bit for bit, in lift and projection
@@ -585,7 +624,8 @@ def test_kernel_matches_reference_bit_for_bit(rng):
     memo = F._Memo()
     for case in range(1500):
         mode, C, queues = random_kernel_plan(rng)
-        plan = F._LinkPlan(C, mode == "static", queues)
+        # the join order has a stream of its own: `rng` draws only the cases
+        plan = kernel_plan(mode, C, queues, np.random.default_rng(case))
         ref_queues = [(w_q, math.fsum(w for _, w, _ in groups),
                        [(g, w, range(n)) for g, w, n in groups])
                       for w_q, groups in queues]
@@ -655,13 +695,9 @@ def test_lift_levels_match_reference_bit_for_bit(rng):
     assert min(shared, searched) >= 200, (shared, searched)
 
 
-def test_twin_links_run_once_per_sweep():
-    """On a chain h1-s1-s2-h2 of equal capacities (and h3 under s1), the
-    links a flow set crosses in one direction carry the same flows under
-    equal signatures. As flows arrive (h3's flows split the groups) and
-    leave, every sweep reads each (signature, flows) group once, through
-    its first plan, the other links count as memo hits, and the rates equal
-    a fresh solver's bit for bit and WfqOracle's within 1e-6."""
+def twin_chain():
+    """A chain h1-s1-s2-h2 of equal capacities, with h3 under s1, and
+    tenants A and B of one VM on each hypervisor."""
     topo = T.build_custom(
         [("h1", "hypervisor", 0, 10), ("h2", "hypervisor", 0, 10),
          ("h3", "hypervisor", 0, 10), ("s1", "switch", 1, 0),
@@ -671,6 +707,32 @@ def test_twin_links_run_once_per_sweep():
     tenants = {tid: P.embed_fixed(topo, TenantRequest(3, 100.0), tid, "s2",
                                   {"h1": 1, "h2": 1, "h3": 1})
                for tid in ("A", "B")}
+    return topo, tenants
+
+
+def twin_case(rng):
+    """twin_chain with B owning a dedicated queue on every link and 1-12
+    flows between random hypervisors, so that links of equal signatures
+    often carry the same flows."""
+    topo, tenants = twin_chain()
+    owners = {key: {"B"} for key in topo.links}
+    flows = []
+    for fid in range(1, int(rng.integers(2, 14))):
+        tid = str(rng.choice(["A", "B"]))
+        a, b = rng.choice(["h1", "h2", "h3"], size=2, replace=False).tolist()
+        flows.append(F.Flow(fid, tid, 0, 1, a, b, 1e9, 0.0,
+                            route=F.tenant_route(tenants[tid], a, b)))
+    return topo, tenants, owners, flows
+
+
+def test_twin_links_run_once_per_sweep():
+    """On a chain h1-s1-s2-h2 of equal capacities (and h3 under s1), the
+    links a flow set crosses in one direction carry the same flows under
+    equal signatures. As flows arrive (h3's flows split the groups) and
+    leave, every sweep reads each (signature, flows) group once, through
+    its first plan, the other links count as memo hits, and the rates equal
+    a fresh solver's bit for bit and WfqOracle's within 1e-6."""
+    topo, tenants = twin_chain()
     owners = {key: {"B"} for key in topo.links}
     ends = [("A", "h1", "h2"), ("B", "h1", "h2"), ("A", "h1", "h2"),
             ("A", "h2", "h1"), ("B", "h2", "h1"), ("A", "h3", "h2"),
@@ -690,7 +752,7 @@ def test_twin_links_run_once_per_sweep():
         plans = solver._plans
         assert solver.kernel_runs + solver.kernel_hits - evals == \
             len(plans) * (solver.sweeps - sweeps + 2), f"step {step}"
-        groups = {(p.sig, tuple(p.fids)) for p in plans.values()}
+        groups = {(p.sig, tuple(p.positions)) for p in plans.values()}
         assert len(solver._distinct) == len(groups), f"step {step}"
         if step == 4:  # flows 1-5: one group per direction
             assert (len(plans), len(groups)) == (6, 2)
@@ -741,7 +803,10 @@ def test_departure_replans_only_the_links_on_its_route(rng):
         solver = F.RateSolver(topo)
         solver.rebuild(owners)
         solver.solve(flows)
-        before = dict(solver._plans)
+        # a plan off the route is carried as it was, slots aside; one on
+        # it is set anew and loses the departed flow
+        before = {dk: (plan, plan.sig, plan_fids(solver, plan))
+                  for dk, plan in solver._plans.items()}
         gone = flows[int(rng.integers(0, len(flows)))]
         rest = [f for f in flows if f is not gone]
         built, kept = solver.plans_built, solver.plans_kept
@@ -749,14 +814,111 @@ def test_departure_replans_only_the_links_on_its_route(rng):
         crossed = {dk for f in rest for dk in f.route}
         assert list(solver._plans) == sorted(crossed), f"case {case}"
         for dk, plan in solver._plans.items():
-            assert (plan is before[dk]) == (dk not in gone.route), \
-                f"case {case}"
+            carried = (plan, plan.sig, plan_fids(solver, plan)) == before[dk]
+            assert carried == (dk not in gone.route), f"case {case}"
+            assert (gone.fid in before[dk][2]) == (dk in gone.route)
         replanned = len(crossed.intersection(gone.route))
         assert solver.plans_built - built == replanned
         assert solver.plans_kept - kept == len(crossed) - replanned
         # the flow that took the freed slot reads its rate from there
         assert [f.rate.hex() for f in rest] == \
             solved_elsewhere(topo, owners, rest), f"case {case}"
+
+
+PLAN_FIELDS = ("C", "static", "ded", "groups", "qweights", "qwsum",
+               "tweights", "twsum", "K", "spans", "sig", "positions")
+
+
+def tenant_groups(index) -> dict:
+    """(link, tenant) -> the fids of the tenant's flows on the link."""
+    return {(dk, tid): tuple(group) for dk, by_tenant in index.tenants.items()
+            for tid, group in by_tenant.items()}
+
+
+@pytest.mark.parametrize("mode", ["wfq", "static"])
+def test_carried_plans_match_plans_built_from_scratch(rng, mode):
+    """Random records, as the event loop makes them: arrivals with growing
+    fids (some of them loopback flows) and departures, alone and in
+    batches, so that tenants' flows on a link change in count and tenants
+    join and leave links, with a rebuild to other owners halfway, also on
+    a chain whose links often share a signature and flows (twin_case).
+    After every solve, each carried plan equals the plan built from
+    scratch (oracles.link_plan_reference) from its link's groups in the
+    index and the solver's slots: every number the kernel reads, the
+    signature, the flows at its slots, the slots and the spans. Its
+    signature id is the one the memo maps its signature to, and no other
+    live plan's signature shares it; its gather reads its slots; a `first`
+    it keeps holds the first sweep's levels of its numbers. The plans are
+    those of the crossed links, in dkey order, the solver's (signature id,
+    slots) groups hold them in dkey order, and the rates equal a fresh
+    solver's bit for bit."""
+    seen = collections.Counter()
+    for case in range(18):
+        maker = (large_shared_case, random_wfq_case, twin_case)[case % 3]
+        topo, tenants, owners, pool = maker(rng)
+        if not pool:
+            continue
+        solver = F.RateSolver(topo, mode=mode)
+        solver.rebuild(owners)
+        tids = sorted(tenants)
+        later = {key: {tids[int(rng.integers(0, len(tids)))]}
+                 for key in topo.links}
+        active, fid = {}, 0
+        for step in range(40):
+            where = f"{mode} case {case} step {step}"
+            if step == 20:
+                owners = later
+                solver.rebuild(owners)
+            left = [active.pop(g) for g in list(active)
+                    if rng.random() < 0.25]
+            added = []
+            for _ in range(int(rng.integers(0, 4))):
+                fid += 1
+                f = dataclasses.replace(pool[int(rng.integers(0, len(pool)))],
+                                        fid=fid)
+                if rng.random() < 0.1:
+                    f.route = ()
+                active[fid] = f
+                added.append(f)
+            before = tenant_groups(solver.index)
+            solver.solve(list(active.values()), F.FlowChange(left, added))
+            after = tenant_groups(solver.index)
+            seen["join"] += bool(after.keys() - before.keys())
+            seen["leave"] += bool(before.keys() - after.keys())
+            seen["recount"] += any(len(before[k]) != len(after[k])
+                                   for k in before.keys() & after.keys())
+            seen["batch"] += len(left) > 1
+            seen["alone"] += len(left) == 1
+            index = solver.index.tenants
+            plans = solver._plans
+            assert list(plans) == sorted(index), where
+            owner_of = {}
+            slots = list(range(len(solver._flows)))
+            for dk, plan in plans.items():
+                want = oracles.link_plan_reference(
+                    solver.views[T.link_key(*dk)], mode == "static",
+                    index[dk], solver._slot)
+                got = {k: getattr(plan, k) for k in PLAN_FIELDS}
+                assert dict(got, fids=plan_fids(solver, plan)) == want, \
+                    f"{where} link {dk}"
+                assert solver._sids.cur[plan.sig] == plan.sid, where
+                assert owner_of.setdefault(plan.sid, plan.sig) == plan.sig, \
+                    where
+                assert plan.gather(slots) == tuple(plan.positions), where
+                if plan.first is not None:
+                    assert plan.first == F._link_levels(
+                        plan, (plan.C,) * len(plan.positions), True), where
+                seen["kept first"] += plan.first is not None
+            groups = {}
+            for plan in plans.values():
+                groups.setdefault((plan.sid, tuple(plan.positions)),
+                                  []).append(plan)
+            assert solver._distinct == groups, where
+            seen["twins"] += any(len(group) > 1 for group in groups.values())
+            assert [f.rate.hex() for f in active.values()] == \
+                solved_elsewhere(topo, owners, list(active.values()), mode), \
+                where
+    assert min(seen.values()) > 20, seen
 
 
 def test_rebuild_replans_every_link():
@@ -982,7 +1144,9 @@ def test_observe_matches_the_rederiving_reference(rng):
     read the flow index the records are applied to, and solve an
     entitlement only for a tenant below its reservation; the reference
     never reads the index and solves every crossing tenant's entitlement
-    by progressive filling."""
+    by progressive filling. Some rates put a tenant between half and all
+    of its reservation on the link and below its entitlement, so a gate
+    that solves only well below the reservation misses a shortfall."""
     dkey = ("h1", "s1")
     hyps = ("h1", "h2", "h3")
     topo = star(400.0, hyps)
@@ -997,6 +1161,12 @@ def test_observe_matches_the_rederiving_reference(rng):
     left: list = []
     added: list = []
     seen = collections.Counter()
+
+    def rate(tid):
+        if rng.random() < 0.3:
+            return guarantees[tid] * float(rng.uniform(0.5, 1.0))
+        return float(rng.uniform(0, 150))
+
     t = 0.0
     for step in range(1500):
         action = rng.choice(["arrive", "depart", "rates", "segment"],
@@ -1005,9 +1175,9 @@ def test_observe_matches_the_rederiving_reference(rng):
             src, dst = (str(h) for h in rng.choice(hyps, size=2))
             route = ((src, "s1"), ("s1", dst)) if rng.random() < 0.7 else (
                 ("s1", dst),)
-            flows.append(F.Flow(step, str(rng.choice(list("ABC"))), 0, 1, src,
-                                dst, 1e9, 0.0, rate=float(rng.uniform(0, 150)),
-                                route=route))
+            tid = str(rng.choice(list("ABC")))
+            flows.append(F.Flow(step, tid, 0, 1, src, dst, 1e9, 0.0,
+                                rate=rate(tid), route=route))
             added.append(flows[-1])
         elif action == "depart" and flows:
             gone = flows.pop(int(rng.integers(0, len(flows))))
@@ -1018,7 +1188,7 @@ def test_observe_matches_the_rederiving_reference(rng):
         elif action == "rates":
             for f in flows:
                 if rng.random() < 0.5:
-                    f.rate = float(rng.uniform(0, 150))
+                    f.rate = rate(f.tenant)
         else:
             dt = float(rng.choice([0.0, -0.01, rng.uniform(0.001, 0.5)]))
             owners = {tid for tid in "ABC" if rng.random() < 0.4}
@@ -1039,6 +1209,14 @@ def test_observe_matches_the_rederiving_reference(rng):
             seen["below full"] += stats.below_full_time > 0
             seen["short"] += bool(stats.below_static_tenants)
             seen["unsaturated"] += stats.conservation_violation_time > 0
+            for tid, g in guarantees.items():
+                mine = [f for f in flows if f.tenant == tid]
+                on_link = sum(f.rate for f in mine if dkey in f.route)
+                if dt > 0 and g / 2 <= on_link < g:
+                    static = oracles.static_maxmin_reference(topo, mine)
+                    seen["short above half"] += on_link < math.fsum(
+                        static[f.fid] for f in mine
+                        if dkey in f.route) * (1 - 1e-6)
         assert _segment_fields(stats) == _segment_fields(ref), f"step {step}"
         seen[action] += 1
     assert min(seen.values()) > 0, seen
@@ -1166,6 +1344,59 @@ def test_simulation_determinism():
                 for rep in reports]
 
     assert run() == run()
+
+
+def test_next_flow_matches_the_route_deriving_reference(monkeypatch):
+    """A run whose clients draw their peers from every other VM of their
+    tenant (unpredictable mode) and a short `shuffle-fct` run, whose
+    clients draw from remote VMs (a shuffling foreground, unpredictable
+    background): the generator, which keeps each client's peers and each
+    (tenant, src hypervisor, dst hypervisor)'s route, makes the same flows
+    in the same order as the reference that derives both on every request
+    (same fids, tenants, peers, hypervisors, sizes, starts, routes and
+    clients). Every route it keeps equals tenant_route's, and more than 50
+    flows read a route kept from an earlier flow."""
+    def direct():
+        topo = T.build_testbed()
+        tenants = {f"t{i}": P.embed_fixed(
+            topo, TenantRequest(10, 10.0), f"t{i}", "a000",
+            {h: 1 for h in topo.hypervisors()}) for i in range(3)}
+        vm_map = {t: F._expand_vms(x) for t, x in tenants.items()}
+        gen = F.DemandGenerator("unpredictable", "enterprise", seed=3,
+                                size_scale=20.0,
+                                clients=F.make_clients(tenants, vm_map))
+        F.FluidSimulation(topo, tenants, gen, interval=2.0, seed=3,
+                          monitor=("a000", "t000")).run(3.0)
+
+    def shuffle():
+        S.run_scenario(dict(cli.load_scenario("shuffle-fct"), loads=[0.7],
+                            policies=["qshare"], duration_s=2.0))
+
+    made = {}
+    for name, next_flow in (("kept", F.DemandGenerator.next_flow),
+                            ("reference", oracles.next_flow_reference)):
+        flows, runs = made[name] = [], {}
+
+        def record(gen, sim, idx, now, next_flow=next_flow, flows=flows,
+                   runs=runs):
+            f = next_flow(gen, sim, idx, now)
+            flows.append(f and dataclasses.astuple(f))
+            runs[id(gen)] = gen, sim
+            return f
+
+        monkeypatch.setattr(F.DemandGenerator, "next_flow", record)
+        direct()
+        shuffle()
+    flows, runs = made["kept"]
+    assert flows == made["reference"][0]
+    assert len(runs) == 2 and None not in flows
+    assert {f[1] for f in flows} >= {"t0", "fg", "bg0"}
+    kept = 0
+    for gen, sim in runs.values():
+        for (tid, src, dst), route in gen._routes.items():
+            assert route == F.tenant_route(sim.tenants[tid], src, dst)
+        kept += len(gen._routes)
+    assert len(flows) - kept > 50, (len(flows), kept)
 
 
 @pytest.mark.parametrize("policy", ["qshare", "es_aggressive"])

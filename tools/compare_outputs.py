@@ -9,6 +9,9 @@ Runs the byte-identity scenario set (RUNS) with each checkout's own
 - compares each run's `manifest.json` with the wall-clock entries
   (`wall_time_s`, `phase_s`) dropped, so the solver, loop and placement
   counters must be equal too;
+- names every differing entry of `manifest.json` and `summary.json` by its
+  dotted path with both values, parent first
+  (`manifest.json: solver.kernel_runs 1385 -> 1386`);
 - prints each side's `src/qshare` code lines: lines holding a token other
   than a comment, with blank lines and docstrings left out (tokenize plus
   ast).
@@ -102,6 +105,23 @@ def manifest(path: Path) -> dict:
     return doc
 
 
+ABSENT = object()
+
+
+def entry_diffs(a, b, path: str = "") -> list:
+    """'dotted.path parent -> change' for every entry in which two JSON
+    documents differ, objects compared key by key (an entry only one side
+    has shows `(absent)` on the other), anything else as a whole."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [line for key in sorted(set(a) | set(b))
+                for line in entry_diffs(a.get(key, ABSENT), b.get(key, ABSENT),
+                                        f"{path}.{key}" if path else key)]
+    if a == b:
+        return []
+    shown = ["(absent)" if v is ABSENT else json.dumps(v) for v in (a, b)]
+    return [f"{path or '(document)'} {shown[0]} -> {shown[1]}"]
+
+
 def compare(parent: Path, change: Path) -> list:
     """The differences between two run directories, one line each."""
     out = []
@@ -113,17 +133,14 @@ def compare(parent: Path, change: Path) -> list:
             side = "change" if b.exists() else "parent"
             out.append(f"{name}: only on the {side} side")
         elif name == "manifest.json":
-            ma, mb = manifest(a), manifest(b)
-            for key in sorted(set(ma) | set(mb)):
-                if ma.get(key) != mb.get(key):
-                    out.append(f"manifest.json: {key} differs")
+            out += [f"{name}: {line}"
+                    for line in entry_diffs(manifest(a), manifest(b))]
         elif not filecmp.cmp(a, b, shallow=False):
-            out.append(f"{name} differs")
+            lines = []
             if name == "summary.json":
-                sa, sb = json.loads(a.read_text()), json.loads(b.read_text())
-                keys = sorted(k for k in set(sa) | set(sb)
-                              if sa.get(k, None) != sb.get(k, None))
-                out[-1] += f" in {', '.join(keys)}"
+                lines = entry_diffs(json.loads(a.read_text()),
+                                    json.loads(b.read_text()))
+            out += [f"{name}: {line}" for line in lines] or [f"{name} differs"]
     return out
 
 
