@@ -8,7 +8,8 @@ Verbs:
 
 Every run writes a manifest.json (config echo, seed, version, wall time and,
 for runs that simulate flows, the rate solvers' and event loops' counters
-and the loops' wall seconds per phase; for fills, the placement counters;
+and the loops' wall seconds per phase; for fills, the placement counters
+and the fill's wall seconds per phase;
 a sweep sums its points' counters) plus CSV/JSON artifacts into the output
 directory; CSV bodies are byte-stable for a given seed.
 """
@@ -105,8 +106,8 @@ def write_artifacts(outdir: Path, doc: dict, summary: dict, artifacts: dict,
     run, the `stats` group, summed over the run's simulations, when given;
     see fluid.FluidSimulation) live in
     the manifest only, so CSV/JSONL bodies are byte-stable per seed. A
-    fill's `placement` group comes the same way (see
-    largescale.FillResult)."""
+    fill's `placement` group and its `phase_s` wall seconds come the same
+    way (see largescale.FillResult)."""
     outdir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, (fields, rows) in artifacts.items():

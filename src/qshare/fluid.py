@@ -33,7 +33,7 @@ from .topology import Topology, link_key
 BYTES_PER_MBPS_SEC = 125_000.0  # 1 Mbps moves 125 kB per second
 LOOPBACK_MBPS = 100_000.0       # flows between co-located VMs
 _TOL = 1e-9
-_LEVEL_SOLVES = 4  # solves per generation of RateSolver's memos
+_MEMO_RATES = 8192  # rates stored per generation of RateSolver's memos
 _rate = operator.attrgetter("rate")
 _route = operator.attrgetter("route")
 
@@ -366,39 +366,56 @@ class _Memo:
     """A memo of two generations: a key found in the previous generation is
     copied into the current one, and `rotate` drops the previous one, so it
     holds only what was looked up in the last two generations. `runs`
-    counts the values `get` made and `hits` the lookups that found their
-    key. No value is falsy, and values are shared between hits and never
+    counts the values made and `hits` the lookups answered from either
+    generation. `stored` adds up the sizes `miss` was given for the
+    entries it stored into the current generation, and `rotate` sets it to
+    0. No value is falsy, and values are shared between hits and never
     mutated.
 
-    The rate solver keeps three, rotated together every _LEVEL_SOLVES
-    solves: the levels of flow groups of 3 or more flows, keyed by (lift,
-    total, caps) (see _lift_into and _fill_into), the kernel results of
-    links, keyed by (lift, signature id, capped demands) (see
-    RateSolver._sweep), and the signature ids of plans, keyed by signature.
-    No total is -0.0, which would share a key with 0.0: the fills return
-    zeros for a total <= 0 before any lookup, and a lifted total is a
-    _lifted_share (0.0 or a positive share or cap) or a reservation. No cap
-    is -0.0 (see RateSolver._sweep)."""
+    The rate solver keeps three, rotated together at the start of the
+    first solve after the link memo's current generation has stored more
+    than _MEMO_RATES rates: the kernel results of links, keyed by (lift,
+    signature id, capped demands) (see RateSolver._sweep), each store
+    sized as its capped demands plus its levels; the levels of flow groups
+    of 3 or more flows, keyed by (lift, total, caps) (see _lift_into and
+    _fill_into); and the signature ids of plans, keyed by signature. The
+    last two store only when a kernel runs or a plan is set, so the link
+    memo's budget bounds them too. No total is -0.0, which would share a
+    key with 0.0: the fills return zeros for a total <= 0 before any
+    lookup, and a lifted total is a _lifted_share (0.0 or a positive share
+    or cap) or a reservation. No cap is -0.0 (see RateSolver._sweep)."""
 
-    __slots__ = ("cur", "prev", "runs", "hits")
+    __slots__ = ("cur", "prev", "runs", "hits", "stored")
 
     def __init__(self):
         self.cur, self.prev = {}, {}
-        self.runs = self.hits = 0
+        self.runs = self.hits = self.stored = 0
 
     def rotate(self) -> None:
         self.prev, self.cur = self.cur, {}
+        self.stored = 0
 
     def get(self, key, make, *args):
         """The value of `key`, made by make(*args) when neither generation
         holds it."""
-        value = self.cur.get(key) or self.prev.get(key)
+        value = self.cur.get(key)
+        if value is None:
+            return self.miss(key, 0, make, *args)
+        self.hits += 1
+        return value
+
+    def miss(self, key, size: int, make, *args):
+        """The value of `key`, which the current generation lacks: the
+        previous generation's, or else made by make(*args). It is stored
+        into the current generation, adding `size` to `stored`."""
+        value = self.prev.get(key)
         if value is None:
             value = make(*args)
             self.runs += 1
         else:
             self.hits += 1
         self.cur[key] = value
+        self.stored += size
         return value
 
 
@@ -730,11 +747,16 @@ class RateSolver:
     flows, and within a run most groups of 3 or more flows see a (total,
     caps) input seen before; those levels come from a second memo, keyed
     by (lift, total, caps). The level memo, the link memo and the
-    signature map are _Memo generations that rotate together every
-    _LEVEL_SOLVES solves, so each holds at most the lookups of the last
-    2 * _LEVEL_SOLVES solves, the map also the live plans' signatures: a
-    rotation keeps them, so that a live plan's id stays the one its
-    signature maps to.
+    signature map are _Memo generations that rotate together, at the start
+    of the first solve after the link memo's current generation has stored
+    more than _MEMO_RATES rates (capped demands plus levels, from a kernel
+    run or copied from the previous generation). A generation thus spans
+    as many solves as its stores allow: few when many links change per
+    solve, many when few do, so a link input that comes back many solves
+    later is still found. Each memo holds at most the lookups since the
+    start of the previous generation's first solve, the map also the live
+    plans' signatures: a rotation keeps them, so that a live plan's id
+    stays the one its signature maps to.
 
     Counters over the solver's life: `solves` (calls to solve), `sweeps`
     (lift sweeps summed over solves), `nonconverged` (solves that stopped
@@ -744,13 +766,14 @@ class RateSolver:
     `plans_built` and `plans_kept` (per solve, each planned link's plan is
     either set from the record, on a link its flows cross, a new link
     included, or on every link after a rebuild or a start over, or else
-    carried, its slots renewed at most), and `level_runs` and `level_hits`
-    (level memo lookups that ran the group kernel or found its levels).
+    carried, its slots renewed at most), `level_runs` and `level_hits`
+    (level memo lookups that ran the group kernel or found its levels), and
+    `memo_rotations` (the memos' rotations).
     """
 
     COUNTERS = ("solves", "sweeps", "nonconverged", "kernel_runs",
                 "kernel_hits", "plans_built", "plans_kept", "level_runs",
-                "level_hits")
+                "level_hits", "memo_rotations")
 
     def __init__(self, topo: Topology, mode: str = "wfq",
                  weight_mode: str = "normalized",
@@ -762,7 +785,7 @@ class RateSolver:
         self.solves = self.sweeps = self.nonconverged = 0
         self.kernel_runs = self.kernel_hits = 0
         self.plans_built = self.plans_kept = 0
-        self.level_runs = self.level_hits = 0
+        self.level_runs = self.level_hits = self.memo_rotations = 0
         # signature -> id, (lift, signature id, capped demands) -> levels,
         # and (lift, total, caps) -> levels
         self._sids, self._memo, self._levels = _Memo(), _Memo(), _Memo()
@@ -802,13 +825,15 @@ class RateSolver:
         A link whose kernel input already occurred in the memo's two
         generations reuses that result (see the class docstring), so the
         rates are the same bits as without the memo. The memos rotate at
-        the start of every _LEVEL_SOLVES-th solve.
+        the start of a solve once the link memo's current generation has
+        stored more than _MEMO_RATES rates.
         """
-        if self.solves % _LEVEL_SOLVES == 0:
+        if self._memo.stored > _MEMO_RATES:
             for memo in (self._sids, self._memo, self._levels):
                 memo.rotate()
             self._sids.cur.update((plan.sig, plan.sid)
                                   for plan in self._plans.values())
+            self.memo_rotations += 1
         self.solves += 1
         for f in flows if change is None else change.added:
             if not f.route:
@@ -941,9 +966,9 @@ class RateSolver:
     def _first_sweep(self) -> list:
         """The first lift sweep, from infinite rates: every flow demands its
         link's capacity, so each plan's levels are those it keeps (`first`),
-        taken from the link memo the first time a sweep reads them. The plan
-        first in dkey order of a (signature id, slots) group stands for the
-        whole group."""
+        taken from the link memo the first time a sweep reads them (a store
+        there counts as in _sweep). The plan first in dkey order of a
+        (signature id, slots) group stands for the whole group."""
         out = [math.inf] * len(self._flows)
         memo = self._memo
         runs = memo.runs
@@ -952,9 +977,10 @@ class RateSolver:
             levels = plan.first
             if levels is None:
                 capped = (plan.C,) * len(plan.positions)
-                levels = plan.first = memo.get(
-                    (True, plan.sid, capped), _link_levels, plan, capped,
-                    True, self._levels)
+                key = (True, plan.sid, capped)
+                levels = plan.first = memo.cur.get(key) or memo.miss(
+                    key, 2 * len(capped), _link_levels, plan, capped, True,
+                    self._levels)
             for i, r in zip(plan.positions, levels):
                 if r < out[i]:
                     out[i] = r
@@ -965,13 +991,16 @@ class RateSolver:
         """New per-slot rates: the minimum over each flow's links of its
         lifted grant (`lift`) or of its capped projection, every flow
         demanding its current rate (see _link_levels), each link's levels
-        taken from the memo when its input repeats. The plan first
-        in dkey order of a (signature id, slots) group stands for the whole
-        group."""
+        taken from the memo when its input repeats. A link's levels that
+        the memo's current generation lacks, made or copied from the
+        previous one, are stored there, adding the number of its capped
+        demands plus its levels to the generation's stored rates. The plan
+        first in dkey order of a (signature id, slots) group stands for the
+        whole group."""
         out = [math.inf] * len(rates)
         memo, levels_memo = self._memo, self._levels
-        cur, prev = memo.cur, memo.prev
-        runs = 0
+        cur = memo.cur
+        runs = memo.runs
         for group in self._distinct.values():
             plan = group[0]
             C = plan.C
@@ -986,15 +1015,12 @@ class RateSolver:
             key = (lift, plan.sid, capped)
             levels = cur.get(key)
             if levels is None:
-                levels = prev.get(key)
-                if levels is None:
-                    levels = _link_levels(plan, capped, lift, levels_memo)
-                    runs += 1
-                cur[key] = levels
+                levels = memo.miss(key, 2 * len(capped), _link_levels, plan,
+                                   capped, lift, levels_memo)
             for i, r in zip(plan.positions, levels):
                 if r < out[i]:
                     out[i] = r
-        self._count(runs)
+        self._count(memo.runs - runs)
         return out
 
     def _count(self, runs: int) -> None:
@@ -1471,12 +1497,16 @@ class FluidSimulation:
         crossing = self.index.links.get(self.monitor)
         if crossing:
             spans = _spans(t0, t1, self.sample)
-            monitor_bucket = buckets.setdefault(self.monitor, {})
-            for f in crossing.values():
-                per_s = f.rate * BYTES_PER_MBPS_SEC
-                for bucket in (monitor_bucket, ten_bytes[f.tenant]):
-                    for i, width in spans:
-                        bucket[i] = bucket.get(i, 0.0) + per_s * width
+            sums = [(buckets.setdefault(self.monitor, {}), crossing)]
+            for tenant, own in self.index.tenants[self.monitor].items():
+                sums.append((ten_bytes[tenant], own))
+            for bucket, group in sums:
+                for i, width in spans:
+                    # the group's bytes in fid order, as one running sum
+                    total = bucket.get(i, 0.0)
+                    for f in group.values():
+                        total += f.rate * BYTES_PER_MBPS_SEC * width
+                    bucket[i] = total
         return done
 
     def _all_unsaturated(self, flow) -> bool:

@@ -12,6 +12,7 @@ per-link reservations.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,9 @@ class FillResult:
     # merges_run, merges_shared and merges_skipped, summed over the embeds
     # that ran, and the requests refused without one (dominated)
     placement: dict = field(default_factory=dict)
+    # wall seconds of the fill's phases: the embed loop ("embed"),
+    # port_statistics and interval_dedication
+    phase_s: dict = field(default_factory=dict)
 
 
 def port_statistics(topo: Topology, tenants: dict) -> ScarcityReport:
@@ -121,7 +125,8 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
     where a smaller one does not; those always run the embed and are never
     recorded. The draws, the
     tenant ids, `attempted` and `rejected` are those of embedding every
-    request; `placement` counts `embeds + dominated == attempted`."""
+    request; `placement` counts `embeds + dominated == attempted`, and
+    `phase_s` holds the wall seconds of each phase."""
     policy = policy or CostPolicy.stress()
     rng = np.random.default_rng(seed)
     tenants: dict = {}
@@ -131,6 +136,8 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
                             "ops", "merges_run", "merges_shared",
                             "merges_skipped"), 0)
     refused: list = []  # (N, B) refused, wcs unset, none dominating another
+    clock = time.perf_counter
+    w0 = clock()
     while streak < reject_streak and attempted < max_attempts:
         req = spec.sample(rng)
         attempted += 1
@@ -156,12 +163,17 @@ def fill_to_capacity(topo: Topology, spec: PopulationSpec,
             if req.wcs is None:
                 refused = [(n0, b0) for n0, b0 in refused if n0 < n or b0 < b]
                 refused.append((n, b))
+    w1 = clock()
     report = port_statistics(topo, tenants)
+    w2 = clock()
     r_ni, dscp_used = interval_dedication(
         topo, tenants, r_in=r_in, intervals=intervals, seed=seed)
     report.r_ni = r_ni
     report.dscp_values_used = dscp_used
-    return FillResult(tenants, attempted, rejected, report, topo, counts)
+    phase_s = {"embed": w1 - w0, "port_statistics": w2 - w1,
+               "interval_dedication": clock() - w2}
+    return FillResult(tenants, attempted, rejected, report, topo, counts,
+                      phase_s)
 
 
 def interval_dedication(topo: Topology, tenants: dict, *, r_in: float = 0.5,

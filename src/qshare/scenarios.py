@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import time
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -403,6 +404,7 @@ def run_scarcity(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     result = build_fill(cfg)
     if counters is not None:
         counters["placement"] = result.placement
+        counters["phase_s"] = result.phase_s
     row = {"oversub": cfg["oversub"], **result.report.as_row(),
            "attempted": result.attempted, "rejected": result.rejected}
     summary = dict(row)
@@ -418,8 +420,7 @@ def run_scarcity(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
 def run_gain(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     cfg = resolve(doc)
     fill = build_fill(cfg)
-    if counters is not None:
-        counters["placement"] = fill.placement
+    w0 = time.perf_counter()
     r_values = cfg["r_in_values"]
     gain_rows = []
     reports = {}
@@ -434,6 +435,10 @@ def run_gain(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
         reports[cdf_r] = largescale.throughput_gain(
             fill.topo, fill.tenants, cdf_r, seed=cfg["seed"])
     rep = reports[cdf_r]
+    if counters is not None:
+        counters["placement"] = fill.placement
+        counters["phase_s"] = dict(fill.phase_s,
+                                   gain=time.perf_counter() - w0)
     cdf_rows = []
     for key in sorted(rep.link_util):
         cdf_rows.append({
@@ -590,6 +595,7 @@ def run_scenario(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
     """(summary, artifacts) of the scenario `doc`. When `counters` is
     given, every fluid simulation of the run adds its rate solver's and
     loop's counters to it, and the scarcity and gain studies put their
-    fill's placement counters under "placement"."""
+    fill's placement counters under "placement" and its wall seconds per
+    phase (the gain study's too) under "phase_s"."""
     cfg = resolve(doc)
     return RUNNERS[cfg["kind"]](cfg, counters)

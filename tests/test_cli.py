@@ -430,7 +430,8 @@ def test_manifest_holds_the_loop_counters_summed_over_simulations(
     for name in ("fct.csv", "summary.json"):
         body = (tmp_path / name).read_text()
         assert "steps" not in body and "fifo_stops" not in body, name
-        assert not any(phase in body for phase in phases), name
+        assert "port_statistics" not in body, name
+        assert "interval_dedication" not in body, name
 
 
 @pytest.mark.parametrize("scenario, bodies", [
@@ -473,9 +474,21 @@ def test_manifest_holds_the_fill_placement_counters(tmp_path, monkeypatch,
     assert fill.attempted - fill.rejected == placement["accepted"]
     assert min(placement[f"merges_{name}"]
                for name in ("run", "shared", "skipped")) > 0
+    # the wall seconds of the fill's phases, and of the gain study for
+    # throughput-gain, within the run's wall time
+    phases = manifest["phase_s"]
+    gain = {"gain": phases.get("gain")} if scenario == "throughput-gain" \
+        else {}
+    assert phases == {**fill.phase_s, **gain}
+    assert list(fill.phase_s) == ["embed", "port_statistics",
+                                  "interval_dedication"]
+    assert all(seconds > 0 for seconds in phases.values()), phases
+    assert sum(phases.values()) <= manifest["wall_time_s"]
     for name in bodies:
         body = (tmp_path / name).read_text()
         assert "merges_" not in body and "embeds" not in body, name
+        assert "port_statistics" not in body, name
+        assert "interval_dedication" not in body, name
 
 
 def test_cli_overrides_apply(tmp_path):

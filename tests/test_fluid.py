@@ -432,21 +432,24 @@ def plan_fids(solver, plan) -> list:
 
 
 @pytest.mark.parametrize("mode", ["wfq", "static"])
-def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
+def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode,
+                                                         monkeypatch):
     """One solver takes a sequence of solves, each with the record of its
     step: flows arrive one at a time, in random order and numbered as they
     arrive, then leave one at a time, and then arrive again as new flows
     and leave again, with a rebuild to other owners halfway, so its plans
-    are carried across solves, its memos rotate several times and link
-    signatures recur two or more solves apart. Every solve's rates, and
-    one lift and one projection sweep from arbitrary demands, equal bit for
-    bit those of a fresh solver (empty memos, every link planned anew) with
-    the same views. Re-solving an unchanged flow set (an empty record) is
-    all memo hits; the link memo and the level memo each hold at most the
-    inputs looked up since the start of the solve 2 * _LEVEL_SOLVES - 1
-    solves back; a recurring signature gets the id it had; and every
-    planned link's lift and projection sweeps count once as a run or a
-    hit."""
+    are carried across solves and link signatures recur two or more solves
+    apart. A budget of 64 stored rates makes its memos rotate at least
+    twice per case. Every solve's rates, and one lift and one projection
+    sweep from arbitrary demands, equal bit for bit those of a fresh solver
+    (empty memos, every link planned anew) with the same views. Re-solving
+    an unchanged flow set (an empty record) is all memo hits; the link
+    memo and the level memo each hold at most the inputs looked up since
+    the start of the previous generation's first solve; a recurring
+    signature gets the id it had; and every planned link's lift and
+    projection sweeps count once as a run or a hit."""
+    monkeypatch.setattr(F, "_MEMO_RATES", 64)
+
     def fresh_solver():
         fresh = F.RateSolver(topo, mode=mode)
         fresh.rebuild(owners)
@@ -478,27 +481,30 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
                          rng.permutation(len(active))[:len(flows) - 1]]:
                 active = [f for f in active if f is not gone]
                 steps.append((active, F.FlowChange([gone], [])))
-        # kernel evaluations and group lookups before each solve
-        marks = [0] * 2 * F._LEVEL_SOLVES
-        level_marks = [0] * 2 * F._LEVEL_SOLVES
+        def lookups():
+            """Link memo and level memo lookups so far."""
+            return (solver.kernel_runs + solver.kernel_hits,
+                    solver.level_runs + solver.level_hits)
+
+        # the lookups before the first solve of each generation; the first
+        # generation is also the one before it
+        starts = [lookups()] * 2
         seen = {}  # signature -> (its id, the solve it last appeared in)
 
         def solve(active, change):
             nonlocal recurred
-            marks.append(solver.kernel_runs + solver.kernel_hits)
-            level_marks.append(solver.level_runs + solver.level_hits)
+            before, rotations = lookups(), solver.memo_rotations
             sweeps = solver.sweeps
             signed = {dk: plan.sig for dk, plan in solver._plans.items()}
             solver.solve(active, change)
-            evals = solver.kernel_runs + solver.kernel_hits
+            if solver.memo_rotations > rotations:
+                starts.append(before)
+            now = lookups()
             links = len({dk for f in active for dk in f.route})
-            assert evals - marks[-1] == links * (solver.sweeps - sweeps + 2)
-            for memo, count, at in (
-                    (solver._memo, evals, marks),
-                    (solver._levels, solver.level_runs + solver.level_hits,
-                     level_marks)):
-                assert len(memo.cur) + len(memo.prev) <= \
-                    count - at[-2 * F._LEVEL_SOLVES]
+            assert now[0] - before[0] == links * (solver.sweeps - sweeps + 2)
+            for memo, count, at in zip((solver._memo, solver._levels), now,
+                                       starts[-2]):
+                assert len(memo.cur) + len(memo.prev) <= count - at
             for plan in solver._plans.values():
                 sid, last = seen.get(plan.sig, (plan.sid, solver.solves))
                 assert plan.sid == sid or last < solver.solves - 1
@@ -530,6 +536,7 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode):
                 fresh._update(routed)
                 assert sweep_by_fid(solver, demands, lift) == \
                     sweep_by_fid(fresh, demands, lift), f"{where} lift {lift}"
+        assert solver.memo_rotations >= 2, f"case {case}"
     assert recurred > 0
 
 
@@ -549,6 +556,70 @@ def test_memo_keeps_links_apart_that_differ_only_in_capacity():
     solver.solve([f])
     assert f.rate == 1000.0
     assert solver._sweep([300.0], lift=True) == [1000.0]
+
+
+def test_link_inputs_recurring_ten_solves_later_are_memo_hits():
+    """A short-run pattern: a flow leaves, ten solves of other flows run
+    their own kernels, and a flow of the same tenant on the same route
+    comes back. Its solve finds every link input in the memo under the
+    default budget, since ten small solves store far fewer rates than it
+    allows."""
+    hyps = ("h1", "h2", "h3", "h4")
+    topo = star(1000.0, hyps)
+    t = P.embed_fixed(topo, TenantRequest(8, 50.0), "A", "s1",
+                      dict.fromkeys(hyps, 2))
+    solver = F.RateSolver(topo)
+    solver.rebuild({key: {"A"} for key in topo.links})
+    fids = itertools.count(1)
+
+    def flows(src, dst, n):
+        return [F.Flow(next(fids), "A", 0, 1, src, dst, 1e9, 0.0,
+                       route=F.tenant_route(t, src, dst)) for _ in range(n)]
+
+    active = flows("h1", "h2", 1)
+    solver.solve(active)
+    first = active[0].rate
+    for n in range(2, 12):
+        # n flows h3 -> h4: a plan signature and capped demands not seen yet
+        runs, added = solver.kernel_runs, flows("h3", "h4", n)
+        solver.solve(added, F.FlowChange(active, added))
+        assert solver.kernel_runs > runs, n
+        active = added
+    runs, added = solver.kernel_runs, flows("h1", "h2", 1)
+    solver.solve(added, F.FlowChange(active, added))
+    assert solver.kernel_runs == runs
+    assert solver.memo_rotations == 0
+    assert added[0].rate.hex() == first.hex()
+
+
+def test_wcbg_generations_store_at_most_the_budget_plus_one_solve(
+        monkeypatch):
+    """Under the stores of the bundled unpredictable run, the link memo's
+    stored rates are those its current generation holds (capped demands
+    plus levels of every entry), and a generation never holds more than
+    _MEMO_RATES plus the stores of its last solve: the memos rotate once
+    the budget is passed, at the start of the next solve."""
+    solve = F.RateSolver.solve
+    grown = []  # the rates each solve stored
+
+    def recorded(self, flows, change=None):
+        memo, rotations = self._memo, self.memo_rotations
+        stored = memo.stored
+        solve(self, flows, change)
+        if self.memo_rotations > rotations:
+            assert stored > F._MEMO_RATES
+            stored = 0
+        else:
+            assert stored <= F._MEMO_RATES
+        grown.append(memo.stored - stored)
+        assert memo.stored == sum(len(key[2]) + len(levels)
+                                  for key, levels in memo.cur.items())
+        assert memo.stored <= F._MEMO_RATES + grown[-1]
+
+    monkeypatch.setattr(F.RateSolver, "solve", recorded)
+    doc = dict(cli.load_scenario("unpredictable"), seed=9, duration_s=2.0)
+    solver = S.build_wcbg(doc).sim.solver
+    assert solver.memo_rotations >= 2 and len(grown) == solver.solves
 
 
 def random_kernel_plan(rng):
