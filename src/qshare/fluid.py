@@ -366,11 +366,12 @@ class _Memo:
     """A memo of two generations: a key found in the previous generation is
     copied into the current one, and `rotate` drops the previous one, so it
     holds only what was looked up in the last two generations. `runs`
-    counts the values made and `hits` the lookups answered from either
-    generation. `stored` adds up the sizes `miss` was given for the
-    entries it stored into the current generation, and `rotate` sets it to
-    0. No value is falsy, and values are shared between hits and never
-    mutated.
+    counts the values made and `hits` the lookups that `get` and `miss`
+    answered without making one; the link memo's lookups that its current
+    generation answers bypass both, and RateSolver._count counts them.
+    `stored` adds up the sizes `miss` was given for the entries it stored
+    into the current generation, and `rotate` sets it to 0. No value is
+    falsy, and values are shared between hits and never mutated.
 
     The rate solver keeps three, rotated together at the start of the
     first solve after the link memo's current generation has stored more
@@ -734,9 +735,9 @@ class RateSolver:
     capped demands), where the signature id names the plan's numbers (see
     _LinkPlan). A plan gets its id from a map of signature to id whenever
     its signature changes; equal signatures among the live plans share one
-    id. The first lift sweep reads no memo: its levels depend on the plan's
-    numbers alone, and the plan keeps them until the next record that
-    changes its link's flows.
+    id. The first lift sweep reads the memo once per plan: its levels
+    depend on the plan's numbers alone, and the plan keeps them until the
+    next record that changes its link's flows.
 
     Links with the same signature over the same flow slots, such as a
     route's hops into and out of a core switch, see the same input in every
