@@ -21,7 +21,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import metadata, resources
 from pathlib import Path
 
@@ -169,6 +168,9 @@ def _summary(doc: dict) -> tuple[dict, dict]:
 
 
 def cmd_sweep(args) -> int:
+    # imported here so that `qshare run` never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     scenario = load_scenario(args.scenario)
     doc = _apply_overrides(scenario, args)
     points = _grid_points(args.grid or [])

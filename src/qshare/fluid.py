@@ -1144,7 +1144,8 @@ class IntervalReport:
     """One control interval of a run. `link_util` holds the monitored
     directed link only, mapped to its utilization per sample (absent when no
     flow crossed it); `tenant_throughput_mbps` maps each tenant with a flow
-    across that link to its Mbps there per sample; `usage` is every tenant's
+    across that link to its Mbps there per sample; both are empty when the
+    simulation monitors no link (`monitor=None`). `usage` is every tenant's
     (in, out) Mbps per hypervisor over the interval."""
 
     index: int
@@ -1271,8 +1272,10 @@ class FluidSimulation:
     `link_util` and `tenant_throughput_mbps` series cover it alone, and
     with `stats` the simulation keeps `self.stats`, a SegmentStats that
     checks it per segment (else `self.stats` is None and the loop skips
-    the checks). Binding reads per-hypervisor usage, which every flow
-    feeds.
+    the checks). With `monitor=None` the run measures no link: it sums no
+    sample buckets and its reports' series are empty, and `stats` is
+    refused. Binding reads per-hypervisor usage, which every flow feeds,
+    so rates, FCTs and usage are the same with or without a monitor.
 
     `self.flows` holds the active flows in fid order (fids only grow), and
     `self.index` (a FlowIndex) the routed ones grouped by link and by link
@@ -1307,9 +1310,12 @@ class FluidSimulation:
     def __init__(self, topo: Topology, tenants: dict, generator: DemandGenerator,
                  *, interval: float = 4.0, policy: str = "qshare",
                  weight_mode: str = "normalized", seed: int = 0,
-                 monitor: tuple, sample: float = 0.1, stats: bool = False,
-                 initial_dedicated: list | None = None,
+                 monitor: tuple | None, sample: float = 0.1,
+                 stats: bool = False, initial_dedicated: list | None = None,
                  rate_hook=None, counters: dict | None = None):
+        if stats and monitor is None:
+            raise ValueError("stats=True needs a monitored link, but "
+                             "monitor is None")
         self.topo = topo
         self.tenants = tenants
         self.generator = generator
@@ -1468,9 +1474,10 @@ class FluidSimulation:
         """Move every flow on by its rate over [t0, t1), adding its bytes to
         `usage` and, when it crosses the monitored link (the index's group
         of the monitor, in fid order), to the monitor's and its tenant's
-        sample buckets. The flows that have no cells yet get them first, in
-        fid order, as a per-flow pass would create them. Returns the flows
-        now complete, in flow order."""
+        sample buckets; without a monitor no flow crosses it. The flows
+        that have no cells yet get them first, in fid order, as a per-flow
+        pass would create them. Returns the flows now complete, in flow
+        order."""
         flows = self.flows
         dt = t1 - t0
         if dt <= 0:

@@ -203,15 +203,27 @@ def interval_dedication(topo: Topology, tenants: dict, *, r_in: float = 0.5,
 
 @dataclass
 class GainReport:
+    """`high_count` counts the eligible high-demand tenants (those the
+    mean gain covers) and `undedicated` those of them that hold no
+    dedicated queue and count at gain 1; `reserved` holds the links on
+    which some tenant holds a reservation."""
+
     r_in: float
     gains: dict
     mean_gain: float
     high_count: int
+    undedicated: int
     link_util: dict
     static_util: dict
+    reserved: frozenset
 
-    def util_cdf(self, static: bool = False) -> np.ndarray:
+    def util_cdf(self, static: bool = False,
+                 reserved_only: bool = False) -> np.ndarray:
+        """The sorted link utilizations, over the reserved links only with
+        `reserved_only`."""
         src = self.static_util if static else self.link_util
+        if reserved_only:
+            src = {k: src[k] for k in self.reserved}
         return np.sort(np.fromiter(src.values(), dtype=float))
 
 
@@ -245,15 +257,19 @@ def throughput_gain(topo: Topology, tenants: dict, r_in: float, *,
             high_res[key] = high_res.get(key, 0.0) + r
     gains: dict = {}
     eligible_high: list = []
+    undedicated = 0
+    reserved: set = set()
     for tid in ids:
         t = tenants[tid]
         positive = [(k, r) for k, r in t.tr.reserved.items() if r > 0]
         if not positive:
             continue  # fully co-located: no network guarantee, gain undefined
+        reserved.update(k for k, _ in positive)
         if tid in low or not state.is_dedicated(tid):
             gains[tid] = 1.0
             if tid not in low:
                 eligible_high.append(tid)
+                undedicated += 1
             continue
         gains[tid] = min(
             1.0 + (topo.links[k].capacity - high_res[k]) / high_res[k]
@@ -272,4 +288,4 @@ def throughput_gain(topo: Topology, tenants: dict, r_in: float, *,
     mean_gain = (float(np.mean([gains[t] for t in eligible_high]))
                  if eligible_high else 1.0)
     return GainReport(r_in, gains, mean_gain, len(eligible_high),
-                      link_util, static_util)
+                      undedicated, link_util, static_util, frozenset(reserved))

@@ -231,15 +231,18 @@ def _wcbg(cfg: dict, **keys) -> dict:
 
 
 def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
-                counters: dict | None = None, *,
-                stats: bool = False) -> fluid.FluidSimulation:
+                counters: dict | None = None, *, stats: bool = False,
+                monitored: bool = True) -> fluid.FluidSimulation:
     """The fluid simulation that the resolved wcbg document `cfg` describes
     for `requests` (id -> TenantRequest), each striped round-robin over all
-    servers under the top switch, monitoring the core link toward rack 0.
+    servers under the top switch, monitoring the core link toward rack 0
+    (rack 0's servers host the clients of `demand.clients` "rack0").
     `shape` overrides the `demand` block per tenant (id -> field -> value).
     The simulation adds its solver and loop counters to `counters` when
     given, and keeps the segment checks only with `stats` (see
-    FluidSimulation)."""
+    FluidSimulation). With `monitored` False it monitors no link
+    (`monitor=None`): its reports' `link_util` and
+    `tenant_throughput_mbps` are empty, for runs that read neither."""
     top = cfg["topology"]
     topo = build_testbed(**{"queue_count" if k == "queues_per_link" else k: v
                             for k, v in top.items()})
@@ -315,7 +318,7 @@ def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
         interval=cfg["control_interval_s"],
         policy=policy,
         weight_mode=cfg["weight_mode"],
-        seed=cfg["seed"], monitor=monitor,
+        seed=cfg["seed"], monitor=monitor if monitored else None,
         sample=cfg["sample_s"],
         initial_dedicated=dem["initial_dedicated"],
         rate_hook=hook, counters=counters, stats=stats)
@@ -448,9 +451,13 @@ def run_gain(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
         })
     qs = rep.util_cdf(static=False)
     st = rep.util_cdf(static=True)
+    reserved = rep.util_cdf(reserved_only=True)
     summary = {
         "mean_gain": {r: reports[r].mean_gain for r in r_values},
+        "undedicated": {r: reports[r].undedicated for r in r_values},
         "qshare_median_util": float(np.median(qs)),
+        "qshare_median_util_reserved": (float(np.median(reserved))
+                                        if reserved.size else None),
         "static_median_util": float(np.median(st)),
         "qshare_full_fraction": float(np.mean(qs >= 1 - 1e-9)),
         "static_full_fraction": float(np.mean(st >= 1 - 1e-9)),
@@ -550,7 +557,7 @@ def run_fct(doc: dict, counters: dict | None = None) -> tuple[dict, dict]:
             sim = _simulation(
                 _wcbg(cfg, policy=policy, demand={
                     "peers": "remote", "initial_dedicated": dedicated}),
-                requests, shape, counters)
+                requests, shape, counters, monitored=False)
             reports = sim.run(cfg["duration_s"])
             per_client: dict = {}
             for rep in reports:

@@ -540,6 +540,19 @@ def test_validate_verb_round_trips(tmp_path, capsys):
     assert echoed == doc
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    """Only the sweep verb runs worker processes, so importing the CLI (as
+    every `qshare run` does) loads neither multiprocessing nor the process
+    pool."""
+    pool = ("multiprocessing", "concurrent.futures.process")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qshare.cli; "
+         f"print([m for m in {pool!r} if m in sys.modules])"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_entrypoint_exists():
     proc = subprocess.run([sys.executable, "-m", "qshare.cli",
                            "list-scenarios"], capture_output=True, text=True)

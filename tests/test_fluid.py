@@ -1501,6 +1501,87 @@ def test_link_util_holds_only_the_monitored_direction():
         assert rep.tenant_throughput_mbps
 
 
+def _fct_doc():
+    # one load, every policy: the qshare solver, the endhost hook and the
+    # static solver each drive a simulation
+    return dict(cli.load_scenario("shuffle-fct"), seed=2, loads=[0.7],
+                duration_s=3.0, control_interval_s=1.0)
+
+
+def test_a_monitorless_simulation_moves_the_flows_as_a_monitored_one(
+        monkeypatch):
+    """The fct study's simulations, built once with the core link
+    monitored and once without a monitor: every step sees the same flows
+    at the same rates, every report the same FCTs, usage and scores, and
+    the study the same summary, artifacts and solver and loop counters,
+    bit for bit. Only the monitored runs have series."""
+    make, advance = S._simulation, F.FluidSimulation._advance
+
+    def traced(self, *args):
+        self.trace.append([(f.fid, f.rate, f.remaining)
+                           for f in self.flows.values()])
+        return advance(self, *args)
+
+    monkeypatch.setattr(F.FluidSimulation, "_advance", traced)
+    runs = {}
+    for monitored in (True, False):
+        sims, counters = [], {}
+
+        def build(*args, sims=sims, watch=monitored, **kwargs):
+            sim = make(*args, **dict(kwargs, monitored=watch))
+            sim.trace = []
+            sims.append(sim)
+            return sim
+
+        monkeypatch.setattr(S, "_simulation", build)
+        out = S.run_scenario(_fct_doc(), counters)
+        del counters["phase_s"]
+        runs[monitored] = sims, out, counters
+    (watched, out, counters), (blind, blind_out, blind_counters) = \
+        runs[True], runs[False]
+    assert out == blind_out and counters == blind_counters
+    assert counters["loop"]["steps"] > 300
+    assert [s.policy for s in blind] == ["qshare", "es_aggressive", "static"]
+    for sim, other in zip(watched, blind):
+        assert sim.monitor is not None and other.monitor is None
+        assert sim.trace == other.trace and len(sim.trace) == sim.steps
+        assert len(sim.reports) == len(other.reports) > 1
+        for rep, got in zip(sim.reports, other.reports):
+            assert (rep.start, rep.end, rep.fcts, rep.usage, rep.scores) == \
+                (got.start, got.end, got.fcts, got.usage, got.scores)
+            assert got.link_util == {} and got.tenant_throughput_mbps == {}
+        assert any(rep.link_util and rep.tenant_throughput_mbps
+                   for rep in sim.reports)
+
+
+def test_segment_checks_need_a_monitored_link():
+    topo = T.build_testbed()
+    gen = F.DemandGenerator("predictable", ("fixed", 1e6), clients=[])
+    with pytest.raises(ValueError, match="monitor"):
+        F.FluidSimulation(topo, {}, gen, monitor=None, stats=True)
+
+
+def test_fct_runs_sum_no_monitored_series(monkeypatch):
+    """Every simulation of an fct study monitors no link, so none of its
+    reports holds a utilization or throughput series, while each reports
+    the flows it completed."""
+    sims = []
+    run = F.FluidSimulation.run
+
+    def recorded(self, *args, **kwargs):
+        sims.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(F.FluidSimulation, "run", recorded)
+    S.run_scenario(_fct_doc())
+    assert len(sims) == 3
+    for sim in sims:
+        assert sim.monitor is None and sim.stats is None
+        assert sum(len(rep.fcts) for rep in sim.reports) > 10
+        for rep in sim.reports:
+            assert rep.link_util == {} and rep.tenant_throughput_mbps == {}
+
+
 def test_tenant_route_within_tree():
     topo = T.build_testbed()
     t = P.embed_fixed(topo, TenantRequest(10, 10.0), "t", "a000",

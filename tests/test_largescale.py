@@ -228,6 +228,29 @@ def test_gain_single_active_tenant_bottleneck():
     assert math.isclose(rep.gains["t"], 1000.0 / 100.0)
 
 
+def test_gain_counts_the_undedicated_and_the_reserved_links():
+    """Two tenants on h1 and h2 under one switch with 2 queues per link
+    (one dedicated): both are eligible at r_in 0, one holds the dedicated
+    queue and the other counts at gain 1; at r_in 1 neither is eligible.
+    h3's link carries no reservation, so the reserved-only CDF leaves it
+    out."""
+    topo = T.build_custom(
+        [("h1", "hypervisor", 0, 10), ("h2", "hypervisor", 0, 10),
+         ("h3", "hypervisor", 0, 10), ("s1", "switch", 1, 0)],
+        [("h1", "s1", 1000.0), ("h2", "s1", 1000.0), ("h3", "s1", 1000.0)],
+        queue_count=2)
+    tenants = {tid: P.embed_fixed(topo, TenantRequest(2, 10.0), tid, "s1",
+                                  {"h1": 1, "h2": 1}) for tid in "AB"}
+    rep = L.throughput_gain(topo, tenants, 0.0, seed=0)
+    assert (rep.high_count, rep.undedicated) == (2, 1)
+    assert rep.reserved == set(topo.links) - {T.link_key("h3", "s1")}
+    assert rep.util_cdf(reserved_only=True).tolist() == sorted(
+        rep.link_util[k] for k in rep.reserved)
+    assert len(rep.util_cdf()) == len(rep.reserved) + 1
+    rep = L.throughput_gain(topo, tenants, 1.0, seed=0)
+    assert (rep.high_count, rep.undedicated) == (0, 0)
+
+
 def test_gain_mean_monotone_in_inactive_ratio():
     """Pooled across seeds: per-seed eligible populations are tiny and gains
     heavy-tailed, so monotonicity is a statement about the aggregate."""
@@ -273,3 +296,5 @@ def test_scarcity_and_gains_use_the_topologys_queue_count():
                                   {"h1": 1, "h2": 1}) for tid in "ABCD"}
     rep = L.throughput_gain(topo, tenants, 0.0, seed=0)
     assert sorted(g > 1.0 for g in rep.gains.values()) == [False] + [True] * 3
+    # the fourth is eligible but holds no dedicated queue
+    assert (rep.high_count, rep.undedicated) == (4, 1)

@@ -53,6 +53,9 @@ RUNS = [
     ("shuffle-fct-s1", ["shuffle-fct", "--seed", "1"]),
     ("shuffle-fct-s5", ["shuffle-fct", "--seed", "5"]),
     ("tradeoff", ["tradeoff", "--set", "duration_s=8"]),
+    # the sweep kind reads the monitored series (mean_core_utilization)
+    ("interval-sweep", ["interval-sweep", "--set", "duration_s=4",
+                        "--set", "intervals=[1.0,4.0]"]),
     ("queue-scarcity-16to1", ["queue-scarcity", "--oversub", "16:1"]),
     ("throughput-gain", ["throughput-gain"]),
 ]
