@@ -568,8 +568,7 @@ class _LinkPlan:
     per-slot list as a tuple. `first` holds the levels of the first lift
     sweep once a sweep has read them: that sweep starts from infinite
     rates, so every flow demands the capacity, and its levels depend on the
-    plan's numbers alone. `key` is the plan's (signature id, slots) group
-    in the solver, None before it joins one.
+    plan's numbers alone.
 
     A plan follows its link's flows row by row (`set`), at a cost in
     proportion to the rows that changed: a tenant's new flows replace its
@@ -579,19 +578,18 @@ class _LinkPlan:
     signature. A link's first plan is the empty plan that each of its
     tenants joins."""
 
-    __slots__ = ("dkey", "view", "C", "static", "wshared", "tenants", "ded",
+    __slots__ = ("view", "C", "static", "wshared", "tenants", "ded",
                  "groups", "qweights", "qwsum", "tweights", "twsum", "K",
-                 "spans", "sig", "sid", "positions", "gather",
-                 "first", "key")
+                 "spans", "sig", "sid", "positions", "gather", "first")
 
-    def __init__(self, dkey: tuple, view: "LinkQueueView", static: bool):
-        self.dkey, self.view, self.static = dkey, view, static
+    def __init__(self, view: "LinkQueueView", static: bool):
+        self.view, self.static = view, static
         self.C = view.capacity
         qid = ("static",) if static else ("shared",)
         self.wshared = max(view.qweights.get(qid, 0.0), 1e-12)
         self.tenants, self.ded, self.groups, self.spans = [], [], [], []
         self.positions = []
-        self.sig = self.first = self.key = None
+        self.sig = self.first = None
         self.sid = 0
 
     def set(self, tenant: str, flows, slot: dict) -> None:
@@ -668,15 +666,6 @@ class _LinkPlan:
                 sig += (g, w, n)
         self.sig = tuple(sig)
 
-    def place(self) -> None:
-        """Set `gather` from the plan's solver slots."""
-        at = self.positions
-        self.gather = (operator.itemgetter(*at) if len(at) > 1
-                       else lambda rates, at=at[0]: (rates[at],))
-
-
-_dkey = operator.attrgetter("dkey")
-
 
 def _settled(new: list, old: list) -> bool:
     """Whether every rate's relative change from `old` to `new`,
@@ -739,25 +728,23 @@ class RateSolver:
     depend on the plan's numbers alone, and the plan keeps them until the
     next record that changes its link's flows.
 
-    Links with the same signature over the same flow slots, such as a
-    route's hops into and out of a core switch, see the same input in every
-    sweep: the solver keeps the plans grouped by (signature id, slots),
-    moving only the plans a solve changed, and a sweep evaluates each group
-    once, by its plan first in dkey order, counting the others as memo
-    hits. One level down, a kernel run splits each group's share over its
-    flows, and within a run most groups of 3 or more flows see a (total,
-    caps) input seen before; those levels come from a second memo, keyed
-    by (lift, total, caps). The level memo, the link memo and the
-    signature map are _Memo generations that rotate together, at the start
-    of the first solve after the link memo's current generation has stored
-    more than _MEMO_RATES rates (capped demands plus levels, from a kernel
-    run or copied from the previous generation). A generation thus spans
-    as many solves as its stores allow: few when many links change per
-    solve, many when few do, so a link input that comes back many solves
-    later is still found. Each memo holds at most the lookups since the
-    start of the previous generation's first solve, the map also the live
-    plans' signatures: a rotation keeps them, so that a live plan's id
-    stays the one its signature maps to.
+    Links with the same signature over the same flow slots (twins), such as
+    a route's hops into and out of a core switch, see the same input in
+    every sweep, so the memo answers a twin from the entry that the first
+    of them looked up in the same sweep. One level down, a kernel run
+    splits each group's share over its flows, and within a run most groups
+    of 3 or more flows see a (total, caps) input seen before; those levels
+    come from a second memo, keyed by (lift, total, caps). The level memo,
+    the link memo and the signature map are _Memo generations that rotate
+    together, at the start of the first solve after the link memo's
+    current generation has stored more than _MEMO_RATES rates (capped
+    demands plus levels, from a kernel run or copied from the previous
+    generation). A generation thus spans as many solves as its stores
+    allow: few when many links change per solve, many when few do, so a
+    link input that comes back many solves later is still found. Each memo
+    holds at most the lookups since the start of the previous generation's
+    first solve, the map also the live plans' signatures: a rotation keeps
+    them, so that a live plan's id stays the one its signature maps to.
 
     Counters over the solver's life: `solves` (calls to solve), `sweeps`
     (lift sweeps summed over solves), `nonconverged` (solves that stopped
@@ -792,20 +779,21 @@ class RateSolver:
         self._sids, self._memo, self._levels = _Memo(), _Memo(), _Memo()
         self._next_sid = itertools.count(1)
         self.index, self._own_index = index or FlowIndex(), index is None
-        # routed flows by slot, each one's slot by fid, the plans of the
-        # crossed links in dkey order, and the plans of each (signature id,
-        # slots) group in dkey order
+        # routed flows by slot, each one's slot by fid, and the plans of the
+        # crossed links by dkey
         self._flows: list = []
         self._slot: dict = {}
         self._plans: dict = {}
-        self._distinct: dict = {}
 
     def rebuild(self, owners_by_link: dict) -> None:
         self.views = {}
         for ukey, link in self.topo.links.items():
             owners = owners_by_link.get(ukey, set())
             self.views[ukey] = LinkQueueView(ukey, link, owners, self.weight_mode)
-        self._plans, self._distinct = {}, {}
+        # no plan clips a demand while every rate is within this (_sweep)
+        self._cmin = min((v.capacity for v in self.views.values()),
+                         default=math.inf)
+        self._plans = {}
 
     def solve(self, flows: list, change: FlowChange | None = None) -> None:
         """Set flow.rate for every flow in place. `change` records the
@@ -863,19 +851,16 @@ class RateSolver:
         through `change`: the routed flows that left free their slots (the
         last slot moving into each freed one) and those appended take new
         slots. On every link of their routes the rows of their tenants are
-        set anew (a new link's plan joins them to an empty plan, new plans
-        going in place in dkey order), and a link no flow crosses any more
-        is dropped; on the other links of a moved flow only its tenant's
-        slots are renewed. With no plan left (after `rebuild`), every link
-        is planned anew. Only the plans set or renewed move to their new
-        (signature id, slots) group.
+        set anew (a new link's plan joins them to an empty plan), and a link
+        no flow crosses any more is dropped; on the other links of a moved
+        flow only its tenant's slots are renewed. With no plan left (after
+        `rebuild`), every link is planned anew.
 
         Without a record, every slot and plan (and the solver's own index)
         is dropped and every routed flow of `flows` arrives, in the order
         given."""
         if change is None:
-            self._flows, self._slot = [], {}
-            self._plans, self._distinct = {}, {}
+            self._flows, self._slot, self._plans = [], {}, {}
             change = FlowChange((), flows)
             if self._own_index:
                 self.index = FlowIndex()
@@ -909,27 +894,18 @@ class RateSolver:
         if not plans:
             touched = {dkey: by_tenant.keys()
                        for dkey, by_tenant in index.items()}
-        born, built = [], 0
+        built = 0
         for dkey, tenants in touched.items():
-            plan = plans.get(dkey)
             if dkey not in index:
-                if plan is not None:
-                    del plans[dkey]
-                    self._regroup(plan, None)
+                plans.pop(dkey, None)
                 continue
+            plan = plans.get(dkey)
             if plan is None:
-                plan = _LinkPlan(dkey, self.views[link_key(*dkey)],
-                                 self.mode == "static")
-                born.append(plan)
+                plan = plans[dkey] = _LinkPlan(self.views[link_key(*dkey)],
+                                               self.mode == "static")
             self._plan(plan, index[dkey], {*tenants, *moved.pop(dkey, ())})
             plan.first = None
             built += 1
-        if born:
-            # new links go in place: the plans after the first of them move
-            # behind it, in dkey order with the others
-            first = min(born, key=_dkey).dkey
-            born += map(plans.pop, [dkey for dkey in plans if dkey > first])
-            plans.update((p.dkey, p) for p in sorted(born, key=_dkey))
         for dkey, tenants in moved.items():
             self._plan(plans[dkey], index[dkey], tenants)
         self.plans_built += built
@@ -938,8 +914,8 @@ class RateSolver:
     def _plan(self, plan: _LinkPlan, by_tenant: dict, tenants) -> None:
         """Set the rows of `tenants` in `plan` from the link's flows by
         tenant and fid (see _LinkPlan.set), re-derive its numbers if a row
-        came or went, give it the id of a changed signature, and move it to
-        its (signature id, slots) group."""
+        came or went, give it the id of a changed signature, and set its
+        gather from its slots."""
         sig = plan.sig
         for t in tenants:
             plan.set(t, by_tenant.get(t, ()), self._slot)
@@ -948,33 +924,20 @@ class RateSolver:
         if plan.sig is not sig:
             # ids start at 1, so a found id is never falsy
             plan.sid = self._sids.get(plan.sig, next, self._next_sid)
-        plan.place()
-        self._regroup(plan, (plan.sid, tuple(plan.positions)))
-
-    def _regroup(self, plan: _LinkPlan, key) -> None:
-        """Move `plan` out of its (signature id, slots) group and into the
-        group `key` (into none when None), in dkey order."""
-        distinct = self._distinct
-        if plan.key is not None:
-            group = distinct[plan.key]
-            group.remove(plan)
-            if not group:
-                del distinct[plan.key]
-        plan.key = key
-        if key is not None:
-            bisect.insort(distinct.setdefault(key, []), plan, key=_dkey)
+        at = plan.positions
+        plan.gather = (operator.itemgetter(*at) if len(at) > 1
+                       else lambda rates, at=at[0]: (rates[at],))
 
     def _first_sweep(self) -> list:
         """The first lift sweep, from infinite rates: every flow demands its
         link's capacity, so each plan's levels are those it keeps (`first`),
         taken from the link memo the first time a sweep reads them (a store
-        there counts as in _sweep). The plan first in dkey order of a
-        (signature id, slots) group stands for the whole group."""
+        there counts as in _sweep); a twin of a plan that looked its levels
+        up in this sweep finds them in the memo's current generation."""
         out = [math.inf] * len(self._flows)
         memo = self._memo
         runs = memo.runs
-        for group in self._distinct.values():
-            plan = group[0]
+        for plan in self._plans.values():
             levels = plan.first
             if levels is None:
                 capped = (plan.C,) * len(plan.positions)
@@ -995,23 +958,24 @@ class RateSolver:
         taken from the memo when its input repeats. A link's levels that
         the memo's current generation lacks, made or copied from the
         previous one, are stored there, adding the number of its capped
-        demands plus its levels to the generation's stored rates. The plan
-        first in dkey order of a (signature id, slots) group stands for the
-        whole group."""
+        demands plus its levels to the generation's stored rates, so the
+        memo answers a twin (see the class docstring) from its current
+        generation. No demand exceeds any plan's C while no rate exceeds the
+        smallest link capacity, so the clip is tried only when one does."""
         out = [math.inf] * len(rates)
         memo, levels_memo = self._memo, self._levels
         cur = memo.cur
         runs = memo.runs
-        for group in self._distinct.values():
-            plan = group[0]
-            C = plan.C
+        clip = max(rates) > self._cmin
+        for plan in self._plans.values():
             capped = plan.gather(rates)
             # `C if C < r else r` is min(r, C), without the call; after the
             # first sweep a demand rarely exceeds C. No capped demand is
             # -0.0, which would share a key with 0.0: rates start at inf,
             # _lift_levels clamps negative levels to 0.0, and the fills give
             # min(cap, positive share) or 0.0.
-            if max(capped) > C:
+            if clip and max(capped) > plan.C:
+                C = plan.C
                 capped = tuple([C if C < r else r for r in capped])
             key = (lift, plan.sid, capped)
             levels = cur.get(key)

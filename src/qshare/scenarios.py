@@ -50,10 +50,12 @@ class ScenarioError(ValueError):
 
 class Rule(NamedTuple):
     """A table leaf with its own check: `ok` holds for every good value (for
-    a list default, for every entry) and `why` says what a bad one is not."""
+    a list default, for every entry) and `why` says what a bad one is not.
+    A `filled` list takes no empty value."""
     default: object
     ok: Callable
     why: str
+    filled: bool = False
 
 
 def _is(v, types=(int, float)) -> bool:
@@ -77,6 +79,18 @@ def _rule(leaf, low=None) -> Rule:
                 f"is not {name}" + ("" if low is None else f" > {low}"))
 
 
+def _count(default: int) -> Rule:
+    """The Rule of an integer >= 0."""
+    return Rule(default, lambda v: _is(v, int) and v >= 0,
+                "is not an integer >= 0")
+
+
+def _fraction(default) -> Rule:
+    """The Rule of a number in [0, 1] (for a list, of every entry)."""
+    return Rule(default, lambda v: _is(v) and 0 <= v <= 1,
+                "is not a number in [0, 1]")
+
+
 def _activation(v) -> bool:
     return v is None or _is(v) or (isinstance(v, list) and len(v) == 2
                                     and all(map(_is, v)))
@@ -88,18 +102,21 @@ def _activation(v) -> bool:
 _NAME = Rule(None, lambda v: isinstance(v, str) and v != "",
              "is not a scenario name")
 _TESTBED = {
-    "name": _NAME, "kind": KINDS, "seed": 0, "sample_s": _rule(0.1, low=0),
-    "control_interval_s": _rule(4.0, low=0),
+    "name": _NAME, "kind": KINDS, "seed": _count(0),
+    "sample_s": _rule(0.1, low=0), "control_interval_s": _rule(4.0, low=0),
     "weight_mode": ("normalized", "quantized"),
     "topology": {"racks": _rule(2, low=0), "servers_per_rack": _rule(5, low=0),
                  "vm_slots": _rule(10, low=0), "nic_mbps": _rule(1000.0, low=0),
                  "core_mbps": _rule(1000.0, low=0),
                  "queues_per_link": _rule(8, low=0)},
-    "ra": {f.name: f.default for f in fields(RAConfig) if f.name != "mode"},
+    "ra": {**{f.name: f.default for f in fields(RAConfig) if f.name != "mode"},
+           # with a period <= 0 the loop's next quantum never passes the
+           # current time, and an endhost run never ends
+           "probe_period": _rule(RAConfig.probe_period, low=0)},
 }
 _WCBG = {
     **_TESTBED, "policy": POLICIES, "duration_s": _rule(10.0, low=0),
-    "warmup_intervals": 0,
+    "warmup_intervals": _count(0),
     "tenants": {"count": _rule(10, low=0), "vms_per_tenant": _rule(10, low=1),
                 "core_guarantee_mbps": Rule(94.0, lambda v: _is(v) and v >= 0,
                                             "is not a number >= 0")},
@@ -121,20 +138,24 @@ _WCBG = {
     },
 }
 _FILL = {
-    "name": _NAME, "kind": KINDS, "seed": 0, "oversub": OVERSUBS,
+    "name": _NAME, "kind": KINDS, "seed": _count(0), "oversub": OVERSUBS,
     "topology": {"queues_per_link": _rule(8, low=0)},
-    "population": {"vm_mean": largescale.PopulationSpec.vm_mean,
-                   "vm_floor": largescale.PopulationSpec.vm_floor,
-                   "guarantees": list(largescale.PopulationSpec.guarantees)},
-    "fill": {"reject_streak": 50, "r_in": 0.5, "intervals": 20},
+    "population": {
+        "vm_mean": _rule(largescale.PopulationSpec.vm_mean, low=0),
+        "vm_floor": _rule(largescale.PopulationSpec.vm_floor, low=1),
+        "guarantees": _rule(list(largescale.PopulationSpec.guarantees),
+                            low=0)._replace(filled=True)},
+    "fill": {"reject_streak": _rule(50, low=0), "r_in": _fraction(0.5),
+             "intervals": _rule(20, low=0)},
 }
 SCHEMA = {
     "wcbg": _WCBG,
-    "sweep": {**_WCBG, "warmup_intervals": 1,
+    "sweep": {**_WCBG, "warmup_intervals": _count(1),
               "intervals": _rule([1.0, 2.0, 4.0, 8.0], low=0)},
     "scarcity": _FILL,
-    "gain": {**_FILL, "cdf_r_in": 0.5,
-             "r_in_values": [round(0.1 * k, 1) for k in range(1, 10)]},
+    "gain": {**_FILL, "cdf_r_in": _fraction(0.5),
+             "r_in_values": _fraction([round(0.1 * k, 1)
+                                       for k in range(1, 10)])},
     "tradeoff": {**_TESTBED, "duration_s": _rule(30.0, low=0),
                  "size_scale": _rule(50.0, low=0)},
     "fct": {**_TESTBED, "duration_s": _rule(20.0, low=0),
@@ -165,6 +186,8 @@ def _walk(spec: dict, doc, prefix: str) -> dict:
         if isinstance(rule.default, list):
             if not isinstance(value, list):
                 raise ScenarioError(f"{path}: {json.dumps(value)} is not a list")
+            if rule.filled and not value:
+                raise ScenarioError(f"{path}: [] is an empty list")
             entries = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
         for at, v in entries:
             if not rule.ok(v):
@@ -287,10 +310,16 @@ def _simulation(cfg: dict, requests: dict, shape: dict | None = None,
                 f"tenants of {'/'.join(map(repr, per_vm))} Mbps per VM "
                 f"(tenants.core_guarantee_mbps over half the VMs, in a wcbg "
                 f"run)")
+    dem, policy = cfg["demand"], cfg["policy"]
+    for key in ("initial_dedicated", "activations"):
+        for tid in dem[key]:  # a list of ids, or a map keyed by id
+            if tid not in requests:
+                raise ScenarioError(
+                    f"demand.{key}: {json.dumps(tid)} is not a tenant of the "
+                    f"run ({', '.join(requests)})")
     tenants = {tid: embed_fixed(topo, request, tid, root, placements[tid])
                for tid, request in requests.items()}
     monitor = (root, sorted(topo.down_neighbors(root))[0])
-    dem, policy = cfg["demand"], cfg["policy"]
     vm_map = {t: fluid._expand_vms(x) for t, x in tenants.items()}
     rack0 = set(topo.down_neighbors(monitor[1]))
     clients = fluid.make_clients(

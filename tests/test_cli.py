@@ -89,6 +89,25 @@ def test_validate_names_the_unknown_fct_policy():
     ("unpredictable", "topology.nic_mbps=50", "topology.nic_mbps"),
     ("shuffle-fct", "topology.core_mbps=300", "topology.core_mbps"),
     ("queue-scarcity", "topology.queues_per_link=0", "topology.queues_per_link"),
+    ("queue-scarcity", "fill.intervals=0", "fill.intervals"),
+    ("queue-scarcity", "fill.reject_streak=0", "fill.reject_streak"),
+    ("queue-scarcity", "fill.r_in=1.5", "fill.r_in"),
+    ("throughput-gain", "fill.r_in=-0.1", "fill.r_in"),
+    ("throughput-gain", "cdf_r_in=2.0", "cdf_r_in"),
+    ("throughput-gain", "r_in_values=[0.5,1.1]", "r_in_values[1]"),
+    ("unpredictable", "seed=-1", "seed"),
+    ("queue-scarcity", "seed=-1", "seed"),
+    ("unpredictable", "warmup_intervals=-1", "warmup_intervals"),
+    ("interval-sweep", "warmup_intervals=-1", "warmup_intervals"),
+    ("queue-scarcity", "population.vm_floor=1", "population.vm_floor"),
+    ("queue-scarcity", "population.vm_mean=0", "population.vm_mean"),
+    ("queue-scarcity", "population.guarantees=[]", "population.guarantees"),
+    ("queue-scarcity", "population.guarantees=[10,0]",
+     "population.guarantees[1]"),
+    ("unpredictable", 'demand.initial_dedicated=["t01","nobody"]',
+     "demand.initial_dedicated"),
+    ("unpredictable", 'demand.activations={"nobody":1.0}',
+     "demand.activations"),
 ])
 def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
     rc = cli.main(["run", scenario, "--set", item,
@@ -96,6 +115,15 @@ def test_run_rejects_bad_overrides(tmp_path, capsys, scenario, item, path):
     assert rc == 2
     assert f"scenario error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("period", [0, -0.015])
+def test_resolve_rejects_a_probe_period_that_is_not_positive(period):
+    # checked on resolve alone: an endhost run with such a period never ends
+    for kind in ("wcbg", "tradeoff", "fct"):
+        with pytest.raises(ScenarioError, match="^ra.probe_period: "):
+            resolve({"name": "p", "kind": kind,
+                     "ra": {"probe_period": period}})
 
 
 def test_over_reservation_names_the_guarantee_and_the_capacity(tmp_path,

@@ -505,11 +505,11 @@ def test_memoised_solves_match_fresh_solvers_bit_for_bit(rng, mode,
             for memo, count, at in zip((solver._memo, solver._levels), now,
                                        starts[-2]):
                 assert len(memo.cur) + len(memo.prev) <= count - at
-            for plan in solver._plans.values():
+            for dk, plan in solver._plans.items():
                 sid, last = seen.get(plan.sig, (plan.sid, solver.solves))
                 assert plan.sid == sid or last < solver.solves - 1
                 recurred += (plan.sid == sid
-                             and signed.get(plan.dkey) != plan.sig
+                             and signed.get(dk) != plan.sig
                              and last <= solver.solves - 2)
                 seen[plan.sig] = plan.sid, solver.solves
 
@@ -556,6 +556,40 @@ def test_memo_keeps_links_apart_that_differ_only_in_capacity():
     solver.solve([f])
     assert f.rate == 1000.0
     assert solver._sweep([300.0], lift=True) == [1000.0]
+
+
+def test_sweep_clips_demands_above_a_smaller_capacity(rng):
+    """On stars of unequal link capacities, a lift and a projection sweep
+    from demands up to the largest capacity, so that some exceed a smaller
+    link's C, give each flow the minimum over its links of the levels of
+    the link's demands clipped to its C, bit for bit. For some links the
+    unclipped demands give other levels."""
+    sensitive = 0
+    for case in range(60):
+        maker = (large_shared_case, random_wfq_case)[case % 2]
+        topo, tenants, owners, flows = maker(rng)
+        caps = {link.capacity for link in topo.links.values()}
+        if not flows or len(caps) < 2:
+            continue
+        solver = F.RateSolver(topo)
+        solver.rebuild(owners)
+        solver.solve(flows)
+        demands = rng.uniform(0.0, max(caps), len(solver._flows)).tolist()
+        for lift in (True, False):
+            want = [math.inf] * len(demands)
+            unclipped = list(want)
+            for plan in solver._plans.values():
+                given = plan.gather(demands)
+                clipped = tuple(min(d, plan.C) for d in given)
+                for out, capped in ((want, clipped), (unclipped, given)):
+                    levels = F._link_levels(plan, capped, lift)
+                    for i, r in zip(plan.positions, levels):
+                        out[i] = min(out[i], r)
+            got = solver._sweep(demands, lift)
+            assert [r.hex() for r in got] == [r.hex() for r in want], \
+                f"case {case} lift {lift}"
+            sensitive += unclipped != want
+    assert sensitive > 0
 
 
 def test_link_inputs_recurring_ten_solves_later_are_memo_hits():
@@ -672,7 +706,7 @@ def kernel_plan(mode: str, C: float, queues: list, rng) -> F._LinkPlan:
                 view.reservations[tid] = g
                 view.qweights[("static",) if mode == "static"
                               else ("shared",)] = w_q
-    plan = F._LinkPlan(None, view, mode == "static")
+    plan = F._LinkPlan(view, mode == "static")
     fids = itertools.count()
     flows = {tid: dict.fromkeys(itertools.islice(fids, n))
              for tid, n in counts.items()}
@@ -800,9 +834,10 @@ def test_twin_links_run_once_per_sweep():
     """On a chain h1-s1-s2-h2 of equal capacities (and h3 under s1), the
     links a flow set crosses in one direction carry the same flows under
     equal signatures. As flows arrive (h3's flows split the groups) and
-    leave, every sweep reads each (signature, flows) group once, through
-    its first plan, the other links count as memo hits, and the rates equal
-    a fresh solver's bit for bit and WfqOracle's within 1e-6."""
+    leave, every sweep counts one kernel evaluation per plan, a sweep of a
+    fresh memo over distinct demands runs each (signature, flows) group's
+    kernel once and counts its other links as memo hits, and the rates
+    equal a fresh solver's bit for bit and WfqOracle's within 1e-6."""
     topo, tenants = twin_chain()
     owners = {key: {"B"} for key in topo.links}
     ends = [("A", "h1", "h2"), ("B", "h1", "h2"), ("A", "h1", "h2"),
@@ -824,7 +859,6 @@ def test_twin_links_run_once_per_sweep():
         assert solver.kernel_runs + solver.kernel_hits - evals == \
             len(plans) * (solver.sweeps - sweeps + 2), f"step {step}"
         groups = {(p.sig, tuple(p.positions)) for p in plans.values()}
-        assert len(solver._distinct) == len(groups), f"step {step}"
         if step == 4:  # flows 1-5: one group per direction
             assert (len(plans), len(groups)) == (6, 2)
         assert [f.rate.hex() for f in active] == \
@@ -834,25 +868,14 @@ def test_twin_links_run_once_per_sweep():
             ref = orates[f.fid]
             assert abs(f.rate - ref) <= 1e-6 * max(ref, 1.0), \
                 f"step {step}: flow {f.fid} {f.rate} vs {ref}"
-        # every plan counts its gathers; from distinct demands a sweep of
-        # a fresh memo runs each group's kernel once
-        read = collections.Counter()
-        kept = {dk: plan.gather for dk, plan in plans.items()}
-        for dk, plan in plans.items():
-            plan.gather = (lambda rates, dk=dk, gather=plan.gather:
-                           read.update([dk]) or gather(rates))
+        # from distinct demands a sweep of a fresh memo runs each group's
+        # kernel once
         fresh = F.RateSolver(topo)
         fresh.rebuild(owners)
         fresh._update(active)
         runs, hits = fresh.kernel_runs, fresh.kernel_hits
         for lift in (True, False):
-            read.clear()
-            demands = [100.0 + 7.0 * s for s in range(len(active))]
-            solver._sweep(demands, lift)
-            assert sorted(read.values()) == [1] * len(groups), f"step {step}"
-            fresh._sweep(demands, lift)
-        for dk, gather in kept.items():
-            plans[dk].gather = gather
+            fresh._sweep([100.0 + 7.0 * s for s in range(len(active))], lift)
         assert (fresh.kernel_runs - runs, fresh.kernel_hits - hits) == \
             (2 * len(groups), 2 * (len(fresh._plans) - len(groups)))
 
@@ -883,7 +906,7 @@ def test_departure_replans_only_the_links_on_its_route(rng):
         built, kept = solver.plans_built, solver.plans_kept
         solver.solve(rest, F.FlowChange([gone], []))
         crossed = {dk for f in rest for dk in f.route}
-        assert list(solver._plans) == sorted(crossed), f"case {case}"
+        assert solver._plans.keys() == crossed, f"case {case}"
         for dk, plan in solver._plans.items():
             carried = (plan, plan.sig, plan_fids(solver, plan)) == before[dk]
             assert carried == (dk not in gone.route), f"case {case}"
@@ -920,9 +943,8 @@ def test_carried_plans_match_plans_built_from_scratch(rng, mode):
     signature id is the one the memo maps its signature to, and no other
     live plan's signature shares it; its gather reads its slots; a `first`
     it keeps holds the first sweep's levels of its numbers. The plans are
-    those of the crossed links, in dkey order, the solver's (signature id,
-    slots) groups hold them in dkey order, and the rates equal a fresh
-    solver's bit for bit."""
+    those of the crossed links, and the rates equal a fresh solver's bit
+    for bit."""
     seen = collections.Counter()
     for case in range(18):
         maker = (large_shared_case, random_wfq_case, twin_case)[case % 3]
@@ -962,7 +984,7 @@ def test_carried_plans_match_plans_built_from_scratch(rng, mode):
             seen["alone"] += len(left) == 1
             index = solver.index.tenants
             plans = solver._plans
-            assert list(plans) == sorted(index), where
+            assert plans.keys() == index.keys(), where
             owner_of = {}
             slots = list(range(len(solver._flows)))
             for dk, plan in plans.items():
@@ -980,12 +1002,9 @@ def test_carried_plans_match_plans_built_from_scratch(rng, mode):
                     assert plan.first == F._link_levels(
                         plan, (plan.C,) * len(plan.positions), True), where
                 seen["kept first"] += plan.first is not None
-            groups = {}
-            for plan in plans.values():
-                groups.setdefault((plan.sid, tuple(plan.positions)),
-                                  []).append(plan)
-            assert solver._distinct == groups, where
-            seen["twins"] += any(len(group) > 1 for group in groups.values())
+            twins = collections.Counter((plan.sid, tuple(plan.positions))
+                                        for plan in plans.values())
+            seen["twins"] += any(n > 1 for n in twins.values())
             assert [f.rate.hex() for f in active.values()] == \
                 solved_elsewhere(topo, owners, list(active.values()), mode), \
                 where
@@ -1088,7 +1107,7 @@ def test_a_solve_without_a_record_starts_over(rng):
         others = [f for f in flows if rng.random() < 0.6] or flows[:1]
         solver.solve(others)
         crossed = {dk for f in others for dk in f.route}
-        assert list(solver._plans) == sorted(crossed), f"case {case}"
+        assert solver._plans.keys() == crossed, f"case {case}"
         assert not any(plan is before.get(dk)
                        for dk, plan in solver._plans.items()), f"case {case}"
         assert (solver.plans_built - built, solver.plans_kept - kept) == \
@@ -1110,7 +1129,7 @@ def test_reused_fid_with_another_tenant_or_route_is_planned_anew():
         peer = flow(2, tenants, "B")
         built = solver.plans_built
         solver.solve([f, peer])
-        assert list(solver._plans) == sorted({*f.route, *peer.route})
+        assert solver._plans.keys() == {*f.route, *peer.route}
         assert solver.plans_built - built == len(solver._plans)
         assert [f.rate.hex(), peer.rate.hex()] == \
             solved_elsewhere(topo, owners, [f, peer])
